@@ -6,6 +6,9 @@ detector (max-correlation receiver), analysis (closed-form error
 probabilities), montecarlo (seeded trial runner), cli (experiment front door).
 """
 
+# the one version string: cli embeds it in artifacts, pyproject.toml reads it
+__version__ = "0.1.0"
+
 from .analysis import (
     NumericalFailure,
     OperatingPoint,
@@ -56,5 +59,3 @@ from .signal import (
     psrp_phase,
     synthesize_frame,
 )
-
-__version__ = "0.1.0"

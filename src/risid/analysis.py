@@ -32,7 +32,6 @@ __all__ = [
     "gil_pelaez_cdf",
     "required_ris_size",
     "pf_pmiss_threshold_sweep",
-    "curves_to_csv",
 ]
 
 
@@ -383,13 +382,3 @@ def pf_pmiss_threshold_sweep(
             r_bar_for_pf_cap=r_pf, r_bar_for_pmiss_cap=r_pm, feasible=feasible
         ),
     )
-
-
-def curves_to_csv(curves: Sequence[TheoryCurve], op: OperatingPoint) -> str:
-    """Render curves as CSV with the operating context on every row."""
-    p_dbm = 10.0 * math.log10(op.power_w * 1000.0)
-    lines = ["r_bar,value,kind,M,N,P_dBm"]
-    for curve in curves:
-        for xv, yv in zip(curve.x, curve.y):
-            lines.append(f"{xv!r},{yv!r},{curve.kind},{op.m},{op.n},{p_dbm!r}")
-    return "\n".join(lines) + "\n"

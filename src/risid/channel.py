@@ -8,6 +8,7 @@ is all the detector ever sees.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,8 +24,11 @@ __all__ = [
     "path_gain",
     "correlation_matrix",
     "identity_correlation",
+    "draw_hops",
+    "scale_hops",
     "sample_channel",
     "cascaded_gain",
+    "cascaded_gains",
 ]
 
 
@@ -134,21 +138,34 @@ def identity_correlation(n: int) -> CorrelationMatrix:
     return CorrelationMatrix(r=eye, factor=eye.copy())
 
 
+def draw_hops(rng: np.random.Generator, n: int, factor, size: int) -> np.ndarray:
+    """Draw ``size`` unscaled hop vectors z F^T, z ~ CN(0, 2 I).
+
+    ``factor`` None stands for uncorrelated elements (F = I, no product);
+    ``scale_hops`` turns the result into CN(0, beta_hop * R) vectors.
+    """
+    z = rng.standard_normal((size, n, 2)).view(np.complex128)[..., 0]
+    return z if factor is None else z @ factor.T
+
+
+def scale_hops(z: np.ndarray, beta_hop: float) -> np.ndarray:
+    """CN(0, beta_hop * R) hop vectors from ``draw_hops`` output."""
+    return np.sqrt(beta_hop / 2.0) * z
+
+
 def sample_channel(
     corr: CorrelationMatrix,
     beta_hop: float,
     rng: np.random.Generator,
     size: int | None = None,
 ) -> np.ndarray:
-    """Draw CN(0, beta_hop * R) vectors: sqrt(beta_hop) * F @ z.
+    """Draw CN(0, beta_hop * R) vectors: sqrt(beta_hop / 2) * z F^T.
 
     With ``size`` given, returns a (size, N) batch; otherwise a single (N,)
     vector. Reproducible bit-for-bit for a given generator state.
     """
-    n = corr.n
-    shape = (n,) if size is None else (size, n)
-    z = rng.standard_normal(shape + (2,)).view(np.complex128)[..., 0] / np.sqrt(2.0)
-    return np.sqrt(beta_hop) * (z @ corr.factor.T)
+    h = scale_hops(draw_hops(rng, corr.n, corr.factor, size or 1), beta_hop)
+    return h[0] if size is None else h
 
 
 @dataclass(frozen=True)
@@ -159,17 +176,15 @@ class ChannelRealization:
     h_rb: np.ndarray
     h_tilde: complex
 
-    @classmethod
-    def draw(
-        cls,
-        corr: CorrelationMatrix,
-        link: LinkBudget,
-        power_w: float,
-        rng: np.random.Generator,
-    ) -> "ChannelRealization":
-        h_ur = sample_channel(corr, link.beta_ur, rng)
-        h_rb = sample_channel(corr, link.beta_rb, rng)
-        return cls(h_ur=h_ur, h_rb=h_rb, h_tilde=cascaded_gain(h_ur, h_rb, power_w))
+
+def cascaded_gains(zu, zb, power_w: float, beta_ur: float, beta_rb: float) -> np.ndarray:
+    """Cascaded gain of every row of two ``draw_hops`` batches.
+
+    Equals ``cascaded_gain`` of the scaled hops: both hop scales and the
+    power are folded into one prefactor.
+    """
+    prefactor = math.sqrt(power_w) * (math.sqrt(beta_ur * beta_rb) / 2.0)
+    return prefactor * np.einsum("ij,ij->i", zu, zb)
 
 
 def cascaded_gain(h_ur: np.ndarray, h_rb: np.ndarray, power_w: float) -> complex:

@@ -20,9 +20,9 @@ from pathlib import Path
 
 import numpy as np
 
-from . import analysis, montecarlo
+from . import __version__, analysis, montecarlo
 from .analysis import NumericalFailure, OperatingPoint
-from .channel import LinkBudget, RisGeometry, correlation_matrix, path_gain
+from .channel import RisGeometry, correlation_matrix, path_gain
 from .codes import (
     BinarySequence,
     build_codebook,
@@ -30,19 +30,28 @@ from .codes import (
     cross_corr_pmf,
     distinct_shift_fraction,
 )
-from .signal import RisProfile, noise_variance_from_bandwidth
-
-__version__ = "0.1.0"
+from .signal import noise_variance_from_bandwidth
 
 SPACINGS = ("none", "half-lambda", "tenth-lambda")
 
 
 class ConfigError(Exception):
-    """Invalid configuration; carries the offending line number (0 = none)."""
+    """Invalid configuration; carries the offending line number (0 = none).
+
+    Scenario validation names the config ``key`` at fault instead.
+    """
+
+    key = None
 
     def __init__(self, message: str, line: int = 0):
         super().__init__(message)
         self.line = line
+
+
+def _invalid(key: str, message: str) -> ConfigError:
+    exc = ConfigError(message)
+    exc.key = key
+    return exc
 
 
 def dbm_to_watts(dbm: float) -> float:
@@ -89,6 +98,9 @@ def _corr_factor(n: int, n_h: int, spacing: str, wavelength: float):
     return correlation_matrix(geom).factor
 
 
+_POSITIVE = ("n_elements", "n_horizontal", "trials", "f_c_hz", "bandwidth_hz", "d_ur_m", "d_rb_m")
+
+
 @dataclass(frozen=True)
 class Scenario:
     """Resolved experiment description shared by theory, engine and CLI."""
@@ -112,29 +124,40 @@ class Scenario:
 
     def __post_init__(self):
         if self.m < 2 or (self.m & (self.m - 1)) != 0:
-            raise ConfigError(f"sequence length must be a power of two, got {self.m}")
+            raise _invalid("m", f"sequence length must be a power of two, got {self.m}")
         if not 1 <= self.v_total < self.m:
-            raise ConfigError("pad budget must satisfy 1 <= v_total < m")
+            raise _invalid("v_total", "pad budget must satisfy 1 <= v_total < m")
         if len(set(self.code_rows)) != len(self.code_rows):
-            raise ConfigError("code rows must be distinct across surfaces")
+            raise _invalid("code_rows", "code rows must be distinct across surfaces")
         for r in self.code_rows:
             if not 1 <= r < self.m:
-                raise ConfigError(f"code row {r} outside 1..{self.m - 1}")
+                raise _invalid("code_rows", f"code row {r} outside 1..{self.m - 1}")
         if self.spacing not in SPACINGS:
-            raise ConfigError(f"spacing must be one of {SPACINGS}")
-        for k, field_name, _ in self.per_ris:
+            raise _invalid("spacing", f"spacing must be one of {SPACINGS}")
+        # (config key, field, value) of every scalar with a valid range
+        fields = [(f, f, getattr(self, f)) for f in _POSITIVE + ("p_dbm", "r_bar")]
+        fields += [("r_bar_grid", "r_bar_grid", r) for r in self.r_bar_grid]
+        for k, field_name, val in self.per_ris:
+            key = f"ris{k}_{field_name}"
             if not 1 <= k <= len(self.code_rows):
-                raise ConfigError(f"override for surface {k} outside 1..{len(self.code_rows)}")
-            if field_name == "spacing":
-                val = self._override(k, "spacing", self.spacing)
-                if val not in SPACINGS:
-                    raise ConfigError(f"spacing must be one of {SPACINGS}")
+                raise _invalid(key, f"override for surface {k} outside 1..{self.l_count}")
+            if field_name == "spacing" and val not in SPACINGS:
+                raise _invalid(key, f"spacing must be one of {SPACINGS}")
+            fields.append((key, field_name, val))
+        for key, name, val in fields:
+            if isinstance(val, float) and not math.isfinite(val):
+                raise _invalid(key, f"{key} must be finite, got {val!r}")
+            if name in _POSITIVE and not val > 0:
+                raise _invalid(key, f"{key} must be positive, got {val!r}")
         for k in range(1, len(self.code_rows) + 1):
             n = self._override(k, "n_elements", self.n_elements)
             nh = self._override(k, "n_horizontal", self._nh_default(n))
-            if n <= 0 or n % nh != 0:
-                raise ConfigError(
-                    f"surface {k}: element count {n} not divisible by row length {nh}"
+            if n % nh != 0:
+                overrides = [f"ris{k}_{f}" for kk, f, _ in self.per_ris
+                             if kk == k and f in ("n_elements", "n_horizontal")]
+                raise _invalid(
+                    (overrides or ["n_horizontal"])[0],
+                    f"surface {k}: element count {n} not divisible by row length {nh}",
                 )
 
     def _nh_default(self, n: int) -> int:
@@ -183,39 +206,6 @@ class Scenario:
                 corr_factor=_corr_factor(n, nh, spacing, self.wavelength),
             ))
         return tuple(out)
-
-    def reference_profiles(self) -> list:
-        """RisProfile objects for the single-frame synthesizer."""
-        book = self.codebook()
-        out = []
-        for k, code in enumerate(book.entries, start=1):
-            n = self._override(k, "n_elements", self.n_elements)
-            nh = self._override(k, "n_horizontal", self._nh_default(n))
-            spacing = self._override(k, "spacing", self.spacing)
-            d = self.wavelength / 2.0 if spacing != "tenth-lambda" else self.wavelength / 10.0
-            geom = RisGeometry(n=n, n_h=nh, d_h=d, d_v=d, wavelength=self.wavelength)
-            link = LinkBudget.from_distances(
-                self.f_c_hz,
-                self._override(k, "d_ur_m", self.d_ur_m),
-                self._override(k, "d_rb_m", self.d_rb_m),
-            )
-            out.append(RisProfile(id=k, code=code, geometry=geom, link=link))
-        return out
-
-    def reference_correlations(self) -> dict:
-        """Correlation overrides for the single-frame synthesizer.
-
-        Surfaces with spacing "none" map to identity matrices; the others
-        are left to the synthesizer's sinc kernel.
-        """
-        from .channel import identity_correlation
-
-        out = {}
-        for k in range(1, self.l_count + 1):
-            if self._override(k, "spacing", self.spacing) == "none":
-                n = self._override(k, "n_elements", self.n_elements)
-                out[k] = identity_correlation(n)
-        return out
 
     def operating_point(self, r_bar: float, surface: int = 1) -> OperatingPoint:
         book = self.codebook()
@@ -390,6 +380,19 @@ def scenario_from_config(raw: dict, config_dir: Path | None = None) -> Scenario:
         raise ConfigError(str(exc))
 
 
+def _load_config(path: Path):
+    """Parsed config and its Scenario; a field error points at the field's line."""
+    text = path.read_text()
+    raw = parse_config_text(text)
+    try:
+        return raw, scenario_from_config(raw, path.parent)
+    except ConfigError as exc:
+        keys = [ln.split("#", 1)[0].split("=", 1)[0].strip() for ln in text.splitlines()]
+        if not exc.line and exc.key in keys:
+            exc.line = keys.index(exc.key) + 1
+        raise
+
+
 def rescale(scenario: Scenario, **changes) -> Scenario:
     """Vary m/n/p across sweeps, keeping dependent defaults consistent."""
     if "m" in changes and changes["m"] != scenario.m:
@@ -506,16 +509,14 @@ def cmd_pf_single(scenario: Scenario, raw: dict, writer: RunWriter, threads: int
     writer.csv("pf_single.csv", ["kind", "m", "r_bar"] + _EST_COLS, rows)
 
 
-def _pmiss_power_sweep(scenario, raw, writer, name, vary):
-    """Shared body of the miss-vs-power subcommands."""
+def _pmiss_power_sweep(scenario, raw, writer, threads, name, column, field, values):
+    """Shared body of the miss-vs-power subcommands: ``field`` runs over ``values``."""
     rows = []
-    p_values = raw.get("p_dbm_values", (scenario.p_dbm,))
-    for v in vary["values"](raw, scenario):
-        for p_dbm in p_values:
-            scn = vary["apply"](scenario, v, p_dbm)
+    for v in values:
+        for p_dbm in raw.get("p_dbm_values", (scenario.p_dbm,)):
+            scn = rescale(scenario, **{field: v, "p_dbm": p_dbm})
             plan = montecarlo.TrialPlan(
-                scenario=scn, trials=scn.trials, seed=scn.seed,
-                threads=vary["threads"],
+                scenario=scn, trials=scn.trials, seed=scn.seed, threads=threads,
             )
             est = montecarlo.decision_sweep(
                 plan, 1, (scn.r_bar,), {1: True}, count_missed=True
@@ -523,40 +524,26 @@ def _pmiss_power_sweep(scenario, raw, writer, name, vary):
             rows.append(_estimate_row(["mc", v, p_dbm], est))
             theory = analysis.pmiss_single(scn.operating_point(scn.r_bar))
             rows.append(["theory", v, p_dbm, theory, "", "", "", "", ""])
-    writer.csv(name, ["kind", vary["column"], "p_dbm"] + _EST_COLS, rows)
+    writer.csv(name, ["kind", column, "p_dbm"] + _EST_COLS, rows)
 
 
 def cmd_pmiss_corr(scenario: Scenario, raw: dict, writer: RunWriter, threads: int) -> None:
     """Miss rate vs power for each element-spacing mode, plus theory."""
-    vary = {
-        "values": lambda r, s: SPACINGS,
-        "apply": lambda s, v, p: rescale(s, spacing=v, p_dbm=p),
-        "column": "spacing",
-        "threads": threads,
-    }
-    _pmiss_power_sweep(scenario, raw, writer, "pmiss_corr.csv", vary)
+    _pmiss_power_sweep(
+        scenario, raw, writer, threads, "pmiss_corr.csv", "spacing", "spacing", SPACINGS
+    )
 
 
 def cmd_pmiss_m(scenario: Scenario, raw: dict, writer: RunWriter, threads: int) -> None:
     """Miss rate vs power for each sequence length, plus theory."""
-    vary = {
-        "values": lambda r, s: r.get("m_values", (s.m,)),
-        "apply": lambda s, v, p: rescale(s, m=v, p_dbm=p),
-        "column": "m",
-        "threads": threads,
-    }
-    _pmiss_power_sweep(scenario, raw, writer, "pmiss_m.csv", vary)
+    values = raw.get("m_values", (scenario.m,))
+    _pmiss_power_sweep(scenario, raw, writer, threads, "pmiss_m.csv", "m", "m", values)
 
 
 def cmd_pmiss_n(scenario: Scenario, raw: dict, writer: RunWriter, threads: int) -> None:
     """Miss rate vs power for each surface size, plus theory."""
-    vary = {
-        "values": lambda r, s: r.get("n_values", (s.n_elements,)),
-        "apply": lambda s, v, p: rescale(s, n_elements=v, p_dbm=p),
-        "column": "n",
-        "threads": threads,
-    }
-    _pmiss_power_sweep(scenario, raw, writer, "pmiss_n.csv", vary)
+    values = raw.get("n_values", (scenario.n_elements,))
+    _pmiss_power_sweep(scenario, raw, writer, threads, "pmiss_n.csv", "n", "n_elements", values)
 
 
 def _two_ris_sweep(miss: bool, combos, threads: int):
@@ -567,10 +554,7 @@ def _two_ris_sweep(miss: bool, combos, threads: int):
         plan = montecarlo.TrialPlan(
             scenario=scn, trials=scn.trials, seed=scn.seed, threads=threads,
         )
-        forced = {1: True} if miss else {1: False}
-        ests = montecarlo.decision_sweep(
-            plan, 1, scn.r_bar_grid, forced, count_missed=miss
-        )
+        ests = montecarlo.decision_sweep(plan, 1, scn.r_bar_grid, {1: miss}, count_missed=miss)
         pmf = scn.pair_pmf(1, 2)
         op = scn.operating_point(scn.r_bar)
         for rb, est in zip(scn.r_bar_grid, ests):
@@ -584,43 +568,39 @@ def _two_ris_sweep(miss: bool, combos, threads: int):
     return rows
 
 
+def _m_combos(scenario: Scenario, raw: dict) -> list:
+    return [([m], rescale(scenario, m=m)) for m in raw.get("m_values", (scenario.m,))]
+
+
+def _np_combos(scenario: Scenario, raw: dict) -> list:
+    return [
+        ([n, p], rescale(scenario, n_elements=n, p_dbm=p))
+        for n in raw.get("n_values", (scenario.n_elements,))
+        for p in raw.get("p_dbm_values", (scenario.p_dbm,))
+    ]
+
+
 def cmd_pf_two_m(scenario: Scenario, raw: dict, writer: RunWriter, threads: int) -> None:
     """Two-surface false detection vs threshold across sequence lengths."""
-    combos = [
-        ([m], rescale(scenario, m=m)) for m in raw.get("m_values", (scenario.m,))
-    ]
-    rows = _two_ris_sweep(False, combos, threads)
+    rows = _two_ris_sweep(False, _m_combos(scenario, raw), threads)
     writer.csv("pf_two_m.csv", ["kind", "m", "r_bar"] + _EST_COLS, rows)
 
 
 def cmd_pf_two_np(scenario: Scenario, raw: dict, writer: RunWriter, threads: int) -> None:
     """Two-surface false detection vs threshold across sizes and powers."""
-    combos = [
-        ([n, p], rescale(scenario, n_elements=n, p_dbm=p))
-        for n in raw.get("n_values", (scenario.n_elements,))
-        for p in raw.get("p_dbm_values", (scenario.p_dbm,))
-    ]
-    rows = _two_ris_sweep(False, combos, threads)
+    rows = _two_ris_sweep(False, _np_combos(scenario, raw), threads)
     writer.csv("pf_two_np.csv", ["kind", "n", "p_dbm", "r_bar"] + _EST_COLS, rows)
 
 
 def cmd_pmiss_two_m(scenario: Scenario, raw: dict, writer: RunWriter, threads: int) -> None:
     """Two-surface miss detection vs threshold across sequence lengths."""
-    combos = [
-        ([m], rescale(scenario, m=m)) for m in raw.get("m_values", (scenario.m,))
-    ]
-    rows = _two_ris_sweep(True, combos, threads)
+    rows = _two_ris_sweep(True, _m_combos(scenario, raw), threads)
     writer.csv("pmiss_two_m.csv", ["kind", "m", "r_bar"] + _EST_COLS, rows)
 
 
 def cmd_pmiss_two_np(scenario: Scenario, raw: dict, writer: RunWriter, threads: int) -> None:
     """Two-surface miss detection vs threshold across sizes and powers."""
-    combos = [
-        ([n, p], rescale(scenario, n_elements=n, p_dbm=p))
-        for n in raw.get("n_values", (scenario.n_elements,))
-        for p in raw.get("p_dbm_values", (scenario.p_dbm,))
-    ]
-    rows = _two_ris_sweep(True, combos, threads)
+    rows = _two_ris_sweep(True, _np_combos(scenario, raw), threads)
     writer.csv("pmiss_two_np.csv", ["kind", "n", "p_dbm", "r_bar"] + _EST_COLS, rows)
 
 
@@ -766,11 +746,9 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         if args.config is not None:
-            raw = parse_config_text(args.config.read_text())
-            config_dir = args.config.parent
+            raw, scenario = _load_config(args.config)
         else:
-            raw, config_dir = {}, None
-        scenario = scenario_from_config(raw, config_dir)
+            raw, scenario = {}, scenario_from_config({})
         if args.seed is not None:
             scenario = replace(scenario, seed=args.seed)
         if args.trials is not None:

@@ -139,12 +139,6 @@ class CodeBook:
     def __len__(self) -> int:
         return len(self.entries)
 
-    def code_for(self, surface_id: int) -> BinarySequence:
-        for e in self.entries:
-            if e.id == surface_id:
-                return e
-        raise KeyError(f"no code for surface id {surface_id}")
-
     @property
     def rows(self) -> tuple:
         return tuple(e.row for e in self.entries)
@@ -240,9 +234,6 @@ class CrossCorrPmf:
                 raise ValueError(f"support value {a} is not a perfect square")
         if self.support and self.a_tilde**2 < max(self.support):
             raise ValueError("a_tilde cannot be below the largest support peak")
-
-    def probs_float(self) -> np.ndarray:
-        return np.array([float(p) for p in self.probs])
 
 
 def cross_corr_pmf(

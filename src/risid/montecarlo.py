@@ -16,8 +16,10 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
+from .channel import cascaded_gains
 from .codes import all_shifts
-from .signal import TAG_FRAME, TAG_RIS, substream
+from .detector import detect_block
+from .signal import TAG_FRAME, TAG_RIS, draw_frames, draw_surface, lay_codes, substream
 
 __all__ = [
     "BLOCK",
@@ -43,14 +45,20 @@ _Z95 = 1.959963984540054  # two-sided 95% normal quantile
 
 
 def wilson_interval(events: int, trials: int, z: float = _Z95):
-    """Wilson score interval for a binomial proportion."""
+    """Wilson score interval for a binomial proportion.
+
+    The bounds are exactly 0 with no events and exactly 1 with no
+    non-events, where the formula leaves rounding residue (2e-19 at n=1000).
+    """
     if trials <= 0:
         raise ValueError("trials must be positive")
     p = events / trials
     denom = 1.0 + z**2 / trials
     center = (p + z**2 / (2 * trials)) / denom
     half = (z / denom) * math.sqrt(p * (1 - p) / trials + z**2 / (4 * trials**2))
-    return max(0.0, center - half), min(1.0, center + half)
+    lo = 0.0 if events == 0 else max(0.0, center - half)
+    hi = 1.0 if events == trials else min(1.0, center + half)
+    return lo, hi
 
 
 @dataclass(frozen=True)
@@ -95,10 +103,55 @@ class Estimate:
         return math.sqrt(max(p * (1 - p), 1e-300) / self.trials)
 
 
+def _estimate(events, trials: int) -> Estimate:
+    k = int(events)
+    lo, hi = wilson_interval(k, trials)
+    return Estimate(
+        value=k / trials, ci_low=lo, ci_high=hi, events=k, trials=trials,
+        low_confidence=k < MIN_EVENTS,
+    )
+
+
 def _law_for(plan: TrialPlan, overrides: Mapping[int, bool | None]) -> dict:
     law = dict(plan.reachability_law)
     law.update(overrides)
     return law
+
+
+def _profiles(plan: TrialPlan) -> list:
+    return sorted(plan.scenario.sim_profiles(), key=lambda p: p.id)
+
+
+def _thresholds_w(plan: TrialPlan, r_bars: Sequence[float]) -> np.ndarray:
+    """Normalized thresholds r-bar as absolute metric thresholds in watts."""
+    sn2 = plan.scenario.noise_variance_w
+    return np.array([r**2 * sn2 for r in r_bars])
+
+
+def _synthesize_block(plan: TrialPlan, law: Mapping, profs, shift_mats, blk: int):
+    """Frames and true reachability of all BLOCK trials of block ``blk``.
+
+    The frame stream draws the pad splits and noise; each surface stream
+    draws the fair coin (only under the coin law), then the code offsets and
+    hops. A surface forced off opens no stream.
+    """
+    scn = plan.scenario
+    v1, y = draw_frames(
+        substream(plan.seed, TAG_FRAME, 0, blk), scn.v_total, scn.m,
+        scn.noise_variance_w, BLOCK,
+    )
+    reach = np.zeros((BLOCK, len(profs)), dtype=bool)
+    for j, p in enumerate(profs):
+        rule = law.get(p.id, None)
+        if rule is False:
+            continue
+        rs = substream(plan.seed, TAG_RIS, p.id, blk)
+        reach[:, j] = rs.random(BLOCK) < 0.5 if rule is None else rule
+        c, zu, zb = draw_surface(rs, scn.m, p.n, p.corr_factor, BLOCK)
+        h = cascaded_gains(zu, zb, scn.power_w, p.beta_ur, p.beta_rb)
+        del zu, zb  # the block's largest arrays; free them before the next surface draws
+        lay_codes(y, v1, np.where(reach[:, j], h, 0.0), shift_mats[j][c - 1])
+    return y, reach
 
 
 def _run_blocks(plan: TrialPlan, law: Mapping, t0: int, t1: int, consume):
@@ -109,60 +162,15 @@ def _run_blocks(plan: TrialPlan, law: Mapping, t0: int, t1: int, consume):
     full-size randomness so trial t sees the same draws regardless of the
     total trial count.
     """
-    scn = plan.scenario
-    m, vt = scn.m, scn.v_total
-    frame_len = m + vt
-    profs = sorted(scn.sim_profiles(), key=lambda p: p.id)
-    sqrt_p = math.sqrt(scn.power_w)
-    noise_scale = math.sqrt(scn.noise_variance_w / 2.0)
+    profs = _profiles(plan)
     shift_mats = [all_shifts(p.code).astype(np.float64) for p in profs]
-    col_idx = np.arange(m)[None, :]
 
     def one_block(blk: int):
         lo = max(t0, blk * BLOCK)
         hi = min(t1, (blk + 1) * BLOCK)
         rows = slice(lo - blk * BLOCK, hi - blk * BLOCK)
-
-        fs = substream(plan.seed, TAG_FRAME, 0, blk)
-        v1 = fs.integers(1, vt + 1, size=BLOCK)
-        y = fs.standard_normal((BLOCK, frame_len, 2)).view(np.complex128)[..., 0]
-        y *= noise_scale
-
-        reach = np.empty((BLOCK, len(profs)), dtype=bool)
-        for j, p in enumerate(profs):
-            rs = substream(plan.seed, TAG_RIS, p.id, blk)
-            rule = law.get(p.id, None)
-            if rule is None:
-                reach[:, j] = rs.random(BLOCK) < 0.5
-            else:
-                reach[:, j] = rule
-                if rule is False:
-                    continue  # surface never contributes; skip its draws
-            c = rs.integers(1, m + 1, size=BLOCK)
-            zu = rs.standard_normal((BLOCK, p.n, 2)).view(np.complex128)[..., 0]
-            zb = rs.standard_normal((BLOCK, p.n, 2)).view(np.complex128)[..., 0]
-            if p.corr_factor is not None:
-                zu = zu @ p.corr_factor.T
-                zb = zb @ p.corr_factor.T
-            # CN(0,1) normalization (1/2 per draw) and per-hop gains
-            hop_scale = math.sqrt(p.beta_ur * p.beta_rb) / 2.0
-            h_tilde = sqrt_p * hop_scale * np.einsum("ij,ij->i", zu, zb)
-            amp = np.where(reach[:, j], h_tilde, 0.0)
-            contrib = amp[:, None] * shift_mats[j][c - 1]
-            y[np.arange(BLOCK)[:, None], v1[:, None] + col_idx] += contrib
-
-        yr = np.ascontiguousarray(y.real)
-        yi = np.ascontiguousarray(y.imag)
-        metric = np.empty((BLOCK, len(profs)))
-        for j in range(len(profs)):
-            st = shift_mats[j].T
-            best = np.zeros(BLOCK)
-            for k in range(vt + 1):
-                dr = yr[:, k : k + m] @ st
-                di = yi[:, k : k + m] @ st
-                np.maximum(best, (dr * dr + di * di).max(axis=1), out=best)
-            metric[:, j] = best / m
-        return consume(metric[rows], reach[rows])
+        y, reach = _synthesize_block(plan, law, profs, shift_mats, blk)
+        return consume(detect_block(y, shift_mats)[rows], reach[rows])
 
     blocks = range(t0 // BLOCK, (t1 - 1) // BLOCK + 1)
     if plan.threads > 1:
@@ -176,19 +184,21 @@ def _run_blocks(plan: TrialPlan, law: Mapping, t0: int, t1: int, consume):
     return totals
 
 
-def _profile_index(plan: TrialPlan, target_ris: int) -> int:
-    ids = sorted(p.id for p in plan.scenario.sim_profiles())
-    return ids.index(target_ris)
-
-
-def _estimate_threshold_events(plan, law, target_ris, r_w, want_decided):
-    idx = _profile_index(plan, target_ris)
+def _threshold_counter(plan: TrialPlan, target_ris: int, r_bars, count_missed: bool):
+    """``consume`` tallying the target's decided (or missed) trials per threshold."""
+    idx = [p.id for p in _profiles(plan)].index(target_ris)
+    r_w = _thresholds_w(plan, r_bars)
 
     def consume(metric, reach):
-        decided = metric[:, idx] > r_w
-        hits = decided if want_decided else ~decided
-        return (np.array([int(hits.sum())], dtype=np.int64),)
+        dec = metric[:, idx][:, None] > r_w[None, :]
+        hits = ~dec if count_missed else dec
+        return (hits.sum(axis=0).astype(np.int64),)
 
+    return consume
+
+
+def _escalated(plan: TrialPlan, law: Mapping, consume) -> Estimate:
+    """One-threshold count, extended tenfold up to the cap until 50 events."""
     total = plan.trials
     (events,) = _run_blocks(plan, law, 0, total, consume)
     while plan.escalate and events[0] < MIN_EVENTS and total < plan.max_trials:
@@ -196,12 +206,7 @@ def _estimate_threshold_events(plan, law, target_ris, r_w, want_decided):
         (extra,) = _run_blocks(plan, law, total, new_total, consume)
         events = events + extra
         total = new_total
-    k = int(events[0])
-    lo, hi = wilson_interval(k, total)
-    return Estimate(
-        value=k / total, ci_low=lo, ci_high=hi, events=k, trials=total,
-        low_confidence=k < MIN_EVENTS,
-    )
+    return _estimate(events[0], total)
 
 
 def estimate_pf(plan: TrialPlan, target_ris: int, r_bar: float) -> Estimate:
@@ -212,15 +217,13 @@ def estimate_pf(plan: TrialPlan, target_ris: int, r_bar: float) -> Estimate:
     events are seen; estimates below that are flagged low-confidence.
     """
     law = _law_for(plan, {target_ris: False})
-    r_w = r_bar**2 * plan.scenario.noise_variance_w
-    return _estimate_threshold_events(plan, law, target_ris, r_w, want_decided=True)
+    return _escalated(plan, law, _threshold_counter(plan, target_ris, (r_bar,), False))
 
 
 def estimate_pmiss(plan: TrialPlan, target_ris: int, r_bar: float) -> Estimate:
     """Miss-detection probability of one surface forced reachable."""
     law = _law_for(plan, {target_ris: True})
-    r_w = r_bar**2 * plan.scenario.noise_variance_w
-    return _estimate_threshold_events(plan, law, target_ris, r_w, want_decided=False)
+    return _escalated(plan, law, _threshold_counter(plan, target_ris, (r_bar,), True))
 
 
 def decision_sweep(
@@ -235,26 +238,9 @@ def decision_sweep(
     The decision metric does not depend on the threshold, so a single run
     yields an estimate per grid point. No escalation is applied.
     """
-    law = _law_for(plan, forced)
-    idx = _profile_index(plan, target_ris)
-    sn2 = plan.scenario.noise_variance_w
-    r_w = np.array([r**2 * sn2 for r in r_bars])
-
-    def consume(metric, reach):
-        dec = metric[:, idx][:, None] > r_w[None, :]
-        hits = ~dec if count_missed else dec
-        return (hits.sum(axis=0).astype(np.int64),)
-
-    (events,) = _run_blocks(plan, law, 0, plan.trials, consume)
-    out = []
-    for k in events:
-        lo, hi = wilson_interval(int(k), plan.trials)
-        out.append(Estimate(
-            value=int(k) / plan.trials, ci_low=lo, ci_high=hi,
-            events=int(k), trials=plan.trials,
-            low_confidence=int(k) < MIN_EVENTS,
-        ))
-    return out
+    consume = _threshold_counter(plan, target_ris, r_bars, count_missed)
+    (events,) = _run_blocks(plan, _law_for(plan, forced), 0, plan.trials, consume)
+    return [_estimate(k, plan.trials) for k in events]
 
 
 @dataclass(frozen=True)
@@ -276,15 +262,20 @@ class ConfusionMatrix:
         sums = c.sum(axis=1, keepdims=True)
         return np.divide(c, sums, out=np.zeros_like(c), where=sums > 0)
 
-    def _row_conditional(self, rows_cols) -> Fraction:
+    def _error_rate(self, surface: int, present: bool) -> Fraction:
+        """Mean over the true states with the surface ``present`` of the opposite-decision rate."""
+        if self.counts.shape != (4, 4):
+            raise ValueError("per-surface tallies are defined for two surfaces")
+        bit = 1 << (surface - 1)
+        rows = [s for s in range(4) if bool(s & bit) == present]
         total = Fraction(0)
-        for row, cols in rows_cols:
+        for row in rows:
             row_n = int(self.counts[row].sum())
             if row_n == 0:
                 raise ValueError(f"no trials observed in state {self.labels[row]!r}")
-            num = int(sum(self.counts[row, c] for c in cols))
+            num = int(sum(self.counts[row, c] for c in range(4) if bool(c & bit) != present))
             total += Fraction(num, row_n)
-        return total / len(rows_cols)
+        return total / len(rows)
 
     def miss_probability(self, surface: int) -> Fraction:
         """Exact tally of deciding the surface absent while it reflects.
@@ -292,23 +283,11 @@ class ConfusionMatrix:
         Averages the conditional miss rate over the equally likely states of
         the other surface, mirroring the analytical conditioning.
         """
-        if self.counts.shape != (4, 4):
-            raise ValueError("per-surface tallies are defined for two surfaces")
-        bit = 1 << (surface - 1)
-        rows = [s for s in range(4) if s & bit]
-        return self._row_conditional(
-            [(row, [c for c in range(4) if not c & bit]) for row in rows]
-        )
+        return self._error_rate(surface, present=True)
 
     def false_probability(self, surface: int) -> Fraction:
         """Exact tally of deciding the surface present while it is silent."""
-        if self.counts.shape != (4, 4):
-            raise ValueError("per-surface tallies are defined for two surfaces")
-        bit = 1 << (surface - 1)
-        rows = [s for s in range(4) if not s & bit]
-        return self._row_conditional(
-            [(row, [c for c in range(4) if c & bit]) for row in rows]
-        )
+        return self._error_rate(surface, present=False)
 
 
 def confusion(plan: TrialPlan, r_bars: Sequence[float]):
@@ -317,10 +296,9 @@ def confusion(plan: TrialPlan, r_bars: Sequence[float]):
     All surfaces follow independent fair-coin reachability. Returns a dict
     mapping each threshold to its ConfusionMatrix.
     """
-    profs = sorted(plan.scenario.sim_profiles(), key=lambda p: p.id)
+    profs = _profiles(plan)
     n_states = 1 << len(profs)
-    sn2 = plan.scenario.noise_variance_w
-    r_w = np.array([r**2 * sn2 for r in r_bars])
+    r_w = _thresholds_w(plan, r_bars)
     weights = 1 << np.arange(len(profs))
 
     def consume(metric, reach):
@@ -368,10 +346,8 @@ def averaged_metrics(plan: TrialPlan, r_bars: Sequence[float]):
     tallied over the trials where it truly reflects, the false rate over
     the rest, then both are averaged across surfaces.
     """
-    profs = sorted(plan.scenario.sim_profiles(), key=lambda p: p.id)
-    n_l = len(profs)
-    sn2 = plan.scenario.noise_variance_w
-    r_w = np.array([r**2 * sn2 for r in r_bars])
+    n_l = len(_profiles(plan))
+    r_w = _thresholds_w(plan, r_bars)
 
     def consume(metric, reach):
         reach_n = reach.sum(axis=0).astype(np.int64)

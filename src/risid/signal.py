@@ -20,7 +20,10 @@ from .channel import (
     CorrelationMatrix,
     LinkBudget,
     RisGeometry,
+    cascaded_gains,
     correlation_matrix,
+    draw_hops,
+    scale_hops,
 )
 from .codes import BinarySequence
 
@@ -32,7 +35,9 @@ __all__ = [
     "noise_variance_from_bandwidth",
     "synthesize_frame",
     "substream",
-    "complex_normal",
+    "draw_frames",
+    "draw_surface",
+    "lay_codes",
     "frame_to_text",
     "frame_from_text",
     "TAG_FRAME",
@@ -59,12 +64,6 @@ def substream(seed: int, tag: int, ris_id: int, block: int) -> np.random.Generat
         raise ValueError("substream path component out of range")
     key = np.array([seed & _MASK64, (tag << 56) | (ris_id << 40) | block], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
-
-
-def complex_normal(rng: np.random.Generator, shape) -> np.ndarray:
-    """Standard circularly-symmetric complex Gaussians, CN(0, 1)."""
-    flat = rng.standard_normal(tuple(shape) + (2,))
-    return flat.view(np.complex128)[..., 0] / np.sqrt(2.0)
 
 
 def psrp_phase(q_symbol: int) -> float:
@@ -119,6 +118,26 @@ class ReceivedFrame:
         return len(self.samples)
 
 
+def draw_frames(rng: np.random.Generator, v_total: int, m: int, noise_variance: float, size: int):
+    """Pad splits v1, then CN(0, noise_variance) frames (size, m + v_total), in that order."""
+    v1 = rng.integers(1, v_total + 1, size=size)
+    y = rng.standard_normal((size, m + v_total, 2)).view(np.complex128)[..., 0]
+    y *= math.sqrt(noise_variance / 2.0)
+    return v1, y
+
+
+def draw_surface(rng: np.random.Generator, m: int, n: int, factor, size: int):
+    """Code offsets c in {1..M}, then the zu and zb ``draw_hops`` batches, in that order."""
+    c = rng.integers(1, m + 1, size=size)
+    return c, draw_hops(rng, n, factor, size), draw_hops(rng, n, factor, size)
+
+
+def lay_codes(y: np.ndarray, v1: np.ndarray, amp: np.ndarray, codes: np.ndarray) -> None:
+    """Add amp[t] * codes[t] into frame t from sample v1[t] on, in place."""
+    cols = v1[:, None] + np.arange(codes.shape[1])[None, :]
+    y[np.arange(len(y))[:, None], cols] += amp[:, None] * codes
+
+
 @lru_cache(maxsize=16)
 def _correlation_for(geometry: RisGeometry) -> CorrelationMatrix:
     return correlation_matrix(geometry)
@@ -143,7 +162,8 @@ def synthesize_frame(
     and per-surface substreams make the result independent of the order in
     which profiles are listed. ``reachability`` overrides the profiles' own
     flags; ``correlations`` overrides the sinc-kernel matrix (use
-    ``identity_correlation`` for uncorrelated elements).
+    ``identity_correlation`` for uncorrelated elements). The draws are the
+    Monte Carlo engine's, with a block of one frame.
     """
     if not profiles:
         raise ValueError("at least one surface profile is required")
@@ -155,36 +175,35 @@ def synthesize_frame(
         raise ValueError("pad budget must satisfy 1 <= v_total < M")
 
     frame_rng = substream(seed, TAG_FRAME, 0, frame_index)
-    v1 = int(frame_rng.integers(1, v_total + 1))
-    v2 = v_total - v1
-    length = v_total + m
-    noise = complex_normal(frame_rng, (length,)) * np.sqrt(noise_variance)
-
-    samples = noise.copy()
+    v1, y = draw_frames(frame_rng, v_total, m, noise_variance, 1)
     c_per_ris, realizations, reach_map = {}, {}, {}
     for p in sorted(profiles, key=lambda q: q.id):
         rng = substream(seed, TAG_RIS, p.id, frame_index)
-        c = int(rng.integers(1, m + 1))
         if correlations is not None and p.id in correlations:
             corr = correlations[p.id]
         else:
             corr = _correlation_for(p.geometry)
-        real = ChannelRealization.draw(corr, p.link, power_w, rng)
+        c, zu, zb = draw_surface(rng, m, corr.n, corr.factor, 1)
+        h = cascaded_gains(zu, zb, power_w, p.link.beta_ur, p.link.beta_rb)
         reachable = bool(
             reachability[p.id] if reachability is not None else p.reachable
         )
-        c_per_ris[p.id] = c
-        realizations[p.id] = real
+        c_per_ris[p.id] = int(c[0])
+        realizations[p.id] = ChannelRealization(
+            h_ur=scale_hops(zu[0], p.link.beta_ur),
+            h_rb=scale_hops(zb[0], p.link.beta_rb),
+            h_tilde=complex(h[0]),
+        )
         reach_map[p.id] = reachable
         if reachable:
-            shifted = np.roll(p.code.symbols, -c).astype(np.float64)
-            samples[v1 : v1 + m] += real.h_tilde * shifted
+            sym, shift = p.code.symbols, c_per_ris[p.id]
+            lay_codes(y, v1, h, np.concatenate((sym[shift:], sym[:shift]))[None, :])  # np.roll by -c
 
     truth = FrameTruth(
-        v1=v1, v2=v2, c_per_ris=c_per_ris, realizations=realizations,
-        reachability=reach_map,
+        v1=int(v1[0]), v2=v_total - int(v1[0]), c_per_ris=c_per_ris,
+        realizations=realizations, reachability=reach_map,
     )
-    return ReceivedFrame(samples=samples, truth=truth, noise_variance=noise_variance)
+    return ReceivedFrame(samples=y[0], truth=truth, noise_variance=noise_variance)
 
 
 # --- frame text format (golden-test interchange) ---------------------------

@@ -200,11 +200,27 @@ class TestExitCodes:
                      "--out", str(tmp_path / "o")])
         assert code == 2
 
-    def test_cross_field_error_is_two(self, tmp_path):
+    @pytest.mark.parametrize(
+        "text, line",
+        [
+            ("m = 16\ncode_rows = 1, 20\n", 2),
+            ("m = 16\nn_horizontal = 0\n", 2),
+            ("bandwidth_hz = 0\n", 1),
+            ("m = 16\nd_ur_m = 0\n", 2),
+            ("r_bar_grid = nan\n", 1),
+            ("p_dbm = inf\n", 1),
+            ("trials = 0\n", 1),
+            ("code_rows = 1, 2\nris2_d_rb_m = -5\n", 2),
+        ],
+        ids=["code_rows", "n_horizontal", "bandwidth", "distance", "nan_grid",
+             "inf_power", "trials", "per_surface"],
+    )
+    def test_cross_field_error_is_two(self, tmp_path, capsys, text, line):
         cfg = tmp_path / "c.txt"
-        cfg.write_text("m = 16\ncode_rows = 1, 20\n")
+        cfg.write_text(text)
         code = main(["theory", "--config", str(cfg), "--out", str(tmp_path / "o")])
         assert code == 2
+        assert f"c.txt:{line}: config error" in capsys.readouterr().err
 
     def test_numerical_failure_is_three(self, tmp_path, monkeypatch):
         def boom(*a, **kw):

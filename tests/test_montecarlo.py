@@ -6,7 +6,9 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from risid import montecarlo
 from risid.cli import Scenario
+from risid.detector import detect
 from risid.montecarlo import (
     BLOCK,
     TrialPlan,
@@ -18,6 +20,7 @@ from risid.montecarlo import (
     wilson_interval,
     _run_blocks,
 )
+from risid.signal import TAG_FRAME, TAG_RIS
 
 
 def plan_for(scenario, trials=None, seed=None, threads=1, **kw):
@@ -36,8 +39,11 @@ class TestWilson:
         assert 0 <= lo < 5 / 100 < hi <= 1
 
     def test_zero_events(self):
-        lo, hi = wilson_interval(0, 50)
-        assert lo == 0.0 and hi > 0
+        for n in (50, 1000, 2000, 1_000_000):
+            lo, hi = wilson_interval(0, n)
+            assert lo == 0.0 and hi > 0
+            lo, hi = wilson_interval(n, n)
+            assert hi == 1.0 and lo < 1
 
     def test_coverage_sanity(self):
         rng = np.random.default_rng(2024)
@@ -118,13 +124,17 @@ class TestConditioning:
         assert est.trials > 1000 or est.events >= 50
 
     def test_escalation_extends_not_replaces(self, small_scenario):
+        # at this threshold the 30k base run sees fewer than 50 events, so
+        # it escalates straight to the cap, where events are plentiful
         base = plan_for(small_scenario, trials=300_000, escalate=False)
-        full = estimate_pf(base, 1, 4.2)
+        full = estimate_pf(base, 1, 3.3)
+        head = estimate_pf(plan_for(small_scenario, trials=30_000, escalate=False), 1, 3.3)
         esc = estimate_pf(
-            plan_for(small_scenario, trials=30_000, max_trials=300_000), 1, 4.2
+            plan_for(small_scenario, trials=30_000, max_trials=300_000), 1, 3.3
         )
-        if esc.trials == full.trials:
-            assert esc.events == full.events
+        assert head.events < 50 and full.events > 0
+        assert esc.trials == full.trials == 300_000
+        assert esc.events == full.events
 
     def test_miss_rate_matches_theory(self, small_scenario):
         from risid.analysis import pmiss_single
@@ -134,6 +144,78 @@ class TestConditioning:
         est = estimate_pmiss(plan, 1, 3.0)
         want = pmiss_single(scn.operating_point(3.0))
         assert est.value == pytest.approx(want, rel=0.10)
+
+
+class TestEngineMatchesDetector:
+    def test_block_metric_matches_reference_detect(self, monkeypatch):
+        """Every scored row of a full and a partial block, against ``detect``."""
+        scn = Scenario(
+            m=16, v_total=4, code_rows=(1, 2), n_elements=16, n_horizontal=4,
+            spacing="tenth-lambda", p_dbm=-5.0, trials=BLOCK + 700, seed=23,
+        )
+        searched = []
+        engine_search = montecarlo.detect_block
+
+        def recording_search(y, shift_mats):
+            metric = engine_search(y, shift_mats)
+            searched.append(y.copy())
+            return metric
+
+        def consume(metric, reach):
+            scored.append(metric.copy())
+            return (np.zeros(1, dtype=np.int64),)
+
+        scored = []
+        monkeypatch.setattr(montecarlo, "detect_block", recording_search)
+        _run_blocks(plan_for(scn), {}, 0, scn.trials, consume)
+        assert [len(s) for s in scored] == [BLOCK, 700]
+        codes = [p.code for p in scn.sim_profiles()]
+        r_w = scn.r_bar**2 * scn.noise_variance_w
+        for y, got in zip(searched, scored):
+            ref = np.array([[detect(y[t], c)[0] for c in codes] for t in range(len(got))])
+            np.testing.assert_allclose(got, ref, rtol=1e-12, atol=0)
+            assert np.array_equal(got > r_w, ref > r_w)
+            assert 0 < (ref > r_w).mean() < 1  # the threshold splits the rows
+
+
+class TestTraceContract:
+    """The engine calls a profiler hooks: one frame stream per block, one
+    surface stream per drawn surface and block, one all_shifts per surface
+    and pass."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        calls = {"streams": [], "shifts": 0}
+        substream, all_shifts = montecarlo.substream, montecarlo.all_shifts
+
+        def counting_substream(seed, tag, ris_id, block):
+            calls["streams"].append((tag, ris_id, block))
+            return substream(seed, tag, ris_id, block)
+
+        def counting_all_shifts(code):
+            calls["shifts"] += 1
+            return all_shifts(code)
+
+        monkeypatch.setattr(montecarlo, "substream", counting_substream)
+        monkeypatch.setattr(montecarlo, "all_shifts", counting_all_shifts)
+        return calls
+
+    def test_two_surface_pass(self, two_ris_scenario, calls):
+        plan = plan_for(two_ris_scenario, trials=BLOCK + 100)
+        confusion(plan, (3.0,))
+        want = [(TAG_FRAME, 0, b) for b in (0, 1)]
+        want += [(TAG_RIS, ris, b) for ris in (1, 2) for b in (0, 1)]
+        assert sorted(calls["streams"]) == sorted(want)
+        assert calls["shifts"] == 2
+
+    def test_escalating_pass_skips_forced_off_surface(self, two_ris_scenario, calls):
+        plan = plan_for(two_ris_scenario, trials=1000, max_trials=10_000)
+        est = estimate_pf(plan, 1, 1e3)  # surface 1 forced off, no events
+        assert est.trials == 10_000
+        # pass 1 draws block 0; the escalation pass covers blocks 0 and 1
+        want = [(TAG_FRAME, 0, b) for b in (0, 0, 1)] + [(TAG_RIS, 2, b) for b in (0, 0, 1)]
+        assert sorted(calls["streams"]) == sorted(want)
+        assert calls["shifts"] == 2 * 2
 
 
 class TestDecisionSweep:

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from risid.channel import LinkBudget, RisGeometry, identity_correlation
+from risid.channel import LinkBudget, RisGeometry, cascaded_gain, identity_correlation
 from risid.codes import build_codebook
 from risid.signal import (
     RisProfile,
@@ -166,6 +166,13 @@ class TestSynthesizeFrame:
             assert len(fr.samples) == 8 + 2
             seen.add(fr.truth.v1)
         assert seen == {1, 2}
+
+    def test_truth_gain_is_cascade_of_truth_hops(self):
+        profiles = make_profiles(rows=(1, 2))  # sinc-kernel correlation
+        fr = synthesize_frame(profiles, 2, 0.1, 2.5, seed=8, frame_index=3)
+        for real in fr.truth.realizations.values():
+            want = cascaded_gain(real.h_ur, real.h_rb, 2.5)
+            assert real.h_tilde == pytest.approx(want, rel=1e-12)
 
     def test_frame_length_invariant(self):
         profiles = make_profiles(m=16, rows=(15,))
