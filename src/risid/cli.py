@@ -14,7 +14,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from functools import lru_cache
 from pathlib import Path
 
@@ -41,17 +41,10 @@ class ConfigError(Exception):
     Scenario validation names the config ``key`` at fault instead.
     """
 
-    key = None
-
-    def __init__(self, message: str, line: int = 0):
+    def __init__(self, message: str, line: int = 0, key: str | None = None):
         super().__init__(message)
         self.line = line
-
-
-def _invalid(key: str, message: str) -> ConfigError:
-    exc = ConfigError(message)
-    exc.key = key
-    return exc
+        self.key = key
 
 
 def dbm_to_watts(dbm: float) -> float:
@@ -77,6 +70,20 @@ def default_n_horizontal(n: int) -> int:
     return p
 
 
+def _fill_defaults(current: dict, changes: dict, l_count: int = 1) -> dict:
+    """``changes`` plus, where unset, v_total and code_rows from m and n_horizontal
+    from n_elements; a change equal to its ``current`` value implies nothing.
+    """
+    moved = {k: v for k, v in changes.items() if k not in current or v != current[k]}
+    implied = {}
+    if "m" in moved:
+        implied["v_total"] = max(1, math.ceil(moved["m"] / 4))
+        implied["code_rows"] = default_code_rows(l_count, moved["m"])
+    if "n_elements" in moved:
+        implied["n_horizontal"] = default_n_horizontal(moved["n_elements"])
+    return implied | changes
+
+
 @dataclass(frozen=True)
 class SimRis:
     """Engine view of one surface: code, size, per-hop gains, correlation."""
@@ -98,7 +105,36 @@ def _corr_factor(n: int, n_h: int, spacing: str, wavelength: float):
     return correlation_matrix(geom).factor
 
 
-_POSITIVE = ("n_elements", "n_horizontal", "trials", "f_c_hz", "bandwidth_hz", "d_ur_m", "d_rb_m")
+# Fields a ``risK_<field>`` key may override for surface K.
+_SURFACE_FIELDS = ("n_elements", "n_horizontal", "spacing", "d_ur_m", "d_rb_m")
+
+# Config key -> (test, wording) for numbers with a bounded range; grid entries
+# share their grid's range, and every float must also be finite.
+_RANGES = {
+    **dict.fromkeys(("n_elements", "n_horizontal", "l_count", "f_c_hz", "bandwidth_hz",
+                     "d_ur_m", "d_rb_m"), (lambda v: v > 0, "positive")),
+    **dict.fromkeys(("r_bar", "r_bar_grid"), (lambda v: v >= 0, "nonnegative")),
+    "trials": (lambda v: 0 < v <= montecarlo.ESCALATION_CAP,
+               f"in 1..{montecarlo.ESCALATION_CAP}"),
+    **dict.fromkeys(("target_pf", "target_pmiss"), (lambda v: 0 < v < 1, "inside (0, 1)")),
+}
+
+
+def _check_value(key: str, name: str, val) -> None:
+    """Reject a non-finite float, or a value outside the range of field ``name``."""
+    if isinstance(val, float) and not math.isfinite(val):
+        raise ConfigError(f"{key} must be finite, got {val!r}", key=key)
+    if name in _RANGES and not _RANGES[name][0](val):
+        raise ConfigError(f"{key} must be {_RANGES[name][1]}, got {val!r}", key=key)
+
+
+def _echo_value(v):
+    """Echo form of a config value: floats by repr, tuples as comma lists."""
+    if isinstance(v, float):
+        return repr(v)
+    if isinstance(v, tuple):
+        return ", ".join(str(x) for x in v)
+    return v
 
 
 @dataclass(frozen=True)
@@ -124,52 +160,46 @@ class Scenario:
 
     def __post_init__(self):
         if self.m < 2 or (self.m & (self.m - 1)) != 0:
-            raise _invalid("m", f"sequence length must be a power of two, got {self.m}")
+            raise ConfigError(f"sequence length must be a power of two, got {self.m}", key="m")
         if not 1 <= self.v_total < self.m:
-            raise _invalid("v_total", "pad budget must satisfy 1 <= v_total < m")
+            raise ConfigError("pad budget must satisfy 1 <= v_total < m", key="v_total")
         if len(set(self.code_rows)) != len(self.code_rows):
-            raise _invalid("code_rows", "code rows must be distinct across surfaces")
+            raise ConfigError("code rows must be distinct across surfaces", key="code_rows")
         for r in self.code_rows:
             if not 1 <= r < self.m:
-                raise _invalid("code_rows", f"code row {r} outside 1..{self.m - 1}")
+                raise ConfigError(f"code row {r} outside 1..{self.m - 1}", key="code_rows")
         if self.spacing not in SPACINGS:
-            raise _invalid("spacing", f"spacing must be one of {SPACINGS}")
-        # (config key, field, value) of every scalar with a valid range
-        fields = [(f, f, getattr(self, f)) for f in _POSITIVE + ("p_dbm", "r_bar")]
-        fields += [("r_bar_grid", "r_bar_grid", r) for r in self.r_bar_grid]
+            raise ConfigError(f"spacing must be one of {SPACINGS}", key="spacing")
+        # (config key, field, value) of every scalar and grid entry
+        values = [(f, f, v) for f, v in vars(self).items() if not isinstance(v, tuple)]
+        values += [("r_bar_grid", "r_bar_grid", r) for r in self.r_bar_grid]
         for k, field_name, val in self.per_ris:
             key = f"ris{k}_{field_name}"
             if not 1 <= k <= len(self.code_rows):
-                raise _invalid(key, f"override for surface {k} outside 1..{self.l_count}")
+                raise ConfigError(f"override for surface {k} outside 1..{self.l_count}", key=key)
             if field_name == "spacing" and val not in SPACINGS:
-                raise _invalid(key, f"spacing must be one of {SPACINGS}")
-            fields.append((key, field_name, val))
-        for key, name, val in fields:
-            if isinstance(val, float) and not math.isfinite(val):
-                raise _invalid(key, f"{key} must be finite, got {val!r}")
-            if name in _POSITIVE and not val > 0:
-                raise _invalid(key, f"{key} must be positive, got {val!r}")
-        for k in range(1, len(self.code_rows) + 1):
-            n = self._override(k, "n_elements", self.n_elements)
-            nh = self._override(k, "n_horizontal", self._nh_default(n))
+                raise ConfigError(f"spacing must be one of {SPACINGS}", key=key)
+            values.append((key, field_name, val))
+        for key, name, val in values:
+            _check_value(key, name, val)
+        if list(self.r_bar_grid) != sorted(self.r_bar_grid):
+            raise ConfigError("r_bar_grid must be ascending", key="r_bar_grid")
+        for k in range(1, self.l_count + 1):
+            s = self.surface(k)
+            n, nh = s["n_elements"], s["n_horizontal"]
             if n % nh != 0:
                 overrides = [f"ris{k}_{f}" for kk, f, _ in self.per_ris
                              if kk == k and f in ("n_elements", "n_horizontal")]
-                raise _invalid(
-                    (overrides or ["n_horizontal"])[0],
+                raise ConfigError(
                     f"surface {k}: element count {n} not divisible by row length {nh}",
+                    key=(overrides or ["n_horizontal"])[0],
                 )
 
-    def _nh_default(self, n: int) -> int:
-        if n == self.n_elements:
-            return self.n_horizontal
-        return default_n_horizontal(n)
-
-    def _override(self, k: int, field_name: str, default):
-        for kk, ff, vv in self.per_ris:
-            if kk == k and ff == field_name:
-                return vv
-        return default
+    def surface(self, k: int) -> dict:
+        """Surface k's ``_SURFACE_FIELDS``, with its ``risK_*`` overrides applied."""
+        shared = {f: getattr(self, f) for f in _SURFACE_FIELDS}
+        own = {f: v for kk, f, v in self.per_ris if kk == k}
+        return shared | _fill_defaults(shared, own)
 
     @property
     def l_count(self) -> int:
@@ -194,31 +224,22 @@ class Scenario:
         book = self.codebook()
         out = []
         for k, code in enumerate(book.entries, start=1):
-            n = self._override(k, "n_elements", self.n_elements)
-            nh = self._override(k, "n_horizontal", self._nh_default(n))
-            spacing = self._override(k, "spacing", self.spacing)
-            d_ur = self._override(k, "d_ur_m", self.d_ur_m)
-            d_rb = self._override(k, "d_rb_m", self.d_rb_m)
-            beta = path_gain(self.f_c_hz, d_ur, d_rb)
-            hop = math.sqrt(beta)
+            s = self.surface(k)
+            hop = math.sqrt(path_gain(self.f_c_hz, s["d_ur_m"], s["d_rb_m"]))
+            corr = _corr_factor(s["n_elements"], s["n_horizontal"], s["spacing"], self.wavelength)
             out.append(SimRis(
-                id=k, code=code, n=n, beta_ur=hop, beta_rb=hop,
-                corr_factor=_corr_factor(n, nh, spacing, self.wavelength),
+                id=k, code=code, n=s["n_elements"], beta_ur=hop, beta_rb=hop, corr_factor=corr,
             ))
         return tuple(out)
 
     def operating_point(self, r_bar: float, surface: int = 1) -> OperatingPoint:
         book = self.codebook()
-        beta = path_gain(
-            self.f_c_hz,
-            self._override(surface, "d_ur_m", self.d_ur_m),
-            self._override(surface, "d_rb_m", self.d_rb_m),
-        )
+        s = self.surface(surface)
         return OperatingPoint(
             m=self.m,
-            n=self._override(surface, "n_elements", self.n_elements),
+            n=s["n_elements"],
             power_w=self.power_w,
-            beta=beta,
+            beta=path_gain(self.f_c_hz, s["d_ur_m"], s["d_rb_m"]),
             noise_var_w=self.noise_variance_w,
             v_total=self.v_total,
             r_bar=r_bar,
@@ -232,44 +253,21 @@ class Scenario:
         )
 
     def echo(self) -> dict:
-        d = {
-            "m": self.m, "v_total": self.v_total,
-            "code_rows": ", ".join(str(r) for r in self.code_rows),
-            "n_elements": self.n_elements, "n_horizontal": self.n_horizontal,
-            "spacing": self.spacing, "f_c_hz": repr(self.f_c_hz),
-            "bandwidth_hz": repr(self.bandwidth_hz), "p_dbm": repr(self.p_dbm),
-            "d_ur_m": repr(self.d_ur_m), "d_rb_m": repr(self.d_rb_m),
-            "r_bar": repr(self.r_bar),
-            "r_bar_grid": ", ".join(repr(x) for x in self.r_bar_grid),
-            "trials": self.trials, "seed": self.seed,
-        }
-        for k, f, v in self.per_ris:
-            d[f"ris{k}_{f}"] = v if isinstance(v, (int, str)) else repr(v)
-        return d
+        d = {f.name: getattr(self, f.name) for f in fields(self) if f.name != "per_ris"}
+        d.update((f"ris{k}_{f}", v) for k, f, v in self.per_ris)
+        return {k: _echo_value(v) for k, v in d.items()}
 
 
 # --- config file parsing ----------------------------------------------------
 
-_INT_KEYS = {"m", "v_total", "n_elements", "n_horizontal", "trials", "seed"}
-_FLOAT_KEYS = {
-    "f_c_hz", "bandwidth_hz", "p_dbm", "d_ur_m", "d_rb_m", "r_bar",
-    "target_pf", "target_pmiss",
-}
-_STR_KEYS = {"spacing", "codebook_file"}
-_INT_LIST_KEYS = {"code_rows", "m_values", "n_values"}
-_FLOAT_LIST_KEYS = {"r_bar_grid", "p_dbm_values"}
-_PER_RIS_FIELDS = {
-    "n_elements": int, "n_horizontal": int, "spacing": str,
-    "d_ur_m": float, "d_rb_m": float,
-}
-
-
 def _parse_int(tok: str, line: int) -> int:
+    """An integer literal, read exactly, or an integral float form like ``1e6``."""
     try:
-        f = float(tok)
+        return int(tok)
     except ValueError:
-        raise ConfigError(f"expected an integer, got {tok!r}", line)
-    if f != int(f):
+        pass
+    f = _parse_float(tok, line)
+    if not f.is_integer():
         raise ConfigError(f"expected an integer, got {tok!r}", line)
     return int(f)
 
@@ -279,6 +277,14 @@ def _parse_float(tok: str, line: int) -> float:
         return float(tok)
     except ValueError:
         raise ConfigError(f"expected a number, got {tok!r}", line)
+
+
+def _parse_str(tok: str, line: int) -> str:
+    return tok
+
+
+def _parse_int_list(tok: str, line: int) -> tuple:
+    return tuple(_parse_int(p, line) for p in tok.split(","))
 
 
 def _parse_float_list(tok: str, line: int) -> tuple:
@@ -296,6 +302,23 @@ def _parse_float_list(tok: str, line: int) -> tuple:
     return tuple(_parse_float(p, line) for p in tok.split(","))
 
 
+# Every config key and its value parser; ``risK_<field>`` is parsed as ``<field>``.
+_KEYS = {
+    **dict.fromkeys(
+        ("m", "v_total", "l_count", "n_elements", "n_horizontal", "trials", "seed"), _parse_int
+    ),
+    **dict.fromkeys(("f_c_hz", "bandwidth_hz", "p_dbm", "d_ur_m", "d_rb_m", "r_bar",
+                     "target_pf", "target_pmiss"), _parse_float),
+    **dict.fromkeys(("spacing", "codebook_file"), _parse_str),
+    **dict.fromkeys(("code_rows", "m_values", "n_values"), _parse_int_list),
+    **dict.fromkeys(("r_bar_grid", "p_dbm_values"), _parse_float_list),
+}
+
+# Keys that drive subcommands, not the Scenario: sweep key -> field it varies.
+_RUN_KEYS = {"m_values": "m", "n_values": "n_elements", "p_dbm_values": "p_dbm",
+             "target_pf": None, "target_pmiss": None}
+
+
 def parse_config_text(text: str) -> dict:
     """Parse ``key = value`` lines into a typed dict; line-anchored errors."""
     out: dict = {}
@@ -308,43 +331,27 @@ def parse_config_text(text: str) -> dict:
         key, val = (part.strip() for part in line.split("=", 1))
         if key in out:
             raise ConfigError(f"duplicate key {key!r}", lineno)
-        if key in _INT_KEYS:
-            out[key] = _parse_int(val, lineno)
-        elif key in _FLOAT_KEYS:
-            out[key] = _parse_float(val, lineno)
-        elif key in _STR_KEYS:
-            out[key] = val
-        elif key in _INT_LIST_KEYS:
-            out[key] = tuple(_parse_int(p, lineno) for p in val.split(","))
-        elif key in _FLOAT_LIST_KEYS:
-            out[key] = _parse_float_list(val, lineno)
+        if key in _KEYS:
+            out[key] = _KEYS[key](val, lineno)
         elif key.startswith("ris") and "_" in key:
             head, field_name = key.split("_", 1)
             try:
                 idx = int(head[3:])
             except ValueError:
                 raise ConfigError(f"unknown key {key!r}", lineno)
-            if field_name not in _PER_RIS_FIELDS:
+            if field_name not in _SURFACE_FIELDS:
                 raise ConfigError(f"unknown per-surface field {field_name!r}", lineno)
-            caster = _PER_RIS_FIELDS[field_name]
-            if caster is int:
-                v = _parse_int(val, lineno)
-            elif caster is float:
-                v = _parse_float(val, lineno)
-            else:
-                v = val
+            v = _KEYS[field_name](val, lineno)
             out.setdefault("per_ris", []).append((idx, field_name, v))
-        elif key == "l_count":
-            out[key] = _parse_int(val, lineno)
         else:
             raise ConfigError(f"unknown key {key!r}", lineno)
     return out
 
 
 def scenario_from_config(raw: dict, config_dir: Path | None = None) -> Scenario:
-    """Resolve a parsed config dict into a validated Scenario."""
+    """Resolve a parsed config into a validated Scenario, checking and dropping run keys."""
     raw = dict(raw)
-    m = raw.get("m", 16)
+    run = {key: raw.pop(key) for key in _RUN_KEYS if key in raw}
     if "codebook_file" in raw:
         path = Path(raw.pop("codebook_file"))
         if config_dir is not None and not path.is_absolute():
@@ -357,27 +364,28 @@ def scenario_from_config(raw: dict, config_dir: Path | None = None) -> Scenario:
         raw.setdefault("m", book.m)
         if raw["m"] != book.m:
             raise ConfigError("codebook length disagrees with the configured m")
-        m = book.m
-    l_count = raw.pop("l_count", None)
-    if "code_rows" not in raw:
-        raw["code_rows"] = default_code_rows(l_count or 1, m)
-    elif l_count is not None and l_count != len(raw["code_rows"]):
+    if "l_count" in raw and "code_rows" in raw and raw["l_count"] != len(raw["code_rows"]):
         raise ConfigError("l_count disagrees with the number of code rows")
-    raw.setdefault("m", m)
-    raw.setdefault("v_total", max(1, math.ceil(raw["m"] / 4)))
-    if "n_elements" in raw and "n_horizontal" not in raw:
-        raw["n_horizontal"] = default_n_horizontal(raw["n_elements"])
-    raw.pop("m_values", None)
-    raw.pop("n_values", None)
-    raw.pop("p_dbm_values", None)
-    raw.pop("target_pf", None)
-    raw.pop("target_pmiss", None)
+    l_count = raw.pop("l_count", 1)
+    _check_value("l_count", "l_count", l_count)
+    raw.setdefault("m", Scenario.m)
     if "per_ris" in raw:
         raw["per_ris"] = tuple(raw["per_ris"])
     try:
-        return Scenario(**raw)
+        scenario = Scenario(**_fill_defaults({}, raw, l_count))
     except TypeError as exc:
         raise ConfigError(str(exc))
+    for key, values in run.items():
+        field_name = _RUN_KEYS[key]
+        if field_name is None:
+            _check_value(key, key, values)
+            continue
+        for v in values:
+            try:
+                rescale(scenario, **{field_name: v})
+            except ConfigError as exc:
+                raise ConfigError(f"{key}: {exc}", key=key)
+    return scenario
 
 
 def _load_config(path: Path):
@@ -394,17 +402,10 @@ def _load_config(path: Path):
 
 
 def rescale(scenario: Scenario, **changes) -> Scenario:
-    """Vary m/n/p across sweeps, keeping dependent defaults consistent."""
-    if "m" in changes and changes["m"] != scenario.m:
-        m = changes["m"]
-        changes.setdefault("v_total", max(1, math.ceil(m / 4)))
-        if scenario.l_count == 1:
-            changes.setdefault("code_rows", (m - 1,))
-        else:
-            changes.setdefault("code_rows", scenario.code_rows)
-    if "n_elements" in changes and changes["n_elements"] != scenario.n_elements:
-        changes.setdefault("n_horizontal", default_n_horizontal(changes["n_elements"]))
-    return replace(scenario, **changes)
+    """Vary m/n/p across sweeps; dependents follow, but several surfaces keep their rows."""
+    if scenario.l_count > 1:
+        changes.setdefault("code_rows", scenario.code_rows)
+    return replace(scenario, **_fill_defaults(vars(scenario), changes))
 
 
 # --- artifact writing -------------------------------------------------------
@@ -736,7 +737,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--trials", type=int, default=None, help="override the config trial count")
         p.add_argument(
             "--threads", type=int,
-            default=int(os.environ.get("RISID_THREADS", "1")),
+            default=os.environ.get("RISID_THREADS", "1"),
             help="worker threads for simulation blocks (default RISID_THREADS or 1)",
         )
     return parser
@@ -754,12 +755,7 @@ def main(argv=None) -> int:
         if args.trials is not None:
             scenario = replace(scenario, trials=args.trials)
         echo = scenario.echo()
-        for key in ("m_values", "n_values", "p_dbm_values"):
-            if key in raw:
-                echo[key] = ", ".join(str(v) for v in raw[key])
-        for key in ("target_pf", "target_pmiss"):
-            if key in raw:
-                echo[key] = repr(raw[key])
+        echo.update((key, _echo_value(raw[key])) for key in _RUN_KEYS if key in raw)
         writer = RunWriter(args.out, args.subcommand, echo)
         COMMANDS[args.subcommand][0](scenario, raw, writer, args.threads)
         writer.manifest()

@@ -1,19 +1,72 @@
 """Config parsing, subcommand artifacts, determinism, exit codes."""
 
 import json
+import os
+import subprocess
+import sys
+from dataclasses import replace
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import risid
 import risid.analysis
 from risid.cli import (
+    SPACINGS,
     ConfigError,
+    Scenario,
     default_code_rows,
     default_n_horizontal,
     main,
     parse_config_text,
+    rescale,
     scenario_from_config,
 )
 from risid.codes import build_codebook, codebook_to_text
+
+
+@st.composite
+def scenarios(draw):
+    """A valid Scenario, per-surface overrides included."""
+    positive = st.floats(min_value=1e-6, max_value=1e15)
+    nonnegative = st.floats(min_value=0.0, max_value=1e3)
+    m = draw(st.sampled_from((2, 4, 8, 16, 32, 64)))
+    rows = draw(st.lists(st.integers(1, m - 1), min_size=1, max_size=min(5, m - 1), unique=True))
+    nh = draw(st.integers(1, 16))
+    per_ris = []
+    for k in range(1, len(rows) + 1):
+        if draw(st.booleans()):
+            nh_k = draw(st.integers(1, 16))
+            n_k = nh_k * draw(st.integers(1, 16))
+            per_ris.append((k, "n_elements", n_k))
+            if draw(st.booleans()) or n_k % default_n_horizontal(n_k):
+                per_ris.append((k, "n_horizontal", nh_k))
+        if draw(st.booleans()):
+            per_ris.append((k, "spacing", draw(st.sampled_from(SPACINGS))))
+        for field_name in ("d_ur_m", "d_rb_m"):
+            if draw(st.booleans()):
+                per_ris.append((k, field_name, draw(positive)))
+    return Scenario(
+        m=m,
+        v_total=draw(st.integers(1, m - 1)),
+        code_rows=tuple(rows),
+        n_elements=nh * draw(st.integers(1, 16)),
+        n_horizontal=nh,
+        spacing=draw(st.sampled_from(SPACINGS)),
+        f_c_hz=draw(positive),
+        bandwidth_hz=draw(positive),
+        p_dbm=draw(st.floats(allow_nan=False, allow_infinity=False)),
+        d_ur_m=draw(positive),
+        d_rb_m=draw(positive),
+        r_bar=draw(nonnegative),
+        r_bar_grid=tuple(sorted(draw(st.lists(nonnegative, min_size=1, max_size=6)))),
+        trials=draw(st.integers(1, 10**7)),
+        # half the seeds lie above 2**53, where a float cannot hold every integer
+        seed=draw(st.integers(0, 2**32) | st.integers(2**53, 2**64)),
+        per_ris=tuple(per_ris),
+    )
 
 
 class TestConfigParsing:
@@ -74,6 +127,15 @@ class TestConfigParsing:
         with pytest.raises(Exception):
             scenario_from_config({"m": 16, "code_rows": (0, 1)})
 
+    @given(scn=scenarios())
+    @settings(max_examples=60, deadline=None)
+    def test_echo_parses_back_to_the_scenario(self, scn):
+        text = "".join(f"{k} = {v}\n" for k, v in scn.echo().items())
+        back = scenario_from_config(parse_config_text(text))
+        assert replace(back, per_ris=tuple(sorted(back.per_ris))) == replace(
+            scn, per_ris=tuple(sorted(scn.per_ris))
+        )
+
 
 class TestDefaults:
     def test_single_surface_row(self):
@@ -96,6 +158,17 @@ class TestDefaults:
     def test_operating_point_rho_from_code(self):
         scn = scenario_from_config({"m": 16})  # default row 15
         assert scn.operating_point(3.0).rho == 0.5
+
+    def test_dependents_follow_only_a_changed_value(self):
+        scn = scenario_from_config({
+            "m": 16, "v_total": 2, "code_rows": (1, 2), "n_elements": 64, "n_horizontal": 4,
+            "per_ris": [(1, "n_elements", 64), (2, "n_elements", 256)],
+        })
+        assert rescale(scn, m=16).v_total == 2
+        assert rescale(scn, m=32).v_total == 8 and rescale(scn, m=32).code_rows == (1, 2)
+        assert rescale(scn, n_elements=256).n_horizontal == 16
+        assert scn.surface(1)["n_horizontal"] == 4
+        assert scn.surface(2)["n_horizontal"] == 16
 
 
 def run_cli(tmp_path, subcommand, config_text, extra=()):
@@ -185,6 +258,33 @@ class TestSubcommands:
         assert manifest["config"]["seed"] == 9
         assert manifest["config"]["trials"] == 500
 
+    def test_artifacts_independent_of_worker_and_blas_threads(self, tmp_path):
+        cfg = tmp_path / "c.txt"
+        cfg.write_text(
+            "m = 16\ncode_rows = 1, 2\nn_elements = 8\nn_horizontal = 2\n"
+            "p_dbm = 20\nr_bar_grid = 3, 4\ntrials = 20000\nseed = 11\n"
+        )
+        outs = []
+        for threads in ("1", "2"):
+            for blas in ("1", "2"):
+                out = tmp_path / f"threads{threads}_blas{blas}"
+                env = dict(
+                    os.environ, OPENBLAS_NUM_THREADS=blas,
+                    PYTHONPATH=str(Path(risid.__file__).parents[1]),
+                )
+                subprocess.run(
+                    [sys.executable, "-m", "risid.cli", "confusion", "--config", str(cfg),
+                     "--out", str(out), "--threads", threads],
+                    env=env, check=True, timeout=600,
+                )
+                outs.append(out)
+        names = sorted(p.name for p in outs[0].iterdir())
+        assert "confusion.json" in names
+        for out in outs[1:]:
+            assert sorted(p.name for p in out.iterdir()) == names
+            for name in names:
+                assert (out / name).read_bytes() == (outs[0] / name).read_bytes()
+
 
 class TestExitCodes:
     def test_config_error_is_two(self, tmp_path, capsys):
@@ -201,26 +301,67 @@ class TestExitCodes:
         assert code == 2
 
     @pytest.mark.parametrize(
-        "text, line",
+        "subcommand, text, line",
         [
-            ("m = 16\ncode_rows = 1, 20\n", 2),
-            ("m = 16\nn_horizontal = 0\n", 2),
-            ("bandwidth_hz = 0\n", 1),
-            ("m = 16\nd_ur_m = 0\n", 2),
-            ("r_bar_grid = nan\n", 1),
-            ("p_dbm = inf\n", 1),
-            ("trials = 0\n", 1),
-            ("code_rows = 1, 2\nris2_d_rb_m = -5\n", 2),
+            ("theory", "m = 16\ncode_rows = 1, 20\n", 2),
+            ("theory", "m = 16\nn_horizontal = 0\n", 2),
+            ("theory", "bandwidth_hz = 0\n", 1),
+            ("theory", "m = 16\nd_ur_m = 0\n", 2),
+            ("theory", "r_bar_grid = nan\n", 1),
+            ("theory", "p_dbm = inf\n", 1),
+            ("theory", "trials = 0\n", 1),
+            ("theory", "code_rows = 1, 2\nris2_d_rb_m = -5\n", 2),
+            ("design", "r_bar = 3\ntarget_pmiss = nan\n", 2),
+            ("design", "r_bar = 3\ntarget_pmiss = 2\n", 2),
+            ("tradeoff", "code_rows = 1, 2\ntarget_pf = -1\n", 2),
+            ("theory", "m = 16\nr_bar = -1\n", 2),
+            ("pf-single", "r_bar = -1\n", 1),
+            ("pmiss-n", "r_bar = -1\n", 1),
+            ("theory", "r_bar_grid = -1, 2\n", 1),
+            ("pf-single", "r_bar_grid = -1, 2\n", 1),
+            ("theory", "m = 16\nr_bar_grid = 3, 2, 1\n", 2),
+            ("pf-single", "r_bar_grid = 3, 2, 1\n", 1),
+            ("confusion", "code_rows = 1, 2\ntrials = 2e7\n", 2),
+            ("pf-single", "trials = 2e7\n", 1),
+            ("pf-single", "m = 16\nm_values = 0\n", 2),
+            ("pmiss-n", "m = 16\np_dbm_values = 0, nan\n", 2),
+            ("theory", "trials = nan\n", 1),
+            ("theory", "l_count = -1\n", 1),
         ],
         ids=["code_rows", "n_horizontal", "bandwidth", "distance", "nan_grid",
-             "inf_power", "trials", "per_surface"],
+             "inf_power", "trials", "per_surface", "nan_pmiss_target", "pmiss_target_above_one",
+             "negative_pf_target", "negative_r_bar", "negative_r_bar_pf_single",
+             "negative_r_bar_pmiss_n", "negative_grid", "negative_grid_pf_single",
+             "descending_grid", "descending_grid_pf_single", "trials_above_cap",
+             "trials_above_cap_pf_single", "bad_m_sweep", "bad_power_sweep", "nan_trials",
+             "negative_l_count"],
     )
-    def test_cross_field_error_is_two(self, tmp_path, capsys, text, line):
+    def test_cross_field_error_is_two(self, tmp_path, capsys, subcommand, text, line):
         cfg = tmp_path / "c.txt"
         cfg.write_text(text)
-        code = main(["theory", "--config", str(cfg), "--out", str(tmp_path / "o")])
+        code = main([subcommand, "--config", str(cfg), "--out", str(tmp_path / "o")])
         assert code == 2
         assert f"c.txt:{line}: config error" in capsys.readouterr().err
+
+    def test_trial_flag_above_cap_is_two(self, tmp_path, capsys):
+        cfg = tmp_path / "c.txt"
+        cfg.write_text("code_rows = 1, 2\n")
+        code = main(["confusion", "--config", str(cfg), "--out", str(tmp_path / "o"),
+                     "--trials", "20000000"])
+        assert code == 2
+        assert "config error: trials" in capsys.readouterr().err
+
+    def test_bad_thread_environment_is_usage_error(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("RISID_THREADS", "two")
+        with pytest.raises(SystemExit) as exit_info:
+            main(["theory", "--out", str(tmp_path / "o")])
+        assert exit_info.value.code == 2
+
+    def test_large_seed_echoed_unchanged(self, tmp_path):
+        code, out = run_cli(tmp_path, "theory", "seed = 9007199254740993\n")
+        assert code == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["config"]["seed"] == 9007199254740993
 
     def test_numerical_failure_is_three(self, tmp_path, monkeypatch):
         def boom(*a, **kw):
