@@ -29,6 +29,8 @@ __all__ = [
     "sample_channel",
     "cascaded_gain",
     "cascaded_gains",
+    "gain_weights",
+    "compound_gains",
 ]
 
 
@@ -177,14 +179,46 @@ class ChannelRealization:
     h_tilde: complex
 
 
+def _prefactor(power_w: float, beta_ur: float, beta_rb: float) -> float:
+    """sqrt(P) times both hop scales: maps unscaled gains to cascaded gains."""
+    return math.sqrt(power_w) * (math.sqrt(beta_ur * beta_rb) / 2.0)
+
+
 def cascaded_gains(zu, zb, power_w: float, beta_ur: float, beta_rb: float) -> np.ndarray:
     """Cascaded gain of every row of two ``draw_hops`` batches.
 
     Equals ``cascaded_gain`` of the scaled hops: both hop scales and the
     power are folded into one prefactor.
     """
-    prefactor = math.sqrt(power_w) * (math.sqrt(beta_ur * beta_rb) / 2.0)
-    return prefactor * np.einsum("ij,ij->i", zu, zb)
+    return _prefactor(power_w, beta_ur, beta_rb) * np.einsum("ij,ij->i", zu, zb)
+
+
+def gain_weights(corr: CorrelationMatrix) -> np.ndarray:
+    """Weights lambda_i^2 of ``compound_gains``: the squared eigenvalues of R above
+    1e-12 times the largest, read off the sampling factor's column norms."""
+    lam = np.einsum("ij,ij->j", corr.factor, corr.factor)
+    return lam[lam > 1e-12 * lam.max()] ** 2
+
+
+def compound_gains(
+    rng: np.random.Generator, n: int, weights, size: int,
+    power_w: float, beta_ur: float, beta_rb: float,
+) -> np.ndarray:
+    """``size`` cascaded gains drawn from their exact compound law, without hops.
+
+    With F = Q sqrt(Lambda), F^T F = Lambda, so the unscaled gain of two
+    ``draw_hops`` rows is sum_i lambda_i z_i z'_i. Given z it is
+    CN(0, 4 s) with s = sum_i lambda_i^2 E_i, E_i = |z_i|^2 / 2 ~ Exp(1):
+    the gain is sqrt(2 s) w with w a standard normal pair. ``weights`` None
+    stands for uncorrelated elements, where s ~ Gamma(n); otherwise it holds
+    ``gain_weights``. Draws s, then w.
+    """
+    if weights is None:
+        s = rng.standard_gamma(n, size)
+    else:
+        s = rng.standard_exponential((size, len(weights))) @ weights
+    w = rng.standard_normal((size, 2)).view(np.complex128)[:, 0]
+    return _prefactor(power_w, beta_ur, beta_rb) * (np.sqrt(2.0 * s) * w)
 
 
 def cascaded_gain(h_ur: np.ndarray, h_rb: np.ndarray, power_w: float) -> complex:

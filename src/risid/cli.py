@@ -22,7 +22,7 @@ import numpy as np
 
 from . import __version__, analysis, montecarlo
 from .analysis import NumericalFailure, OperatingPoint
-from .channel import RisGeometry, correlation_matrix, path_gain
+from .channel import RisGeometry, correlation_matrix, gain_weights, path_gain
 from .codes import (
     BinarySequence,
     build_codebook,
@@ -86,23 +86,24 @@ def _fill_defaults(current: dict, changes: dict, l_count: int = 1) -> dict:
 
 @dataclass(frozen=True)
 class SimRis:
-    """Engine view of one surface: code, size, per-hop gains, correlation."""
+    """Engine view of one surface: code, size, per-hop gains, and the
+    ``channel.gain_weights`` of its correlation (None: uncorrelated)."""
 
     id: int
     code: BinarySequence
     n: int
     beta_ur: float
     beta_rb: float
-    corr_factor: np.ndarray | None
+    gain_weights: np.ndarray | None
 
 
 @lru_cache(maxsize=32)
-def _corr_factor(n: int, n_h: int, spacing: str, wavelength: float):
+def _gain_weights(n: int, n_h: int, spacing: str, wavelength: float):
     if spacing == "none":
         return None
     d = wavelength / 2.0 if spacing == "half-lambda" else wavelength / 10.0
     geom = RisGeometry(n=n, n_h=n_h, d_h=d, d_v=d, wavelength=wavelength)
-    return correlation_matrix(geom).factor
+    return gain_weights(correlation_matrix(geom))
 
 
 # Fields a ``risK_<field>`` key may override for surface K.
@@ -226,9 +227,9 @@ class Scenario:
         for k, code in enumerate(book.entries, start=1):
             s = self.surface(k)
             hop = math.sqrt(path_gain(self.f_c_hz, s["d_ur_m"], s["d_rb_m"]))
-            corr = _corr_factor(s["n_elements"], s["n_horizontal"], s["spacing"], self.wavelength)
+            weights = _gain_weights(s["n_elements"], s["n_horizontal"], s["spacing"], self.wavelength)
             out.append(SimRis(
-                id=k, code=code, n=s["n_elements"], beta_ur=hop, beta_rb=hop, corr_factor=corr,
+                id=k, code=code, n=s["n_elements"], beta_ur=hop, beta_rb=hop, gain_weights=weights,
             ))
         return tuple(out)
 
@@ -375,6 +376,10 @@ def scenario_from_config(raw: dict, config_dir: Path | None = None) -> Scenario:
         scenario = Scenario(**_fill_defaults({}, raw, l_count))
     except TypeError as exc:
         raise ConfigError(str(exc))
+    except ConfigError as exc:
+        if exc.key == "code_rows" and "code_rows" not in raw:  # the rows came from l_count
+            raise ConfigError(f"l_count = {l_count}: {exc}", key="l_count") from exc
+        raise
     for key, values in run.items():
         field_name = _RUN_KEYS[key]
         if field_name is None:
@@ -388,17 +393,10 @@ def scenario_from_config(raw: dict, config_dir: Path | None = None) -> Scenario:
     return scenario
 
 
-def _load_config(path: Path):
-    """Parsed config and its Scenario; a field error points at the field's line."""
-    text = path.read_text()
-    raw = parse_config_text(text)
-    try:
-        return raw, scenario_from_config(raw, path.parent)
-    except ConfigError as exc:
-        keys = [ln.split("#", 1)[0].split("=", 1)[0].strip() for ln in text.splitlines()]
-        if not exc.line and exc.key in keys:
-            exc.line = keys.index(exc.key) + 1
-        raise
+def _key_line(text: str, key: str | None) -> int:
+    """Line of ``key`` in config ``text``, 0 when absent."""
+    keys = [ln.split("#", 1)[0].split("=", 1)[0].strip() for ln in text.splitlines()]
+    return keys.index(key) + 1 if key in keys else 0
 
 
 def rescale(scenario: Scenario, **changes) -> Scenario:
@@ -510,8 +508,17 @@ def cmd_pf_single(scenario: Scenario, raw: dict, writer: RunWriter, threads: int
     writer.csv("pf_single.csv", ["kind", "m", "r_bar"] + _EST_COLS, rows)
 
 
+def _reject_pinned(scenario: Scenario, field: str) -> None:
+    """Refuse to sweep ``field`` when a ``risK_<field>`` override would pin it."""
+    for k, f, _ in scenario.per_ris:
+        if f == field:
+            key = f"ris{k}_{field}"
+            raise ConfigError(f"{key} pins the {field} this subcommand sweeps", key=key)
+
+
 def _pmiss_power_sweep(scenario, raw, writer, threads, name, column, field, values):
     """Shared body of the miss-vs-power subcommands: ``field`` runs over ``values``."""
+    _reject_pinned(scenario, field)
     rows = []
     for v in values:
         for p_dbm in raw.get("p_dbm_values", (scenario.p_dbm,)):
@@ -574,6 +581,7 @@ def _m_combos(scenario: Scenario, raw: dict) -> list:
 
 
 def _np_combos(scenario: Scenario, raw: dict) -> list:
+    _reject_pinned(scenario, "n_elements")
     return [
         ([n, p], rescale(scenario, n_elements=n, p_dbm=p))
         for n in raw.get("n_values", (scenario.n_elements,))
@@ -745,21 +753,27 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    text = ""
     try:
         if args.config is not None:
-            raw, scenario = _load_config(args.config)
+            text = args.config.read_text()
+            raw = parse_config_text(text)
+            scenario = scenario_from_config(raw, args.config.parent)
         else:
             raw, scenario = {}, scenario_from_config({})
-        if args.seed is not None:
-            scenario = replace(scenario, seed=args.seed)
-        if args.trials is not None:
-            scenario = replace(scenario, trials=args.trials)
+        flags = {k: v for k, v in (("seed", args.seed), ("trials", args.trials)) if v is not None}
+        try:
+            scenario = replace(scenario, **flags)
+        except ConfigError as exc:
+            raise ConfigError(str(exc)) from exc  # set by a flag, so no config line to point at
         echo = scenario.echo()
         echo.update((key, _echo_value(raw[key])) for key in _RUN_KEYS if key in raw)
         writer = RunWriter(args.out, args.subcommand, echo)
         COMMANDS[args.subcommand][0](scenario, raw, writer, args.threads)
         writer.manifest()
     except ConfigError as exc:
+        if not exc.line:  # a field error points at the field's line
+            exc.line = _key_line(text, exc.key)
         anchor = f"{args.config}:{exc.line}: " if exc.line else ""
         print(f"{anchor}config error: {exc}", file=sys.stderr)
         return 2

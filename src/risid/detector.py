@@ -70,13 +70,15 @@ def detect_block(y: np.ndarray, shift_mats: Sequence[np.ndarray]) -> np.ndarray:
     ``shift_mats`` holds each code's ``all_shifts`` matrix as float64. Equals
     ``detect``'s D to rounding; real and imaginary products are faster than
     one complex product for whole blocks, so the engine searches with this.
+    Shifts equal up to sign give equal |d|^2, so one shift per such class is
+    searched: a low Hadamard row keeps one or two of its M shifts.
     """
     yr, yi = np.ascontiguousarray(y.real), np.ascontiguousarray(y.imag)
     frames, length = y.shape
     metric = np.empty((frames, len(shift_mats)))
     for j, shifts in enumerate(shift_mats):
-        m = shifts.shape[0]
-        st = shifts.T
+        m = shifts.shape[1]
+        st = np.unique(shifts * shifts[:, :1], axis=0).T  # each shift signed to start at +1
         best = np.zeros(frames)
         for k in range(length - m + 1):
             dr = yr[:, k : k + m] @ st

@@ -16,10 +16,10 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .channel import cascaded_gains
+from .channel import compound_gains
 from .codes import all_shifts
 from .detector import detect_block
-from .signal import TAG_FRAME, TAG_RIS, draw_frames, draw_surface, lay_codes, substream
+from .signal import TAG_FRAME, TAG_RIS, draw_frames, lay_codes, substream
 
 __all__ = [
     "BLOCK",
@@ -133,7 +133,8 @@ def _synthesize_block(plan: TrialPlan, law: Mapping, profs, shift_mats, blk: int
 
     The frame stream draws the pad splits and noise; each surface stream
     draws the fair coin (only under the coin law), then the code offsets and
-    hops. A surface forced off opens no stream.
+    the cascaded gains, from their compound law (``compound_gains``): no hop
+    vector is drawn. A surface forced off opens no stream.
     """
     scn = plan.scenario
     v1, y = draw_frames(
@@ -147,9 +148,8 @@ def _synthesize_block(plan: TrialPlan, law: Mapping, profs, shift_mats, blk: int
             continue
         rs = substream(plan.seed, TAG_RIS, p.id, blk)
         reach[:, j] = rs.random(BLOCK) < 0.5 if rule is None else rule
-        c, zu, zb = draw_surface(rs, scn.m, p.n, p.corr_factor, BLOCK)
-        h = cascaded_gains(zu, zb, scn.power_w, p.beta_ur, p.beta_rb)
-        del zu, zb  # the block's largest arrays; free them before the next surface draws
+        c = rs.integers(1, scn.m + 1, size=BLOCK)
+        h = compound_gains(rs, p.n, p.gain_weights, BLOCK, scn.power_w, p.beta_ur, p.beta_rb)
         lay_codes(y, v1, np.where(reach[:, j], h, 0.0), shift_mats[j][c - 1])
     return y, reach
 

@@ -36,7 +36,6 @@ __all__ = [
     "synthesize_frame",
     "substream",
     "draw_frames",
-    "draw_surface",
     "lay_codes",
     "frame_to_text",
     "frame_from_text",
@@ -126,16 +125,18 @@ def draw_frames(rng: np.random.Generator, v_total: int, m: int, noise_variance: 
     return v1, y
 
 
-def draw_surface(rng: np.random.Generator, m: int, n: int, factor, size: int):
-    """Code offsets c in {1..M}, then the zu and zb ``draw_hops`` batches, in that order."""
-    c = rng.integers(1, m + 1, size=size)
-    return c, draw_hops(rng, n, factor, size), draw_hops(rng, n, factor, size)
-
-
 def lay_codes(y: np.ndarray, v1: np.ndarray, amp: np.ndarray, codes: np.ndarray) -> None:
-    """Add amp[t] * codes[t] into frame t from sample v1[t] on, in place."""
-    cols = v1[:, None] + np.arange(codes.shape[1])[None, :]
-    y[np.arange(len(y))[:, None], cols] += amp[:, None] * codes
+    """Add amp[t] * codes[t] into frame t from sample v1[t] on, in place.
+
+    One plain slice per distinct pad split (at most v_total of them), which
+    beats a two-array scatter over a whole block. Rows of zero amplitude,
+    a silent surface's, would add only zeros and are skipped.
+    """
+    m = codes.shape[1]
+    live = amp != 0
+    for v in np.unique(v1):
+        rows = np.flatnonzero(live & (v1 == v))
+        y[rows, v : v + m] += amp[rows, None] * codes[rows]
 
 
 @lru_cache(maxsize=16)
@@ -162,8 +163,10 @@ def synthesize_frame(
     and per-surface substreams make the result independent of the order in
     which profiles are listed. ``reachability`` overrides the profiles' own
     flags; ``correlations`` overrides the sinc-kernel matrix (use
-    ``identity_correlation`` for uncorrelated elements). The draws are the
-    Monte Carlo engine's, with a block of one frame.
+    ``identity_correlation`` for uncorrelated elements). The pad split,
+    noise and code offset are drawn as in the Monte Carlo engine, with a
+    block of one frame; the gain comes from two explicit hop vectors, which
+    the truth records, where the engine draws it from its compound law.
     """
     if not profiles:
         raise ValueError("at least one surface profile is required")
@@ -183,7 +186,9 @@ def synthesize_frame(
             corr = correlations[p.id]
         else:
             corr = _correlation_for(p.geometry)
-        c, zu, zb = draw_surface(rng, m, corr.n, corr.factor, 1)
+        c = rng.integers(1, m + 1, size=1)
+        zu = draw_hops(rng, corr.n, corr.factor, 1)
+        zb = draw_hops(rng, corr.n, corr.factor, 1)
         h = cascaded_gains(zu, zb, power_w, p.link.beta_ur, p.link.beta_rb)
         reachable = bool(
             reachability[p.id] if reachability is not None else p.reachable
@@ -196,8 +201,8 @@ def synthesize_frame(
         )
         reach_map[p.id] = reachable
         if reachable:
-            sym, shift = p.code.symbols, c_per_ris[p.id]
-            lay_codes(y, v1, h, np.concatenate((sym[shift:], sym[:shift]))[None, :])  # np.roll by -c
+            sym, shift, start = p.code.symbols, c_per_ris[p.id], int(v1[0])
+            y[0, start : start + m] += h[0] * np.concatenate((sym[shift:], sym[:shift]))  # np.roll by -c
 
     truth = FrameTruth(
         v1=int(v1[0]), v2=v_total - int(v1[0]), c_per_ris=c_per_ris,

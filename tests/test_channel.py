@@ -9,11 +9,13 @@ from risid.channel import (
     LinkBudget,
     RisGeometry,
     cascaded_gain,
+    compound_gains,
     correlation_matrix,
     identity_correlation,
     path_gain,
     sample_channel,
 )
+from risid.cli import SPACINGS, Scenario
 
 C0 = 299792458.0
 
@@ -159,3 +161,25 @@ class TestCascadedGain:
         energy = np.abs(np.sqrt(p) * np.sum(hu * hb, axis=1)) ** 2
         ks = stats.kstest(energy, "expon", args=(0, n * p * beta)).statistic
         assert ks < 0.02
+
+    @pytest.mark.parametrize("spacing", SPACINGS)
+    def test_compound_law_matches_explicit_hops(self, spacing):
+        """|h~|^2 of the engine's compound draw against explicit hop vectors."""
+        n, n_h, draws, chunk = 64, 8, 100_000, 10_000
+        scn = Scenario(n_elements=n, n_horizontal=n_h, spacing=spacing)
+        (prof,) = scn.sim_profiles()
+        lam = scn.wavelength
+        d = lam / 2 if spacing == "half-lambda" else lam / 10
+        geom = RisGeometry(n=n, n_h=n_h, d_h=d, d_v=d, wavelength=lam)
+        corr = identity_correlation(n) if spacing == "none" else correlation_matrix(geom)
+        rng = np.random.default_rng(41)
+        explicit = []
+        for _ in range(draws // chunk):
+            hu = sample_channel(corr, prof.beta_ur, rng, size=chunk)
+            hb = sample_channel(corr, prof.beta_rb, rng, size=chunk)
+            explicit += [abs(cascaded_gain(u, b, scn.power_w)) ** 2 for u, b in zip(hu, hb)]
+        compound = compound_gains(
+            np.random.default_rng(42), prof.n, prof.gain_weights, draws,
+            scn.power_w, prof.beta_ur, prof.beta_rb,
+        )
+        assert stats.ks_2samp(explicit, np.abs(compound) ** 2).pvalue > 1e-3

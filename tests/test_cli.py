@@ -327,6 +327,11 @@ class TestExitCodes:
             ("pmiss-n", "m = 16\np_dbm_values = 0, nan\n", 2),
             ("theory", "trials = nan\n", 1),
             ("theory", "l_count = -1\n", 1),
+            ("theory", "m = 16\nl_count = 20\n", 2),
+            ("pmiss-corr", "p_dbm = 0\nris1_spacing = none\n", 2),
+            ("pmiss-n", "n_values = 64, 128\nris1_n_elements = 64\n", 2),
+            ("pf-two-np", "code_rows = 1, 2\nris2_n_elements = 128\n", 2),
+            ("pmiss-two-np", "code_rows = 1, 2\nris1_n_elements = 128\n", 2),
         ],
         ids=["code_rows", "n_horizontal", "bandwidth", "distance", "nan_grid",
              "inf_power", "trials", "per_surface", "nan_pmiss_target", "pmiss_target_above_one",
@@ -334,7 +339,8 @@ class TestExitCodes:
              "negative_r_bar_pmiss_n", "negative_grid", "negative_grid_pf_single",
              "descending_grid", "descending_grid_pf_single", "trials_above_cap",
              "trials_above_cap_pf_single", "bad_m_sweep", "bad_power_sweep", "nan_trials",
-             "negative_l_count"],
+             "negative_l_count", "l_count_above_rows", "pinned_spacing_sweep",
+             "pinned_size_sweep", "pinned_size_sweep_pf_two_np", "pinned_size_sweep_pmiss_two_np"],
     )
     def test_cross_field_error_is_two(self, tmp_path, capsys, subcommand, text, line):
         cfg = tmp_path / "c.txt"

@@ -8,7 +8,8 @@ import pytest
 
 from risid import montecarlo
 from risid.cli import Scenario
-from risid.detector import detect
+from risid.codes import all_shifts
+from risid.detector import detect, detect_block
 from risid.montecarlo import (
     BLOCK,
     TrialPlan,
@@ -176,6 +177,24 @@ class TestEngineMatchesDetector:
             np.testing.assert_allclose(got, ref, rtol=1e-12, atol=0)
             assert np.array_equal(got > r_w, ref > r_w)
             assert 0 < (ref > r_w).mean() < 1  # the threshold splits the rows
+
+    @pytest.mark.parametrize("m, rows", [(16, (1, 2)), (16, (15,)), (32, (1, 2)), (32, (31,))])
+    def test_sign_class_search_matches_detect(self, m, rows):
+        """Low rows keep one or two shifts per search, row M-1 half of its M."""
+        scn = Scenario(
+            m=m, v_total=m // 4, code_rows=rows, n_elements=16, n_horizontal=4,
+            spacing="half-lambda", p_dbm=0.0, trials=BLOCK, seed=29,
+        )
+        plan = plan_for(scn)
+        profs = scn.sim_profiles()
+        shift_mats = [all_shifts(p.code).astype(np.float64) for p in profs]
+        y, _ = montecarlo._synthesize_block(plan, {}, profs, shift_mats, 0)
+        got = detect_block(y, shift_mats)
+        ref = np.array([[detect(frame, p.code)[0] for p in profs] for frame in y])
+        np.testing.assert_allclose(got, ref, rtol=1e-12, atol=0)
+        r_w = scn.r_bar**2 * scn.noise_variance_w
+        assert np.array_equal(got > r_w, ref > r_w)
+        assert np.all(0 < (ref > r_w).mean(axis=0)) and np.all((ref > r_w).mean(axis=0) < 1)
 
 
 class TestTraceContract:
