@@ -108,7 +108,7 @@ def pmiss_single(op: OperatingPoint) -> float:
     return 1.0 - math.exp(-op.r / op.mean_peak_power)
 
 
-def pf_two(op: OperatingPoint, pmf: CrossCorrPmf, raw: bool = False) -> float:
+def pf_two(op: OperatingPoint, pmf: CrossCorrPmf) -> float:
     """False detection of an idle surface next to one active interferer.
 
     Conditional on the interferer's squared correlation peak a_w, the metric
@@ -122,8 +122,7 @@ def pf_two(op: OperatingPoint, pmf: CrossCorrPmf, raw: bool = False) -> float:
     for a, p in zip(pmf.support, pmf.probs):
         if a > 0:
             total += math.exp(-op.r / (scale * a)) * float(p)
-    value = 0.5 * total
-    return value if raw else _clamp01(value)
+    return _clamp01(0.5 * total)
 
 
 def rayleigh_cf(sigma: float, w) -> complex | np.ndarray:
@@ -270,7 +269,7 @@ def gil_pelaez_cdf(x: float, cf, clamp: bool = True) -> float:
     return _clamp01(value) if clamp else value
 
 
-def pmiss_two(op: OperatingPoint, a_tilde: int, clamp: bool = True) -> float:
+def pmiss_two(op: OperatingPoint, a_tilde: int) -> float:
     """Lower bound on miss detection next to one potential interferer.
 
     Average of the interferer-silent miss probability and the CDF bound for
@@ -286,8 +285,7 @@ def pmiss_two(op: OperatingPoint, a_tilde: int, clamp: bool = True) -> float:
     sigma1 = math.sqrt(op.m * npb / 2.0)
     sigma2 = a_tilde * math.sqrt(npb / (2.0 * op.m))
     cdf_both = gil_pelaez_cdf(math.sqrt(op.r), rayleigh_sum_cf((sigma1, sigma2)))
-    value = 0.5 * (pmiss_single(op) + cdf_both)
-    return _clamp01(value) if clamp else value
+    return _clamp01(0.5 * (pmiss_single(op) + cdf_both))
 
 
 @dataclass(frozen=True)
@@ -342,14 +340,13 @@ def pf_pmiss_threshold_sweep(
     op: OperatingPoint,
     r_bar_grid: Sequence[float],
     pmf: CrossCorrPmf | None = None,
-    a_tilde: int | None = None,
     pf_cap: float = 1.0,
     pmiss_cap: float = 1.0,
 ):
     """Evaluate both probability curves over a threshold grid and pick caps.
 
     Without ``pmf`` the single-surface formulas are used; with it, the
-    two-surface ones (``a_tilde`` defaults to the pmf's own peak bound).
+    two-surface ones, with the pmf's own peak bound ``a_tilde``.
     Returns (pf_curve, pmiss_curve, selection) where the selection holds the
     smallest threshold meeting the false cap, the largest meeting the miss
     cap, and whether any grid point satisfies both. Infeasibility is an
@@ -363,9 +360,8 @@ def pf_pmiss_threshold_sweep(
         pm_vals = tuple(pmiss_single(op.at(r_bar=r)) for r in grid)
         pf_kind, pm_kind = "pf_single_bound", "pmiss_single"
     else:
-        peak = pmf.a_tilde if a_tilde is None else a_tilde
         pf_vals = tuple(pf_two(op.at(r_bar=r), pmf) for r in grid)
-        pm_vals = tuple(pmiss_two(op.at(r_bar=r), peak) for r in grid)
+        pm_vals = tuple(pmiss_two(op.at(r_bar=r), pmf.a_tilde) for r in grid)
         pf_kind, pm_kind = "pf_two", "pmiss_two_lower"
 
     r_pf = next((r for r, v in zip(grid, pf_vals) if v <= pf_cap), None)

@@ -24,11 +24,8 @@ __all__ = [
     "path_gain",
     "correlation_matrix",
     "identity_correlation",
-    "draw_hops",
-    "scale_hops",
     "sample_channel",
     "cascaded_gain",
-    "cascaded_gains",
     "gain_weights",
     "compound_gains",
 ]
@@ -140,21 +137,6 @@ def identity_correlation(n: int) -> CorrelationMatrix:
     return CorrelationMatrix(r=eye, factor=eye.copy())
 
 
-def draw_hops(rng: np.random.Generator, n: int, factor, size: int) -> np.ndarray:
-    """Draw ``size`` unscaled hop vectors z F^T, z ~ CN(0, 2 I).
-
-    ``factor`` None stands for uncorrelated elements (F = I, no product);
-    ``scale_hops`` turns the result into CN(0, beta_hop * R) vectors.
-    """
-    z = rng.standard_normal((size, n, 2)).view(np.complex128)[..., 0]
-    return z if factor is None else z @ factor.T
-
-
-def scale_hops(z: np.ndarray, beta_hop: float) -> np.ndarray:
-    """CN(0, beta_hop * R) hop vectors from ``draw_hops`` output."""
-    return np.sqrt(beta_hop / 2.0) * z
-
-
 def sample_channel(
     corr: CorrelationMatrix,
     beta_hop: float,
@@ -166,7 +148,8 @@ def sample_channel(
     With ``size`` given, returns a (size, N) batch; otherwise a single (N,)
     vector. Reproducible bit-for-bit for a given generator state.
     """
-    h = scale_hops(draw_hops(rng, corr.n, corr.factor, size or 1), beta_hop)
+    z = rng.standard_normal((size or 1, corr.n, 2)).view(np.complex128)[..., 0]
+    h = np.sqrt(beta_hop / 2.0) * (z @ corr.factor.T)
     return h[0] if size is None else h
 
 
@@ -177,20 +160,6 @@ class ChannelRealization:
     h_ur: np.ndarray
     h_rb: np.ndarray
     h_tilde: complex
-
-
-def _prefactor(power_w: float, beta_ur: float, beta_rb: float) -> float:
-    """sqrt(P) times both hop scales: maps unscaled gains to cascaded gains."""
-    return math.sqrt(power_w) * (math.sqrt(beta_ur * beta_rb) / 2.0)
-
-
-def cascaded_gains(zu, zb, power_w: float, beta_ur: float, beta_rb: float) -> np.ndarray:
-    """Cascaded gain of every row of two ``draw_hops`` batches.
-
-    Equals ``cascaded_gain`` of the scaled hops: both hop scales and the
-    power are folded into one prefactor.
-    """
-    return _prefactor(power_w, beta_ur, beta_rb) * np.einsum("ij,ij->i", zu, zb)
 
 
 def gain_weights(corr: CorrelationMatrix) -> np.ndarray:
@@ -207,7 +176,8 @@ def compound_gains(
     """``size`` cascaded gains drawn from their exact compound law, without hops.
 
     With F = Q sqrt(Lambda), F^T F = Lambda, so the unscaled gain of two
-    ``draw_hops`` rows is sum_i lambda_i z_i z'_i. Given z it is
+    hops z F^T, z' F^T with z, z' ~ CN(0, 2 I) (``sample_channel`` before its
+    sqrt(beta_hop / 2) scale) is sum_i lambda_i z_i z'_i. Given z it is
     CN(0, 4 s) with s = sum_i lambda_i^2 E_i, E_i = |z_i|^2 / 2 ~ Exp(1):
     the gain is sqrt(2 s) w with w a standard normal pair. ``weights`` None
     stands for uncorrelated elements, where s ~ Gamma(n); otherwise it holds
@@ -218,7 +188,7 @@ def compound_gains(
     else:
         s = rng.standard_exponential((size, len(weights))) @ weights
     w = rng.standard_normal((size, 2)).view(np.complex128)[:, 0]
-    return _prefactor(power_w, beta_ur, beta_rb) * (np.sqrt(2.0 * s) * w)
+    return math.sqrt(power_w) * (math.sqrt(beta_ur * beta_rb) / 2.0) * (np.sqrt(2.0 * s) * w)
 
 
 def cascaded_gain(h_ur: np.ndarray, h_rb: np.ndarray, power_w: float) -> complex:

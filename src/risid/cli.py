@@ -185,6 +185,12 @@ class Scenario:
             _check_value(key, name, val)
         if list(self.r_bar_grid) != sorted(self.r_bar_grid):
             raise ConfigError("r_bar_grid must be ascending", key="r_bar_grid")
+        try:
+            power = self.power_w
+        except OverflowError:
+            power = math.inf
+        if not 0 < power < math.inf:
+            raise ConfigError(f"p_dbm = {self.p_dbm!r} gives no finite positive power", key="p_dbm")
         for k in range(1, self.l_count + 1):
             s = self.surface(k)
             n, nh = s["n_elements"], s["n_horizontal"]
@@ -195,6 +201,24 @@ class Scenario:
                     f"surface {k}: element count {n} not divisible by row length {nh}",
                     key=(overrides or ["n_horizontal"])[0],
                 )
+            self._check_path_gain(k, s)
+
+    def _check_path_gain(self, k: int, s: dict) -> None:
+        """Reject a surface whose path gain is not a finite positive float, keyed
+        to the input (or its ``risK_*`` override) that pushes it furthest out."""
+        try:
+            beta = path_gain(self.f_c_hz, s["d_ur_m"], s["d_rb_m"])
+        except (OverflowError, ZeroDivisionError):
+            beta = math.nan
+        if 0 < beta < math.inf:
+            return
+        own = {f for kk, f, _ in self.per_ris if kk == k}
+        log_terms = {"f_c_hz": 4 * math.log10(self.wavelength)}  # path gain ~ lambda^4 / d^4
+        for f in ("d_ur_m", "d_rb_m"):
+            log_terms[f"ris{k}_{f}" if f in own else f] = -2 * math.log10(s[f])
+        pick = max if sum(log_terms.values()) > 0 else min
+        key = pick(log_terms, key=log_terms.get)
+        raise ConfigError(f"{key} puts surface {k}'s path gain outside the float range", key=key)
 
     def surface(self, k: int) -> dict:
         """Surface k's ``_SURFACE_FIELDS``, with its ``risK_*`` overrides applied."""
@@ -495,11 +519,9 @@ def cmd_pf_single(scenario: Scenario, raw: dict, writer: RunWriter, threads: int
         op = scn.operating_point(scn.r_bar)
         plan = montecarlo.TrialPlan(
             scenario=scn, trials=scn.trials, seed=scn.seed, threads=threads,
-            reachability_law={i: False for i in range(1, scn.l_count + 1)},
         )
-        ests = montecarlo.decision_sweep(
-            plan, 1, scn.r_bar_grid, {1: False}, count_missed=False
-        )
+        silent = {i: False for i in range(1, scn.l_count + 1)}
+        ests = montecarlo.decision_sweep(plan, 1, scn.r_bar_grid, silent, count_missed=False)
         for rb, est in zip(scn.r_bar_grid, ests):
             rows.append(_estimate_row(["mc", m, rb], est))
         for rb in scn.r_bar_grid:

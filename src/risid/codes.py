@@ -24,6 +24,7 @@ __all__ = [
     "build_codebook",
     "circular_shift",
     "all_shifts",
+    "sign_classes",
     "distinct_shift_fraction",
     "partial_cross_corr",
     "cross_corr_pmf",
@@ -102,6 +103,15 @@ def all_shifts(seq: BinarySequence) -> np.ndarray:
     return seq.symbols[idx]
 
 
+def sign_classes(shifts: np.ndarray) -> np.ndarray:
+    """One row per class of ``shifts`` rows equal up to sign, signed to start at +1.
+
+    Rows are +/-1 sequences such as ``all_shifts`` returns; the classes come
+    back in ascending lexicographic order, in the dtype of ``shifts``.
+    """
+    return np.unique(shifts * shifts[:, :1], axis=0)
+
+
 def distinct_shift_fraction(seq: BinarySequence) -> float:
     """Fraction of cyclic shifts that are distinct up to global sign.
 
@@ -110,12 +120,7 @@ def distinct_shift_fraction(seq: BinarySequence) -> float:
     distinct random variables. Hadamard rows with the top bit set attain the
     maximum of 0.5; low rows can drop to 1/M.
     """
-    shifts = all_shifts(seq)
-    canonical = set()
-    for row in shifts:
-        first = row[np.argmax(row != 0)]
-        canonical.add(tuple(row if first > 0 else -row))
-    return len(canonical) / seq.length
+    return len(sign_classes(all_shifts(seq))) / seq.length
 
 
 @dataclass(frozen=True)

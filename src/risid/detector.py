@@ -64,21 +64,22 @@ def detect(y, code: BinarySequence) -> Tuple[float, int, int]:
     return float(metric[k_hat, c_idx]), c_idx + 1, k_hat
 
 
-def detect_block(y: np.ndarray, shift_mats: Sequence[np.ndarray]) -> np.ndarray:
+def detect_block(y: np.ndarray, class_mats: Sequence[np.ndarray]) -> np.ndarray:
     """Decision metric D of every frame row (axis 0) against every code (axis 1).
 
-    ``shift_mats`` holds each code's ``all_shifts`` matrix as float64. Equals
-    ``detect``'s D to rounding; real and imaginary products are faster than
-    one complex product for whole blocks, so the engine searches with this.
-    Shifts equal up to sign give equal |d|^2, so one shift per such class is
-    searched: a low Hadamard row keeps one or two of its M shifts.
+    ``class_mats`` holds each code's ``codes.sign_classes`` of its
+    ``all_shifts`` matrix, as float64. Shifts equal up to sign give equal
+    |d|^2, so searching one shift per class equals ``detect``'s D to
+    rounding: a low Hadamard row keeps one or two of its M shifts. Real and
+    imaginary products are faster than one complex product for whole
+    blocks, so the engine searches with this.
     """
     yr, yi = np.ascontiguousarray(y.real), np.ascontiguousarray(y.imag)
     frames, length = y.shape
-    metric = np.empty((frames, len(shift_mats)))
-    for j, shifts in enumerate(shift_mats):
-        m = shifts.shape[1]
-        st = np.unique(shifts * shifts[:, :1], axis=0).T  # each shift signed to start at +1
+    metric = np.empty((frames, len(class_mats)))
+    for j, classes in enumerate(class_mats):
+        m = classes.shape[1]
+        st = classes.T
         best = np.zeros(frames)
         for k in range(length - m + 1):
             dr = yr[:, k : k + m] @ st

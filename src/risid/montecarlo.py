@@ -10,14 +10,14 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
 
 import numpy as np
 
 from .channel import compound_gains
-from .codes import all_shifts
+from .codes import all_shifts, sign_classes
 from .detector import detect_block
 from .signal import TAG_FRAME, TAG_RIS, draw_frames, lay_codes, substream
 
@@ -44,7 +44,7 @@ MIN_EVENTS = 50
 _Z95 = 1.959963984540054  # two-sided 95% normal quantile
 
 
-def wilson_interval(events: int, trials: int, z: float = _Z95):
+def wilson_interval(events: int, trials: int):
     """Wilson score interval for a binomial proportion.
 
     The bounds are exactly 0 with no events and exactly 1 with no
@@ -52,6 +52,7 @@ def wilson_interval(events: int, trials: int, z: float = _Z95):
     """
     if trials <= 0:
         raise ValueError("trials must be positive")
+    z = _Z95
     p = events / trials
     denom = 1.0 + z**2 / trials
     center = (p + z**2 / (2 * trials)) / denom
@@ -63,18 +64,15 @@ def wilson_interval(events: int, trials: int, z: float = _Z95):
 
 @dataclass(frozen=True)
 class TrialPlan:
-    """What to simulate: scenario, how many trials, seed, reachability law.
+    """What to simulate: scenario, how many trials, seed, escalation, workers.
 
-    ``reachability_law`` maps surface id to True (always reachable), False
-    (never) or None (independent fair coin per trial); missing ids default
-    to the fair coin. The scenario object must provide m, v_total, power_w,
-    noise_variance_w and sim_profiles() (see cli.Scenario).
+    The scenario object must provide m, v_total, power_w, noise_variance_w
+    and sim_profiles() (see cli.Scenario).
     """
 
     scenario: object
     trials: int
     seed: int
-    reachability_law: Mapping[int, bool | None] = field(default_factory=dict)
     escalate: bool = True
     max_trials: int = ESCALATION_CAP
     threads: int = 1
@@ -110,12 +108,6 @@ def _estimate(events, trials: int) -> Estimate:
         value=k / trials, ci_low=lo, ci_high=hi, events=k, trials=trials,
         low_confidence=k < MIN_EVENTS,
     )
-
-
-def _law_for(plan: TrialPlan, overrides: Mapping[int, bool | None]) -> dict:
-    law = dict(plan.reachability_law)
-    law.update(overrides)
-    return law
 
 
 def _profiles(plan: TrialPlan) -> list:
@@ -157,6 +149,8 @@ def _synthesize_block(plan: TrialPlan, law: Mapping, profs, shift_mats, blk: int
 def _run_blocks(plan: TrialPlan, law: Mapping, t0: int, t1: int, consume):
     """Apply ``consume(D, reach)`` to every block slice in [t0, t1).
 
+    ``law`` maps a surface id to True (always reachable) or False (never);
+    a missing id, or None, draws an independent fair coin per trial.
     ``consume`` must return a tuple of integer ndarrays; partial results
     are summed, which keeps the reduction order-free. Blocks always draw
     full-size randomness so trial t sees the same draws regardless of the
@@ -164,13 +158,14 @@ def _run_blocks(plan: TrialPlan, law: Mapping, t0: int, t1: int, consume):
     """
     profs = _profiles(plan)
     shift_mats = [all_shifts(p.code).astype(np.float64) for p in profs]
+    class_mats = [sign_classes(s) for s in shift_mats]
 
     def one_block(blk: int):
         lo = max(t0, blk * BLOCK)
         hi = min(t1, (blk + 1) * BLOCK)
         rows = slice(lo - blk * BLOCK, hi - blk * BLOCK)
         y, reach = _synthesize_block(plan, law, profs, shift_mats, blk)
-        return consume(detect_block(y, shift_mats)[rows], reach[rows])
+        return consume(detect_block(y, class_mats)[rows], reach[rows])
 
     blocks = range(t0 // BLOCK, (t1 - 1) // BLOCK + 1)
     if plan.threads > 1:
@@ -212,18 +207,18 @@ def _escalated(plan: TrialPlan, law: Mapping, consume) -> Estimate:
 def estimate_pf(plan: TrialPlan, target_ris: int, r_bar: float) -> Estimate:
     """False-detection probability of one surface forced unreachable.
 
-    Other surfaces follow the plan's reachability law (fair coin by
-    default). Trials escalate tenfold up to the cap until at least 50
-    events are seen; estimates below that are flagged low-confidence.
+    Other surfaces reflect on an independent fair coin per trial. Trials
+    escalate tenfold up to the cap until at least 50 events are seen;
+    estimates below that are flagged low-confidence.
     """
-    law = _law_for(plan, {target_ris: False})
-    return _escalated(plan, law, _threshold_counter(plan, target_ris, (r_bar,), False))
+    consume = _threshold_counter(plan, target_ris, (r_bar,), False)
+    return _escalated(plan, {target_ris: False}, consume)
 
 
 def estimate_pmiss(plan: TrialPlan, target_ris: int, r_bar: float) -> Estimate:
     """Miss-detection probability of one surface forced reachable."""
-    law = _law_for(plan, {target_ris: True})
-    return _escalated(plan, law, _threshold_counter(plan, target_ris, (r_bar,), True))
+    consume = _threshold_counter(plan, target_ris, (r_bar,), True)
+    return _escalated(plan, {target_ris: True}, consume)
 
 
 def decision_sweep(
@@ -235,11 +230,13 @@ def decision_sweep(
 ):
     """One simulation pass scored against a whole threshold grid.
 
-    The decision metric does not depend on the threshold, so a single run
-    yields an estimate per grid point. No escalation is applied.
+    ``forced`` maps surface ids to True (always reachable) or False
+    (never); the others reflect on a fair coin. The decision metric does
+    not depend on the threshold, so a single run yields an estimate per
+    grid point. No escalation is applied.
     """
     consume = _threshold_counter(plan, target_ris, r_bars, count_missed)
-    (events,) = _run_blocks(plan, _law_for(plan, forced), 0, plan.trials, consume)
+    (events,) = _run_blocks(plan, forced, 0, plan.trials, consume)
     return [_estimate(k, plan.trials) for k in events]
 
 
@@ -311,8 +308,7 @@ def confusion(plan: TrialPlan, r_bars: Sequence[float]):
             outs.append(joint)
         return tuple(outs)
 
-    law = _law_for(plan, {})
-    joints = _run_blocks(plan, law, 0, plan.trials, consume)
+    joints = _run_blocks(plan, {}, 0, plan.trials, consume)
     if len(profs) == 2:
         labels = ("NO RIS", "RIS 1", "RIS 2", "BOTH RISs")
     else:
@@ -360,8 +356,7 @@ def averaged_metrics(plan: TrialPlan, r_bars: Sequence[float]):
             false[i] = (~reach & dec).sum(axis=0)
         return reach_n, silent_n, miss, false
 
-    law = _law_for(plan, {})
-    reach_n, silent_n, miss, false = _run_blocks(plan, law, 0, plan.trials, consume)
+    reach_n, silent_n, miss, false = _run_blocks(plan, {}, 0, plan.trials, consume)
     out = []
     for i, rb in enumerate(r_bars):
         pmiss = miss[i] / np.maximum(reach_n, 1)

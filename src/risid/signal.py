@@ -20,10 +20,9 @@ from .channel import (
     CorrelationMatrix,
     LinkBudget,
     RisGeometry,
-    cascaded_gains,
+    cascaded_gain,
     correlation_matrix,
-    draw_hops,
-    scale_hops,
+    sample_channel,
 )
 from .codes import BinarySequence
 
@@ -165,8 +164,9 @@ def synthesize_frame(
     flags; ``correlations`` overrides the sinc-kernel matrix (use
     ``identity_correlation`` for uncorrelated elements). The pad split,
     noise and code offset are drawn as in the Monte Carlo engine, with a
-    block of one frame; the gain comes from two explicit hop vectors, which
-    the truth records, where the engine draws it from its compound law.
+    block of one frame; the gain is the ``cascaded_gain`` of two explicit
+    ``sample_channel`` hops, which the truth records, where the engine draws
+    it from its compound law.
     """
     if not profiles:
         raise ValueError("at least one surface profile is required")
@@ -187,22 +187,18 @@ def synthesize_frame(
         else:
             corr = _correlation_for(p.geometry)
         c = rng.integers(1, m + 1, size=1)
-        zu = draw_hops(rng, corr.n, corr.factor, 1)
-        zb = draw_hops(rng, corr.n, corr.factor, 1)
-        h = cascaded_gains(zu, zb, power_w, p.link.beta_ur, p.link.beta_rb)
+        h_ur = sample_channel(corr, p.link.beta_ur, rng)
+        h_rb = sample_channel(corr, p.link.beta_rb, rng)
+        h = cascaded_gain(h_ur, h_rb, power_w)
         reachable = bool(
             reachability[p.id] if reachability is not None else p.reachable
         )
         c_per_ris[p.id] = int(c[0])
-        realizations[p.id] = ChannelRealization(
-            h_ur=scale_hops(zu[0], p.link.beta_ur),
-            h_rb=scale_hops(zb[0], p.link.beta_rb),
-            h_tilde=complex(h[0]),
-        )
+        realizations[p.id] = ChannelRealization(h_ur=h_ur, h_rb=h_rb, h_tilde=h)
         reach_map[p.id] = reachable
         if reachable:
             sym, shift, start = p.code.symbols, c_per_ris[p.id], int(v1[0])
-            y[0, start : start + m] += h[0] * np.concatenate((sym[shift:], sym[:shift]))  # np.roll by -c
+            y[0, start : start + m] += h * np.concatenate((sym[shift:], sym[:shift]))  # np.roll by -c
 
     truth = FrameTruth(
         v1=int(v1[0]), v2=v_total - int(v1[0]), c_per_ris=c_per_ris,

@@ -62,8 +62,7 @@ def test_criterion_01_single_surface_bound_tightness():
     scn = scenario_single(16)
     op = scn.operating_point(3.0)
     bound = analysis.pf_single_bound(op)
-    plan = TrialPlan(scenario=scn, trials=10**6, seed=SEED, escalate=False,
-                     reachability_law={1: False})
+    plan = TrialPlan(scenario=scn, trials=10**6, seed=SEED, escalate=False)
     est = estimate_pf(plan, 1, 3.0)
     elapsed = time.time() - t0
     ok = (
@@ -79,8 +78,7 @@ def test_criterion_02_false_detection_doubling_trend():
     vals = {}
     for m in (16, 32):
         scn = scenario_single(m)
-        plan = TrialPlan(scenario=scn, trials=10**6, seed=SEED, escalate=False,
-                         reachability_law={1: False})
+        plan = TrialPlan(scenario=scn, trials=10**6, seed=SEED, escalate=False)
         vals[m] = estimate_pf(plan, 1, 3.0).value
     ratio = vals[32] / vals[16]
     ok = abs(ratio - 2.4) <= 0.5

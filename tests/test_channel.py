@@ -20,6 +20,16 @@ from risid.cli import SPACINGS, Scenario
 C0 = 299792458.0
 
 
+def explicit_gains(corr, beta_hop, power_w, rng, draws, chunk=10_000):
+    """Cascaded gains of ``draws`` explicit hop pairs, drawn ``chunk`` pairs at a time."""
+    out = []
+    for _ in range(draws // chunk):
+        hu = sample_channel(corr, beta_hop, rng, size=chunk)
+        hb = sample_channel(corr, beta_hop, rng, size=chunk)
+        out.append(np.sqrt(power_w) * np.sum(hu * hb, axis=1))
+    return np.concatenate(out)
+
+
 class TestPathGain:
     def test_reference_point(self):
         # independent recomputation, factored differently
@@ -144,21 +154,13 @@ class TestCascadedGain:
     def test_variance_matches_clt_scale(self):
         rng = np.random.default_rng(11)
         n, p, beta = 256, 2.0, 0.5
-        draws = 100_000
-        corr = identity_correlation(n)
-        hu = sample_channel(corr, np.sqrt(beta), rng, size=draws)
-        hb = sample_channel(corr, np.sqrt(beta), rng, size=draws)
-        ht = np.sqrt(p) * np.sum(hu * hb, axis=1)
+        ht = explicit_gains(identity_correlation(n), np.sqrt(beta), p, rng, 100_000)
         assert np.var(ht) == pytest.approx(n * p * beta, rel=0.05)
 
     def test_energy_approximately_exponential(self):
         rng = np.random.default_rng(12)
         n, p, beta = 256, 1.0, 1.0
-        draws = 100_000
-        corr = identity_correlation(n)
-        hu = sample_channel(corr, 1.0, rng, size=draws)
-        hb = sample_channel(corr, 1.0, rng, size=draws)
-        energy = np.abs(np.sqrt(p) * np.sum(hu * hb, axis=1)) ** 2
+        energy = np.abs(explicit_gains(identity_correlation(n), 1.0, p, rng, 100_000)) ** 2
         ks = stats.kstest(energy, "expon", args=(0, n * p * beta)).statistic
         assert ks < 0.02
 

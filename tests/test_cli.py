@@ -1,6 +1,9 @@
 """Config parsing, subcommand artifacts, determinism, exit codes."""
 
+import csv
+import importlib.util
 import json
+import math
 import os
 import subprocess
 import sys
@@ -57,7 +60,7 @@ def scenarios(draw):
         spacing=draw(st.sampled_from(SPACINGS)),
         f_c_hz=draw(positive),
         bandwidth_hz=draw(positive),
-        p_dbm=draw(st.floats(allow_nan=False, allow_infinity=False)),
+        p_dbm=draw(st.floats(-3000.0, 3000.0)),  # a finite positive power in watts
         d_ur_m=draw(positive),
         d_rb_m=draw(positive),
         r_bar=draw(nonnegative),
@@ -171,6 +174,18 @@ class TestDefaults:
         assert scn.surface(2)["n_horizontal"] == 16
 
 
+def _bundled_runs():
+    """``RUNS`` and ``CONFIG_DIR`` of ``scripts/run_experiments.py``."""
+    path = Path(__file__).parents[1] / "scripts" / "run_experiments.py"
+    spec = importlib.util.spec_from_file_location("run_experiments", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.RUNS, module.CONFIG_DIR
+
+
+BUNDLED_RUNS, BUNDLED_CONFIG_DIR = _bundled_runs()
+
+
 def run_cli(tmp_path, subcommand, config_text, extra=()):
     tmp_path.mkdir(parents=True, exist_ok=True)
     cfg = tmp_path / "config.txt"
@@ -258,6 +273,31 @@ class TestSubcommands:
         assert manifest["config"]["seed"] == 9
         assert manifest["config"]["trials"] == 500
 
+    @pytest.mark.parametrize(
+        "subcommand, config", BUNDLED_RUNS,
+        ids=[config.removesuffix(".txt") for _, config in BUNDLED_RUNS],
+    )
+    def test_bundled_config(self, tmp_path, subcommand, config):
+        """Every (subcommand, config) pair the experiment driver runs succeeds
+        and writes the files its manifest lists, with finite numbers only."""
+        out = tmp_path / "out"
+        argv = [subcommand, "--config", str(BUNDLED_CONFIG_DIR / config), "--out", str(out)]
+        assert main(argv + ["--trials", "2000"]) == 0
+        outputs = json.loads((out / "manifest.json").read_text())["outputs"]
+        assert outputs
+        for name in outputs:
+            assert (out / name).is_file()
+            if not name.endswith(".csv"):
+                continue
+            lines = (out / name).read_text().splitlines()
+            rows = list(csv.reader(l for l in lines if not l.startswith("#")))
+            for cell in (c for row in rows[1:] for c in row):
+                try:
+                    value = float(cell)
+                except ValueError:  # a label or an empty theory column
+                    continue
+                assert math.isfinite(value), (name, cell)
+
     def test_artifacts_independent_of_worker_and_blas_threads(self, tmp_path):
         cfg = tmp_path / "c.txt"
         cfg.write_text(
@@ -332,6 +372,19 @@ class TestExitCodes:
             ("pmiss-n", "n_values = 64, 128\nris1_n_elements = 64\n", 2),
             ("pf-two-np", "code_rows = 1, 2\nris2_n_elements = 128\n", 2),
             ("pmiss-two-np", "code_rows = 1, 2\nris1_n_elements = 128\n", 2),
+            ("theory", "m = 16\np_dbm = -4000\n", 2),
+            ("pmiss-n", "m = 16\np_dbm = -4000\n", 2),
+            ("theory", "m = 16\np_dbm = 4000\n", 2),
+            ("pmiss-n", "m = 16\np_dbm = 4000\n", 2),
+            ("theory", "m = 16\nd_ur_m = 1e200\n", 2),
+            ("pmiss-n", "m = 16\nd_ur_m = 1e200\n", 2),
+            ("theory", "m = 16\nd_rb_m = 1e-200\n", 2),
+            ("pmiss-n", "m = 16\nd_rb_m = 1e-200\n", 2),
+            ("theory", "m = 16\nf_c_hz = 1e300\n", 2),
+            ("pmiss-n", "m = 16\nf_c_hz = 1e300\n", 2),
+            ("theory", "m = 16\nf_c_hz = 1e-300\n", 2),
+            ("pmiss-n", "code_rows = 1, 2\nd_ur_m = 5\nris2_d_ur_m = 1e200\n", 3),
+            ("pmiss-n", "m = 16\np_dbm_values = 10, 4000\n", 2),
         ],
         ids=["code_rows", "n_horizontal", "bandwidth", "distance", "nan_grid",
              "inf_power", "trials", "per_surface", "nan_pmiss_target", "pmiss_target_above_one",
@@ -340,7 +393,11 @@ class TestExitCodes:
              "descending_grid", "descending_grid_pf_single", "trials_above_cap",
              "trials_above_cap_pf_single", "bad_m_sweep", "bad_power_sweep", "nan_trials",
              "negative_l_count", "l_count_above_rows", "pinned_spacing_sweep",
-             "pinned_size_sweep", "pinned_size_sweep_pf_two_np", "pinned_size_sweep_pmiss_two_np"],
+             "pinned_size_sweep", "pinned_size_sweep_pf_two_np", "pinned_size_sweep_pmiss_two_np",
+             "power_underflow", "power_underflow_pmiss_n", "power_overflow",
+             "power_overflow_pmiss_n", "far_surface", "far_surface_pmiss_n", "near_surface",
+             "near_surface_pmiss_n", "high_carrier", "high_carrier_pmiss_n", "low_carrier",
+             "far_second_surface_pmiss_n", "bad_power_sweep_overflow"],
     )
     def test_cross_field_error_is_two(self, tmp_path, capsys, subcommand, text, line):
         cfg = tmp_path / "c.txt"

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from risid.codes import (
     BinarySequence,
+    all_shifts,
     build_codebook,
     circular_shift,
     codebook_from_text,
@@ -19,6 +20,7 @@ from risid.codes import (
     partial_cross_corr,
     rank_code_subsets,
     set_quality,
+    sign_classes,
     uniform_offset_law,
 )
 from conftest import brute_force_pmf
@@ -245,6 +247,21 @@ class TestDistinctShiftFraction:
     @settings(max_examples=15, deadline=None)
     def test_bounded_by_half(self, row, seq16):
         assert 0 < distinct_shift_fraction(seq16[row]) <= 0.5
+
+
+class TestSignClasses:
+    @pytest.mark.parametrize("m", [16, 32])
+    def test_classes_partition_every_hadamard_row(self, m):
+        for row, symbols in enumerate(hadamard_matrix(m)):
+            seq = BinarySequence(1, symbols, row)
+            shifts = all_shifts(seq)
+            classes = sign_classes(shifts)
+            assert np.all(classes[:, 0] == 1)
+            # for +/-1 rows, |<a, b>| = M exactly when a = +b or a = -b
+            assert np.all((np.abs(shifts @ classes.T) == m).sum(axis=1) == 1)
+            same = np.abs(classes @ classes.T) == m
+            assert np.array_equal(same, np.eye(len(classes), dtype=bool))
+            assert len(classes) == distinct_shift_fraction(seq) * m
 
 
 def test_uniform_offset_law_normalized():

@@ -8,7 +8,7 @@ import pytest
 
 from risid import montecarlo
 from risid.cli import Scenario
-from risid.codes import all_shifts
+from risid.codes import all_shifts, sign_classes
 from risid.detector import detect, detect_block
 from risid.montecarlo import (
     BLOCK,
@@ -189,7 +189,7 @@ class TestEngineMatchesDetector:
         profs = scn.sim_profiles()
         shift_mats = [all_shifts(p.code).astype(np.float64) for p in profs]
         y, _ = montecarlo._synthesize_block(plan, {}, profs, shift_mats, 0)
-        got = detect_block(y, shift_mats)
+        got = detect_block(y, [sign_classes(s) for s in shift_mats])
         ref = np.array([[detect(frame, p.code)[0] for p in profs] for frame in y])
         np.testing.assert_allclose(got, ref, rtol=1e-12, atol=0)
         r_w = scn.r_bar**2 * scn.noise_variance_w
