@@ -75,10 +75,6 @@ class LinkBudget:
     def beta(self) -> float:
         return self.beta_ur * self.beta_rb
 
-    @property
-    def wavelength(self) -> float:
-        return SPEED_OF_LIGHT / self.f_c
-
     @classmethod
     def from_distances(cls, f_c: float, d_ur: float, d_rb: float) -> "LinkBudget":
         """Split the overall path gain evenly between the two hops."""

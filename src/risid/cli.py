@@ -22,7 +22,7 @@ import numpy as np
 
 from . import __version__, analysis, montecarlo
 from .analysis import NumericalFailure, OperatingPoint
-from .channel import RisGeometry, correlation_matrix, gain_weights, path_gain
+from .channel import SPEED_OF_LIGHT, RisGeometry, correlation_matrix, gain_weights, path_gain
 from .codes import (
     BinarySequence,
     build_codebook,
@@ -33,6 +33,19 @@ from .codes import (
 from .signal import noise_variance_from_bandwidth
 
 SPACINGS = ("none", "half-lambda", "tenth-lambda")
+
+# Bounds on the mean aligned peak N*P*beta*M, in watts. The floor is the
+# smallest normal float, so the closed forms' quotients of the peak (by M^2,
+# by N) stay nonzero. The ceiling keeps ``detector.detect_block``'s squares
+# finite. Each of L surfaces adds a gain h with E|h|^2 = N*P*beta, so the
+# signal part of an unnormalized correlator sum over M samples has
+# |d|^2 <= M^2 * L^2 * X * N*P*beta = M * L^2 * X * peak, with X the largest
+# |h|^2 over its mean. It overflows (above 1.8e308) only if M * L^2 * X > 1.8e28:
+# even M = L = 2^16, past any codebook that fits in memory, needs X > 6e13,
+# which a unit-mean Gamma or product-of-exponentials draw exceeds with
+# probability below e^-(10^7).
+PEAK_POWER_FLOOR = sys.float_info.min
+PEAK_POWER_CEILING = 1e280
 
 
 class ConfigError(Exception):
@@ -87,7 +100,10 @@ def _fill_defaults(current: dict, changes: dict, l_count: int = 1) -> dict:
 @dataclass(frozen=True)
 class SimRis:
     """Engine view of one surface: code, size, per-hop gains, and the
-    ``channel.gain_weights`` of its correlation (None: uncorrelated)."""
+    ``channel.gain_weights`` of its correlation (None: uncorrelated).
+
+    The engine takes these per surface; ``Scenario.sim_profiles`` gives
+    every surface the same size, gains and weights."""
 
     id: int
     code: BinarySequence
@@ -106,9 +122,6 @@ def _gain_weights(n: int, n_h: int, spacing: str, wavelength: float):
     return gain_weights(correlation_matrix(geom))
 
 
-# Fields a ``risK_<field>`` key may override for surface K.
-_SURFACE_FIELDS = ("n_elements", "n_horizontal", "spacing", "d_ur_m", "d_rb_m")
-
 # Config key -> (test, wording) for numbers with a bounded range; grid entries
 # share their grid's range, and every float must also be finite.
 _RANGES = {
@@ -121,12 +134,12 @@ _RANGES = {
 }
 
 
-def _check_value(key: str, name: str, val) -> None:
-    """Reject a non-finite float, or a value outside the range of field ``name``."""
+def _check_value(key: str, val) -> None:
+    """Reject a non-finite float, or a value outside the range of ``key``."""
     if isinstance(val, float) and not math.isfinite(val):
         raise ConfigError(f"{key} must be finite, got {val!r}", key=key)
-    if name in _RANGES and not _RANGES[name][0](val):
-        raise ConfigError(f"{key} must be {_RANGES[name][1]}, got {val!r}", key=key)
+    if key in _RANGES and not _RANGES[key][0](val):
+        raise ConfigError(f"{key} must be {_RANGES[key][1]}, got {val!r}", key=key)
 
 
 def _echo_value(v):
@@ -140,7 +153,11 @@ def _echo_value(v):
 
 @dataclass(frozen=True)
 class Scenario:
-    """Resolved experiment description shared by theory, engine and CLI."""
+    """Resolved experiment description shared by theory, engine and CLI.
+
+    Every surface shares one physique (size, row length, spacing and hop
+    distances) and differs only by its code row, as the closed forms assume.
+    """
 
     m: int = 16
     v_total: int = 4
@@ -157,7 +174,6 @@ class Scenario:
     r_bar_grid: tuple = tuple(float(x) for x in range(1, 9))
     trials: int = 100000
     seed: int = 1
-    per_ris: tuple = ()  # (ris index 1-based, field name, value) overrides
 
     def __post_init__(self):
         if self.m < 2 or (self.m & (self.m - 1)) != 0:
@@ -171,60 +187,41 @@ class Scenario:
                 raise ConfigError(f"code row {r} outside 1..{self.m - 1}", key="code_rows")
         if self.spacing not in SPACINGS:
             raise ConfigError(f"spacing must be one of {SPACINGS}", key="spacing")
-        # (config key, field, value) of every scalar and grid entry
-        values = [(f, f, v) for f, v in vars(self).items() if not isinstance(v, tuple)]
-        values += [("r_bar_grid", "r_bar_grid", r) for r in self.r_bar_grid]
-        for k, field_name, val in self.per_ris:
-            key = f"ris{k}_{field_name}"
-            if not 1 <= k <= len(self.code_rows):
-                raise ConfigError(f"override for surface {k} outside 1..{self.l_count}", key=key)
-            if field_name == "spacing" and val not in SPACINGS:
-                raise ConfigError(f"spacing must be one of {SPACINGS}", key=key)
-            values.append((key, field_name, val))
-        for key, name, val in values:
-            _check_value(key, name, val)
+        values = [(f, v) for f, v in vars(self).items() if not isinstance(v, tuple)]
+        for key, val in values + [("r_bar_grid", r) for r in self.r_bar_grid]:
+            _check_value(key, val)
         if list(self.r_bar_grid) != sorted(self.r_bar_grid):
             raise ConfigError("r_bar_grid must be ascending", key="r_bar_grid")
-        try:
-            power = self.power_w
-        except OverflowError:
-            power = math.inf
-        if not 0 < power < math.inf:
-            raise ConfigError(f"p_dbm = {self.p_dbm!r} gives no finite positive power", key="p_dbm")
-        for k in range(1, self.l_count + 1):
-            s = self.surface(k)
-            n, nh = s["n_elements"], s["n_horizontal"]
-            if n % nh != 0:
-                overrides = [f"ris{k}_{f}" for kk, f, _ in self.per_ris
-                             if kk == k and f in ("n_elements", "n_horizontal")]
-                raise ConfigError(
-                    f"surface {k}: element count {n} not divisible by row length {nh}",
-                    key=(overrides or ["n_horizontal"])[0],
-                )
-            self._check_path_gain(k, s)
+        if self.n_elements % self.n_horizontal != 0:
+            raise ConfigError(
+                f"element count {self.n_elements} not divisible by row length {self.n_horizontal}",
+                key="n_horizontal",
+            )
+        self._check_peak_power()
 
-    def _check_path_gain(self, k: int, s: dict) -> None:
-        """Reject a surface whose path gain is not a finite positive float, keyed
-        to the input (or its ``risK_*`` override) that pushes it furthest out."""
+    def _check_peak_power(self) -> None:
+        """Reject a mean aligned peak N*P*beta*M (``OperatingPoint.mean_peak_power``)
+        outside [``PEAK_POWER_FLOOR``, ``PEAK_POWER_CEILING``), keyed to the input
+        whose log-term pushes it furthest out."""
         try:
-            beta = path_gain(self.f_c_hz, s["d_ur_m"], s["d_rb_m"])
+            peak = self.n_elements * self.power_w * self.beta * self.m
         except (OverflowError, ZeroDivisionError):
-            beta = math.nan
-        if 0 < beta < math.inf:
+            peak = math.nan
+        if PEAK_POWER_FLOOR <= peak < PEAK_POWER_CEILING:
             return
-        own = {f for kk, f, _ in self.per_ris if kk == k}
-        log_terms = {"f_c_hz": 4 * math.log10(self.wavelength)}  # path gain ~ lambda^4 / d^4
-        for f in ("d_ur_m", "d_rb_m"):
-            log_terms[f"ris{k}_{f}" if f in own else f] = -2 * math.log10(s[f])
+        log_terms = {
+            "p_dbm": self.p_dbm / 10.0 - 3.0,
+            "f_c_hz": 4 * math.log10(self.wavelength),  # path gain ~ lambda^4 / (d_ur d_rb)^2
+            "d_ur_m": -2 * math.log10(self.d_ur_m),
+            "d_rb_m": -2 * math.log10(self.d_rb_m),
+            "n_elements": math.log10(self.n_elements),
+        }
         pick = max if sum(log_terms.values()) > 0 else min
         key = pick(log_terms, key=log_terms.get)
-        raise ConfigError(f"{key} puts surface {k}'s path gain outside the float range", key=key)
-
-    def surface(self, k: int) -> dict:
-        """Surface k's ``_SURFACE_FIELDS``, with its ``risK_*`` overrides applied."""
-        shared = {f: getattr(self, f) for f in _SURFACE_FIELDS}
-        own = {f: v for kk, f, v in self.per_ris if kk == k}
-        return shared | _fill_defaults(shared, own)
+        raise ConfigError(
+            f"{key} puts the mean received peak N*P*beta*M outside "
+            f"[{PEAK_POWER_FLOOR:.3g}, {PEAK_POWER_CEILING:.0e}) W", key=key,
+        )
 
     @property
     def l_count(self) -> int:
@@ -232,11 +229,15 @@ class Scenario:
 
     @property
     def wavelength(self) -> float:
-        return 299792458.0 / self.f_c_hz
+        return SPEED_OF_LIGHT / self.f_c_hz
 
     @property
     def power_w(self) -> float:
         return dbm_to_watts(self.p_dbm)
+
+    @property
+    def beta(self) -> float:
+        return path_gain(self.f_c_hz, self.d_ur_m, self.d_rb_m)
 
     @property
     def noise_variance_w(self) -> float:
@@ -246,25 +247,21 @@ class Scenario:
         return build_codebook(self.m, list(self.code_rows))
 
     def sim_profiles(self) -> tuple:
-        book = self.codebook()
-        out = []
-        for k, code in enumerate(book.entries, start=1):
-            s = self.surface(k)
-            hop = math.sqrt(path_gain(self.f_c_hz, s["d_ur_m"], s["d_rb_m"]))
-            weights = _gain_weights(s["n_elements"], s["n_horizontal"], s["spacing"], self.wavelength)
-            out.append(SimRis(
-                id=k, code=code, n=s["n_elements"], beta_ur=hop, beta_rb=hop, gain_weights=weights,
-            ))
-        return tuple(out)
+        hop = math.sqrt(self.beta)
+        weights = _gain_weights(self.n_elements, self.n_horizontal, self.spacing, self.wavelength)
+        return tuple(
+            SimRis(id=k, code=code, n=self.n_elements, beta_ur=hop, beta_rb=hop,
+                   gain_weights=weights)
+            for k, code in enumerate(self.codebook().entries, start=1)
+        )
 
     def operating_point(self, r_bar: float, surface: int = 1) -> OperatingPoint:
         book = self.codebook()
-        s = self.surface(surface)
         return OperatingPoint(
             m=self.m,
-            n=s["n_elements"],
+            n=self.n_elements,
             power_w=self.power_w,
-            beta=path_gain(self.f_c_hz, s["d_ur_m"], s["d_rb_m"]),
+            beta=self.beta,
             noise_var_w=self.noise_variance_w,
             v_total=self.v_total,
             r_bar=r_bar,
@@ -278,9 +275,7 @@ class Scenario:
         )
 
     def echo(self) -> dict:
-        d = {f.name: getattr(self, f.name) for f in fields(self) if f.name != "per_ris"}
-        d.update((f"ris{k}_{f}", v) for k, f, v in self.per_ris)
-        return {k: _echo_value(v) for k, v in d.items()}
+        return {f.name: _echo_value(getattr(self, f.name)) for f in fields(self)}
 
 
 # --- config file parsing ----------------------------------------------------
@@ -327,7 +322,7 @@ def _parse_float_list(tok: str, line: int) -> tuple:
     return tuple(_parse_float(p, line) for p in tok.split(","))
 
 
-# Every config key and its value parser; ``risK_<field>`` is parsed as ``<field>``.
+# Every config key and its value parser.
 _KEYS = {
     **dict.fromkeys(
         ("m", "v_total", "l_count", "n_elements", "n_horizontal", "trials", "seed"), _parse_int
@@ -356,20 +351,9 @@ def parse_config_text(text: str) -> dict:
         key, val = (part.strip() for part in line.split("=", 1))
         if key in out:
             raise ConfigError(f"duplicate key {key!r}", lineno)
-        if key in _KEYS:
-            out[key] = _KEYS[key](val, lineno)
-        elif key.startswith("ris") and "_" in key:
-            head, field_name = key.split("_", 1)
-            try:
-                idx = int(head[3:])
-            except ValueError:
-                raise ConfigError(f"unknown key {key!r}", lineno)
-            if field_name not in _SURFACE_FIELDS:
-                raise ConfigError(f"unknown per-surface field {field_name!r}", lineno)
-            v = _KEYS[field_name](val, lineno)
-            out.setdefault("per_ris", []).append((idx, field_name, v))
-        else:
+        if key not in _KEYS:
             raise ConfigError(f"unknown key {key!r}", lineno)
+        out[key] = _KEYS[key](val, lineno)
     return out
 
 
@@ -392,10 +376,8 @@ def scenario_from_config(raw: dict, config_dir: Path | None = None) -> Scenario:
     if "l_count" in raw and "code_rows" in raw and raw["l_count"] != len(raw["code_rows"]):
         raise ConfigError("l_count disagrees with the number of code rows")
     l_count = raw.pop("l_count", 1)
-    _check_value("l_count", "l_count", l_count)
+    _check_value("l_count", l_count)
     raw.setdefault("m", Scenario.m)
-    if "per_ris" in raw:
-        raw["per_ris"] = tuple(raw["per_ris"])
     try:
         scenario = Scenario(**_fill_defaults({}, raw, l_count))
     except TypeError as exc:
@@ -407,7 +389,7 @@ def scenario_from_config(raw: dict, config_dir: Path | None = None) -> Scenario:
     for key, values in run.items():
         field_name = _RUN_KEYS[key]
         if field_name is None:
-            _check_value(key, key, values)
+            _check_value(key, values)
             continue
         for v in values:
             try:
@@ -530,17 +512,8 @@ def cmd_pf_single(scenario: Scenario, raw: dict, writer: RunWriter, threads: int
     writer.csv("pf_single.csv", ["kind", "m", "r_bar"] + _EST_COLS, rows)
 
 
-def _reject_pinned(scenario: Scenario, field: str) -> None:
-    """Refuse to sweep ``field`` when a ``risK_<field>`` override would pin it."""
-    for k, f, _ in scenario.per_ris:
-        if f == field:
-            key = f"ris{k}_{field}"
-            raise ConfigError(f"{key} pins the {field} this subcommand sweeps", key=key)
-
-
 def _pmiss_power_sweep(scenario, raw, writer, threads, name, column, field, values):
     """Shared body of the miss-vs-power subcommands: ``field`` runs over ``values``."""
-    _reject_pinned(scenario, field)
     rows = []
     for v in values:
         for p_dbm in raw.get("p_dbm_values", (scenario.p_dbm,)):
@@ -603,7 +576,6 @@ def _m_combos(scenario: Scenario, raw: dict) -> list:
 
 
 def _np_combos(scenario: Scenario, raw: dict) -> list:
-    _reject_pinned(scenario, "n_elements")
     return [
         ([n, p], rescale(scenario, n_elements=n, p_dbm=p))
         for n in raw.get("n_values", (scenario.n_elements,))

@@ -77,11 +77,6 @@ class BinarySequence:
     def length(self) -> int:
         return int(self.symbols.size)
 
-    @property
-    def bits(self) -> np.ndarray:
-        """The underlying 0/1 sequence (symbol s maps to bit (s+1)/2)."""
-        return ((self.symbols + 1) // 2).astype(np.int64)
-
 
 def circular_shift(seq: BinarySequence, c: int) -> BinarySequence:
     """Shift the symbols left by ``c`` positions, cyclically.

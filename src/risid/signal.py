@@ -84,13 +84,12 @@ def noise_variance_from_bandwidth(bw_hz: float) -> float:
 
 @dataclass(frozen=True)
 class RisProfile:
-    """One surface: identity code, geometry, link budget and reachability."""
+    """One surface: identity code, geometry and link budget."""
 
     id: int
     code: BinarySequence
     geometry: RisGeometry
     link: LinkBudget
-    reachable: bool = True
 
 
 @dataclass
@@ -160,8 +159,8 @@ def synthesize_frame(
     realization (block fading: a single scalar gain for the whole frame).
     Passing the same seed and frame_index reproduces the frame bit for bit,
     and per-surface substreams make the result independent of the order in
-    which profiles are listed. ``reachability`` overrides the profiles' own
-    flags; ``correlations`` overrides the sinc-kernel matrix (use
+    which profiles are listed. ``reachability`` maps each surface id to
+    whether it reflects (without it, every surface does); ``correlations`` overrides the sinc-kernel matrix (use
     ``identity_correlation`` for uncorrelated elements). The pad split,
     noise and code offset are drawn as in the Monte Carlo engine, with a
     block of one frame; the gain is the ``cascaded_gain`` of two explicit
@@ -190,9 +189,7 @@ def synthesize_frame(
         h_ur = sample_channel(corr, p.link.beta_ur, rng)
         h_rb = sample_channel(corr, p.link.beta_rb, rng)
         h = cascaded_gain(h_ur, h_rb, power_w)
-        reachable = bool(
-            reachability[p.id] if reachability is not None else p.reachable
-        )
+        reachable = reachability is None or bool(reachability[p.id])
         c_per_ris[p.id] = int(c[0])
         realizations[p.id] = ChannelRealization(h_ur=h_ur, h_rb=h_rb, h_tilde=h)
         reach_map[p.id] = reachable

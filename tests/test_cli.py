@@ -7,7 +7,6 @@ import math
 import os
 import subprocess
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -16,7 +15,10 @@ from hypothesis import strategies as st
 
 import risid
 import risid.analysis
+from risid.channel import path_gain
 from risid.cli import (
+    PEAK_POWER_CEILING,
+    PEAK_POWER_FLOOR,
     SPACINGS,
     ConfigError,
     Scenario,
@@ -32,43 +34,35 @@ from risid.codes import build_codebook, codebook_to_text
 
 @st.composite
 def scenarios(draw):
-    """A valid Scenario, per-surface overrides included."""
+    """A valid Scenario."""
     positive = st.floats(min_value=1e-6, max_value=1e15)
     nonnegative = st.floats(min_value=0.0, max_value=1e3)
     m = draw(st.sampled_from((2, 4, 8, 16, 32, 64)))
     rows = draw(st.lists(st.integers(1, m - 1), min_size=1, max_size=min(5, m - 1), unique=True))
     nh = draw(st.integers(1, 16))
-    per_ris = []
-    for k in range(1, len(rows) + 1):
-        if draw(st.booleans()):
-            nh_k = draw(st.integers(1, 16))
-            n_k = nh_k * draw(st.integers(1, 16))
-            per_ris.append((k, "n_elements", n_k))
-            if draw(st.booleans()) or n_k % default_n_horizontal(n_k):
-                per_ris.append((k, "n_horizontal", nh_k))
-        if draw(st.booleans()):
-            per_ris.append((k, "spacing", draw(st.sampled_from(SPACINGS))))
-        for field_name in ("d_ur_m", "d_rb_m"):
-            if draw(st.booleans()):
-                per_ris.append((k, field_name, draw(positive)))
+    n = nh * draw(st.integers(1, 16))
+    f_c, d_ur, d_rb = draw(positive), draw(positive), draw(positive)
+    # a power whose mean peak N*P*beta*M lies a decade inside the allowed range
+    rest = math.log10(n * path_gain(f_c, d_ur, d_rb) * m)
+    p_lo = 10 * (math.log10(PEAK_POWER_FLOOR) + 1 - rest) + 30
+    p_hi = 10 * (math.log10(PEAK_POWER_CEILING) - 1 - rest) + 30
     return Scenario(
         m=m,
         v_total=draw(st.integers(1, m - 1)),
         code_rows=tuple(rows),
-        n_elements=nh * draw(st.integers(1, 16)),
+        n_elements=n,
         n_horizontal=nh,
         spacing=draw(st.sampled_from(SPACINGS)),
-        f_c_hz=draw(positive),
+        f_c_hz=f_c,
         bandwidth_hz=draw(positive),
-        p_dbm=draw(st.floats(-3000.0, 3000.0)),  # a finite positive power in watts
-        d_ur_m=draw(positive),
-        d_rb_m=draw(positive),
+        p_dbm=draw(st.floats(max(p_lo, -3000.0), min(p_hi, 3000.0))),
+        d_ur_m=d_ur,
+        d_rb_m=d_rb,
         r_bar=draw(nonnegative),
         r_bar_grid=tuple(sorted(draw(st.lists(nonnegative, min_size=1, max_size=6)))),
         trials=draw(st.integers(1, 10**7)),
         # half the seeds lie above 2**53, where a float cannot hold every integer
         seed=draw(st.integers(0, 2**32) | st.integers(2**53, 2**64)),
-        per_ris=tuple(per_ris),
     )
 
 
@@ -112,12 +106,6 @@ class TestConfigParsing:
         raw = parse_config_text("r_bar_grid = 13, 17, 21\n")
         assert raw["r_bar_grid"] == (13.0, 17.0, 21.0)
 
-    def test_per_ris_override(self):
-        raw = parse_config_text("code_rows = 1, 2\nris2_n_elements = 128\n")
-        scn = scenario_from_config(raw)
-        profs = scn.sim_profiles()
-        assert profs[0].n == scn.n_elements and profs[1].n == 128
-
     def test_codebook_file(self, tmp_path):
         book = build_codebook(16, [1, 2, 4, 8, 9])
         path = tmp_path / "book.txt"
@@ -134,10 +122,7 @@ class TestConfigParsing:
     @settings(max_examples=60, deadline=None)
     def test_echo_parses_back_to_the_scenario(self, scn):
         text = "".join(f"{k} = {v}\n" for k, v in scn.echo().items())
-        back = scenario_from_config(parse_config_text(text))
-        assert replace(back, per_ris=tuple(sorted(back.per_ris))) == replace(
-            scn, per_ris=tuple(sorted(scn.per_ris))
-        )
+        assert scenario_from_config(parse_config_text(text)) == scn
 
 
 class TestDefaults:
@@ -165,13 +150,10 @@ class TestDefaults:
     def test_dependents_follow_only_a_changed_value(self):
         scn = scenario_from_config({
             "m": 16, "v_total": 2, "code_rows": (1, 2), "n_elements": 64, "n_horizontal": 4,
-            "per_ris": [(1, "n_elements", 64), (2, "n_elements", 256)],
         })
         assert rescale(scn, m=16).v_total == 2
         assert rescale(scn, m=32).v_total == 8 and rescale(scn, m=32).code_rows == (1, 2)
         assert rescale(scn, n_elements=256).n_horizontal == 16
-        assert scn.surface(1)["n_horizontal"] == 4
-        assert scn.surface(2)["n_horizontal"] == 16
 
 
 def _bundled_runs():
@@ -385,6 +367,11 @@ class TestExitCodes:
             ("theory", "m = 16\nf_c_hz = 1e-300\n", 2),
             ("pmiss-n", "code_rows = 1, 2\nd_ur_m = 5\nris2_d_ur_m = 1e200\n", 3),
             ("pmiss-n", "m = 16\np_dbm_values = 10, 4000\n", 2),
+            ("pf-two-m", "code_rows = 1, 2\nris2_d_ur_m = 3\n", 2),
+            ("pmiss-n", "p_dbm = 3000\nd_ur_m = 1e-60\nd_rb_m = 1e-60\n", 1),
+            ("confusion", "p_dbm = 3000\nd_ur_m = 1e-60\nd_rb_m = 1e-60\ncode_rows = 1, 2\n", 1),
+            ("theory", "m = 16\np_dbm = -3130\n", 2),
+            ("design", "m = 16\np_dbm = -3090\ntarget_pmiss = 0.1\n", 2),
         ],
         ids=["code_rows", "n_horizontal", "bandwidth", "distance", "nan_grid",
              "inf_power", "trials", "per_surface", "nan_pmiss_target", "pmiss_target_above_one",
@@ -397,7 +384,9 @@ class TestExitCodes:
              "power_underflow", "power_underflow_pmiss_n", "power_overflow",
              "power_overflow_pmiss_n", "far_surface", "far_surface_pmiss_n", "near_surface",
              "near_surface_pmiss_n", "high_carrier", "high_carrier_pmiss_n", "low_carrier",
-             "far_second_surface_pmiss_n", "bad_power_sweep_overflow"],
+             "far_second_surface_pmiss_n", "bad_power_sweep_overflow", "surface_override",
+             "peak_overflow_pmiss_n", "peak_overflow_confusion", "peak_underflow",
+             "peak_subnormal_design"],
     )
     def test_cross_field_error_is_two(self, tmp_path, capsys, subcommand, text, line):
         cfg = tmp_path / "c.txt"
