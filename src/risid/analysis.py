@@ -300,11 +300,15 @@ def required_ris_size(op: OperatingPoint, target_pmiss: float) -> RequiredSize:
     """Elements needed so the single-surface miss probability hits the target.
 
     Inverts the miss CDF: N = -r / (P beta M ln(1 - target)). The operating
-    point's own ``n`` is ignored.
+    point's own ``n`` is ignored. A size that is not a finite positive number
+    (a zero threshold, or a quotient past the float range) raises ValueError.
     """
     if not 0 < target_pmiss < 1:
         raise ValueError("target miss probability must be inside (0, 1)")
-    raw = -op.r / (op.power_w * op.beta * op.m * math.log1p(-target_pmiss))
+    denom = op.power_w * op.beta * op.m * math.log1p(-target_pmiss)
+    raw = -op.r / denom if denom else math.inf
+    if not 0 < raw < math.inf:
+        raise ValueError(f"the required size {raw!r} is not a finite positive number")
     return RequiredSize(n_required=int(math.ceil(raw)), raw=raw)
 
 

@@ -10,6 +10,7 @@ byte for byte.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import math
 import os
@@ -46,6 +47,10 @@ SPACINGS = ("none", "half-lambda", "tenth-lambda")
 # probability below e^-(10^7).
 PEAK_POWER_FLOOR = sys.float_info.min
 PEAK_POWER_CEILING = 1e280
+
+# Most values a list key may hold: each threshold adds a BLOCK-wide column
+# to every tally, and each sweep value a full simulation.
+MAX_LIST_VALUES = 10_000
 
 
 class ConfigError(Exception):
@@ -127,9 +132,11 @@ def _gain_weights(n: int, n_h: int, spacing: str, wavelength: float):
 _RANGES = {
     **dict.fromkeys(("n_elements", "n_horizontal", "l_count", "f_c_hz", "bandwidth_hz",
                      "d_ur_m", "d_rb_m"), (lambda v: v > 0, "positive")),
-    **dict.fromkeys(("r_bar", "r_bar_grid"), (lambda v: v >= 0, "nonnegative")),
+    **dict.fromkeys(("r_bar", "r_bar_grid"), (lambda v: v >= 0 and math.isfinite(v * v),
+                                               "nonnegative with a finite square")),
     "trials": (lambda v: 0 < v <= montecarlo.ESCALATION_CAP,
                f"in 1..{montecarlo.ESCALATION_CAP}"),
+    "seed": (lambda v: 0 <= v < 2**64, f"in 0..{2**64 - 1}"),
     **dict.fromkeys(("target_pf", "target_pmiss"), (lambda v: 0 < v < 1, "inside (0, 1)")),
 }
 
@@ -303,8 +310,19 @@ def _parse_str(tok: str, line: int) -> str:
     return tok
 
 
+def _check_list_length(count, line: int) -> None:
+    if not count <= MAX_LIST_VALUES:
+        raise ConfigError(f"a list holds at most {MAX_LIST_VALUES} values, got {count}", line)
+
+
+def _list_items(tok: str, line: int) -> list:
+    items = tok.split(",")
+    _check_list_length(len(items), line)
+    return items
+
+
 def _parse_int_list(tok: str, line: int) -> tuple:
-    return tuple(_parse_int(p, line) for p in tok.split(","))
+    return tuple(_parse_int(p, line) for p in _list_items(tok, line))
 
 
 def _parse_float_list(tok: str, line: int) -> tuple:
@@ -314,12 +332,13 @@ def _parse_float_list(tok: str, line: int) -> tuple:
         if len(parts) != 3:
             raise ConfigError("ranges take the form start:stop:step", line)
         a, b, s = (_parse_float(p, line) for p in parts)
-        if s <= 0 or b < a:
+        if not (s > 0 and b >= a):
             raise ConfigError("range needs stop >= start and step > 0", line)
-        count = int(round((b - a) / s)) + 1
-        vals = tuple(a + i * s for i in range(count) if a + i * s <= b + 1e-12)
-        return vals
-    return tuple(_parse_float(p, line) for p in tok.split(","))
+        steps = (b - a) / s
+        count = round(steps) + 1 if math.isfinite(steps) else math.inf
+        _check_list_length(count, line)  # before a single value is built
+        return tuple(a + i * s for i in range(count) if a + i * s <= b + 1e-12)
+    return tuple(_parse_float(p, line) for p in _list_items(tok, line))
 
 
 # Every config key and its value parser.
@@ -414,28 +433,9 @@ def rescale(scenario: Scenario, **changes) -> Scenario:
 
 # --- artifact writing -------------------------------------------------------
 
-def _echo_lines(echo: dict) -> list:
-    return [f"# {k} = {echo[k]}" for k in sorted(echo)]
-
-
-def write_csv(path: Path, header: list, rows: list, echo: dict) -> None:
-    lines = _echo_lines(echo) + [f"# version = {__version__}"]
-    lines.append(",".join(header))
-    for row in rows:
-        lines.append(",".join(
-            repr(float(v)) if isinstance(v, float) else str(v) for v in row
-        ))
-    path.write_text("\n".join(lines) + "\n")
-
-
-def write_json(path: Path, payload: dict, echo: dict) -> None:
-    doc = {"config": echo, "version": __version__}
-    doc.update(payload)
-    path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
-
-
 class RunWriter:
-    """Collects artifact names and finishes with a reproducibility manifest."""
+    """Writes artifacts that embed the resolved config and version, collects
+    their names and finishes with a reproducibility manifest."""
 
     def __init__(self, outdir: Path, subcommand: str, echo: dict):
         self.outdir = outdir
@@ -445,23 +445,23 @@ class RunWriter:
         outdir.mkdir(parents=True, exist_ok=True)
 
     def csv(self, name: str, header: list, rows: list) -> None:
-        write_csv(self.outdir / name, header, rows, self.echo)
+        """Echo lines, version, header, then rows (floats by repr)."""
+        lines = [f"# {k} = {self.echo[k]}" for k in sorted(self.echo)]
+        lines += [f"# version = {__version__}", ",".join(header)]
+        for row in rows:
+            lines.append(",".join(
+                repr(float(v)) if isinstance(v, float) else str(v) for v in row
+            ))
+        (self.outdir / name).write_text("\n".join(lines) + "\n")
         self.outputs.append(name)
 
     def json(self, name: str, payload: dict) -> None:
-        write_json(self.outdir / name, payload, self.echo)
+        doc = {"config": self.echo, "version": __version__} | payload
+        (self.outdir / name).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
         self.outputs.append(name)
 
     def manifest(self) -> None:
-        doc = {
-            "subcommand": self.subcommand,
-            "version": __version__,
-            "config": self.echo,
-            "outputs": sorted(self.outputs),
-        }
-        (self.outdir / "manifest.json").write_text(
-            json.dumps(doc, indent=2, sort_keys=True) + "\n"
-        )
+        self.json("manifest.json", {"subcommand": self.subcommand, "outputs": sorted(self.outputs)})
 
 
 # --- subcommands ------------------------------------------------------------
@@ -493,118 +493,114 @@ def cmd_theory(scenario: Scenario, raw: dict, writer: RunWriter, threads: int) -
     writer.csv("theory.csv", ["r_bar", "value", "kind", "M", "N", "P_dBm"], rows)
 
 
+def _plan(scn: Scenario, threads: int) -> montecarlo.TrialPlan:
+    return montecarlo.TrialPlan(scenario=scn, trials=scn.trials, seed=scn.seed, threads=threads)
+
+
+def _sweep_values(scenario: Scenario, raw: dict, field: str) -> tuple:
+    """Values ``field`` runs over: its sweep key's (``_RUN_KEYS``) if set, every
+    spacing mode for ``spacing``, else the scenario's own value."""
+    for key, swept in _RUN_KEYS.items():
+        if swept == field and key in raw:
+            return raw[key]
+    return SPACINGS if field == "spacing" else (getattr(scenario, field),)
+
+
+def _mc_sweep(scenario: Scenario, raw: dict, writer: RunWriter, threads: int, name: str,
+              labels: dict, law: dict, theory, over_grid: bool = True,
+              theory_kind: str = "theory") -> None:
+    """Shared body of the Monte Carlo subcommands: simulated rates beside their closed form.
+
+    ``labels`` maps each label column to the field it varies; the columns'
+    ``_sweep_values`` combine in product order, first column outermost. Each
+    combination runs one ``decision_sweep`` of surface 1 under the
+    reachability ``law``, counting misses when the law forces surface 1 on and
+    false detections otherwise, at every ``r_bar_grid`` threshold (an
+    ``r_bar`` column) or at ``r_bar`` alone (no such column). Its ``mc`` rows
+    come first, then one ``theory_kind`` row per threshold with five empty
+    estimate cells. ``theory(scn)`` runs once per combination and returns the
+    closed form of an operating point.
+    """
+    rows = []
+    varied = list(labels.values())
+    for combo in itertools.product(*(_sweep_values(scenario, raw, f) for f in varied)):
+        scn = rescale(scenario, **dict(zip(varied, combo)))
+        closed_form = theory(scn)
+        r_bars = scn.r_bar_grid if over_grid else (scn.r_bar,)
+        ests = montecarlo.decision_sweep(_plan(scn, threads), 1, r_bars, law, count_missed=law[1])
+        cells = [list(combo) + ([rb] if over_grid else []) for rb in r_bars]
+        op = scn.operating_point(scn.r_bar)
+        rows += [_estimate_row(["mc"] + c, est) for c, est in zip(cells, ests)]
+        rows += [[theory_kind] + c + [closed_form(op.at(r_bar=rb))] + [""] * 5
+                 for c, rb in zip(cells, r_bars)]
+    header = ["kind", *labels] + (["r_bar"] if over_grid else []) + _EST_COLS
+    writer.csv(name, header, rows)
+
+
+def _pair_pmf(scn: Scenario):
+    if scn.l_count < 2:
+        raise ConfigError("two-surface experiments need at least two code rows")
+    return scn.pair_pmf(1, 2)
+
+
+def _pf_two(scn: Scenario):
+    """Theory builder: false detection of surface 1 beside surface 2."""
+    pmf = _pair_pmf(scn)
+    return lambda op: analysis.pf_two(op, pmf)
+
+
+def _pmiss_two(scn: Scenario):
+    """Theory builder: the miss lower bound of surface 1 beside surface 2."""
+    a_tilde = _pair_pmf(scn).a_tilde
+    return lambda op: analysis.pmiss_two(op, a_tilde)
+
+
 def cmd_pf_single(scenario: Scenario, raw: dict, writer: RunWriter, threads: int) -> None:
     """Noise-only false-detection rate vs threshold, with the union bound."""
-    rows = []
-    for m in raw.get("m_values", (scenario.m,)):
-        scn = rescale(scenario, m=m)
-        op = scn.operating_point(scn.r_bar)
-        plan = montecarlo.TrialPlan(
-            scenario=scn, trials=scn.trials, seed=scn.seed, threads=threads,
-        )
-        silent = {i: False for i in range(1, scn.l_count + 1)}
-        ests = montecarlo.decision_sweep(plan, 1, scn.r_bar_grid, silent, count_missed=False)
-        for rb, est in zip(scn.r_bar_grid, ests):
-            rows.append(_estimate_row(["mc", m, rb], est))
-        for rb in scn.r_bar_grid:
-            bound = analysis.pf_single_bound(op.at(r_bar=rb))
-            rows.append(["bound", m, rb, bound, "", "", "", "", ""])
-    writer.csv("pf_single.csv", ["kind", "m", "r_bar"] + _EST_COLS, rows)
-
-
-def _pmiss_power_sweep(scenario, raw, writer, threads, name, column, field, values):
-    """Shared body of the miss-vs-power subcommands: ``field`` runs over ``values``."""
-    rows = []
-    for v in values:
-        for p_dbm in raw.get("p_dbm_values", (scenario.p_dbm,)):
-            scn = rescale(scenario, **{field: v, "p_dbm": p_dbm})
-            plan = montecarlo.TrialPlan(
-                scenario=scn, trials=scn.trials, seed=scn.seed, threads=threads,
-            )
-            est = montecarlo.decision_sweep(
-                plan, 1, (scn.r_bar,), {1: True}, count_missed=True
-            )[0]
-            rows.append(_estimate_row(["mc", v, p_dbm], est))
-            theory = analysis.pmiss_single(scn.operating_point(scn.r_bar))
-            rows.append(["theory", v, p_dbm, theory, "", "", "", "", ""])
-    writer.csv(name, ["kind", column, "p_dbm"] + _EST_COLS, rows)
+    _mc_sweep(scenario, raw, writer, threads, "pf_single.csv", {"m": "m"},
+              dict.fromkeys(range(1, scenario.l_count + 1), False),
+              lambda scn: analysis.pf_single_bound, theory_kind="bound")
 
 
 def cmd_pmiss_corr(scenario: Scenario, raw: dict, writer: RunWriter, threads: int) -> None:
     """Miss rate vs power for each element-spacing mode, plus theory."""
-    _pmiss_power_sweep(
-        scenario, raw, writer, threads, "pmiss_corr.csv", "spacing", "spacing", SPACINGS
-    )
+    _mc_sweep(scenario, raw, writer, threads, "pmiss_corr.csv",
+              {"spacing": "spacing", "p_dbm": "p_dbm"}, {1: True},
+              lambda scn: analysis.pmiss_single, over_grid=False)
 
 
 def cmd_pmiss_m(scenario: Scenario, raw: dict, writer: RunWriter, threads: int) -> None:
     """Miss rate vs power for each sequence length, plus theory."""
-    values = raw.get("m_values", (scenario.m,))
-    _pmiss_power_sweep(scenario, raw, writer, threads, "pmiss_m.csv", "m", "m", values)
+    _mc_sweep(scenario, raw, writer, threads, "pmiss_m.csv", {"m": "m", "p_dbm": "p_dbm"},
+              {1: True}, lambda scn: analysis.pmiss_single, over_grid=False)
 
 
 def cmd_pmiss_n(scenario: Scenario, raw: dict, writer: RunWriter, threads: int) -> None:
     """Miss rate vs power for each surface size, plus theory."""
-    values = raw.get("n_values", (scenario.n_elements,))
-    _pmiss_power_sweep(scenario, raw, writer, threads, "pmiss_n.csv", "n", "n_elements", values)
-
-
-def _two_ris_sweep(miss: bool, combos, threads: int):
-    rows = []
-    for label_cols, scn in combos:
-        if scn.l_count < 2:
-            raise ConfigError("two-surface experiments need at least two code rows")
-        plan = montecarlo.TrialPlan(
-            scenario=scn, trials=scn.trials, seed=scn.seed, threads=threads,
-        )
-        ests = montecarlo.decision_sweep(plan, 1, scn.r_bar_grid, {1: miss}, count_missed=miss)
-        pmf = scn.pair_pmf(1, 2)
-        op = scn.operating_point(scn.r_bar)
-        for rb, est in zip(scn.r_bar_grid, ests):
-            rows.append(_estimate_row(["mc"] + label_cols + [rb], est))
-        for rb in scn.r_bar_grid:
-            if miss:
-                theory = analysis.pmiss_two(op.at(r_bar=rb), pmf.a_tilde)
-            else:
-                theory = analysis.pf_two(op.at(r_bar=rb), pmf)
-            rows.append(["theory"] + label_cols + [rb, theory, "", "", "", "", ""])
-    return rows
-
-
-def _m_combos(scenario: Scenario, raw: dict) -> list:
-    return [([m], rescale(scenario, m=m)) for m in raw.get("m_values", (scenario.m,))]
-
-
-def _np_combos(scenario: Scenario, raw: dict) -> list:
-    return [
-        ([n, p], rescale(scenario, n_elements=n, p_dbm=p))
-        for n in raw.get("n_values", (scenario.n_elements,))
-        for p in raw.get("p_dbm_values", (scenario.p_dbm,))
-    ]
+    _mc_sweep(scenario, raw, writer, threads, "pmiss_n.csv", {"n": "n_elements", "p_dbm": "p_dbm"},
+              {1: True}, lambda scn: analysis.pmiss_single, over_grid=False)
 
 
 def cmd_pf_two_m(scenario: Scenario, raw: dict, writer: RunWriter, threads: int) -> None:
     """Two-surface false detection vs threshold across sequence lengths."""
-    rows = _two_ris_sweep(False, _m_combos(scenario, raw), threads)
-    writer.csv("pf_two_m.csv", ["kind", "m", "r_bar"] + _EST_COLS, rows)
+    _mc_sweep(scenario, raw, writer, threads, "pf_two_m.csv", {"m": "m"}, {1: False}, _pf_two)
 
 
 def cmd_pf_two_np(scenario: Scenario, raw: dict, writer: RunWriter, threads: int) -> None:
     """Two-surface false detection vs threshold across sizes and powers."""
-    rows = _two_ris_sweep(False, _np_combos(scenario, raw), threads)
-    writer.csv("pf_two_np.csv", ["kind", "n", "p_dbm", "r_bar"] + _EST_COLS, rows)
+    _mc_sweep(scenario, raw, writer, threads, "pf_two_np.csv",
+              {"n": "n_elements", "p_dbm": "p_dbm"}, {1: False}, _pf_two)
 
 
 def cmd_pmiss_two_m(scenario: Scenario, raw: dict, writer: RunWriter, threads: int) -> None:
     """Two-surface miss detection vs threshold across sequence lengths."""
-    rows = _two_ris_sweep(True, _m_combos(scenario, raw), threads)
-    writer.csv("pmiss_two_m.csv", ["kind", "m", "r_bar"] + _EST_COLS, rows)
+    _mc_sweep(scenario, raw, writer, threads, "pmiss_two_m.csv", {"m": "m"}, {1: True}, _pmiss_two)
 
 
 def cmd_pmiss_two_np(scenario: Scenario, raw: dict, writer: RunWriter, threads: int) -> None:
     """Two-surface miss detection vs threshold across sizes and powers."""
-    rows = _two_ris_sweep(True, _np_combos(scenario, raw), threads)
-    writer.csv("pmiss_two_np.csv", ["kind", "n", "p_dbm", "r_bar"] + _EST_COLS, rows)
+    _mc_sweep(scenario, raw, writer, threads, "pmiss_two_np.csv",
+              {"n": "n_elements", "p_dbm": "p_dbm"}, {1: True}, _pmiss_two)
 
 
 def cmd_tradeoff(scenario: Scenario, raw: dict, writer: RunWriter, threads: int) -> None:
@@ -643,11 +639,7 @@ def cmd_confusion(scenario: Scenario, raw: dict, writer: RunWriter, threads: int
     """Reachability confusion matrices at each grid threshold."""
     if scenario.l_count != 2:
         raise ConfigError("confusion matrices are defined for exactly two surfaces")
-    plan = montecarlo.TrialPlan(
-        scenario=scenario, trials=scenario.trials, seed=scenario.seed,
-        threads=threads,
-    )
-    mats = montecarlo.confusion(plan, scenario.r_bar_grid)
+    mats = montecarlo.confusion(_plan(scenario, threads), scenario.r_bar_grid)
     payload = {}
     for rb, mat in sorted(mats.items()):
         freq = mat.frequencies()
@@ -675,11 +667,7 @@ def cmd_five_ris(scenario: Scenario, raw: dict, writer: RunWriter, threads: int)
     """Averaged miss/false rates vs threshold for a five-surface code set."""
     if scenario.l_count != 5:
         raise ConfigError("the five-surface experiment needs exactly five code rows")
-    plan = montecarlo.TrialPlan(
-        scenario=scenario, trials=scenario.trials, seed=scenario.seed,
-        threads=threads,
-    )
-    metrics = montecarlo.averaged_metrics(plan, scenario.r_bar_grid)
+    metrics = montecarlo.averaged_metrics(_plan(scenario, threads), scenario.r_bar_grid)
     rows = []
     for m in metrics:
         rows.append(
@@ -698,7 +686,10 @@ def cmd_design(scenario: Scenario, raw: dict, writer: RunWriter, threads: int) -
     if target is None:
         raise ConfigError("the design solver needs target_pmiss in the config")
     op = scenario.operating_point(scenario.r_bar)
-    req = analysis.required_ris_size(op, target)
+    try:
+        req = analysis.required_ris_size(op, target)
+    except ValueError as exc:
+        raise ConfigError(f"target_pmiss = {target!r}: {exc}", key="target_pmiss") from exc
     writer.json("design.json", {
         "target_pmiss": target,
         "r_bar": scenario.r_bar,

@@ -2,6 +2,7 @@
 
 import csv
 import importlib.util
+import itertools
 import json
 import math
 import os
@@ -62,7 +63,7 @@ def scenarios(draw):
         r_bar_grid=tuple(sorted(draw(st.lists(nonnegative, min_size=1, max_size=6)))),
         trials=draw(st.integers(1, 10**7)),
         # half the seeds lie above 2**53, where a float cannot hold every integer
-        seed=draw(st.integers(0, 2**32) | st.integers(2**53, 2**64)),
+        seed=draw(st.integers(0, 2**32) | st.integers(2**53, 2**64 - 1)),
     )
 
 
@@ -168,6 +169,23 @@ def _bundled_runs():
 BUNDLED_RUNS, BUNDLED_CONFIG_DIR = _bundled_runs()
 
 
+# Label column -> (sweep key, two values); spacing has no key and runs over SPACINGS.
+_M, _N, _P = ("m_values", (8, 16)), ("n_values", (4, 8)), ("p_dbm_values", (10.0, 20.0))
+_SPACING = (None, SPACINGS)
+
+# subcommand, CSV name, label columns, r_bar column, theory row kind
+MC_SWEEPS = [
+    ("pf-single", "pf_single.csv", {"m": _M}, True, "bound"),
+    ("pmiss-corr", "pmiss_corr.csv", {"spacing": _SPACING, "p_dbm": _P}, False, "theory"),
+    ("pmiss-m", "pmiss_m.csv", {"m": _M, "p_dbm": _P}, False, "theory"),
+    ("pmiss-n", "pmiss_n.csv", {"n": _N, "p_dbm": _P}, False, "theory"),
+    ("pf-two-m", "pf_two_m.csv", {"m": _M}, True, "theory"),
+    ("pf-two-np", "pf_two_np.csv", {"n": _N, "p_dbm": _P}, True, "theory"),
+    ("pmiss-two-m", "pmiss_two_m.csv", {"m": _M}, True, "theory"),
+    ("pmiss-two-np", "pmiss_two_np.csv", {"n": _N, "p_dbm": _P}, True, "theory"),
+]
+
+
 def run_cli(tmp_path, subcommand, config_text, extra=()):
     tmp_path.mkdir(parents=True, exist_ok=True)
     cfg = tmp_path / "config.txt"
@@ -224,6 +242,43 @@ class TestSubcommands:
         assert header == ["kind,m,r_bar,value,ci_low,ci_high,events,trials,low_confidence"]
         assert any(l.startswith("mc,8,") for l in lines)
         assert any(l.startswith("bound,8,") for l in lines)
+
+    @pytest.mark.parametrize(
+        "subcommand, name, labels, over_grid, theory_kind", MC_SWEEPS,
+        ids=[case[0] for case in MC_SWEEPS],
+    )
+    def test_mc_row_layout(self, tmp_path, subcommand, name, labels, over_grid, theory_kind):
+        """Per label combination, in product order with the first column
+        outermost: one mc row per threshold, then one theory row per threshold
+        whose five last cells are empty."""
+        sweeps = "".join(
+            f"{key} = {', '.join(str(v) for v in values)}\n"
+            for key, values in labels.values() if key
+        )
+        code, out = run_cli(
+            tmp_path, subcommand,
+            "m = 8\ncode_rows = 1, 2\nn_elements = 4\nn_horizontal = 2\nr_bar = 2\n"
+            "r_bar_grid = 2, 3\ntrials = 1000\nseed = 5\n" + sweeps,
+        )
+        assert code == 0
+        lines = (out / name).read_text().splitlines()
+        header, *rows = csv.reader(l for l in lines if not l.startswith("#"))
+        r_col = ["r_bar"] if over_grid else []
+        assert header == ["kind", *labels, *r_col, "value", "ci_low", "ci_high", "events",
+                          "trials", "low_confidence"]
+        expected = []
+        for combo in itertools.product(*(values for _, values in labels.values())):
+            cells = [str(v) for v in combo]
+            per_threshold = [cells + [rb] for rb in ("2.0", "3.0")] if over_grid else [cells]
+            expected += [["mc"] + c for c in per_threshold]
+            expected += [[theory_kind] + c for c in per_threshold]
+        assert [row[:1 + len(labels) + len(r_col)] for row in rows] == expected
+        for row in rows:
+            assert len(row) == len(header)
+            if row[0] == "mc":
+                assert "" not in row
+            else:
+                assert row[-5:] == [""] * 5 and row[-6] != ""
 
     def test_five_ris_artifact(self, tmp_path):
         code, out = run_cli(
@@ -372,6 +427,20 @@ class TestExitCodes:
             ("confusion", "p_dbm = 3000\nd_ur_m = 1e-60\nd_rb_m = 1e-60\ncode_rows = 1, 2\n", 1),
             ("theory", "m = 16\np_dbm = -3130\n", 2),
             ("design", "m = 16\np_dbm = -3090\ntarget_pmiss = 0.1\n", 2),
+            ("pmiss-n", "m = 16\nr_bar = 1e200\n", 2),
+            ("theory", "m = 16\nr_bar_grid = 1, 1e200\n", 2),
+            ("pf-single", "m = 16\nr_bar_grid = 1, 1e200\n", 2),
+            ("design", "r_bar = 3\ntarget_pmiss = 1e-310\n", 2),
+            ("design", "r_bar = 3\ntarget_pmiss = 1e-300\np_dbm = -100\n", 2),
+            ("design", "r_bar = 1e154\ntarget_pmiss = 0.5\np_dbm = -2900\n", 2),
+            ("design", "r_bar = 0\ntarget_pmiss = 0.5\n", 2),
+            ("confusion", "code_rows = 1, 2\nseed = -1\n", 2),
+            ("confusion", "code_rows = 1, 2\nseed = 18446744073709551616\n", 2),
+            ("theory", "m = 16\nr_bar_grid = 0:1e308:1e-10\n", 2),
+            ("theory", "m = 16\nr_bar_grid = 0:1e12:1\n", 2),
+            ("theory", "m = 16\nr_bar_grid = 0:nan:1\n", 2),
+            ("pf-single", "m = 16\nm_values = " + ", ".join(["16"] * 10001) + "\n", 2),
+            ("pmiss-n", "m = 16\np_dbm_values = " + ", ".join(["10"] * 10001) + "\n", 2),
         ],
         ids=["code_rows", "n_horizontal", "bandwidth", "distance", "nan_grid",
              "inf_power", "trials", "per_surface", "nan_pmiss_target", "pmiss_target_above_one",
@@ -386,7 +455,11 @@ class TestExitCodes:
              "near_surface_pmiss_n", "high_carrier", "high_carrier_pmiss_n", "low_carrier",
              "far_second_surface_pmiss_n", "bad_power_sweep_overflow", "surface_override",
              "peak_overflow_pmiss_n", "peak_overflow_confusion", "peak_underflow",
-             "peak_subnormal_design"],
+             "peak_subnormal_design", "huge_r_bar_pmiss_n", "huge_grid", "huge_grid_pf_single",
+             "subnormal_target_design", "underflowing_size_design", "overflowing_size_design",
+             "zero_threshold_design", "negative_seed", "seed_above_64_bits",
+             "overflowing_range", "long_range", "nan_range", "long_int_list",
+             "long_float_list"],
     )
     def test_cross_field_error_is_two(self, tmp_path, capsys, subcommand, text, line):
         cfg = tmp_path / "c.txt"
@@ -402,6 +475,15 @@ class TestExitCodes:
                      "--trials", "20000000"])
         assert code == 2
         assert "config error: trials" in capsys.readouterr().err
+
+    def test_seed_flag_out_of_range_is_two(self, tmp_path, capsys):
+        cfg = tmp_path / "c.txt"
+        cfg.write_text("code_rows = 1, 2\n")
+        code = main(["confusion", "--config", str(cfg), "--out", str(tmp_path / "o"),
+                     "--seed", "-1"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "config error: seed" in err and "c.txt:" not in err
 
     def test_bad_thread_environment_is_usage_error(self, tmp_path, monkeypatch):
         monkeypatch.setenv("RISID_THREADS", "two")
