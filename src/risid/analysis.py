@@ -1,9 +1,10 @@
-"""Closed-form and semi-analytical detection performance predictions.
+"""Closed-form detection performance predictions.
 
 Covers the single-surface false-detection bound, the single-surface miss
 probability, the two-surface variants driven by the interferer's correlation
-peak distribution, characteristic-function inversion for the two-surface miss
-lower bound, and the threshold / sizing design helpers built on top of them.
+peak distribution, and the threshold / sizing design helpers built on top of
+them. Characteristic-function inversion stays as the reference the
+two-surface miss bound's closed form is tested against.
 """
 
 from __future__ import annotations
@@ -103,9 +104,10 @@ def pmiss_single(op: OperatingPoint) -> float:
     """Miss probability with no interferer: 1 - exp(-r / (N P beta M)).
 
     The aligned metric of a reachable surface is exponentially distributed
-    with mean N*P*beta*M, so this is simply its CDF at the threshold.
+    with mean N*P*beta*M, so this is simply its CDF at the threshold, taken
+    through expm1 so that it keeps its digits when small.
     """
-    return 1.0 - math.exp(-op.r / op.mean_peak_power)
+    return -math.expm1(-op.r / op.mean_peak_power)
 
 
 def pf_two(op: OperatingPoint, pmf: CrossCorrPmf) -> float:
@@ -201,91 +203,74 @@ def gil_pelaez_cdf(x: float, cf, clamp: bool = True) -> float:
         F(x) = 1/2 - (1/pi) * integral_0^inf Im(exp(-i w x) cf(w)) / w dw
 
     The sign convention is the one validated against sampled sums of
-    Rayleigh amplitudes. Decaying CFs are integrated adaptively up to the
-    point where |cf| < 1e-8; non-decaying CFs (distributions with atoms)
-    fall back to a Fourier-weighted splitting of the same integral. Raises
-    NumericalFailure when the quadrature cannot reach its tolerance.
+    Rayleigh amplitudes. The integral runs adaptively up to the point where
+    |cf| < 1e-8. Raises NumericalFailure when the CF does not decay (a
+    distribution with atoms) or the quadrature cannot reach its tolerance.
+    The closed forms never call this; it is the reference tests hold
+    ``pmiss_two`` against.
     """
     if x < 0:
         raise ValueError("the CDF argument must be nonnegative")
     w_max = _decay_cutoff(cf)
-    if w_max is not None:
-        h0 = _small_w(cf)
-        m1 = float(np.imag(cf(h0)) / h0)  # integrand limit at w -> 0 is m1 - x
-
-        def integrand(w):
-            if w < h0 * 1e-6:
-                return m1 - x
-            val = np.exp(-1j * w * x) * cf(w)
-            return float(np.imag(val)) / w
-
-        res = quad(
-            integrand, 0.0, w_max, limit=1000, epsabs=1e-10, epsrel=1e-10,
-            full_output=1,
-        )
-        est, err = res[0], res[1]
-        if err > 1e-6:
-            raise NumericalFailure(
-                "inversion integral did not converge",
-                abs_error=err, w_max=w_max, x=x,
-            )
-        value = 0.5 - est / math.pi
-        return _clamp01(value) if clamp else value
-
-    # non-decaying CF: split Im(e^{-iwx} cf) = Im(cf) cos(wx) - Re(cf) sin(wx)
-    # and use Fourier-weighted quadrature on each half; the sin half is
-    # regularized by splitting off the Dirichlet integral of sin(wx)/w.
-    if x == 0:
-        raise NumericalFailure(
-            "cannot invert a non-decaying characteristic function at x = 0", x=x
-        )
+    if w_max is None:
+        raise NumericalFailure("the characteristic function does not decay", x=x)
     h0 = _small_w(cf)
-    m1 = float(np.imag(cf(h0)) / h0)
+    m1 = float(np.imag(cf(h0)) / h0)  # integrand limit at w -> 0 is m1 - x
 
-    def f_im(w):
+    def integrand(w):
         if w < h0 * 1e-6:
-            return m1
-        return float(np.imag(cf(w))) / w
+            return m1 - x
+        val = np.exp(-1j * w * x) * cf(w)
+        return float(np.imag(val)) / w
 
-    def f_re_reg(w):
-        if w < h0 * 1e-6:
-            return 0.0
-        return (1.0 - float(np.real(cf(w)))) / w
-
-    res1 = quad(
-        f_im, 0.0, np.inf, weight="cos", wvar=x, limlst=400, limit=200, full_output=1
-    )
-    res2 = quad(
-        f_re_reg, 0.0, np.inf, weight="sin", wvar=x, limlst=400, limit=200, full_output=1
-    )
-    i1, e1 = res1[0], res1[1]
-    j1, e2 = res2[0], res2[1]
-    if e1 > 1e-4 or e2 > 1e-4:
+    est, err = quad(integrand, 0.0, w_max, limit=1000, epsabs=1e-10, epsrel=1e-10,
+                    full_output=1)[:2]
+    if err > 1e-6:
         raise NumericalFailure(
-            "oscillatory inversion integral did not converge",
-            abs_error=max(e1, e2), x=x,
+            "inversion integral did not converge",
+            abs_error=err, w_max=w_max, x=x,
         )
-    value = 1.0 - (i1 + j1) / math.pi
+    value = 0.5 - est / math.pi
     return _clamp01(value) if clamp else value
 
 
 def pmiss_two(op: OperatingPoint, a_tilde: int) -> float:
     """Lower bound on miss detection next to one potential interferer.
 
-    Average of the interferer-silent miss probability and the CDF bound for
-    the interferer-active case. When both surfaces reflect, the metric is
-    bounded by the squared sum R = R1 + R2 of two Rayleigh amplitudes: the
-    aligned own peak (sigma1 = sqrt(M N P beta / 2)) and the interferer's
-    worst-case correlation peak (sigma2 = a_tilde * sqrt(N P beta / (2 M))),
-    so P(D < r | both) >= P(R <= sqrt(r)), evaluated by CF inversion.
+    Average of the interferer-silent miss probability F1 = ``pmiss_single`` and
+    P(R1 + R2 <= t), t = sqrt(r), which bounds the interferer-active case: R1 is
+    the aligned own peak (Rayleigh, sigma1^2 = M N P beta / 2) and R2 the
+    interferer's worst-case peak (sigma2^2 = a_tilde^2 N P beta / (2 M)).
+    Convolving R1's density with R2's CDF completes a square:
+
+        F1 - e^(-t^2/2S) [(sigma2^2/S)(e^(-a^2) - e^(-b^2)) + (t tau/S) sqrt(pi/2)(erf a + erf b)]
+
+    with S = sigma1^2 + sigma2^2, mu = t sigma1^2/S, tau = sigma1 sigma2/sqrt(S),
+    a = mu/(sqrt(2) tau), b = (t - mu)/(sqrt(2) tau). The exponential difference
+    is one expm1 of a^2 - b^2 = t (2 mu - t)/(2 tau^2), exact when a, b are tiny.
     """
     if a_tilde <= 0:
         raise ValueError("the interferer peak bound must be positive")
+    f1 = pmiss_single(op)
+    t = math.sqrt(op.r)
+    if t == 0:
+        return 0.5 * f1
     npb = op.n * op.power_w * op.beta
-    sigma1 = math.sqrt(op.m * npb / 2.0)
-    sigma2 = a_tilde * math.sqrt(npb / (2.0 * op.m))
-    cdf_both = gil_pelaez_cdf(math.sqrt(op.r), rayleigh_sum_cf((sigma1, sigma2)))
-    return _clamp01(0.5 * (pmiss_single(op) + cdf_both))
+    var1, var2 = op.m * npb / 2.0, a_tilde**2 * npb / (2.0 * op.m)
+    s = var1 + var2
+    mu = t * var1 / s
+    tau = math.sqrt(var1) * (math.sqrt(var2) / math.sqrt(s))
+    a, b = mu / (math.sqrt(2.0) * tau), (t - mu) / (math.sqrt(2.0) * tau)
+    gap = t * (2.0 * mu - t) / (2.0 * tau * tau)  # a^2 - b^2
+    if gap <= 0:
+        exp_diff = -math.exp(-a * a) * math.expm1(gap)
+    else:
+        exp_diff = math.exp(-b * b) * math.expm1(-gap)
+    bracket = (var2 / s) * exp_diff + (t * tau / s) * math.sqrt(math.pi / 2.0) * (
+        math.erf(a) + math.erf(b)
+    )
+    cdf_both = min(f1, max(0.0, f1 - math.exp(-op.r / (2.0 * s)) * bracket))
+    return 0.5 * (f1 + cdf_both)
 
 
 @dataclass(frozen=True)

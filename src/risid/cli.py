@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, analysis, montecarlo
-from .analysis import NumericalFailure, OperatingPoint
+from .analysis import OperatingPoint
 from .channel import SPEED_OF_LIGHT, RisGeometry, correlation_matrix, gain_weights, path_gain
 from .codes import (
     BinarySequence,
@@ -51,6 +51,10 @@ PEAK_POWER_CEILING = 1e280
 # Most values a list key may hold: each threshold adds a BLOCK-wide column
 # to every tally, and each sweep value a full simulation.
 MAX_LIST_VALUES = 10_000
+
+# Most engine worker threads (``--threads``, ``RISID_THREADS``): each worker
+# holds one block's arrays.
+MAX_THREADS = 64
 
 
 class ConfigError(Exception):
@@ -442,7 +446,12 @@ class RunWriter:
         self.subcommand = subcommand
         self.echo = echo
         self.outputs: list = []
-        outdir.mkdir(parents=True, exist_ok=True)
+
+    def _write(self, name: str, text: str) -> None:
+        """Write one artifact, creating the directory on the first one."""
+        self.outdir.mkdir(parents=True, exist_ok=True)
+        (self.outdir / name).write_text(text)
+        self.outputs.append(name)
 
     def csv(self, name: str, header: list, rows: list) -> None:
         """Echo lines, version, header, then rows (floats by repr)."""
@@ -452,13 +461,11 @@ class RunWriter:
             lines.append(",".join(
                 repr(float(v)) if isinstance(v, float) else str(v) for v in row
             ))
-        (self.outdir / name).write_text("\n".join(lines) + "\n")
-        self.outputs.append(name)
+        self._write(name, "\n".join(lines) + "\n")
 
     def json(self, name: str, payload: dict) -> None:
         doc = {"config": self.echo, "version": __version__} | payload
-        (self.outdir / name).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
-        self.outputs.append(name)
+        self._write(name, json.dumps(doc, indent=2, sort_keys=True) + "\n")
 
     def manifest(self) -> None:
         self.json("manifest.json", {"subcommand": self.subcommand, "outputs": sorted(self.outputs)})
@@ -537,21 +544,15 @@ def _mc_sweep(scenario: Scenario, raw: dict, writer: RunWriter, threads: int, na
     writer.csv(name, header, rows)
 
 
-def _pair_pmf(scn: Scenario):
-    if scn.l_count < 2:
-        raise ConfigError("two-surface experiments need at least two code rows")
-    return scn.pair_pmf(1, 2)
-
-
 def _pf_two(scn: Scenario):
     """Theory builder: false detection of surface 1 beside surface 2."""
-    pmf = _pair_pmf(scn)
+    pmf = scn.pair_pmf(1, 2)
     return lambda op: analysis.pf_two(op, pmf)
 
 
 def _pmiss_two(scn: Scenario):
     """Theory builder: the miss lower bound of surface 1 beside surface 2."""
-    a_tilde = _pair_pmf(scn).a_tilde
+    a_tilde = scn.pair_pmf(1, 2).a_tilde
     return lambda op: analysis.pmiss_two(op, a_tilde)
 
 
@@ -605,8 +606,6 @@ def cmd_pmiss_two_np(scenario: Scenario, raw: dict, writer: RunWriter, threads: 
 
 def cmd_tradeoff(scenario: Scenario, raw: dict, writer: RunWriter, threads: int) -> None:
     """Theory false/miss curves for both surfaces plus a joint threshold pick."""
-    if scenario.l_count < 2:
-        raise ConfigError("the tradeoff chart needs at least two code rows")
     pf_cap = raw.get("target_pf", 1.0)
     pmiss_cap = raw.get("target_pmiss", 1.0)
     rows = []
@@ -637,8 +636,6 @@ def cmd_tradeoff(scenario: Scenario, raw: dict, writer: RunWriter, threads: int)
 
 def cmd_confusion(scenario: Scenario, raw: dict, writer: RunWriter, threads: int) -> None:
     """Reachability confusion matrices at each grid threshold."""
-    if scenario.l_count != 2:
-        raise ConfigError("confusion matrices are defined for exactly two surfaces")
     mats = montecarlo.confusion(_plan(scenario, threads), scenario.r_bar_grid)
     payload = {}
     for rb, mat in sorted(mats.items()):
@@ -665,8 +662,6 @@ def cmd_confusion(scenario: Scenario, raw: dict, writer: RunWriter, threads: int
 
 def cmd_five_ris(scenario: Scenario, raw: dict, writer: RunWriter, threads: int) -> None:
     """Averaged miss/false rates vs threshold for a five-surface code set."""
-    if scenario.l_count != 5:
-        raise ConfigError("the five-surface experiment needs exactly five code rows")
     metrics = montecarlo.averaged_metrics(_plan(scenario, threads), scenario.r_bar_grid)
     rows = []
     for m in metrics:
@@ -715,6 +710,23 @@ COMMANDS = {
     "design": (cmd_design, "required surface size for a miss target (JSON)"),
 }
 
+# Code-row counts a subcommand needs: (fewest, most, wording); others take any.
+_SURFACE_COUNTS = {
+    **dict.fromkeys(("pf-two-m", "pf-two-np", "pmiss-two-m", "pmiss-two-np", "tradeoff"),
+                    (2, math.inf, "at least two")),
+    "confusion": (2, 2, "exactly two"),
+    "five-ris": (5, 5, "exactly five"),
+}
+
+
+def _check_surface_count(subcommand: str, scenario: Scenario, raw: dict) -> None:
+    """Reject a code-row count out of range, keyed to the key the rows came from."""
+    lo, hi, wording = _SURFACE_COUNTS.get(subcommand, (1, math.inf, ""))
+    if not lo <= scenario.l_count <= hi:
+        key = next((k for k in ("codebook_file", "code_rows", "l_count") if k in raw), None)
+        raise ConfigError(f"{subcommand} needs {wording} code rows, got {scenario.l_count}",
+                          key=key)
+
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -740,6 +752,8 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     text = ""
     try:
+        if not 1 <= args.threads <= MAX_THREADS:  # before any worker starts
+            raise ConfigError(f"threads must be in 1..{MAX_THREADS}, got {args.threads}")
         if args.config is not None:
             text = args.config.read_text()
             raw = parse_config_text(text)
@@ -751,6 +765,7 @@ def main(argv=None) -> int:
             scenario = replace(scenario, **flags)
         except ConfigError as exc:
             raise ConfigError(str(exc)) from exc  # set by a flag, so no config line to point at
+        _check_surface_count(args.subcommand, scenario, raw)
         echo = scenario.echo()
         echo.update((key, _echo_value(raw[key])) for key in _RUN_KEYS if key in raw)
         writer = RunWriter(args.out, args.subcommand, echo)
@@ -762,9 +777,6 @@ def main(argv=None) -> int:
         anchor = f"{args.config}:{exc.line}: " if exc.line else ""
         print(f"{anchor}config error: {exc}", file=sys.stderr)
         return 2
-    except NumericalFailure as exc:
-        print(f"numerical failure: {exc} {exc.diagnostics}", file=sys.stderr)
-        return 3
     except OSError as exc:
         print(f"io error: {exc}", file=sys.stderr)
         return 2

@@ -82,6 +82,8 @@ class TrialPlan:
             raise ValueError("at least one trial is required")
         if self.max_trials < self.trials:
             raise ValueError("escalation cap below the base trial count")
+        if self.threads < 1:
+            raise ValueError("at least one worker thread is required")
 
 
 @dataclass(frozen=True)

@@ -2,7 +2,9 @@
 
 import math
 from fractions import Fraction
+from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -22,6 +24,7 @@ from risid.analysis import (
     rayleigh_sum_cf,
     required_ris_size,
 )
+from risid.cli import parse_config_text, scenario_from_config
 from risid.codes import CrossCorrPmf, build_codebook, cross_corr_pmf
 
 
@@ -157,9 +160,11 @@ class TestGilPelaez:
             assert got == pytest.approx(want, abs=1e-8)
 
     def test_point_mass_at_one(self):
+        # a CF with an atom never decays, so there is no cutoff to integrate to
         cf = lambda w: np.exp(1j * w)
-        assert gil_pelaez_cdf(2.0, cf) == pytest.approx(1.0, abs=1e-3)
-        assert gil_pelaez_cdf(0.5, cf) == pytest.approx(0.0, abs=1e-3)
+        with pytest.raises(NumericalFailure) as err:
+            gil_pelaez_cdf(2.0, cf)
+        assert err.value.diagnostics == {"x": 2.0}
 
     def test_limit_is_one(self):
         cf = rayleigh_sum_cf((1.0, 0.3))
@@ -216,6 +221,61 @@ class TestPmissTwo:
     def test_rejects_bad_peak(self):
         with pytest.raises(ValueError):
             pmiss_two(op_at(), 0)
+
+    def test_matches_high_precision_quadrature(self):
+        """The closed form against a 40-digit quadrature of the convolution
+        of the own peak's density with the interferer's CDF."""
+        with mpmath.workdps(40):
+            for m in (16, 64):
+                a_tilde = cross_corr_pmf(*build_codebook(m, [1, 2]).entries, m // 4).a_tilde
+                for n in (16, 256):
+                    for p_dbm in (-150.0, -20.0, 15.0, 40.0, 200.0):
+                        for r_bar in (0.0, 0.1, 1.0, 3.0, 10.0, 40.0):
+                            op = op_at(m=m, n=n, p_dbm=p_dbm, r_bar=r_bar)
+                            want = _pmiss_two_quadrature(op, a_tilde)
+                            assert pmiss_two(op, a_tilde) == pytest.approx(want, rel=1e-12, abs=0)
+
+    @pytest.mark.parametrize("config", ["tradeoff.txt", "theory.txt"])
+    def test_agrees_with_gil_pelaez_on_bundled_grids(self, config):
+        text = (Path(__file__).parents[1] / "scripts" / "configs" / config).read_text()
+        scn = scenario_from_config(parse_config_text(text))
+        for surf, other in ((1, 2), (2, 1)):
+            op = scn.operating_point(scn.r_bar, surface=surf)
+            a_tilde = scn.pair_pmf(surf, other).a_tilde
+            npb = op.n * op.power_w * op.beta
+            cf = rayleigh_sum_cf((math.sqrt(op.m * npb / 2), a_tilde * math.sqrt(npb / (2 * op.m))))
+            for r_bar in scn.r_bar_grid:
+                at = op.at(r_bar=r_bar)
+                inverted = 0.5 * (pmiss_single(at) + gil_pelaez_cdf(math.sqrt(at.r), cf))
+                assert pmiss_two(at, a_tilde) == pytest.approx(inverted, rel=0, abs=1e-9)
+
+    @pytest.mark.parametrize("p_dbm", [-150.0, -20.0, 15.0, 40.0, 200.0])
+    def test_nondecreasing_in_threshold(self, p_dbm):
+        op = op_at(m=32, n=256, p_dbm=p_dbm, v_total=8)
+        vals = [pmiss_two(op.at(r_bar=float(r)), 2) for r in np.linspace(0, 80, 801)]
+        assert all(b >= a for a, b in zip(vals, vals[1:]))
+        assert all(0 <= v <= 1 for v in vals)
+
+
+def _pmiss_two_quadrature(op, a_tilde):
+    """0.5 * (F1(t) + integral_0^t f1(x) F2(t - x) dx) at the working precision,
+    with F and f the Rayleigh CDFs and densities of both peaks."""
+    mp = mpmath.mp
+    npb = mp.mpf(op.n) * mp.mpf(op.power_w) * mp.mpf(op.beta)
+    var1, var2 = op.m * npb / 2, a_tilde**2 * npb / (2 * op.m)
+    r = mp.mpf(op.r_bar) ** 2 * mp.mpf(op.noise_var_w)
+    t = mp.sqrt(r)
+    f1 = -mp.expm1(-r / (2 * var1))
+    if t == 0:
+        return f1 / 2
+
+    def integrand(x):
+        return x / var1 * mp.exp(-x * x / (2 * var1)) * -mp.expm1(-(t - x) ** 2 / (2 * var2))
+
+    # split where the density peaks, the CDF turns and the completed square centres
+    inner = {mp.sqrt(var1), t - mp.sqrt(var2), t * var1 / (var1 + var2)}
+    points = [mp.mpf(0), *sorted(x for x in inner if 0 < x < t), t]
+    return float((f1 + mp.quad(integrand, points)) / 2)
 
 
 class TestRequiredSize:

@@ -441,6 +441,11 @@ class TestExitCodes:
             ("theory", "m = 16\nr_bar_grid = 0:nan:1\n", 2),
             ("pf-single", "m = 16\nm_values = " + ", ".join(["16"] * 10001) + "\n", 2),
             ("pmiss-n", "m = 16\np_dbm_values = " + ", ".join(["10"] * 10001) + "\n", 2),
+            ("pf-two-m", "m = 16\ncode_rows = 15\n", 2),
+            ("pmiss-two-np", "m = 16\nl_count = 1\n", 2),
+            ("tradeoff", "code_rows = 3\nm = 16\n", 1),
+            ("confusion", "m = 16\ncode_rows = 1, 2, 3\n", 2),
+            ("five-ris", "l_count = 4\nm = 16\n", 1),
         ],
         ids=["code_rows", "n_horizontal", "bandwidth", "distance", "nan_grid",
              "inf_power", "trials", "per_surface", "nan_pmiss_target", "pmiss_target_above_one",
@@ -459,7 +464,9 @@ class TestExitCodes:
              "subnormal_target_design", "underflowing_size_design", "overflowing_size_design",
              "zero_threshold_design", "negative_seed", "seed_above_64_bits",
              "overflowing_range", "long_range", "nan_range", "long_int_list",
-             "long_float_list"],
+             "long_float_list", "one_surface_pf_two_m", "one_surface_from_l_count_pmiss_two_np",
+             "one_surface_tradeoff", "three_surfaces_confusion",
+             "four_surfaces_from_l_count_five_ris"],
     )
     def test_cross_field_error_is_two(self, tmp_path, capsys, subcommand, text, line):
         cfg = tmp_path / "c.txt"
@@ -467,6 +474,7 @@ class TestExitCodes:
         code = main([subcommand, "--config", str(cfg), "--out", str(tmp_path / "o")])
         assert code == 2
         assert f"c.txt:{line}: config error" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
     def test_trial_flag_above_cap_is_two(self, tmp_path, capsys):
         cfg = tmp_path / "c.txt"
@@ -485,6 +493,19 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "config error: seed" in err and "c.txt:" not in err
 
+    @pytest.mark.parametrize("threads", ["0", "-1", "65"])
+    def test_thread_count_out_of_range_is_two(self, tmp_path, capsys, monkeypatch, threads):
+        """Rejected before a worker starts, from the flag or the environment."""
+        cfg = tmp_path / "c.txt"
+        cfg.write_text("code_rows = 1, 2\n")
+        argv = ["confusion", "--config", str(cfg), "--out", str(tmp_path / "o")]
+        assert main(argv + ["--threads", threads]) == 2
+        monkeypatch.setenv("RISID_THREADS", threads)
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.count("config error: threads must be in 1..64") == 2 and "c.txt:" not in err
+        assert not (tmp_path / "o").exists()
+
     def test_bad_thread_environment_is_usage_error(self, tmp_path, monkeypatch):
         monkeypatch.setenv("RISID_THREADS", "two")
         with pytest.raises(SystemExit) as exit_info:
@@ -497,15 +518,32 @@ class TestExitCodes:
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["config"]["seed"] == 9007199254740993
 
-    def test_numerical_failure_is_three(self, tmp_path, monkeypatch):
+    @pytest.mark.parametrize("subcommand", ["theory", "tradeoff", "pmiss-two-m"])
+    def test_closed_forms_never_invert_a_cf(self, tmp_path, monkeypatch, subcommand):
         def boom(*a, **kw):
             raise risid.analysis.NumericalFailure("forced", reason="test")
 
-        monkeypatch.setattr(risid.analysis, "pmiss_two", boom)
-        cfg = tmp_path / "c.txt"
-        cfg.write_text("m = 16\ncode_rows = 1, 2\nr_bar_grid = 2, 3\n")
-        code = main(["tradeoff", "--config", str(cfg), "--out", str(tmp_path / "o")])
-        assert code == 3
+        monkeypatch.setattr(risid.analysis, "gil_pelaez_cdf", boom)
+        monkeypatch.setattr(risid.analysis, "rayleigh_sum_cf", boom)
+        code, _ = run_cli(
+            tmp_path, subcommand,
+            "m = 8\ncode_rows = 1, 2\nn_elements = 4\nn_horizontal = 2\n"
+            "r_bar_grid = 2, 3\ntrials = 1000\n",
+        )
+        assert code == 0
+
+    @pytest.mark.parametrize("p_dbm, want", [
+        (-150, 1.0), (-300, 1.0), (-1000, 1.0), (1500, 0.0),
+    ])
+    def test_miss_bound_at_extreme_powers(self, tmp_path, p_dbm, want):
+        """Far below the noise every threshold misses; far above it the bound
+        (about 1e-150 here) rounds to zero."""
+        code, out = run_cli(tmp_path, "theory", f"m = 16\ncode_rows = 1, 2\np_dbm = {p_dbm}\n")
+        assert code == 0
+        lines = (out / "theory.csv").read_text().splitlines()
+        values = [float(l.split(",")[1]) for l in lines if ",pmiss_two_lower," in l]
+        assert len(values) == 8
+        assert values == [pytest.approx(want, rel=0, abs=1e-140)] * 8
 
     def test_success_is_zero(self, tmp_path):
         cfg = tmp_path / "c.txt"

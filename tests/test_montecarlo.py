@@ -380,3 +380,8 @@ class TestPlanValidation:
     def test_rejects_cap_below_trials(self, small_scenario):
         with pytest.raises(ValueError):
             TrialPlan(scenario=small_scenario, trials=100, seed=1, max_trials=50)
+
+    @pytest.mark.parametrize("threads", [0, -3])
+    def test_rejects_fewer_than_one_thread(self, small_scenario, threads):
+        with pytest.raises(ValueError):
+            TrialPlan(scenario=small_scenario, trials=100, seed=1, threads=threads)
