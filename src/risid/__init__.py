@@ -7,7 +7,7 @@ probabilities), montecarlo (seeded trial runner), cli (experiment front door).
 """
 
 # the one version string: cli embeds it in artifacts, pyproject.toml reads it
-__version__ = "0.2.1"
+__version__ = "0.3.0"
 
 from .analysis import (
     NumericalFailure,

@@ -37,14 +37,13 @@ SPACINGS = ("none", "half-lambda", "tenth-lambda")
 
 # Bounds on the mean aligned peak N*P*beta*M, in watts. The floor is the
 # smallest normal float, so the closed forms' quotients of the peak (by M^2,
-# by N) stay nonzero. The ceiling keeps ``detector.detect_block``'s squares
-# finite. Each of L surfaces adds a gain h with E|h|^2 = N*P*beta, so the
-# signal part of an unnormalized correlator sum over M samples has
-# |d|^2 <= M^2 * L^2 * X * N*P*beta = M * L^2 * X * peak, with X the largest
-# |h|^2 over its mean. It overflows (above 1.8e308) only if M * L^2 * X > 1.8e28:
-# even M = L = 2^16, past any codebook that fits in memory, needs X > 6e13,
-# which a unit-mean Gamma or product-of-exponentials draw exceeds with
-# probability below e^-(10^7).
+# by N) stay nonzero. The ceiling keeps the engine's squared correlator
+# outputs finite: (U^T y) A is still W^T y, the unnormalized sum over M
+# samples. Each of L surfaces adds a gain h with E|h|^2 = N*P*beta, so its
+# signal part has |d|^2 <= M * L^2 * X * peak, with X the largest |h|^2 over
+# its mean, and overflows (above 1.8e308) only if M * L^2 * X > 1.8e28: even
+# M = L = 2^16 needs X > 6e13, which a unit-mean Gamma or product-of-
+# exponentials draw exceeds with probability below e^-(10^7).
 PEAK_POWER_FLOOR = sys.float_info.min
 PEAK_POWER_CEILING = 1e280
 
@@ -196,6 +195,11 @@ class Scenario:
         for r in self.code_rows:
             if not 1 <= r < self.m:
                 raise ConfigError(f"code row {r} outside 1..{self.m - 1}", key="code_rows")
+        need = montecarlo.pass_bytes(self.m, self.v_total, self.code_rows)
+        if need > montecarlo.MAX_PASS_BYTES:  # before any m x m array is built
+            raise ConfigError(f"m = {self.m}, v_total = {self.v_total} and code rows {self.code_rows} need "
+                              f"{need / 2**30:.3g} GiB per simulation pass, over the "
+                              f"{montecarlo.MAX_PASS_BYTES >> 30} GiB limit", key="m")
         if self.spacing not in SPACINGS:
             raise ConfigError(f"spacing must be one of {SPACINGS}", key="spacing")
         values = [(f, v) for f, v in vars(self).items() if not isinstance(v, tuple)]
@@ -384,6 +388,7 @@ def scenario_from_config(raw: dict, config_dir: Path | None = None) -> Scenario:
     """Resolve a parsed config into a validated Scenario, checking and dropping run keys."""
     raw = dict(raw)
     run = {key: raw.pop(key) for key in _RUN_KEYS if key in raw}
+    given = set(raw)
     if "codebook_file" in raw:
         path = Path(raw.pop("codebook_file"))
         if config_dir is not None and not path.is_absolute():
@@ -408,6 +413,8 @@ def scenario_from_config(raw: dict, config_dir: Path | None = None) -> Scenario:
     except ConfigError as exc:
         if exc.key == "code_rows" and "code_rows" not in raw:  # the rows came from l_count
             raise ConfigError(f"l_count = {l_count}: {exc}", key="l_count") from exc
+        if exc.key == "m" and "m" not in given:  # m came from the codebook
+            raise ConfigError(str(exc), key="codebook_file") from exc
         raise
     for key, values in run.items():
         field_name = _RUN_KEYS[key]

@@ -15,7 +15,7 @@ import numpy as np
 
 from .codes import BinarySequence, all_shifts
 
-__all__ = ["PerRisDecision", "DetectionReport", "correlate", "detect", "detect_block", "run_ris_id"]
+__all__ = ["PerRisDecision", "DetectionReport", "correlate", "detect", "run_ris_id"]
 
 
 def _samples_of(y) -> np.ndarray:
@@ -62,31 +62,6 @@ def detect(y, code: BinarySequence) -> Tuple[float, int, int]:
     flat = int(np.argmax(metric))  # row-major: smallest k first, then smallest c
     k_hat, c_idx = divmod(flat, m)
     return float(metric[k_hat, c_idx]), c_idx + 1, k_hat
-
-
-def detect_block(y: np.ndarray, class_mats: Sequence[np.ndarray]) -> np.ndarray:
-    """Decision metric D of every frame row (axis 0) against every code (axis 1).
-
-    ``class_mats`` holds each code's ``codes.sign_classes`` of its
-    ``all_shifts`` matrix, as float64. Shifts equal up to sign give equal
-    |d|^2, so searching one shift per class equals ``detect``'s D to
-    rounding: a low Hadamard row keeps one or two of its M shifts. Real and
-    imaginary products are faster than one complex product for whole
-    blocks, so the engine searches with this.
-    """
-    yr, yi = np.ascontiguousarray(y.real), np.ascontiguousarray(y.imag)
-    frames, length = y.shape
-    metric = np.empty((frames, len(class_mats)))
-    for j, classes in enumerate(class_mats):
-        m = classes.shape[1]
-        st = classes.T
-        best = np.zeros(frames)
-        for k in range(length - m + 1):
-            dr = yr[:, k : k + m] @ st
-            di = yi[:, k : k + m] @ st
-            np.maximum(best, (dr * dr + di * di).max(axis=1), out=best)
-        metric[:, j] = best / m
-    return metric
 
 
 @dataclass(frozen=True)

@@ -18,8 +18,7 @@ import numpy as np
 
 from .channel import compound_gains
 from .codes import all_shifts, sign_classes
-from .detector import detect_block
-from .signal import TAG_FRAME, TAG_RIS, draw_frames, lay_codes, substream
+from .signal import TAG_FRAME, TAG_RIS, draw_frames, substream
 
 __all__ = [
     "BLOCK",
@@ -36,6 +35,8 @@ __all__ = [
 ]
 
 BLOCK = 8192  # trials per randomness block; fixed so results never depend on scheduling
+CHUNK = 1024  # block rows per correlator product, which bounds its CHUNK x K arrays
+MAX_PASS_BYTES = 2**30  # most memory a config may ask of one pass (``pass_bytes``)
 
 ESCALATION_FACTOR = 10
 ESCALATION_CAP = 10_000_000
@@ -122,19 +123,49 @@ def _thresholds_w(plan: TrialPlan, r_bars: Sequence[float]) -> np.ndarray:
     return np.array([r**2 * sn2 for r in r_bars])
 
 
-def _synthesize_block(plan: TrialPlan, law: Mapping, profs, shift_mats, blk: int):
-    """Frames and true reachability of all BLOCK trials of block ``blk``.
+def pass_bytes(m: int, v_total: int, rows: Sequence[int]) -> int:
+    """Upper bound on the bytes of one pass with one worker, for Sylvester-Hadamard ``rows``
+    (row r's shifts fall in 2**floor(log2 r) sign classes): m x m matrices, W, its SVD and A
+    (L x K), a v_total x m x R table per surface, BLOCK x R coordinates, CHUNK x K products."""
+    l, k = m + v_total, (v_total + 1) * sum(1 << (r.bit_length() - 1) for r in rows)
+    floats = (2 + 2 * len(rows)) * m * m + 4 * l * k + (len(rows) * v_total * m + 8 * BLOCK) * min(l, k)
+    return 8 * (floats + 4 * CHUNK * k)
 
-    The frame stream draws the pad splits and noise; each surface stream
-    draws the fair coin (only under the coin law), then the code offsets and
-    the cascaded gains, from their compound law (``compound_gains``): no hop
-    vector is drawn. A surface forced off opens no stream.
+
+def _subspace(profs, m: int, v_total: int):
+    """The correlator in the range of its own matrix: (U, A, starts, tables).
+
+    W (L x K, L = m + v_total) holds a column per window offset and ``sign_classes``
+    row of each code, over sqrt(m): W^T y are the outputs ``detect`` searches, up to
+    sign. U is an orthonormal basis of its range (rank R, by SVD) and A = U^T W, so
+    W^T y = (U^T y) A. Surface j owns the columns from ``starts[j]`` on, and
+    ``tables[j][v1 - 1, c - 1]`` is U^T of its code shifted by c, laid from v1.
+    """
+    shift_mats = [all_shifts(p.code) for p in profs]
+    pads = [np.pad(sign_classes(s).T / math.sqrt(m), ((v_total, v_total), (0, 0))) for s in shift_mats]
+    blocks = [np.hstack([p[v_total - k : v_total - k + m + v_total] for k in range(v_total + 1)]) for p in pads]
+    w = np.hstack(blocks)
+    u, sv, _ = np.linalg.svd(w, full_matrices=False)
+    u = u[:, sv > sv[0] * max(w.shape) * np.finfo(float).eps]
+    starts = np.cumsum([0] + [b.shape[1] for b in blocks[:-1]])
+    tables = [np.stack([s @ u[v : v + m] for v in range(1, v_total + 1)]) for s in shift_mats]
+    return u, u.T @ w, starts, tables
+
+
+def _block(plan: TrialPlan, law: Mapping, profs, sub, blk: int, rows: slice):
+    """Decision metric and true reachability of the ``rows`` of block ``blk``.
+
+    The frame stream draws pad splits, then noise as R coordinates in the basis U
+    (``_subspace``). Each surface stream draws the fair coin (only under the coin law),
+    code offsets and compound-law gains; a surface forced off opens none. All draws are
+    full-size. A reflecting surface adds gain times table row; D is the largest
+    |(U^T y) A|^2 over each code's columns, CHUNK rows at a time.
     """
     scn = plan.scenario
-    v1, y = draw_frames(
-        substream(plan.seed, TAG_FRAME, 0, blk), scn.v_total, scn.m,
-        scn.noise_variance_w, BLOCK,
-    )
+    _, a, starts, tables = sub
+    frame_rng = substream(plan.seed, TAG_FRAME, 0, blk)
+    v1, z = draw_frames(frame_rng, scn.v_total, a.shape[0], scn.noise_variance_w, BLOCK)
+    v1, z = v1[rows], z[rows]
     reach = np.zeros((BLOCK, len(profs)), dtype=bool)
     for j, p in enumerate(profs):
         rule = law.get(p.id, None)
@@ -142,10 +173,15 @@ def _synthesize_block(plan: TrialPlan, law: Mapping, profs, shift_mats, blk: int
             continue
         rs = substream(plan.seed, TAG_RIS, p.id, blk)
         reach[:, j] = rs.random(BLOCK) < 0.5 if rule is None else rule
-        c = rs.integers(1, scn.m + 1, size=BLOCK)
+        c = rs.integers(1, scn.m + 1, size=BLOCK)[rows]
         h = compound_gains(rs, p.n, p.gain_weights, BLOCK, scn.power_w, p.beta_ur, p.beta_rb)
-        lay_codes(y, v1, np.where(reach[:, j], h, 0.0), shift_mats[j][c - 1])
-    return y, reach
+        z += np.where(reach[rows, j], h[rows], 0.0)[:, None] * tables[j][v1 - 1, c - 1]
+    metric = np.empty((len(z), len(profs)))
+    for lo in range(0, len(z), CHUNK):
+        zc = z[lo : lo + CHUNK]  # real products need contiguous copies of each part
+        metric[lo : lo + CHUNK] = np.maximum.reduceat(
+            (zc.real.copy() @ a) ** 2 + (zc.imag.copy() @ a) ** 2, starts, axis=1)
+    return metric, reach[rows]
 
 
 def _run_blocks(plan: TrialPlan, law: Mapping, t0: int, t1: int, consume):
@@ -159,15 +195,11 @@ def _run_blocks(plan: TrialPlan, law: Mapping, t0: int, t1: int, consume):
     total trial count.
     """
     profs = _profiles(plan)
-    shift_mats = [all_shifts(p.code).astype(np.float64) for p in profs]
-    class_mats = [sign_classes(s) for s in shift_mats]
+    sub = _subspace(profs, plan.scenario.m, plan.scenario.v_total)
 
     def one_block(blk: int):
-        lo = max(t0, blk * BLOCK)
-        hi = min(t1, (blk + 1) * BLOCK)
-        rows = slice(lo - blk * BLOCK, hi - blk * BLOCK)
-        y, reach = _synthesize_block(plan, law, profs, shift_mats, blk)
-        return consume(detect_block(y, class_mats)[rows], reach[rows])
+        rows = slice(max(t0 - blk * BLOCK, 0), min(t1 - blk * BLOCK, BLOCK))
+        return consume(*_block(plan, law, profs, sub, blk, rows))
 
     blocks = range(t0 // BLOCK, (t1 - 1) // BLOCK + 1)
     if plan.threads > 1:

@@ -35,7 +35,6 @@ __all__ = [
     "synthesize_frame",
     "substream",
     "draw_frames",
-    "lay_codes",
     "frame_to_text",
     "frame_from_text",
     "TAG_FRAME",
@@ -115,26 +114,13 @@ class ReceivedFrame:
         return len(self.samples)
 
 
-def draw_frames(rng: np.random.Generator, v_total: int, m: int, noise_variance: float, size: int):
-    """Pad splits v1, then CN(0, noise_variance) frames (size, m + v_total), in that order."""
+def draw_frames(rng: np.random.Generator, v_total: int, length: int, noise_variance: float, size: int):
+    """Pad splits v1, then CN(0, noise_variance) frames (size, length), in that order:
+    m + v_total samples, or their coordinates in an orthonormal basis."""
     v1 = rng.integers(1, v_total + 1, size=size)
-    y = rng.standard_normal((size, m + v_total, 2)).view(np.complex128)[..., 0]
+    y = rng.standard_normal((size, length, 2)).view(np.complex128)[..., 0]
     y *= math.sqrt(noise_variance / 2.0)
     return v1, y
-
-
-def lay_codes(y: np.ndarray, v1: np.ndarray, amp: np.ndarray, codes: np.ndarray) -> None:
-    """Add amp[t] * codes[t] into frame t from sample v1[t] on, in place.
-
-    One plain slice per distinct pad split (at most v_total of them), which
-    beats a two-array scatter over a whole block. Rows of zero amplitude,
-    a silent surface's, would add only zeros and are skipped.
-    """
-    m = codes.shape[1]
-    live = amp != 0
-    for v in np.unique(v1):
-        rows = np.flatnonzero(live & (v1 == v))
-        y[rows, v : v + m] += amp[rows, None] * codes[rows]
 
 
 @lru_cache(maxsize=16)
@@ -161,11 +147,11 @@ def synthesize_frame(
     and per-surface substreams make the result independent of the order in
     which profiles are listed. ``reachability`` maps each surface id to
     whether it reflects (without it, every surface does); ``correlations`` overrides the sinc-kernel matrix (use
-    ``identity_correlation`` for uncorrelated elements). The pad split,
-    noise and code offset are drawn as in the Monte Carlo engine, with a
-    block of one frame; the gain is the ``cascaded_gain`` of two explicit
-    ``sample_channel`` hops, which the truth records, where the engine draws
-    it from its compound law.
+    ``identity_correlation`` for uncorrelated elements). The pad split and
+    code offset are drawn as in the Monte Carlo engine; the noise is all L
+    samples, where the engine draws its coordinates in the correlator's
+    subspace, and the gain is the ``cascaded_gain`` of two explicit
+    ``sample_channel`` hops, where the engine uses their compound law.
     """
     if not profiles:
         raise ValueError("at least one surface profile is required")
@@ -177,7 +163,7 @@ def synthesize_frame(
         raise ValueError("pad budget must satisfy 1 <= v_total < M")
 
     frame_rng = substream(seed, TAG_FRAME, 0, frame_index)
-    v1, y = draw_frames(frame_rng, v_total, m, noise_variance, 1)
+    v1, y = draw_frames(frame_rng, v_total, m + v_total, noise_variance, 1)
     c_per_ris, realizations, reach_map = {}, {}, {}
     for p in sorted(profiles, key=lambda q: q.id):
         rng = substream(seed, TAG_RIS, p.id, frame_index)

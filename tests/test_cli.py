@@ -8,6 +8,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -504,6 +505,37 @@ class TestExitCodes:
         assert main(argv) == 2
         err = capsys.readouterr().err
         assert err.count("config error: threads must be in 1..64") == 2 and "c.txt:" not in err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize(
+        "subcommand, text, line",
+        [
+            ("pf-single", "m = 1024\ncode_rows = 1023\n", 1),
+            ("theory", "m = 4096\ncode_rows = 1\n", 1),
+            ("confusion", "m = 1048576\ncode_rows = 1, 2\nv_total = 1\n", 1),
+            ("pmiss-m", "m = 16\nm_values = 16, 1024\n", 2),
+            ("pf-two-m", "code_rows = 1, 511\nm = 512\nm_values = 32\n", 2),
+            ("pf-two-m", "code_rows = 1, 2\nm = 32\nm_values = 32, 512, 1024\n", 3),
+            ("five-ris", "codebook_file = book.txt\n", 1),
+        ],
+        ids=["high_row", "low_row_table", "hadamard_order", "m_sweep", "two_rows",
+             "two_rows_m_sweep", "codebook_length"],
+    )
+    def test_pass_memory_over_limit_is_two(self, tmp_path, capsys, subcommand, text, line):
+        """Rejected at load from the config's sizes, allocating nothing large."""
+        (tmp_path / "book.txt").write_text(codebook_to_text(build_codebook(512, [255, 256, 300, 400, 511])))
+        cfg = tmp_path / "c.txt"
+        cfg.write_text(text)
+        tracemalloc.start()
+        try:
+            code = main([subcommand, "--config", str(cfg), "--out", str(tmp_path / "o")])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"c.txt:{line}: config error" in err and "GiB per simulation pass" in err
+        assert peak < 16 * 2**20
         assert not (tmp_path / "o").exists()
 
     def test_bad_thread_environment_is_usage_error(self, tmp_path, monkeypatch):

@@ -262,6 +262,7 @@ class TestSignClasses:
             same = np.abs(classes @ classes.T) == m
             assert np.array_equal(same, np.eye(len(classes), dtype=bool))
             assert len(classes) == distinct_shift_fraction(seq) * m
+            assert len(classes) == 1 << max(row.bit_length() - 1, 0)  # as montecarlo.pass_bytes counts
 
 
 def test_uniform_offset_law_normalized():

@@ -1,15 +1,23 @@
 """Trial runner: determinism, conditioning, confusion tallies, intervals."""
 
+import os
+import subprocess
+import sys
+import tracemalloc
 from dataclasses import replace
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.stats import ks_2samp
 
+import risid
 from risid import montecarlo
+from risid.channel import compound_gains
 from risid.cli import Scenario
 from risid.codes import all_shifts, sign_classes
-from risid.detector import detect, detect_block
+from risid.detector import detect
 from risid.montecarlo import (
     BLOCK,
     TrialPlan,
@@ -21,7 +29,7 @@ from risid.montecarlo import (
     wilson_interval,
     _run_blocks,
 )
-from risid.signal import TAG_FRAME, TAG_RIS
+from risid.signal import TAG_FRAME, TAG_RIS, draw_frames
 
 
 def plan_for(scenario, trials=None, seed=None, threads=1, **kw):
@@ -147,54 +155,153 @@ class TestConditioning:
         assert est.value == pytest.approx(want, rel=0.10)
 
 
-class TestEngineMatchesDetector:
-    def test_block_metric_matches_reference_detect(self, monkeypatch):
-        """Every scored row of a full and a partial block, against ``detect``."""
-        scn = Scenario(
-            m=16, v_total=4, code_rows=(1, 2), n_elements=16, n_horizontal=4,
-            spacing="tenth-lambda", p_dbm=-5.0, trials=BLOCK + 700, seed=23,
-        )
-        searched = []
-        engine_search = montecarlo.detect_block
+def laid(code, v1, c, length):
+    """A frame of ``length`` zeros holding ``code`` shifted by c (np.roll by -c) from sample v1."""
+    x = np.zeros(length)
+    x[v1 : v1 + code.length] = np.roll(code.symbols, -c)
+    return x
 
-        def recording_search(y, shift_mats):
-            metric = engine_search(y, shift_mats)
-            searched.append(y.copy())
-            return metric
+
+class TestSubspaceEngine:
+    """The engine correlates in the range of W; ``detect`` and a frame path
+    written here are its references."""
+
+    CASES = [(16, (1, 2)), (16, (15,)), (32, (1, 2)), (32, (31,))]
+
+    @pytest.mark.parametrize("m, rows", CASES)
+    def test_block_metric_matches_reference_detect(self, monkeypatch, m, rows):
+        """Every scored row of a full and a partial block, against ``detect`` on its frame.
+
+        The engine's noise coordinates are replaced by U^T y of random frames
+        y holding randomly scaled codes; every surface is forced off, so the
+        engine adds nothing. Low rows search one or two shifts, row M-1 half.
+        """
+        scn = Scenario(
+            m=m, v_total=m // 4, code_rows=rows, n_elements=16, n_horizontal=4,
+            trials=BLOCK + 700, seed=23,
+        )
+        profs = scn.sim_profiles()
+        u = montecarlo._subspace(profs, m, scn.v_total)[0]
+        rng = np.random.default_rng(41)
+        frames, scored = [], []
+
+        def frame_coordinates(stream, v_total, length, noise_variance, size):
+            assert length == u.shape[1]
+            v1, y = draw_frames(rng, v_total, m + v_total, 1.0, size)
+            for p in profs:
+                amp = 3 * rng.standard_normal(size)
+                for t in range(size):
+                    y[t] += amp[t] * laid(p.code, v1[t], rng.integers(1, m + 1), m + v_total)
+            frames.append(y)
+            return v1, y @ u
 
         def consume(metric, reach):
             scored.append(metric.copy())
             return (np.zeros(1, dtype=np.int64),)
 
-        scored = []
-        monkeypatch.setattr(montecarlo, "detect_block", recording_search)
-        _run_blocks(plan_for(scn), {}, 0, scn.trials, consume)
-        assert [len(s) for s in scored] == [BLOCK, 700]
-        codes = [p.code for p in scn.sim_profiles()]
-        r_w = scn.r_bar**2 * scn.noise_variance_w
-        for y, got in zip(searched, scored):
-            ref = np.array([[detect(y[t], c)[0] for c in codes] for t in range(len(got))])
+        monkeypatch.setattr(montecarlo, "draw_frames", frame_coordinates)
+        _run_blocks(plan_for(scn), {p.id: False for p in profs}, 0, scn.trials, consume)
+        assert [len(s) for s in scored] == [BLOCK, 700] and len(frames) == 2
+        for y, got in zip(frames, scored):
+            ref = np.array([[detect(y[t], p.code)[0] for p in profs] for t in range(len(got))])
             np.testing.assert_allclose(got, ref, rtol=1e-12, atol=0)
-            assert np.array_equal(got > r_w, ref > r_w)
-            assert 0 < (ref > r_w).mean() < 1  # the threshold splits the rows
 
-    @pytest.mark.parametrize("m, rows", [(16, (1, 2)), (16, (15,)), (32, (1, 2)), (32, (31,))])
-    def test_sign_class_search_matches_detect(self, m, rows):
-        """Low rows keep one or two shifts per search, row M-1 half of its M."""
+    @pytest.mark.parametrize("m, rows", CASES + [(16, (1, 2, 4, 8, 9))])
+    def test_tables_and_factorization(self, m, rows):
+        """W = U A with orthonormal U of rank R, and each table row is U^T of its laid code."""
+        v_total = m // 4
+        length = m + v_total
+        profs = Scenario(m=m, v_total=v_total, code_rows=rows).sim_profiles()
+        u, a, starts, tables = montecarlo._subspace(profs, m, v_total)
+        cols, counts = [], []
+        for p in profs:  # one column per window offset and sign class, over sqrt(m)
+            classes = sign_classes(all_shifts(p.code))
+            counts.append((v_total + 1) * len(classes))
+            for k in range(v_total + 1):
+                for row in classes:
+                    col = np.zeros(length)
+                    col[k : k + m] = row / np.sqrt(m)
+                    cols.append(col)
+        w = np.array(cols).T
+        assert u.shape[1] == np.linalg.matrix_rank(w) < length
+        np.testing.assert_allclose(u.T @ u, np.eye(u.shape[1]), rtol=0, atol=1e-12)
+        np.testing.assert_allclose(u @ a, w, rtol=0, atol=1e-12)
+        assert list(starts) == list(np.cumsum([0] + counts[:-1]))
+        for p, table in zip(profs, tables):
+            assert table.shape == (v_total, m, u.shape[1])
+            for v1 in range(1, v_total + 1):
+                for c in range(1, m + 1):
+                    want = u.T @ laid(p.code, v1, c, length)
+                    np.testing.assert_allclose(table[v1 - 1, c - 1], want, rtol=0, atol=1e-12)
+
+    def test_metric_law_matches_frame_path(self):
+        """Each surface's metric, split by true state, against frames built sample by sample."""
+        n = 100_000
         scn = Scenario(
-            m=m, v_total=m // 4, code_rows=rows, n_elements=16, n_horizontal=4,
-            spacing="half-lambda", p_dbm=0.0, trials=BLOCK, seed=29,
+            m=16, v_total=4, code_rows=(1, 15), n_elements=16, n_horizontal=4,
+            p_dbm=5.0, trials=n, seed=37,
+        )
+        profs = scn.sim_profiles()
+        got, got_reach = [], []
+
+        def consume(metric, reach):
+            got.append(metric)
+            got_reach.append(reach)
+            return (np.zeros(1, dtype=np.int64),)
+
+        _run_blocks(plan_for(scn), {}, 0, n, consume)
+        got, got_reach = np.concatenate(got), np.concatenate(got_reach)
+        rng = np.random.default_rng(53)
+        v1, y = draw_frames(rng, scn.v_total, scn.m + scn.v_total, scn.noise_variance_w, n)
+        reach = rng.random((n, len(profs))) < 0.5
+        for j, p in enumerate(profs):
+            c = rng.integers(1, scn.m + 1, size=n)
+            h = compound_gains(rng, p.n, p.gain_weights, n, scn.power_w, p.beta_ur, p.beta_rb)
+            shifts = all_shifts(p.code)
+            for t in np.flatnonzero(reach[:, j]):
+                y[t, v1[t] : v1[t] + scn.m] += h[t] * shifts[c[t] - 1]
+        ref = np.array([[detect(frame, p.code)[0] for p in profs] for frame in y])
+        for j in range(len(profs)):
+            for state in (False, True):
+                a, b = got[got_reach[:, j] == state, j], ref[reach[:, j] == state, j]
+                assert min(len(a), len(b)) > 0.45 * n
+                assert ks_2samp(a, b).pvalue > 1e-3, (j, state)
+
+    def test_block_peak_memory_stays_near_one_frame(self):
+        """One block at M = 32, row 31 (K = 144) holds about one B x L frame, not B x K products."""
+        scn = Scenario(
+            m=32, v_total=8, code_rows=(31,), n_elements=64, n_horizontal=8,
+            p_dbm=15.0, r_bar=3.5, trials=BLOCK, seed=5,
         )
         plan = plan_for(scn)
-        profs = scn.sim_profiles()
-        shift_mats = [all_shifts(p.code).astype(np.float64) for p in profs]
-        y, _ = montecarlo._synthesize_block(plan, {}, profs, shift_mats, 0)
-        got = detect_block(y, [sign_classes(s) for s in shift_mats])
-        ref = np.array([[detect(frame, p.code)[0] for p in profs] for frame in y])
-        np.testing.assert_allclose(got, ref, rtol=1e-12, atol=0)
-        r_w = scn.r_bar**2 * scn.noise_variance_w
-        assert np.array_equal(got > r_w, ref > r_w)
-        assert np.all(0 < (ref > r_w).mean(axis=0)) and np.all((ref > r_w).mean(axis=0) < 1)
+
+        def consume(metric, reach):
+            return ((metric > 0).sum(axis=0),)
+
+        _run_blocks(plan, {1: False}, 0, BLOCK, consume)  # fill the caches first
+        tracemalloc.start()
+        try:
+            _run_blocks(plan, {1: False}, 0, BLOCK, consume)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        frame = BLOCK * (scn.m + scn.v_total) * 16  # the frame path's complex frames
+        assert peak <= frame + 2 * 2**20
+
+    def test_pass_bytes_bounds_the_subspace_arrays(self):
+        """The config-time estimate covers W, A and the tables the engine builds."""
+        for m, rows in self.CASES + [(64, (63, 1)), (16, (1, 2, 4, 8, 9))]:
+            v_total = m // 4
+            profs = Scenario(m=m, v_total=v_total, code_rows=rows).sim_profiles()
+            u, a, _, tables = montecarlo._subspace(profs, m, v_total)
+            w_bytes = 8 * len(u) * a.shape[1]
+            held = w_bytes + u.nbytes + a.nbytes + sum(t.nbytes for t in tables)
+            assert held <= montecarlo.pass_bytes(m, v_total, rows)
+
+    def test_engine_does_not_import_the_cli(self):
+        code = "import sys, risid.montecarlo; assert 'risid.cli' not in sys.modules"
+        env = dict(os.environ, PYTHONPATH=str(Path(risid.__file__).parents[1]))
+        subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=120)
 
 
 class TestTraceContract:
