@@ -162,36 +162,32 @@ def laid(code, v1, c, length):
     return x
 
 
-class TestSubspaceEngine:
-    """The engine correlates in the range of W; ``detect`` and a frame path
-    written here are its references."""
+CASES = [(16, (1, 2)), (16, (15,)), (32, (1, 2)), (32, (31,))]
 
-    CASES = [(16, (1, 2)), (16, (15,)), (32, (1, 2)), (32, (31,))]
 
-    @pytest.mark.parametrize("m, rows", CASES)
-    def test_block_metric_matches_reference_detect(self, monkeypatch, m, rows):
-        """Every scored row of a full and a partial block, against ``detect`` on its frame.
+class TestEngineMatchesDetector:
+    """The engine's metric against ``detect`` on the frames behind its coordinates.
 
-        The engine's noise coordinates are replaced by U^T y of random frames
-        y holding randomly scaled codes; every surface is forced off, so the
-        engine adds nothing. Low rows search one or two shifts, row M-1 half.
-        """
-        scn = Scenario(
-            m=m, v_total=m // 4, code_rows=rows, n_elements=16, n_horizontal=4,
-            trials=BLOCK + 700, seed=23,
-        )
+    The engine's noise coordinates are replaced by U^T y of random frames y
+    holding randomly scaled codes; every surface is forced off, so the engine
+    adds nothing and every metric it scores is its correlator's.
+    """
+
+    @staticmethod
+    def engine_and_frames(monkeypatch, scn):
+        """(frames, scored) over every block of ``scn``, one array of each per block."""
         profs = scn.sim_profiles()
-        u = montecarlo._subspace(profs, m, scn.v_total)[0]
+        u = montecarlo._subspace(profs, scn.m, scn.v_total)[0]
         rng = np.random.default_rng(41)
         frames, scored = [], []
 
         def frame_coordinates(stream, v_total, length, noise_variance, size):
             assert length == u.shape[1]
-            v1, y = draw_frames(rng, v_total, m + v_total, 1.0, size)
+            v1, y = draw_frames(rng, v_total, scn.m + v_total, noise_variance, size)
             for p in profs:
-                amp = 3 * rng.standard_normal(size)
+                amp = 3 * np.sqrt(noise_variance) * rng.standard_normal(size)
                 for t in range(size):
-                    y[t] += amp[t] * laid(p.code, v1[t], rng.integers(1, m + 1), m + v_total)
+                    y[t] += amp[t] * laid(p.code, v1[t], rng.integers(1, scn.m + 1), scn.m + v_total)
             frames.append(y)
             return v1, y @ u
 
@@ -201,10 +197,48 @@ class TestSubspaceEngine:
 
         monkeypatch.setattr(montecarlo, "draw_frames", frame_coordinates)
         _run_blocks(plan_for(scn), {p.id: False for p in profs}, 0, scn.trials, consume)
-        assert [len(s) for s in scored] == [BLOCK, 700] and len(frames) == 2
+        return frames, scored
+
+    @staticmethod
+    def assert_matches_detect(scn, frames, scored):
+        """Each scored row equals ``detect`` on its frame, and r-bar splits both alike."""
+        profs = scn.sim_profiles()
+        r_w = scn.r_bar**2 * scn.noise_variance_w
         for y, got in zip(frames, scored):
             ref = np.array([[detect(y[t], p.code)[0] for p in profs] for t in range(len(got))])
             np.testing.assert_allclose(got, ref, rtol=1e-12, atol=0)
+            assert np.array_equal(got > r_w, ref > r_w)
+            hit = (ref > r_w).mean(axis=0)
+            assert np.all(0 < hit) and np.all(hit < 1)  # the threshold splits every column
+
+    def test_block_metric_matches_reference_detect(self, monkeypatch):
+        """Every scored row of a full and a partial block, against ``detect``."""
+        scn = Scenario(
+            m=16, v_total=4, code_rows=(1, 2), n_elements=16, n_horizontal=4,
+            spacing="tenth-lambda", p_dbm=-5.0, trials=BLOCK + 700, seed=23,
+        )
+        frames, scored = self.engine_and_frames(monkeypatch, scn)
+        assert [len(s) for s in scored] == [BLOCK, 700] and len(frames) == 2
+        self.assert_matches_detect(scn, frames, scored)
+
+    @pytest.mark.parametrize("m, rows", CASES)
+    def test_sign_class_search_matches_detect(self, monkeypatch, m, rows):
+        """Low rows keep one or two columns per window offset, row M-1 half of its M."""
+        scn = Scenario(
+            m=m, v_total=m // 4, code_rows=rows, n_elements=16, n_horizontal=4,
+            spacing="half-lambda", p_dbm=0.0, trials=BLOCK, seed=29,
+        )
+        _, a, starts, _ = montecarlo._subspace(scn.sim_profiles(), m, scn.v_total)
+        per_offset = np.diff(list(starts) + [a.shape[1]]) // (scn.v_total + 1)
+        assert list(per_offset) == [1 << (r.bit_length() - 1) for r in rows]  # M/2 at row M-1
+        frames, scored = self.engine_and_frames(monkeypatch, scn)
+        assert [len(s) for s in scored] == [BLOCK]
+        self.assert_matches_detect(scn, frames, scored)
+
+
+class TestSubspaceEngine:
+    """The engine correlates in the range of W; ``detect`` and a frame path
+    written here are its references."""
 
     @pytest.mark.parametrize("m, rows", CASES + [(16, (1, 2, 4, 8, 9))])
     def test_tables_and_factorization(self, m, rows):
@@ -290,7 +324,7 @@ class TestSubspaceEngine:
 
     def test_pass_bytes_bounds_the_subspace_arrays(self):
         """The config-time estimate covers W, A and the tables the engine builds."""
-        for m, rows in self.CASES + [(64, (63, 1)), (16, (1, 2, 4, 8, 9))]:
+        for m, rows in CASES + [(64, (63, 1)), (16, (1, 2, 4, 8, 9))]:
             v_total = m // 4
             profs = Scenario(m=m, v_total=v_total, code_rows=rows).sim_profiles()
             u, a, _, tables = montecarlo._subspace(profs, m, v_total)
