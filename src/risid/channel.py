@@ -167,7 +167,7 @@ def gain_weights(corr: CorrelationMatrix) -> np.ndarray:
 
 def compound_gains(
     rng: np.random.Generator, n: int, weights, size: int,
-    power_w: float, beta_ur: float, beta_rb: float,
+    power_w: float, beta_ur: float, beta_rb: float, stop: int | None = None,
 ) -> np.ndarray:
     """``size`` cascaded gains drawn from their exact compound law, without hops.
 
@@ -177,14 +177,15 @@ def compound_gains(
     CN(0, 4 s) with s = sum_i lambda_i^2 E_i, E_i = |z_i|^2 / 2 ~ Exp(1):
     the gain is sqrt(2 s) w with w a standard normal pair. ``weights`` None
     stands for uncorrelated elements, where s ~ Gamma(n); otherwise it holds
-    ``gain_weights``. Draws s, then w.
+    ``gain_weights``. Draws s, then w; with ``stop``, w and the gains only for the first
+    ``stop`` trials, which are those of a full draw (arrays fill in C order from one stream).
     """
     if weights is None:
         s = rng.standard_gamma(n, size)
     else:
         s = rng.standard_exponential((size, len(weights))) @ weights
-    w = rng.standard_normal((size, 2)).view(np.complex128)[:, 0]
-    return math.sqrt(power_w) * (math.sqrt(beta_ur * beta_rb) / 2.0) * (np.sqrt(2.0 * s) * w)
+    w = rng.standard_normal((size if stop is None else stop, 2)).view(np.complex128)[:, 0]
+    return math.sqrt(power_w) * (math.sqrt(beta_ur * beta_rb) / 2.0) * (np.sqrt(2.0 * s[: len(w)]) * w)
 
 
 def cascaded_gain(h_ur: np.ndarray, h_rb: np.ndarray, power_w: float) -> complex:

@@ -16,6 +16,7 @@ import math
 import os
 import sys
 from dataclasses import dataclass, fields, replace
+from decimal import Decimal
 from functools import lru_cache
 from pathlib import Path
 
@@ -52,7 +53,7 @@ PEAK_POWER_CEILING = 1e280
 MAX_LIST_VALUES = 10_000
 
 # Most engine worker threads (``--threads``, ``RISID_THREADS``): each worker
-# holds one block's arrays.
+# holds one block's arrays, which the pass-memory rule counts per worker.
 MAX_THREADS = 64
 
 
@@ -98,7 +99,7 @@ def _fill_defaults(current: dict, changes: dict, l_count: int = 1) -> dict:
     moved = {k: v for k, v in changes.items() if k not in current or v != current[k]}
     implied = {}
     if "m" in moved:
-        implied["v_total"] = max(1, math.ceil(moved["m"] / 4))
+        implied["v_total"] = max(1, -(-moved["m"] // 4))  # exact for any int m
         implied["code_rows"] = default_code_rows(l_count, moved["m"])
     if "n_elements" in moved:
         implied["n_horizontal"] = default_n_horizontal(moved["n_elements"])
@@ -152,6 +153,16 @@ def _check_value(key: str, val) -> None:
         raise ConfigError(f"{key} must be {_RANGES[key][1]}, got {val!r}", key=key)
 
 
+def _check_pass_memory(m: int, v_total: int, rows, threads: int = 1, key: str = "m") -> None:
+    """Reject a simulation pass that ``montecarlo.pass_bytes`` puts over ``MAX_PASS_BYTES``."""
+    need = montecarlo.pass_bytes(m, v_total, rows, threads)
+    if need > montecarlo.MAX_PASS_BYTES:
+        workers = f" with {threads} worker threads" if threads > 1 else ""
+        raise ConfigError(f"m = {m}, v_total = {v_total} and code rows {tuple(rows)} need "
+                          f"{Decimal(need) / 2**30:.3g} GiB per simulation pass{workers}, over the "
+                          f"{montecarlo.MAX_PASS_BYTES >> 30} GiB limit", key=key)
+
+
 def _echo_value(v):
     """Echo form of a config value: floats by repr, tuples as comma lists."""
     if isinstance(v, float):
@@ -195,11 +206,7 @@ class Scenario:
         for r in self.code_rows:
             if not 1 <= r < self.m:
                 raise ConfigError(f"code row {r} outside 1..{self.m - 1}", key="code_rows")
-        need = montecarlo.pass_bytes(self.m, self.v_total, self.code_rows)
-        if need > montecarlo.MAX_PASS_BYTES:  # before any m x m array is built
-            raise ConfigError(f"m = {self.m}, v_total = {self.v_total} and code rows {self.code_rows} need "
-                              f"{need / 2**30:.3g} GiB per simulation pass, over the "
-                              f"{montecarlo.MAX_PASS_BYTES >> 30} GiB limit", key="m")
+        _check_pass_memory(self.m, self.v_total, self.code_rows)  # before any m x m array is built
         if self.spacing not in SPACINGS:
             raise ConfigError(f"spacing must be one of {SPACINGS}", key="spacing")
         values = [(f, v) for f, v in vars(self).items() if not isinstance(v, tuple)]
@@ -394,7 +401,8 @@ def scenario_from_config(raw: dict, config_dir: Path | None = None) -> Scenario:
         if config_dir is not None and not path.is_absolute():
             path = config_dir / path
         try:
-            book = codebook_from_text(path.read_text())
+            book = codebook_from_text(path.read_text(), lambda m, rows: _check_pass_memory(
+                m, _fill_defaults({}, {**raw, "m": m})["v_total"], rows, key="codebook_file"))
         except (OSError, ValueError) as exc:
             raise ConfigError(f"cannot load codebook: {exc}")
         raw["code_rows"] = book.rows
@@ -655,30 +663,16 @@ def cmd_confusion(scenario: Scenario, raw: dict, writer: RunWriter, threads: int
             "pf": [float(mat.false_probability(s)) for s in (1, 2)],
             "trials": mat.trials,
         }
-        grid_rows = [
-            [mat.labels[i]] + [float(freq[i, j]) for j in range(freq.shape[1])]
-            for i in range(freq.shape[0])
-        ]
-        writer.csv(
-            f"confusion_rbar_{rb:g}.csv",
-            ["true_state"] + list(mat.labels),
-            grid_rows,
-        )
+        grid_rows = [[label] + [float(v) for v in row] for label, row in zip(mat.labels, freq)]
+        writer.csv(f"confusion_rbar_{rb:g}.csv", ["true_state"] + list(mat.labels), grid_rows)
     writer.json("confusion.json", {"matrices": payload})
 
 
 def cmd_five_ris(scenario: Scenario, raw: dict, writer: RunWriter, threads: int) -> None:
     """Averaged miss/false rates vs threshold for a five-surface code set."""
     metrics = montecarlo.averaged_metrics(_plan(scenario, threads), scenario.r_bar_grid)
-    rows = []
-    for m in metrics:
-        rows.append(
-            [m.r_bar, m.avg_pmiss, m.avg_pf]
-            + list(m.per_ris_pmiss) + list(m.per_ris_pf)
-        )
-    header = ["r_bar", "avg_pmiss", "avg_pf"]
-    header += [f"pmiss_ris{i}" for i in range(1, 6)]
-    header += [f"pf_ris{i}" for i in range(1, 6)]
+    rows = [[m.r_bar, m.avg_pmiss, m.avg_pf, *m.per_ris_pmiss, *m.per_ris_pf] for m in metrics]
+    header = ["r_bar", "avg_pmiss", "avg_pf"] + [f"{k}_ris{i}" for k in ("pmiss", "pf") for i in range(1, 6)]
     writer.csv("five_ris.csv", header, rows)
 
 
@@ -773,6 +767,11 @@ def main(argv=None) -> int:
         except ConfigError as exc:
             raise ConfigError(str(exc)) from exc  # set by a flag, so no config line to point at
         _check_surface_count(args.subcommand, scenario, raw)
+        if args.threads > 1 and args.subcommand not in ("theory", "tradeoff", "design"):
+            for m in _sweep_values(scenario, raw, "m"):  # each worker holds its own block arrays
+                scn = rescale(scenario, m=m)
+                _check_pass_memory(m, scn.v_total, scn.code_rows, args.threads,
+                                   next((k for k in ("m_values", "codebook_file") if k in raw), "m"))
         echo = scenario.echo()
         echo.update((key, _echo_value(raw[key])) for key in _RUN_KEYS if key in raw)
         writer = RunWriter(args.out, args.subcommand, echo)

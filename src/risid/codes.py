@@ -344,11 +344,12 @@ def codebook_to_text(book: CodeBook) -> str:
     return "\n".join(lines) + "\n"
 
 
-def codebook_from_text(text: str) -> CodeBook:
+def codebook_from_text(text: str, admit=None) -> CodeBook:
     """Parse ``codebook_to_text`` output and re-validate all invariants.
 
     Symbol lines must reproduce the named Hadamard rows exactly; anything
-    else is rejected rather than silently repaired.
+    else is rejected rather than silently repaired. ``admit(m, rows)``, if given,
+    sees the header before the m x m Hadamard matrix is built and may raise.
     """
     m = None
     rows = None
@@ -370,6 +371,8 @@ def codebook_from_text(text: str) -> CodeBook:
             raise ValueError(f"unrecognized codebook line: {line!r}")
     if m is None or rows is None:
         raise ValueError("codebook text must define both m and rows")
+    if admit is not None:
+        admit(m, rows)
     book = build_codebook(m, rows)
     for e in book.entries:
         if e.id in symbol_lines and not np.array_equal(e.symbols, symbol_lines[e.id]):

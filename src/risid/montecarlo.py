@@ -35,7 +35,7 @@ __all__ = [
 ]
 
 BLOCK = 8192  # trials per randomness block; fixed so results never depend on scheduling
-CHUNK = 1024  # block rows per correlator product, which bounds its CHUNK x K arrays
+CHUNK_BYTES = 2**18  # most bytes of one correlator product (``_chunk_rows``), about an L2 share
 MAX_PASS_BYTES = 2**30  # most memory a config may ask of one pass (``pass_bytes``)
 
 ESCALATION_FACTOR = 10
@@ -123,13 +123,20 @@ def _thresholds_w(plan: TrialPlan, r_bars: Sequence[float]) -> np.ndarray:
     return np.array([r**2 * sn2 for r in r_bars])
 
 
-def pass_bytes(m: int, v_total: int, rows: Sequence[int]) -> int:
-    """Upper bound on the bytes of one pass with one worker, for Sylvester-Hadamard ``rows``
-    (row r's shifts fall in 2**floor(log2 r) sign classes): m x m matrices, W, its SVD and A
-    (L x K), a v_total x m x R table per surface, BLOCK x R coordinates, CHUNK x K products."""
-    l, k = m + v_total, (v_total + 1) * sum(1 << (r.bit_length() - 1) for r in rows)
-    floats = (2 + 2 * len(rows)) * m * m + 4 * l * k + (len(rows) * v_total * m + 8 * BLOCK) * min(l, k)
-    return 8 * (floats + 4 * CHUNK * k)
+def _chunk_rows(k: int) -> int:
+    """Block rows per correlator product with k columns: the largest power of two, at most
+    BLOCK, whose products fit in ``CHUNK_BYTES`` (at least one row). Chunks tile a block."""
+    return min(BLOCK, 1 << (max(CHUNK_BYTES // (8 * max(k, 1)), 1).bit_length() - 1))
+
+
+def pass_bytes(m: int, v_total: int, rows: Sequence[int], threads: int = 1) -> int:
+    """Upper bound on the bytes of one pass with ``threads`` workers, for Sylvester-Hadamard
+    ``rows`` (row r's shifts fall in 2**floor(log2 r) sign classes): m x m matrices, W, its SVD
+    and A (L x K), a v_total x m x R table per surface, and per worker one block's BLOCK x R
+    coordinates and one chunk's parts and products (``_chunk_rows`` x (R + K), twice)."""
+    l, k = m + v_total, (v_total + 1) * sum(1 << (r.bit_length() - 1) for r in rows if r > 0)
+    shared = (2 + 2 * len(rows)) * m * m + 4 * l * k + len(rows) * v_total * m * min(l, k)
+    return 8 * (shared + threads * (8 * BLOCK * min(l, k) + 4 * _chunk_rows(k) * k))
 
 
 def _subspace(profs, m: int, v_total: int):
@@ -157,14 +164,17 @@ def _block(plan: TrialPlan, law: Mapping, profs, sub, blk: int, rows: slice):
 
     The frame stream draws pad splits, then noise as R coordinates in the basis U
     (``_subspace``). Each surface stream draws the fair coin (only under the coin law),
-    code offsets and compound-law gains; a surface forced off opens none. All draws are
-    full-size. A reflecting surface adds gain times table row; D is the largest
-    |(U^T y) A|^2 over each code's columns, CHUNK rows at a time.
+    code offsets and compound-law gains; a surface forced off opens none. Each stream's
+    last draw (noise; the gains' normal pairs) stops at ``rows.stop`` and the others are
+    full-size, so every row gets a full block's draws. A reflecting surface adds gain
+    times table row; D is the largest |(U^T y) A|^2 over each code's columns, taken over
+    block-aligned chunks of ``_chunk_rows`` rows, zero-padded so that every product has
+    one shape and a row's bits never depend on which rows a pass scores.
     """
     scn = plan.scenario
     _, a, starts, tables = sub
     frame_rng = substream(plan.seed, TAG_FRAME, 0, blk)
-    v1, z = draw_frames(frame_rng, scn.v_total, a.shape[0], scn.noise_variance_w, BLOCK)
+    v1, z = draw_frames(frame_rng, scn.v_total, a.shape[0], scn.noise_variance_w, BLOCK, rows.stop)
     v1, z = v1[rows], z[rows]
     reach = np.zeros((BLOCK, len(profs)), dtype=bool)
     for j, p in enumerate(profs):
@@ -174,13 +184,20 @@ def _block(plan: TrialPlan, law: Mapping, profs, sub, blk: int, rows: slice):
         rs = substream(plan.seed, TAG_RIS, p.id, blk)
         reach[:, j] = rs.random(BLOCK) < 0.5 if rule is None else rule
         c = rs.integers(1, scn.m + 1, size=BLOCK)[rows]
-        h = compound_gains(rs, p.n, p.gain_weights, BLOCK, scn.power_w, p.beta_ur, p.beta_rb)
+        h = compound_gains(rs, p.n, p.gain_weights, BLOCK, scn.power_w, p.beta_ur, p.beta_rb, rows.stop)
         z += np.where(reach[rows, j], h[rows], 0.0)[:, None] * tables[j][v1 - 1, c - 1]
+    step = _chunk_rows(a.shape[1])
+    parts = np.zeros((2, step, a.shape[0]))  # real products need contiguous real and imaginary parts
+    prods = np.empty((2, step, a.shape[1]))
     metric = np.empty((len(z), len(profs)))
-    for lo in range(0, len(z), CHUNK):
-        zc = z[lo : lo + CHUNK]  # real products need contiguous copies of each part
-        metric[lo : lo + CHUNK] = np.maximum.reduceat(
-            (zc.real.copy() @ a) ** 2 + (zc.imag.copy() @ a) ** 2, starts, axis=1)
+    for lo in range(-(rows.start % step), len(z), step):
+        i0, i1 = max(lo, 0), min(lo + step, len(z))
+        if i1 - i0 < step:
+            parts.fill(0.0)
+        parts[0, i0 - lo : i1 - lo], parts[1, i0 - lo : i1 - lo] = z[i0:i1].real, z[i0:i1].imag
+        np.square(np.matmul(parts, a, out=prods), out=prods)
+        prods[0] += prods[1]
+        metric[i0:i1] = np.maximum.reduceat(prods[0, i0 - lo : i1 - lo], starts, axis=1)
     return metric, reach[rows]
 
 
@@ -190,9 +207,10 @@ def _run_blocks(plan: TrialPlan, law: Mapping, t0: int, t1: int, consume):
     ``law`` maps a surface id to True (always reachable) or False (never);
     a missing id, or None, draws an independent fair coin per trial.
     ``consume`` must return a tuple of integer ndarrays; partial results
-    are summed, which keeps the reduction order-free. Blocks always draw
-    full-size randomness so trial t sees the same draws regardless of the
-    total trial count.
+    are summed, which keeps the reduction order-free. A block draws each
+    stream up to its last scored trial, and every earlier draw full-size
+    (``_block``), so trial t sees the same draws and the same metric bits
+    regardless of the total trial count or how a run is split into passes.
     """
     profs = _profiles(plan)
     sub = _subspace(profs, plan.scenario.m, plan.scenario.v_total)
@@ -207,10 +225,7 @@ def _run_blocks(plan: TrialPlan, law: Mapping, t0: int, t1: int, consume):
             partials = list(pool.map(one_block, blocks))
     else:
         partials = [one_block(b) for b in blocks]
-    totals = partials[0]
-    for part in partials[1:]:
-        totals = tuple(a + b for a, b in zip(totals, part))
-    return totals
+    return tuple(sum(parts[1:], parts[0]) for parts in zip(*partials))
 
 
 def _threshold_counter(plan: TrialPlan, target_ris: int, r_bars, count_missed: bool):

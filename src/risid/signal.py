@@ -114,11 +114,13 @@ class ReceivedFrame:
         return len(self.samples)
 
 
-def draw_frames(rng: np.random.Generator, v_total: int, length: int, noise_variance: float, size: int):
-    """Pad splits v1, then CN(0, noise_variance) frames (size, length), in that order:
-    m + v_total samples, or their coordinates in an orthonormal basis."""
+def draw_frames(rng: np.random.Generator, v_total: int, length: int, noise_variance: float,
+                size: int, stop: int | None = None):
+    """``size`` pad splits v1, then CN(0, noise_variance) frames (stop, length) for the first
+    ``stop`` (default all) of them, in that order: m + v_total samples, or their coordinates in
+    an orthonormal basis. Arrays fill in C order from one stream: the frames are a full draw's."""
     v1 = rng.integers(1, v_total + 1, size=size)
-    y = rng.standard_normal((size, length, 2)).view(np.complex128)[..., 0]
+    y = rng.standard_normal((size if stop is None else stop, length, 2)).view(np.complex128)[..., 0]
     y *= math.sqrt(noise_variance / 2.0)
     return v1, y
 

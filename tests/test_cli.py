@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 
 import risid
 import risid.analysis
+from risid import montecarlo
 from risid.channel import path_gain
 from risid.cli import (
     PEAK_POWER_CEILING,
@@ -517,9 +518,10 @@ class TestExitCodes:
             ("pf-two-m", "code_rows = 1, 511\nm = 512\nm_values = 32\n", 2),
             ("pf-two-m", "code_rows = 1, 2\nm = 32\nm_values = 32, 512, 1024\n", 3),
             ("five-ris", "codebook_file = book.txt\n", 1),
+            ("pf-single", f"code_rows = 1\nm = {2**1100}\n", 2),
         ],
         ids=["high_row", "low_row_table", "hadamard_order", "m_sweep", "two_rows",
-             "two_rows_m_sweep", "codebook_length"],
+             "two_rows_m_sweep", "codebook_length", "beyond_float_range"],
     )
     def test_pass_memory_over_limit_is_two(self, tmp_path, capsys, subcommand, text, line):
         """Rejected at load from the config's sizes, allocating nothing large."""
@@ -535,6 +537,48 @@ class TestExitCodes:
         assert code == 2
         err = capsys.readouterr().err
         assert f"c.txt:{line}: config error" in err and "GiB per simulation pass" in err
+        assert peak < 16 * 2**20
+        assert not (tmp_path / "o").exists()
+
+    def test_codebook_header_checked_before_its_matrix(self, tmp_path, capsys):
+        """A codebook's m and rows meet the pass-memory rule before its m x m matrix is built."""
+        (tmp_path / "book.txt").write_text(f"m = {2**16}\nrows = 1, 2\n")
+        cfg = tmp_path / "c.txt"
+        cfg.write_text("seed = 3\ncodebook_file = book.txt\n")
+        tracemalloc.start()
+        try:
+            code = main(["pf-two-m", "--config", str(cfg), "--out", str(tmp_path / "o")])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "c.txt:2: config error: m = 65536" in err and "GiB per simulation pass" in err
+        assert peak < 2**20
+        assert not (tmp_path / "o").exists()
+
+    def test_pass_memory_counts_every_worker(self, tmp_path, capsys, monkeypatch):
+        """About 133 MiB of block arrays per worker: one worker fits the limit, eight do not."""
+        assert montecarlo.pass_bytes(256, 4, (255,)) <= montecarlo.MAX_PASS_BYTES
+        assert montecarlo.pass_bytes(256, 4, (255,), threads=8) > montecarlo.MAX_PASS_BYTES
+        cfg = tmp_path / "c.txt"
+        cfg.write_text("trials = 1000\nm = 256\nv_total = 4\ncode_rows = 255\n")
+        assert scenario_from_config(parse_config_text(cfg.read_text())).m == 256
+        argv = ["pf-single", "--config", str(cfg), "--out", str(tmp_path / "o")]
+        tracemalloc.start()
+        try:
+            assert main(argv + ["--threads", "8"]) == 2
+            monkeypatch.setenv("RISID_THREADS", "8")
+            assert main(argv) == 2
+            (tmp_path / "book.txt").write_text("m = 256\nrows = 255\n")
+            cfg.write_text("v_total = 4\ncodebook_file = book.txt\n")  # m from the codebook
+            assert main(argv) == 2
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        err = capsys.readouterr().err
+        assert err.count("c.txt:2: config error: m = 256, v_total = 4 and code rows (255,) need") == 3
+        assert err.count("GiB per simulation pass with 8 worker threads") == 3
         assert peak < 16 * 2**20
         assert not (tmp_path / "o").exists()
 

@@ -111,6 +111,69 @@ class TestDeterminism:
         assert est.trials == BLOCK + 123
 
 
+class TestPrefixDraws:
+    """A block draws each stream only up to its last scored trial, and a row's
+    metric bits never depend on which rows a pass scores."""
+
+    @staticmethod
+    def rows_of(plan, law, spans):
+        """(metric, reach) over the trial ranges ``spans``, concatenated in order."""
+        got = []
+
+        def consume(metric, reach):
+            got.append((metric.copy(), reach.copy()))
+            return (np.zeros(1, dtype=np.int64),)
+
+        for t0, t1 in spans:
+            _run_blocks(plan, law, t0, t1, consume)
+        return np.concatenate([g[0] for g in got]), np.concatenate([g[1] for g in got])
+
+    @pytest.mark.parametrize("spacing", ["none", "tenth-lambda"])
+    @pytest.mark.parametrize("law", [{}, {1: True}, {1: False}], ids=["coin", "forced_on", "forced_off"])
+    def test_split_pass_matches_single_pass(self, spacing, law):
+        """[0, n) then [n, T) against [0, T): equal metric bits and reachability."""
+        total = 2 * BLOCK + 300
+        scn = Scenario(
+            m=32, v_total=8, code_rows=(1, 2), n_elements=16, n_horizontal=4,
+            spacing=spacing, p_dbm=0.0, trials=total, seed=71,
+        )
+        plan = plan_for(scn)
+        metric, reach = self.rows_of(plan, law, [(0, total)])
+        assert metric.shape == (total, 2)
+        for n in (1, 700, BLOCK - 1, BLOCK + 1):
+            split_metric, split_reach = self.rows_of(plan, law, [(0, n), (n, total)])
+            assert np.array_equal(split_metric, metric), n
+            assert np.array_equal(split_reach, reach), n
+
+    def test_partial_pass_draws_only_its_rows(self, monkeypatch):
+        """A pass over [0, 2000) asks for 2000 x R noise pairs and 2000 gain pairs."""
+        scn = Scenario(m=32, v_total=8, code_rows=(1, 2), n_elements=16, n_horizontal=4, seed=3)
+        r = montecarlo._subspace(scn.sim_profiles(), scn.m, scn.v_total)[1].shape[0]
+        sizes = []
+        substream = montecarlo.substream
+
+        class Recording:
+            def __init__(self, gen, tag):
+                self.gen, self.tag = gen, tag
+
+            def __getattr__(self, name):
+                def draw(*args, **kwargs):
+                    sizes.append((self.tag, name, kwargs.get("size", args[-1] if args else None)))
+                    return getattr(self.gen, name)(*args, **kwargs)
+                return draw
+
+        monkeypatch.setattr(montecarlo, "substream", lambda seed, tag, ris_id, block:
+                            Recording(substream(seed, tag, ris_id, block), tag))
+        self.rows_of(plan_for(scn), {2: True}, [(0, 2000)])
+        assert sizes == [
+            (TAG_FRAME, "integers", BLOCK), (TAG_FRAME, "standard_normal", (2000, r, 2)),
+            (TAG_RIS, "random", BLOCK), (TAG_RIS, "integers", BLOCK),
+            (TAG_RIS, "standard_gamma", BLOCK), (TAG_RIS, "standard_normal", (2000, 2)),
+            (TAG_RIS, "integers", BLOCK), (TAG_RIS, "standard_gamma", BLOCK),
+            (TAG_RIS, "standard_normal", (2000, 2)),
+        ]
+
+
 class TestConditioning:
     def test_forced_silent_never_clears_absolute_threshold(self, small_scenario):
         # with the surface silent the metric carries noise energy only, so a
@@ -181,12 +244,12 @@ class TestEngineMatchesDetector:
         rng = np.random.default_rng(41)
         frames, scored = [], []
 
-        def frame_coordinates(stream, v_total, length, noise_variance, size):
+        def frame_coordinates(stream, v_total, length, noise_variance, size, stop):
             assert length == u.shape[1]
-            v1, y = draw_frames(rng, v_total, scn.m + v_total, noise_variance, size)
+            v1, y = draw_frames(rng, v_total, scn.m + v_total, noise_variance, size, stop)
             for p in profs:
-                amp = 3 * np.sqrt(noise_variance) * rng.standard_normal(size)
-                for t in range(size):
+                amp = 3 * np.sqrt(noise_variance) * rng.standard_normal(stop)
+                for t in range(stop):
                     y[t] += amp[t] * laid(p.code, v1[t], rng.integers(1, scn.m + 1), scn.m + v_total)
             frames.append(y)
             return v1, y @ u
