@@ -153,12 +153,14 @@ def _check_value(key: str, val) -> None:
         raise ConfigError(f"{key} must be {_RANGES[key][1]}, got {val!r}", key=key)
 
 
-def _check_pass_memory(m: int, v_total: int, rows, threads: int = 1, key: str = "m") -> None:
-    """Reject a simulation pass that ``montecarlo.pass_bytes`` puts over ``MAX_PASS_BYTES``."""
-    need = montecarlo.pass_bytes(m, v_total, rows, threads)
+def _check_pass_memory(m: int, v_total: int, rows, threads: int = 1, key: str = "m", n: int = 0) -> None:
+    """Reject a simulation pass that ``montecarlo.pass_bytes`` puts over ``MAX_PASS_BYTES``;
+    ``n`` counts correlated surfaces' elements (0: none)."""
+    need = montecarlo.pass_bytes(m, v_total, rows, threads, n)
     if need > montecarlo.MAX_PASS_BYTES:
         workers = f" with {threads} worker threads" if threads > 1 else ""
-        raise ConfigError(f"m = {m}, v_total = {v_total} and code rows {tuple(rows)} need "
+        elements = f" with {n} correlated elements" if n else ""
+        raise ConfigError(f"m = {m}, v_total = {v_total} and code rows {tuple(rows)}{elements} need "
                           f"{Decimal(need) / 2**30:.3g} GiB per simulation pass{workers}, over the "
                           f"{montecarlo.MAX_PASS_BYTES >> 30} GiB limit", key=key)
 
@@ -720,6 +722,22 @@ _SURFACE_COUNTS = {
 }
 
 
+def _check_sweep_memory(subcommand: str, scenario: Scenario, raw: dict, threads: int) -> None:
+    """The pass-memory rule, before any m x m or N x N array is built, for every pass a
+    simulating subcommand may run with ``threads`` workers: each swept m, and under a
+    correlated spacing (every spacing for ``pmiss-corr``) each swept n_elements too."""
+    m_key = next((k for k in ("m_values", "codebook_file") if k in raw), "m")
+    n_key = "n_values" if "n_values" in raw else "n_elements"
+    correlated = subcommand == "pmiss-corr" or scenario.spacing != "none"
+    sizes = [(m, scenario.n_elements) for m in _sweep_values(scenario, raw, "m")]
+    sizes += [(scenario.m, n) for n in _sweep_values(scenario, raw, "n_elements") if correlated]
+    for m, n in sizes:
+        scn = rescale(scenario, m=m)
+        _check_pass_memory(m, scn.v_total, scn.code_rows, threads, m_key)
+        if correlated:
+            _check_pass_memory(m, scn.v_total, scn.code_rows, threads, n_key, n)
+
+
 def _check_surface_count(subcommand: str, scenario: Scenario, raw: dict) -> None:
     """Reject a code-row count out of range, keyed to the key the rows came from."""
     lo, hi, wording = _SURFACE_COUNTS.get(subcommand, (1, math.inf, ""))
@@ -767,11 +785,8 @@ def main(argv=None) -> int:
         except ConfigError as exc:
             raise ConfigError(str(exc)) from exc  # set by a flag, so no config line to point at
         _check_surface_count(args.subcommand, scenario, raw)
-        if args.threads > 1 and args.subcommand not in ("theory", "tradeoff", "design"):
-            for m in _sweep_values(scenario, raw, "m"):  # each worker holds its own block arrays
-                scn = rescale(scenario, m=m)
-                _check_pass_memory(m, scn.v_total, scn.code_rows, args.threads,
-                                   next((k for k in ("m_values", "codebook_file") if k in raw), "m"))
+        if args.subcommand not in ("theory", "tradeoff", "design"):
+            _check_sweep_memory(args.subcommand, scenario, raw, args.threads)
         echo = scenario.echo()
         echo.update((key, _echo_value(raw[key])) for key in _RUN_KEYS if key in raw)
         writer = RunWriter(args.out, args.subcommand, echo)

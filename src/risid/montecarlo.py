@@ -9,6 +9,7 @@ and extending a run (rare-event escalation) never perturbs earlier trials.
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
@@ -129,26 +130,35 @@ def _chunk_rows(k: int) -> int:
     return min(BLOCK, 1 << (max(CHUNK_BYTES // (8 * max(k, 1)), 1).bit_length() - 1))
 
 
-def pass_bytes(m: int, v_total: int, rows: Sequence[int], threads: int = 1) -> int:
+def pass_bytes(m: int, v_total: int, rows: Sequence[int], threads: int = 1, n: int = 0) -> int:
     """Upper bound on the bytes of one pass with ``threads`` workers, for Sylvester-Hadamard
     ``rows`` (row r's shifts fall in 2**floor(log2 r) sign classes): m x m matrices, W, its SVD
     and A (L x K), a v_total x m x R table per surface, and per worker one block's BLOCK x R
-    coordinates and one chunk's parts and products (``_chunk_rows`` x (R + K), twice)."""
+    coordinates and one chunk's parts and products (``_chunk_rows`` x (R + K), twice). ``n`` is
+    the element count of correlated surfaces (0: uncorrelated), which adds the gain weights'
+    N x N arrays and eigendecomposition (``channel.correlation_matrix``) and per worker a
+    block's BLOCK x N exponential draws (``channel.compound_gains``)."""
     l, k = m + v_total, (v_total + 1) * sum(1 << (r.bit_length() - 1) for r in rows if r > 0)
-    shared = (2 + 2 * len(rows)) * m * m + 4 * l * k + len(rows) * v_total * m * min(l, k)
-    return 8 * (shared + threads * (8 * BLOCK * min(l, k) + 4 * _chunk_rows(k) * k))
+    shared = (2 + 2 * len(rows)) * m * m + 4 * l * k + len(rows) * v_total * m * min(l, k) + 10 * n * n
+    return 8 * (shared + threads * (8 * BLOCK * min(l, k) + 4 * _chunk_rows(k) * k + BLOCK * n))
 
 
-def _subspace(profs, m: int, v_total: int):
-    """The correlator in the range of its own matrix: (U, A, starts, tables).
+_memo: dict = {}  # "last": (key, subspace) of the last code set (``_subspace``)
+_pools: dict = {}  # worker count -> this process's pool of that many workers (``_pool``)
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_pools.clear)  # a forked child has none of the threads
+
+
+def _build_subspace(shift_mats, m: int, v_total: int):
+    """The correlator in the range of its own matrix: (U, A, starts, tables), read-only.
 
     W (L x K, L = m + v_total) holds a column per window offset and ``sign_classes``
-    row of each code, over sqrt(m): W^T y are the outputs ``detect`` searches, up to
-    sign. U is an orthonormal basis of its range (rank R, by SVD) and A = U^T W, so
-    W^T y = (U^T y) A. Surface j owns the columns from ``starts[j]`` on, and
-    ``tables[j][v1 - 1, c - 1]`` is U^T of its code shifted by c, laid from v1.
+    row of each code (``shift_mats``: its ``all_shifts``), over sqrt(m): W^T y are the
+    outputs ``detect`` searches, up to sign. U is an orthonormal basis of its range
+    (rank R, by SVD) and A = U^T W, so W^T y = (U^T y) A. Surface j owns the columns
+    from ``starts[j]`` on, and ``tables[j][v1 - 1, c - 1]`` is U^T of its code shifted
+    by c, laid from v1.
     """
-    shift_mats = [all_shifts(p.code) for p in profs]
     pads = [np.pad(sign_classes(s).T / math.sqrt(m), ((v_total, v_total), (0, 0))) for s in shift_mats]
     blocks = [np.hstack([p[v_total - k : v_total - k + m + v_total] for k in range(v_total + 1)]) for p in pads]
     w = np.hstack(blocks)
@@ -156,7 +166,36 @@ def _subspace(profs, m: int, v_total: int):
     u = u[:, sv > sv[0] * max(w.shape) * np.finfo(float).eps]
     starts = np.cumsum([0] + [b.shape[1] for b in blocks[:-1]])
     tables = [np.stack([s @ u[v : v + m] for v in range(1, v_total + 1)]) for s in shift_mats]
-    return u, u.T @ w, starts, tables
+    sub = (u, u.T @ w, starts, tables)
+    for arr in (*sub[:3], *tables):
+        arr.flags.writeable = False
+    return sub
+
+
+def _subspace(profs, m: int, v_total: int):
+    """``_build_subspace`` of the surfaces' codes, kept for the next call: that call returns
+    the same arrays while m, v_total and every code's ``all_shifts`` are unchanged, and
+    otherwise drops them before it builds, so two code sets' arrays are never held at once.
+    Each pass keeps the arrays it found or built, so concurrent passes stay correct."""
+    shift_mats = [all_shifts(p.code) for p in profs]
+    last = _memo.get("last")
+    if last and last[0][:2] == (m, v_total) and len(last[0][2]) == len(shift_mats) and all(
+            map(np.array_equal, last[0][2], shift_mats)):
+        return last[1]
+    _memo.clear()
+    del last  # its arrays go before the new ones are built
+    sub = _build_subspace(shift_mats, m, v_total)
+    _memo["last"] = (m, v_total, shift_mats), sub
+    return sub
+
+
+def _pool(threads: int) -> ThreadPoolExecutor:
+    """This process's pool of ``threads`` workers, remade when ``ThreadPoolExecutor`` names
+    another class (a dropped pool's idle threads end once it is collected)."""
+    pool = _pools.get(threads)
+    if type(pool) is not ThreadPoolExecutor:
+        pool = _pools[threads] = ThreadPoolExecutor(max_workers=threads)
+    return pool
 
 
 def _block(plan: TrialPlan, law: Mapping, profs, sub, blk: int, rows: slice):
@@ -221,8 +260,7 @@ def _run_blocks(plan: TrialPlan, law: Mapping, t0: int, t1: int, consume):
 
     blocks = range(t0 // BLOCK, (t1 - 1) // BLOCK + 1)
     if plan.threads > 1:
-        with ThreadPoolExecutor(max_workers=plan.threads) as pool:
-            partials = list(pool.map(one_block, blocks))
+        partials = list(_pool(plan.threads).map(one_block, blocks))
     else:
         partials = [one_block(b) for b in blocks]
     return tuple(sum(parts[1:], parts[0]) for parts in zip(*partials))
@@ -352,9 +390,8 @@ def confusion(plan: TrialPlan, r_bars: Sequence[float]):
         outs = []
         for rw in r_w:
             dec_state = (metric > rw).astype(np.int64) @ weights
-            joint = np.zeros((n_states, n_states), dtype=np.int64)
-            np.add.at(joint, (true_state, dec_state), 1)
-            outs.append(joint)
+            joint = np.bincount(true_state * n_states + dec_state, minlength=n_states**2)
+            outs.append(joint.reshape(n_states, n_states))
         return tuple(outs)
 
     joints = _run_blocks(plan, {}, 0, plan.trials, consume)

@@ -519,9 +519,13 @@ class TestExitCodes:
             ("pf-two-m", "code_rows = 1, 2\nm = 32\nm_values = 32, 512, 1024\n", 3),
             ("five-ris", "codebook_file = book.txt\n", 1),
             ("pf-single", f"code_rows = 1\nm = {2**1100}\n", 2),
+            ("pf-single", "spacing = half-lambda\nn_elements = 8192\n", 2),
+            ("pmiss-corr", "n_elements = 8192\nspacing = none\n", 1),
+            ("pmiss-n", "spacing = tenth-lambda\nn_values = 64, 8192\n", 2),
         ],
         ids=["high_row", "low_row_table", "hadamard_order", "m_sweep", "two_rows",
-             "two_rows_m_sweep", "codebook_length", "beyond_float_range"],
+             "two_rows_m_sweep", "codebook_length", "beyond_float_range",
+             "correlated_elements", "spacing_sweep_elements", "element_sweep"],
     )
     def test_pass_memory_over_limit_is_two(self, tmp_path, capsys, subcommand, text, line):
         """Rejected at load from the config's sizes, allocating nothing large."""

@@ -1,9 +1,11 @@
 """Trial runner: determinism, conditioning, confusion tallies, intervals."""
 
+import multiprocessing
 import os
 import subprocess
 import sys
 import tracemalloc
+import weakref
 from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
@@ -439,6 +441,101 @@ class TestTraceContract:
         want = [(TAG_FRAME, 0, b) for b in (0, 0, 1)] + [(TAG_RIS, 2, b) for b in (0, 0, 1)]
         assert sorted(calls["streams"]) == sorted(want)
         assert calls["shifts"] == 2 * 2
+
+
+class TestKeptPassSetup:
+    """The engine keeps the last code set's subspace and one pool per worker count
+    between passes, without changing a bit of what a pass scores."""
+
+    BASE = dict(m=16, v_total=4, code_rows=(1, 2), n_elements=16, n_horizontal=4, p_dbm=0.0, seed=11)
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    @pytest.mark.parametrize("change", [{"code_rows": (1, 3)}, {"v_total": 6}, {"m": 32, "v_total": 8}],
+                             ids=["rows", "v_total", "m"])
+    def test_a_then_b_then_a_matches_cold_runs(self, monkeypatch, threads, change):
+        """A cold, A warm, B, then A again: every A run and both B runs are bit-identical."""
+        a = Scenario(**self.BASE, trials=BLOCK + 500)
+        b = replace(a, **change)
+        block, by_block = montecarlo._block, {}
+
+        def recording(plan, law, profs, sub, blk, rows):
+            by_block[blk] = block(plan, law, profs, sub, blk, rows)
+            return by_block[blk]
+
+        monkeypatch.setattr(montecarlo, "_block", recording)
+
+        def scored(scn):  # (metric, reach) in block order, whichever worker ran a block
+            by_block.clear()
+            _run_blocks(plan_for(scn, threads=threads), {}, 0, scn.trials,
+                        lambda metric, reach: (np.zeros(1, dtype=np.int64),))
+            return tuple(np.concatenate(parts) for parts in zip(*(by_block[k] for k in sorted(by_block))))
+
+        montecarlo._memo.clear()
+        a_cold = scored(a)
+        runs = [scored(a), scored(b), scored(a)]
+        montecarlo._memo.clear()
+        b_cold = scored(b)
+        for (metric, reach), (want_metric, want_reach) in zip(runs, [a_cold, b_cold, a_cold]):
+            assert np.array_equal(metric, want_metric) and np.array_equal(reach, want_reach)
+        assert not np.array_equal(a_cold[0], b_cold[0])
+
+    def test_kept_arrays_are_read_only(self):
+        """A second call with equal codes returns the same arrays, none of them writable."""
+        sub = montecarlo._subspace(Scenario(**self.BASE).sim_profiles(), 16, 4)
+        assert montecarlo._subspace(Scenario(**self.BASE).sim_profiles(), 16, 4)[1] is sub[1]
+        u, a, starts, tables = sub
+        for arr in (u, a, starts, *tables):
+            with pytest.raises(ValueError):
+                arr[...] = 0
+
+    def test_previous_code_set_is_dropped_before_the_next_build(self, monkeypatch):
+        """A's table is gone when B's build starts and after B's pass."""
+        a = Scenario(**self.BASE, trials=1000)
+        b = replace(a, code_rows=(1, 3))
+        table = weakref.ref(montecarlo._subspace(a.sim_profiles(), a.m, a.v_total)[3][0])
+        dead_at_build = []
+        sign_classes = montecarlo.sign_classes
+
+        def watching(shifts):
+            dead_at_build.append(table() is None)
+            return sign_classes(shifts)
+
+        monkeypatch.setattr(montecarlo, "sign_classes", watching)
+        decision_sweep(plan_for(b), 1, (3.0,), {})
+        assert dead_at_build == [True, True] and table() is None
+
+    def test_pool_follows_the_module_name(self, two_ris_scenario, monkeypatch):
+        """Passes reuse one pool, made from whatever ``ThreadPoolExecutor`` names when they start."""
+        mapped = []
+
+        class Recording(montecarlo.ThreadPoolExecutor):
+            def map(self, fn, *iterables, **kwargs):
+                mapped.append(self)
+                return super().map(fn, *iterables, **kwargs)
+
+        plan = plan_for(two_ris_scenario, trials=2 * BLOCK, threads=2)
+        want = confusion(plan, (3.0,))[3.0].counts
+        monkeypatch.setattr(montecarlo, "ThreadPoolExecutor", Recording)
+        for _ in range(2):
+            assert np.array_equal(confusion(plan, (3.0,))[3.0].counts, want)
+        assert len(mapped) == 2 and mapped[0] is mapped[1]
+
+    @pytest.mark.skipif(not hasattr(os, "register_at_fork"), reason="needs fork")
+    def test_forked_child_starts_its_own_pool(self, two_ris_scenario):
+        """After the parent ran a 2-worker pass, a forked child's 2-worker pass finishes
+        with the parent's counts."""
+        plan = plan_for(two_ris_scenario, trials=2 * BLOCK, threads=2)
+        want = confusion(plan, (3.0,))[3.0].counts
+        ctx = multiprocessing.get_context("fork")
+        recv, send = ctx.Pipe(duplex=False)
+        child = ctx.Process(target=lambda: send.send(confusion(plan, (3.0,))[3.0].counts))
+        child.start()
+        try:
+            assert recv.poll(60), "the forked child's pass did not finish within 60 s"
+            assert np.array_equal(recv.recv(), want)
+        finally:
+            child.kill()
+            child.join()
 
 
 class TestDecisionSweep:
