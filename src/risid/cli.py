@@ -17,7 +17,7 @@ import os
 import sys
 from dataclasses import dataclass, fields, replace
 from decimal import Decimal
-from functools import lru_cache
+from functools import lru_cache, partial
 from pathlib import Path
 
 import numpy as np
@@ -153,11 +153,14 @@ def _check_value(key: str, val) -> None:
         raise ConfigError(f"{key} must be {_RANGES[key][1]}, got {val!r}", key=key)
 
 
-def _check_pass_memory(m: int, v_total: int, rows, threads: int = 1, key: str = "m", n: int = 0) -> None:
-    """Reject a simulation pass that ``montecarlo.pass_bytes`` puts over ``MAX_PASS_BYTES``;
-    ``n`` counts correlated surfaces' elements (0: none)."""
+def _check_pass_memory(m: int, v_total: int, rows, threads: int = 1, key: str = "m", n: int = 0,
+                       n_key: str = "n_elements") -> None:
+    """Reject a simulation pass that ``montecarlo.pass_bytes`` puts over ``MAX_PASS_BYTES``,
+    keyed to ``n_key`` when it would fit without its ``n`` correlated elements (0: none)."""
     need = montecarlo.pass_bytes(m, v_total, rows, threads, n)
     if need > montecarlo.MAX_PASS_BYTES:
+        if n and montecarlo.pass_bytes(m, v_total, rows, threads) <= montecarlo.MAX_PASS_BYTES:
+            key = n_key
         workers = f" with {threads} worker threads" if threads > 1 else ""
         elements = f" with {n} correlated elements" if n else ""
         raise ConfigError(f"m = {m}, v_total = {v_total} and code rows {tuple(rows)}{elements} need "
@@ -407,7 +410,9 @@ def scenario_from_config(raw: dict, config_dir: Path | None = None) -> Scenario:
                 m, _fill_defaults({}, {**raw, "m": m})["v_total"], rows, key="codebook_file"))
         except (OSError, ValueError) as exc:
             raise ConfigError(f"cannot load codebook: {exc}")
-        raw["code_rows"] = book.rows
+        if raw.setdefault("code_rows", book.rows) != book.rows:
+            raise ConfigError(f"code_rows disagrees with the codebook's rows {book.rows}",
+                              key="code_rows")
         raw.setdefault("m", book.m)
         if raw["m"] != book.m:
             raise ConfigError("codebook length disagrees with the configured m")
@@ -521,44 +526,43 @@ def _plan(scn: Scenario, threads: int) -> montecarlo.TrialPlan:
     return montecarlo.TrialPlan(scenario=scn, trials=scn.trials, seed=scn.seed, threads=threads)
 
 
-def _sweep_values(scenario: Scenario, raw: dict, field: str) -> tuple:
-    """Values ``field`` runs over: its sweep key's (``_RUN_KEYS``) if set, every
-    spacing mode for ``spacing``, else the scenario's own value."""
-    for key, swept in _RUN_KEYS.items():
-        if swept == field and key in raw:
-            return raw[key]
-    return SPACINGS if field == "spacing" else (getattr(scenario, field),)
+def _passes(scenario: Scenario, raw: dict, labels: dict):
+    """Yield (label values, scenario) for each engine pass. ``labels`` maps each label column
+    to the field it varies, which runs over its sweep key's values (``_RUN_KEYS``) if set,
+    every spacing mode for ``spacing``, else the scenario's own value; the columns combine
+    in product order, first column outermost, and no column gives one pass."""
+    varied = list(labels.values())
+    swept = {"spacing": SPACINGS} | {f: raw[key] for key, f in _RUN_KEYS.items() if key in raw}
+    for combo in itertools.product(*(swept.get(f, (getattr(scenario, f),)) for f in varied)):
+        yield combo, rescale(scenario, **dict(zip(varied, combo)))
 
 
-def _mc_sweep(scenario: Scenario, raw: dict, writer: RunWriter, threads: int, name: str,
-              labels: dict, law: dict, theory, over_grid: bool = True,
-              theory_kind: str = "theory") -> None:
+def _mc_sweep(scenario: Scenario, raw: dict, writer: RunWriter, threads: int, labels: dict,
+              law: dict | None, theory, over_grid: bool = True, theory_kind: str = "theory") -> None:
     """Shared body of the Monte Carlo subcommands: simulated rates beside their closed form.
 
-    ``labels`` maps each label column to the field it varies; the columns'
-    ``_sweep_values`` combine in product order, first column outermost. Each
-    combination runs one ``decision_sweep`` of surface 1 under the
-    reachability ``law``, counting misses when the law forces surface 1 on and
-    false detections otherwise, at every ``r_bar_grid`` threshold (an
-    ``r_bar`` column) or at ``r_bar`` alone (no such column). Its ``mc`` rows
-    come first, then one ``theory_kind`` row per threshold with five empty
-    estimate cells. ``theory(scn)`` runs once per combination and returns the
-    closed form of an operating point.
+    Each of the ``_passes`` over ``labels`` runs one ``decision_sweep`` of surface 1
+    under the reachability ``law`` (None: every surface off), counting misses when the
+    law forces surface 1 on and false detections otherwise, at every ``r_bar_grid``
+    threshold (an ``r_bar`` column) or at ``r_bar`` alone (no such column). Its ``mc``
+    rows come first, then one ``theory_kind`` row per threshold with five empty estimate
+    cells, in the subcommand's CSV (dashes as underscores). ``theory(scn)`` runs once per
+    pass and returns the closed form of an operating point.
     """
     rows = []
-    varied = list(labels.values())
-    for combo in itertools.product(*(_sweep_values(scenario, raw, f) for f in varied)):
-        scn = rescale(scenario, **dict(zip(varied, combo)))
+    for combo, scn in _passes(scenario, raw, labels):
         closed_form = theory(scn)
         r_bars = scn.r_bar_grid if over_grid else (scn.r_bar,)
-        ests = montecarlo.decision_sweep(_plan(scn, threads), 1, r_bars, law, count_missed=law[1])
+        forced = dict.fromkeys(range(1, scn.l_count + 1), False) if law is None else law
+        ests = montecarlo.decision_sweep(_plan(scn, threads), 1, r_bars, forced,
+                                         count_missed=forced[1])
         cells = [list(combo) + ([rb] if over_grid else []) for rb in r_bars]
         op = scn.operating_point(scn.r_bar)
         rows += [_estimate_row(["mc"] + c, est) for c, est in zip(cells, ests)]
         rows += [[theory_kind] + c + [closed_form(op.at(r_bar=rb))] + [""] * 5
                  for c, rb in zip(cells, r_bars)]
     header = ["kind", *labels] + (["r_bar"] if over_grid else []) + _EST_COLS
-    writer.csv(name, header, rows)
+    writer.csv(writer.subcommand.replace("-", "_") + ".csv", header, rows)
 
 
 def _pf_two(scn: Scenario):
@@ -571,54 +575,6 @@ def _pmiss_two(scn: Scenario):
     """Theory builder: the miss lower bound of surface 1 beside surface 2."""
     a_tilde = scn.pair_pmf(1, 2).a_tilde
     return lambda op: analysis.pmiss_two(op, a_tilde)
-
-
-def cmd_pf_single(scenario: Scenario, raw: dict, writer: RunWriter, threads: int) -> None:
-    """Noise-only false-detection rate vs threshold, with the union bound."""
-    _mc_sweep(scenario, raw, writer, threads, "pf_single.csv", {"m": "m"},
-              dict.fromkeys(range(1, scenario.l_count + 1), False),
-              lambda scn: analysis.pf_single_bound, theory_kind="bound")
-
-
-def cmd_pmiss_corr(scenario: Scenario, raw: dict, writer: RunWriter, threads: int) -> None:
-    """Miss rate vs power for each element-spacing mode, plus theory."""
-    _mc_sweep(scenario, raw, writer, threads, "pmiss_corr.csv",
-              {"spacing": "spacing", "p_dbm": "p_dbm"}, {1: True},
-              lambda scn: analysis.pmiss_single, over_grid=False)
-
-
-def cmd_pmiss_m(scenario: Scenario, raw: dict, writer: RunWriter, threads: int) -> None:
-    """Miss rate vs power for each sequence length, plus theory."""
-    _mc_sweep(scenario, raw, writer, threads, "pmiss_m.csv", {"m": "m", "p_dbm": "p_dbm"},
-              {1: True}, lambda scn: analysis.pmiss_single, over_grid=False)
-
-
-def cmd_pmiss_n(scenario: Scenario, raw: dict, writer: RunWriter, threads: int) -> None:
-    """Miss rate vs power for each surface size, plus theory."""
-    _mc_sweep(scenario, raw, writer, threads, "pmiss_n.csv", {"n": "n_elements", "p_dbm": "p_dbm"},
-              {1: True}, lambda scn: analysis.pmiss_single, over_grid=False)
-
-
-def cmd_pf_two_m(scenario: Scenario, raw: dict, writer: RunWriter, threads: int) -> None:
-    """Two-surface false detection vs threshold across sequence lengths."""
-    _mc_sweep(scenario, raw, writer, threads, "pf_two_m.csv", {"m": "m"}, {1: False}, _pf_two)
-
-
-def cmd_pf_two_np(scenario: Scenario, raw: dict, writer: RunWriter, threads: int) -> None:
-    """Two-surface false detection vs threshold across sizes and powers."""
-    _mc_sweep(scenario, raw, writer, threads, "pf_two_np.csv",
-              {"n": "n_elements", "p_dbm": "p_dbm"}, {1: False}, _pf_two)
-
-
-def cmd_pmiss_two_m(scenario: Scenario, raw: dict, writer: RunWriter, threads: int) -> None:
-    """Two-surface miss detection vs threshold across sequence lengths."""
-    _mc_sweep(scenario, raw, writer, threads, "pmiss_two_m.csv", {"m": "m"}, {1: True}, _pmiss_two)
-
-
-def cmd_pmiss_two_np(scenario: Scenario, raw: dict, writer: RunWriter, threads: int) -> None:
-    """Two-surface miss detection vs threshold across sizes and powers."""
-    _mc_sweep(scenario, raw, writer, threads, "pmiss_two_np.csv",
-              {"n": "n_elements", "p_dbm": "p_dbm"}, {1: True}, _pmiss_two)
 
 
 def cmd_tradeoff(scenario: Scenario, raw: dict, writer: RunWriter, threads: int) -> None:
@@ -653,7 +609,17 @@ def cmd_tradeoff(scenario: Scenario, raw: dict, writer: RunWriter, threads: int)
 
 def cmd_confusion(scenario: Scenario, raw: dict, writer: RunWriter, threads: int) -> None:
     """Reachability confusion matrices at each grid threshold."""
+    names = {rb: f"confusion_rbar_{rb:g}.csv" for rb in scenario.r_bar_grid}  # equal entries: one file
+    for low, high in itertools.pairwise(names):  # the grid ascends, so equal names are neighbours
+        if names[low] == names[high]:
+            raise ConfigError(f"r_bar_grid entries {low!r} and {high!r} both write {names[low]}",
+                              key="r_bar_grid")
     mats = montecarlo.confusion(_plan(scenario, threads), scenario.r_bar_grid)
+    mat = next(iter(mats.values()))  # every threshold tallies the same true states
+    empty = [repr(label) for label, drawn in zip(mat.labels, mat.counts.sum(axis=1)) if not drawn]
+    if empty:
+        raise ConfigError(f"none of the {scenario.trials} trials drew the true state "
+                          f"{' or '.join(empty)}", key="trials")
     payload = {}
     for rb, mat in sorted(mats.items()):
         freq = mat.frequencies()
@@ -666,7 +632,7 @@ def cmd_confusion(scenario: Scenario, raw: dict, writer: RunWriter, threads: int
             "trials": mat.trials,
         }
         grid_rows = [[label] + [float(v) for v in row] for label, row in zip(mat.labels, freq)]
-        writer.csv(f"confusion_rbar_{rb:g}.csv", ["true_state"] + list(mat.labels), grid_rows)
+        writer.csv(names[rb], ["true_state"] + list(mat.labels), grid_rows)
     writer.json("confusion.json", {"matrices": payload})
 
 
@@ -697,54 +663,55 @@ def cmd_design(scenario: Scenario, raw: dict, writer: RunWriter, threads: int) -
     })
 
 
+@dataclass(frozen=True)
+class _Command:
+    """One subcommand: ``body(scenario, raw, writer, threads)``, its ``--help`` line, the code-row
+    counts it runs (fewest, most, wording) and its engine ``passes``: the ``labels`` of
+    ``_passes``, ``{}`` for one pass of the config's scenario, None for no engine."""
+
+    body: object
+    help: str
+    surfaces: tuple = (1, math.inf, "")
+    passes: dict | None = None
+
+
+def _sweep(help_text: str, labels: dict, law, theory, surfaces=_Command.surfaces, **layout):
+    """The row of a Monte Carlo subcommand: ``_mc_sweep`` over the passes of ``labels``."""
+    body = partial(_mc_sweep, labels=labels, law=law, theory=theory, **layout)
+    return _Command(body, help_text, surfaces, labels)
+
+
+_TWO_UP = (2, math.inf, "at least two")
+
 COMMANDS = {
-    "pf-single": (cmd_pf_single, "single-surface false detection vs threshold (CSV: kind,m,r_bar,value,ci,events)"),
-    "pmiss-corr": (cmd_pmiss_corr, "miss detection vs power per spacing mode (CSV: kind,spacing,p_dbm,value,ci)"),
-    "pmiss-m": (cmd_pmiss_m, "miss detection vs power per sequence length (CSV: kind,m,p_dbm,value,ci)"),
-    "pmiss-n": (cmd_pmiss_n, "miss detection vs power per surface size (CSV: kind,n,p_dbm,value,ci)"),
-    "pf-two-m": (cmd_pf_two_m, "two-surface false detection vs threshold per length (CSV: kind,m,r_bar,value,ci)"),
-    "pf-two-np": (cmd_pf_two_np, "two-surface false detection vs threshold per size/power (CSV: kind,n,p_dbm,r_bar,value,ci)"),
-    "pmiss-two-m": (cmd_pmiss_two_m, "two-surface miss detection vs threshold per length (CSV: kind,m,r_bar,value,ci)"),
-    "pmiss-two-np": (cmd_pmiss_two_np, "two-surface miss detection vs threshold per size/power (CSV: kind,n,p_dbm,r_bar,value,ci)"),
-    "tradeoff": (cmd_tradeoff, "joint false/miss theory curves and threshold selection (CSV + JSON)"),
-    "confusion": (cmd_confusion, "reachability confusion matrices per threshold (JSON + CSV grids)"),
-    "five-ris": (cmd_five_ris, "averaged miss/false rates for a five-surface code set (CSV)"),
-    "theory": (cmd_theory, "closed-form curves only (CSV: r_bar,value,kind,M,N,P_dBm)"),
-    "design": (cmd_design, "required surface size for a miss target (JSON)"),
+    "pf-single": _sweep("single-surface false detection vs threshold (CSV: kind,m,r_bar,value,ci,events)",
+                        {"m": "m"}, None, lambda scn: analysis.pf_single_bound, theory_kind="bound"),
+    "pmiss-corr": _sweep("miss detection vs power per spacing mode (CSV: kind,spacing,p_dbm,value,ci)",
+                         {"spacing": "spacing", "p_dbm": "p_dbm"}, {1: True},
+                         lambda scn: analysis.pmiss_single, over_grid=False),
+    "pmiss-m": _sweep("miss detection vs power per sequence length (CSV: kind,m,p_dbm,value,ci)",
+                      {"m": "m", "p_dbm": "p_dbm"}, {1: True}, lambda scn: analysis.pmiss_single,
+                      over_grid=False),
+    "pmiss-n": _sweep("miss detection vs power per surface size (CSV: kind,n,p_dbm,value,ci)",
+                      {"n": "n_elements", "p_dbm": "p_dbm"}, {1: True},
+                      lambda scn: analysis.pmiss_single, over_grid=False),
+    "pf-two-m": _sweep("two-surface false detection vs threshold per length (CSV: kind,m,r_bar,value,ci)",
+                       {"m": "m"}, {1: False}, _pf_two, _TWO_UP),
+    "pf-two-np": _sweep("two-surface false detection vs threshold per size/power (CSV: kind,n,p_dbm,r_bar,value,ci)",
+                        {"n": "n_elements", "p_dbm": "p_dbm"}, {1: False}, _pf_two, _TWO_UP),
+    "pmiss-two-m": _sweep("two-surface miss detection vs threshold per length (CSV: kind,m,r_bar,value,ci)",
+                          {"m": "m"}, {1: True}, _pmiss_two, _TWO_UP),
+    "pmiss-two-np": _sweep("two-surface miss detection vs threshold per size/power (CSV: kind,n,p_dbm,r_bar,value,ci)",
+                           {"n": "n_elements", "p_dbm": "p_dbm"}, {1: True}, _pmiss_two, _TWO_UP),
+    "tradeoff": _Command(cmd_tradeoff, "joint false/miss theory curves and threshold selection (CSV + JSON)",
+                         _TWO_UP),
+    "confusion": _Command(cmd_confusion, "reachability confusion matrices per threshold (JSON + CSV grids)",
+                          (2, 2, "exactly two"), {}),
+    "five-ris": _Command(cmd_five_ris, "averaged miss/false rates for a five-surface code set (CSV)",
+                         (5, 5, "exactly five"), {}),
+    "theory": _Command(cmd_theory, "closed-form curves only (CSV: r_bar,value,kind,M,N,P_dBm)"),
+    "design": _Command(cmd_design, "required surface size for a miss target (JSON)"),
 }
-
-# Code-row counts a subcommand needs: (fewest, most, wording); others take any.
-_SURFACE_COUNTS = {
-    **dict.fromkeys(("pf-two-m", "pf-two-np", "pmiss-two-m", "pmiss-two-np", "tradeoff"),
-                    (2, math.inf, "at least two")),
-    "confusion": (2, 2, "exactly two"),
-    "five-ris": (5, 5, "exactly five"),
-}
-
-
-def _check_sweep_memory(subcommand: str, scenario: Scenario, raw: dict, threads: int) -> None:
-    """The pass-memory rule, before any m x m or N x N array is built, for every pass a
-    simulating subcommand may run with ``threads`` workers: each swept m, and under a
-    correlated spacing (every spacing for ``pmiss-corr``) each swept n_elements too."""
-    m_key = next((k for k in ("m_values", "codebook_file") if k in raw), "m")
-    n_key = "n_values" if "n_values" in raw else "n_elements"
-    correlated = subcommand == "pmiss-corr" or scenario.spacing != "none"
-    sizes = [(m, scenario.n_elements) for m in _sweep_values(scenario, raw, "m")]
-    sizes += [(scenario.m, n) for n in _sweep_values(scenario, raw, "n_elements") if correlated]
-    for m, n in sizes:
-        scn = rescale(scenario, m=m)
-        _check_pass_memory(m, scn.v_total, scn.code_rows, threads, m_key)
-        if correlated:
-            _check_pass_memory(m, scn.v_total, scn.code_rows, threads, n_key, n)
-
-
-def _check_surface_count(subcommand: str, scenario: Scenario, raw: dict) -> None:
-    """Reject a code-row count out of range, keyed to the key the rows came from."""
-    lo, hi, wording = _SURFACE_COUNTS.get(subcommand, (1, math.inf, ""))
-    if not lo <= scenario.l_count <= hi:
-        key = next((k for k in ("codebook_file", "code_rows", "l_count") if k in raw), None)
-        raise ConfigError(f"{subcommand} needs {wording} code rows, got {scenario.l_count}",
-                          key=key)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -753,8 +720,8 @@ def build_parser() -> argparse.ArgumentParser:
         description="Deterministic link-level experiments for surface identification.",
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
-    for name, (_, help_text) in COMMANDS.items():
-        p = sub.add_parser(name, help=help_text, description=help_text)
+    for name, cmd in COMMANDS.items():
+        p = sub.add_parser(name, help=cmd.help, description=cmd.help)
         p.add_argument("--config", type=Path, default=None, help="flat key = value config file")
         p.add_argument("--out", type=Path, default=Path("out"), help="artifact directory")
         p.add_argument("--seed", type=int, default=None, help="override the config seed")
@@ -769,7 +736,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    text = ""
+    cmd = COMMANDS[args.subcommand]
+    text, flags = "", {}
     try:
         if not 1 <= args.threads <= MAX_THREADS:  # before any worker starts
             raise ConfigError(f"threads must be in 1..{MAX_THREADS}, got {args.threads}")
@@ -779,21 +747,28 @@ def main(argv=None) -> int:
             scenario = scenario_from_config(raw, args.config.parent)
         else:
             raw, scenario = {}, scenario_from_config({})
+        # from here on an error keyed to a flag's field concerns the flag, not a config line
         flags = {k: v for k, v in (("seed", args.seed), ("trials", args.trials)) if v is not None}
-        try:
-            scenario = replace(scenario, **flags)
-        except ConfigError as exc:
-            raise ConfigError(str(exc)) from exc  # set by a flag, so no config line to point at
-        _check_surface_count(args.subcommand, scenario, raw)
-        if args.subcommand not in ("theory", "tradeoff", "design"):
-            _check_sweep_memory(args.subcommand, scenario, raw, args.threads)
+        scenario = replace(scenario, **flags)
+        lo, hi, wording = cmd.surfaces
+        if not lo <= scenario.l_count <= hi:
+            key = next((k for k in ("codebook_file", "code_rows", "l_count") if k in raw), None)
+            raise ConfigError(f"{args.subcommand} needs {wording} code rows, got {scenario.l_count}",
+                              key=key)
+        if cmd.passes is not None:  # the pass-memory rule, before any m x m or N x N array exists
+            read = raw.keys() - {k for k, f in _RUN_KEYS.items() if f not in cmd.passes.values()}
+            m_key = next((k for k in ("m_values", "codebook_file") if k in read), "m")
+            n_key = "n_values" if "n_values" in read else "n_elements"
+            for _, scn in _passes(scenario, raw, cmd.passes):
+                n = scn.n_elements if scn.spacing != "none" else 0
+                _check_pass_memory(scn.m, scn.v_total, scn.code_rows, args.threads, m_key, n, n_key)
         echo = scenario.echo()
         echo.update((key, _echo_value(raw[key])) for key in _RUN_KEYS if key in raw)
         writer = RunWriter(args.out, args.subcommand, echo)
-        COMMANDS[args.subcommand][0](scenario, raw, writer, args.threads)
+        cmd.body(scenario, raw, writer, args.threads)
         writer.manifest()
     except ConfigError as exc:
-        if not exc.line:  # a field error points at the field's line
+        if not exc.line and exc.key not in flags:  # a field error points at the field's line
             exc.line = _key_line(text, exc.key)
         anchor = f"{args.config}:{exc.line}: " if exc.line else ""
         print(f"{anchor}config error: {exc}", file=sys.stderr)

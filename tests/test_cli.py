@@ -186,6 +186,7 @@ MC_SWEEPS = [
     ("pmiss-two-m", "pmiss_two_m.csv", {"m": _M}, True, "theory"),
     ("pmiss-two-np", "pmiss_two_np.csv", {"n": _N, "p_dbm": _P}, True, "theory"),
 ]
+SIMULATING = [case[0] for case in MC_SWEEPS] + ["confusion", "five-ris"]
 
 
 def run_cli(tmp_path, subcommand, config_text, extra=()):
@@ -281,6 +282,36 @@ class TestSubcommands:
                 assert "" not in row
             else:
                 assert row[-5:] == [""] * 5 and row[-6] != ""
+
+    @pytest.mark.parametrize("subcommand", SIMULATING)
+    def test_memory_rule_checks_the_passes_run(self, tmp_path, monkeypatch, subcommand):
+        """The pass-memory rule sees exactly the (m, v_total, code rows, correlated
+        elements) of the passes the run starts, whichever sweep keys the config sets."""
+        checked, run = set(), set()
+        pass_bytes, run_blocks = montecarlo.pass_bytes, montecarlo._run_blocks
+
+        def spy_bytes(m, v_total, rows, threads=1, n=0):
+            if threads == 2:  # a lone Scenario's load-time check counts one worker
+                checked.add((m, v_total, tuple(rows), n))
+            return pass_bytes(m, v_total, rows, threads, n)
+
+        def spy_run(plan, *args):
+            scn, prof = plan.scenario, plan.scenario.sim_profiles()[0]
+            run.add((scn.m, scn.v_total, scn.code_rows, prof.n if prof.gain_weights is not None else 0))
+            return run_blocks(plan, *args)
+
+        monkeypatch.setattr(montecarlo, "pass_bytes", spy_bytes)
+        monkeypatch.setattr(montecarlo, "_run_blocks", spy_run)
+        rows = "1, 2, 3, 4, 5" if subcommand == "five-ris" else "1, 2"
+        code, _ = run_cli(
+            tmp_path, subcommand,
+            f"m = 8\ncode_rows = {rows}\nn_elements = 4\nn_horizontal = 2\nspacing = half-lambda\n"
+            "r_bar = 2\nr_bar_grid = 2, 3\ntrials = 200\nm_values = 8, 16\nn_values = 4, 16\n"
+            "p_dbm_values = 10, 20\n",
+            ("--threads", "2"),
+        )
+        assert code == 0
+        assert run and checked == run
 
     def test_five_ris_artifact(self, tmp_path):
         code, out = run_cli(
@@ -448,6 +479,10 @@ class TestExitCodes:
             ("tradeoff", "code_rows = 3\nm = 16\n", 1),
             ("confusion", "m = 16\ncode_rows = 1, 2, 3\n", 2),
             ("five-ris", "l_count = 4\nm = 16\n", 1),
+            ("confusion", "code_rows = 1, 2\ntrials = 3\nr_bar_grid = 3\n", 2),
+            ("confusion", "code_rows = 1, 2\nr_bar_grid = 3, 3.0000001\ntrials = 100\n", 2),
+            ("five-ris", f"codebook_file = {BUNDLED_CONFIG_DIR / 'codebook_set1.txt'}\n"
+                         "code_rows = 3, 5\n", 2),
         ],
         ids=["code_rows", "n_horizontal", "bandwidth", "distance", "nan_grid",
              "inf_power", "trials", "per_surface", "nan_pmiss_target", "pmiss_target_above_one",
@@ -468,7 +503,8 @@ class TestExitCodes:
              "overflowing_range", "long_range", "nan_range", "long_int_list",
              "long_float_list", "one_surface_pf_two_m", "one_surface_from_l_count_pmiss_two_np",
              "one_surface_tradeoff", "three_surfaces_confusion",
-             "four_surfaces_from_l_count_five_ris"],
+             "four_surfaces_from_l_count_five_ris", "empty_true_state_confusion",
+             "clashing_file_names_confusion", "code_rows_beside_codebook"],
     )
     def test_cross_field_error_is_two(self, tmp_path, capsys, subcommand, text, line):
         cfg = tmp_path / "c.txt"
@@ -583,6 +619,42 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.count("c.txt:2: config error: m = 256, v_total = 4 and code rows (255,) need") == 3
         assert err.count("GiB per simulation pass with 8 worker threads") == 3
+        assert peak < 16 * 2**20
+        assert not (tmp_path / "o").exists()
+
+    def test_empty_true_state_from_trial_flag_has_no_line(self, tmp_path, capsys):
+        cfg = tmp_path / "c.txt"
+        cfg.write_text("code_rows = 1, 2\nr_bar_grid = 3\ntrials = 1000\n")
+        code = main(["confusion", "--config", str(cfg), "--out", str(tmp_path / "o"),
+                     "--trials", "3"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "config error: none of the 3 trials drew the true state 'RIS 2' or 'BOTH RISs'" in err
+        assert "c.txt:" not in err
+        assert not (tmp_path / "o").exists()
+
+    def test_unread_sweep_key_is_not_checked(self, tmp_path):
+        """pf-single never reads n_values, so an element count it never runs cannot reject it."""
+        code, out = run_cli(tmp_path, "pf-single",
+                            "spacing = half-lambda\nn_elements = 64\nn_values = 8192\ntrials = 1000\n")
+        assert code == 0
+        assert (out / "pf_single.csv").is_file()
+
+    def test_pass_memory_checks_the_m_run_not_an_unread_sweep(self, tmp_path, capsys):
+        """pmiss-n never reads m_values, so it runs, and the rule checks, m = 256 at 8 workers."""
+        cfg = tmp_path / "c.txt"
+        cfg.write_text("trials = 1000\nm = 256\nv_total = 4\ncode_rows = 255\nm_values = 16\n")
+        tracemalloc.start()
+        try:
+            code = main(["pmiss-n", "--config", str(cfg), "--out", str(tmp_path / "o"),
+                         "--threads", "8"])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "c.txt:2: config error: m = 256, v_total = 4 and code rows (255,) need" in err
+        assert "GiB per simulation pass with 8 worker threads" in err
         assert peak < 16 * 2**20
         assert not (tmp_path / "o").exists()
 
