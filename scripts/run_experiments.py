@@ -4,7 +4,8 @@
 Each subcommand writes CSV/JSON artifacts plus a manifest into its own
 subdirectory of --out. The bundled trial counts are sized for a coffee-break
 run; pass --trials to override them (e.g. 10000000 for headline-grade
-confusion matrices).
+confusion matrices). One line per config, then a total line: runs, failures
+and wall seconds.
 """
 
 import argparse
@@ -42,7 +43,8 @@ def main() -> int:
     parser.add_argument("--seed", type=int, default=None)
     args = parser.parse_args()
 
-    failures = 0
+    runs = failures = 0
+    start = time.time()
     for sub, config in RUNS:
         if args.only and sub not in args.only:
             continue
@@ -57,7 +59,9 @@ def main() -> int:
         code = risid_main(argv)
         status = "ok" if code == 0 else f"exit {code}"
         print(f"{label:<16} {status:<8} {time.time() - t0:7.1f}s -> {out}")
+        runs += 1
         failures += code != 0
+    print(f"{'total':<16} {runs} runs, {failures} failed, {time.time() - start:.1f}s")
     return 1 if failures else 0
 
 

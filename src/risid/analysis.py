@@ -4,7 +4,8 @@ Covers the single-surface false-detection bound, the single-surface miss
 probability, the two-surface variants driven by the interferer's correlation
 peak distribution, and the threshold / sizing design helpers built on top of
 them. Characteristic-function inversion stays as the reference the
-two-surface miss bound's closed form is tested against.
+two-surface miss bound's closed form is tested against; its three functions
+alone load scipy, on first use, so the closed forms start without it.
 """
 
 from __future__ import annotations
@@ -14,8 +15,6 @@ from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy import special
-from scipy.integrate import quad
 
 from .codes import CrossCorrPmf
 
@@ -138,24 +137,33 @@ def rayleigh_cf(sigma: float, w) -> complex | np.ndarray:
 
     Satisfies Psi(0) = 1, |Psi| <= 1, Psi(-w) = conj(Psi(w)).
     """
+    from scipy.special import dawsn  # the reference alone loads scipy, on its first call
+
+    return _rayleigh_cf(dawsn, sigma, w)
+
+
+def _rayleigh_cf(dawsn, sigma: float, w) -> complex | np.ndarray:
+    """``rayleigh_cf`` with scipy's Dawson function passed in."""
     if sigma <= 0:
         raise ValueError("sigma must be positive")
     w = np.asarray(w, dtype=np.float64)
     sw = sigma * w
-    re = 1.0 - np.sqrt(2.0) * sw * special.dawsn(sw / np.sqrt(2.0))
-    im = np.sqrt(np.pi / 2.0) * sw * np.exp(-0.5 * sw * sw)
+    re = 1.0 - math.sqrt(2.0) * sw * dawsn(sw / math.sqrt(2.0))
+    im = math.sqrt(math.pi / 2.0) * sw * np.exp(-0.5 * sw * sw)
     out = re + 1j * im
     return complex(out) if out.ndim == 0 else out
 
 
 def rayleigh_sum_cf(sigmas: Sequence[float]) -> Callable[[float], complex]:
     """CF of an independent sum of Rayleigh amplitudes (product of CFs)."""
+    from scipy.special import dawsn  # once here, not in each of the quadrature's calls
+
     sigmas = tuple(float(s) for s in sigmas)
 
     def cf(w):
-        out = rayleigh_cf(sigmas[0], w)
+        out = _rayleigh_cf(dawsn, sigmas[0], w)
         for s in sigmas[1:]:
-            out = out * rayleigh_cf(s, w)
+            out = out * _rayleigh_cf(dawsn, s, w)
         return out
 
     return cf
@@ -209,6 +217,8 @@ def gil_pelaez_cdf(x: float, cf, clamp: bool = True) -> float:
     The closed forms never call this; it is the reference tests hold
     ``pmiss_two`` against.
     """
+    from scipy.integrate import quad  # loaded here: nothing else in risid needs scipy
+
     if x < 0:
         raise ValueError("the CDF argument must be nonnegative")
     w_max = _decay_cutoff(cf)

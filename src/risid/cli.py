@@ -397,7 +397,8 @@ def parse_config_text(text: str) -> dict:
 
 
 def scenario_from_config(raw: dict, config_dir: Path | None = None) -> Scenario:
-    """Resolve a parsed config into a validated Scenario, checking and dropping run keys."""
+    """Resolve a parsed config into a validated Scenario, dropping run keys; the sweep
+    keys' values are checked by ``_passes``, for the subcommands that read them."""
     raw = dict(raw)
     run = {key: raw.pop(key) for key in _RUN_KEYS if key in raw}
     given = set(raw)
@@ -431,16 +432,9 @@ def scenario_from_config(raw: dict, config_dir: Path | None = None) -> Scenario:
         if exc.key == "m" and "m" not in given:  # m came from the codebook
             raise ConfigError(str(exc), key="codebook_file") from exc
         raise
-    for key, values in run.items():
-        field_name = _RUN_KEYS[key]
-        if field_name is None:
-            _check_value(key, values)
-            continue
-        for v in values:
-            try:
-                rescale(scenario, **{field_name: v})
-            except ConfigError as exc:
-                raise ConfigError(f"{key}: {exc}", key=key)
+    for key, value in run.items():
+        if _RUN_KEYS[key] is None:
+            _check_value(key, value)
     return scenario
 
 
@@ -530,11 +524,22 @@ def _passes(scenario: Scenario, raw: dict, labels: dict):
     """Yield (label values, scenario) for each engine pass. ``labels`` maps each label column
     to the field it varies, which runs over its sweep key's values (``_RUN_KEYS``) if set,
     every spacing mode for ``spacing``, else the scenario's own value; the columns combine
-    in product order, first column outermost, and no column gives one pass."""
+    in product order, first column outermost, and no column gives one pass. A combination
+    the scenario rejects is keyed to a sweep key it varies, the failing field's if swept."""
     varied = list(labels.values())
-    swept = {"spacing": SPACINGS} | {f: raw[key] for key, f in _RUN_KEYS.items() if key in raw}
+    keys = {f: key for f in varied for key, g in _RUN_KEYS.items() if g == f and key in raw}
+    swept = {"spacing": SPACINGS} | {f: raw[key] for f, key in keys.items()}
     for combo in itertools.product(*(swept.get(f, (getattr(scenario, f),)) for f in varied)):
-        yield combo, rescale(scenario, **dict(zip(varied, combo)))
+        changes = dict(zip(varied, combo))
+        try:
+            scn = rescale(scenario, **changes)
+        except ConfigError as exc:
+            if not keys:
+                raise
+            key = keys.get(exc.key, next(iter(keys.values())))
+            at = f" at {', '.join(f'{f} = {changes[f]!r}' for f in keys)}" if len(keys) > 1 else ""
+            raise ConfigError(f"{key}{at}: {exc}", key=key) from exc
+        yield combo, scn
 
 
 def _mc_sweep(scenario: Scenario, raw: dict, writer: RunWriter, threads: int, labels: dict,

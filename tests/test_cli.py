@@ -483,6 +483,8 @@ class TestExitCodes:
             ("confusion", "code_rows = 1, 2\nr_bar_grid = 3, 3.0000001\ntrials = 100\n", 2),
             ("five-ris", f"codebook_file = {BUNDLED_CONFIG_DIR / 'codebook_set1.txt'}\n"
                          "code_rows = 3, 5\n", 2),
+            ("pf-two-np", "code_rows = 1, 2\np_dbm_values = 10, 2830\n"
+                          "n_values = 64, 1099511627776\n", 2),
         ],
         ids=["code_rows", "n_horizontal", "bandwidth", "distance", "nan_grid",
              "inf_power", "trials", "per_surface", "nan_pmiss_target", "pmiss_target_above_one",
@@ -504,7 +506,8 @@ class TestExitCodes:
              "long_float_list", "one_surface_pf_two_m", "one_surface_from_l_count_pmiss_two_np",
              "one_surface_tradeoff", "three_surfaces_confusion",
              "four_surfaces_from_l_count_five_ris", "empty_true_state_confusion",
-             "clashing_file_names_confusion", "code_rows_beside_codebook"],
+             "clashing_file_names_confusion", "code_rows_beside_codebook",
+             "power_overflow_of_a_sweep_combination"],
     )
     def test_cross_field_error_is_two(self, tmp_path, capsys, subcommand, text, line):
         cfg = tmp_path / "c.txt"
@@ -640,6 +643,27 @@ class TestExitCodes:
         assert code == 0
         assert (out / "pf_single.csv").is_file()
 
+    def test_sweep_values_checked_only_where_read(self, tmp_path, capsys):
+        """m_values = 1024 would need 8 GiB a pass: pmiss-n never runs it, pf-single does."""
+        text = "m = 16\nv_total = 4\ncode_rows = 15\nm_values = 1024\n"
+        code, out = run_cli(tmp_path / "pmiss", "pmiss-n", text, ("--trials", "2000"))
+        assert code == 0
+        assert (out / "pmiss_n.csv").is_file()
+        code, out = run_cli(tmp_path / "pf", "pf-single", text, ("--trials", "2000"))
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "config.txt:4: config error: m_values: m = 1024" in err
+        assert "GiB per simulation pass" in err
+        assert not out.exists()
+
+    def test_sweep_combination_error_names_the_combination(self, tmp_path, capsys):
+        """Each value passes alone; their last combination overflows the received peak."""
+        code, _ = run_cli(tmp_path, "pf-two-np", "code_rows = 1, 2\np_dbm_values = 10, 2830\n"
+                                                 "n_values = 64, 1099511627776\n")
+        assert code == 2
+        assert ("config.txt:2: config error: p_dbm_values at n_elements = 1099511627776, "
+                "p_dbm = 2830.0: p_dbm puts the mean received peak") in capsys.readouterr().err
+
     def test_pass_memory_checks_the_m_run_not_an_unread_sweep(self, tmp_path, capsys):
         """pmiss-n never reads m_values, so it runs, and the rule checks, m = 256 at 8 workers."""
         cfg = tmp_path / "c.txt"
@@ -701,3 +725,45 @@ class TestExitCodes:
         cfg = tmp_path / "c.txt"
         cfg.write_text("m = 16\ncode_rows = 15\n")
         assert main(["theory", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
+
+
+def _fresh_python(tmp_path, code: str) -> str:
+    """Stdout of ``code`` run in a new interpreter that imports risid from this tree."""
+    env = dict(os.environ, PYTHONPATH=str(Path(risid.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-c", code], cwd=tmp_path, env=env, check=True,
+                          capture_output=True, text=True, timeout=600)
+    return proc.stdout
+
+
+class TestScipyOnDemand:
+    """Only the Gil-Pelaez reference loads scipy; the tests above import it themselves."""
+
+    def test_cli_and_engine_never_load_scipy(self, tmp_path):
+        config = {sub: str(BUNDLED_CONFIG_DIR / name) for sub, name in BUNDLED_RUNS}
+        runs = [[sub, "--config", config[sub], "--out", sub] for sub in ("theory", "tradeoff", "design")]
+        runs.append(["pf-single", "--config", config["pf-single"], "--out", "pf-single",
+                     "--trials", "2000"])
+        out = _fresh_python(tmp_path, f"""
+import sys
+import risid, risid.cli
+try:
+    risid.cli.main(["--help"])
+except SystemExit:
+    pass
+codes = [risid.cli.main(argv) for argv in {runs!r}]
+print(codes, "scipy" in sys.modules)
+""")
+        assert out.splitlines()[-1] == "[0, 0, 0, 0] False"
+
+    def test_reference_loads_scipy_and_keeps_its_values(self, tmp_path):
+        """Each reference function loads what it needs and returns the values it gave when
+        risid loaded scipy at import."""
+        out = _fresh_python(tmp_path, """
+import sys
+from risid.analysis import gil_pelaez_cdf, rayleigh_cf, rayleigh_sum_cf
+print("scipy" in sys.modules)
+print(repr(rayleigh_cf(0.7, 1.3)), "scipy.integrate" in sys.modules)
+print(repr(gil_pelaez_cdf(2.5, rayleigh_sum_cf([1.0, 2.0]))), "scipy.integrate" in sys.modules)
+""")
+        assert out.split() == ["False", "(0.3667209182137767+0.7538443785092648j)", "False",
+                               "0.2053761916301271", "True"]
