@@ -17,9 +17,14 @@ def main() -> None:
     parser.add_argument("--out", type=Path, default=Path("."))
     parser.add_argument("--top", type=int, default=5)
     args = parser.parse_args()
+    if not args.out.is_dir():
+        parser.error(f"--out {args.out} is not a directory")
 
     pad = args.pad if args.pad is not None else args.length // 4
-    ranked = rank_code_subsets(args.length, args.subset_size, pad)
+    try:
+        ranked = rank_code_subsets(args.length, args.subset_size, pad)
+    except ValueError as exc:
+        parser.error(str(exc))
     print(f"{len(ranked)} subsets of size {args.subset_size} "
           f"(length {args.length}, pad {pad})")
     for q, rows in ranked[: args.top]:

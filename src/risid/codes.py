@@ -3,8 +3,8 @@
 Each surface is assigned one row of a Sylvester-Hadamard matrix, BPSK-mapped to
 a +/-1 sequence. The detector's behaviour under random cyclic offsets and
 partial overlap windows is governed by integer partial cross-correlations,
-which this module enumerates exactly (integer arithmetic throughout, exact
-rational probabilities).
+which this module enumerates exactly (exact integer values computed by float64
+products, exact rational probabilities).
 """
 
 from __future__ import annotations
@@ -204,6 +204,8 @@ def partial_cross_corr(
 
 def uniform_offset_law(v_total: int) -> dict:
     """Uniform law for the number of leading pad samples, on {1..v_total}."""
+    if v_total < 1:
+        raise ValueError(f"v_total must be at least 1, got {v_total}")
     p = Fraction(1, v_total)
     return {v1: p for v1 in range(1, v_total + 1)}
 
@@ -236,6 +238,29 @@ class CrossCorrPmf:
             raise ValueError("a_tilde cannot be below the largest support peak")
 
 
+def _best_peaks(sl: np.ndarray, sd: np.ndarray, v1s: Sequence[int], v_total: int) -> np.ndarray:
+    """Largest |A| per (v1, reference code, interferer row), over every c and k.
+
+    ``sl`` stacks the ``all_shifts`` matrices of the reference codes (M rows
+    each); ``sd`` holds interferer sequences as laid, one per row. Window
+    offset k meets pad length v1 only through t = k - v1, so each t takes one
+    float64 product, exact because its entries are integers of size <= M.
+    Windows with |t| >= M miss the signal block and add nothing.
+    """
+    n_ref, m = sl.shape[0] // sl.shape[1], sl.shape[1]
+    sl = sl.astype(np.float64)
+    sd = sd.astype(np.float64)
+    a = np.empty((len(sl), len(sd)))  # one product buffer for every t
+    best = np.zeros((len(v1s), n_ref, len(sd)), dtype=np.int64)
+    for t in range(max(-max(v1s), 1 - m), min(v_total - min(v1s), m - 1) + 1):
+        np.matmul(sl[:, max(-t, 0) : m - max(t, 0)], sd[:, max(t, 0) : m + min(t, 0)].T, out=a)
+        peak = np.abs(a, out=a).reshape(n_ref, m, -1).max(axis=1).astype(np.int64)
+        for j, v1 in enumerate(v1s):
+            if -v1 <= t <= v_total - v1:
+                np.maximum(best[j], peak, out=best[j])
+    return best
+
+
 def cross_corr_pmf(
     code_l: BinarySequence,
     code_d: BinarySequence,
@@ -263,52 +288,39 @@ def cross_corr_pmf(
         raise ValueError("codes must share one sequence length")
     if v_total is None:
         v_total = max(law)
-    sl = all_shifts(code_l)
-    sd = all_shifts(code_d)
+    v1s = [v1 for v1, pv in law.items() if pv != 0]
+    best = _best_peaks(all_shifts(code_l), all_shifts(code_d), v1s, v_total)[:, 0]
 
     weights: dict[int, Fraction] = {}
-    a_tilde = 0
-    offset_p = Fraction(1, m)
-    for v1, pv in law.items():
-        if pv == 0:
-            continue
-        # best |A| per interferer offset, maximised over (c, k)
-        best = np.zeros(m, dtype=np.int64)
-        for k in range(v_total + 1):
-            t = k - v1
-            if t >= m:
-                continue
-            if t < 0:
-                m2 = np.arange(v1 - k + 1, m + 1)
-            else:
-                m2 = np.arange(1, m - t + 1)
-            a = sl[:, m2 - 1] @ sd[:, m2 + t - 1].T  # (c, c_d)
-            np.maximum(best, np.abs(a).max(axis=0), out=best)
-        a_tilde = max(a_tilde, int(best.max()))
-        for b in best:
-            key = int(b) ** 2
-            weights[key] = weights.get(key, Fraction(0)) + offset_p * pv
+    for v1, row in zip(v1s, best):
+        peaks, counts = np.unique(row, return_counts=True)
+        for b, n in zip(peaks.tolist(), counts.tolist()):
+            weights[b * b] = weights.get(b * b, Fraction(0)) + Fraction(n, m) * law[v1]
     support = tuple(sorted(weights))
     probs = tuple(weights[a] for a in support)
-    return CrossCorrPmf(support=support, probs=probs, a_tilde=a_tilde)
+    return CrossCorrPmf(support=support, probs=probs, a_tilde=int(best.max()))
+
+
+def _pair_peaks(codes: Sequence[BinarySequence], v1_span: int) -> np.ndarray:
+    """(n, n) matrix of a_tilde for every (detector code, interferer code) pair."""
+    if len({c.length for c in codes}) != 1:
+        raise ValueError("codes must share one sequence length")
+    shifts = np.vstack([all_shifts(c) for c in codes])
+    best = _best_peaks(shifts, shifts, list(uniform_offset_law(v1_span)), v1_span)
+    return best.reshape(-1, len(codes), len(codes), codes[0].length).max(axis=(0, 3))
 
 
 def set_quality(codes: Sequence[BinarySequence], v1_span: int) -> int:
     """Worst-pair correlation peak of a code set; lower is better.
 
-    Maximum of a_tilde over all ordered pairs (detector code, interferer
-    code). A value of M means some pair is a cyclic shift of another and the
-    surfaces cannot be told apart under offset uncertainty.
+    Maximum of a_tilde over all ordered pairs of set positions (detector
+    code, interferer code). A value of M means some pair is a cyclic shift of
+    another and the surfaces cannot be told apart under offset uncertainty.
     """
     if len(codes) < 2:
         raise ValueError("set quality needs at least two codes")
-    worst = 0
-    for cl in codes:
-        for cd in codes:
-            if cl is cd:
-                continue
-            worst = max(worst, cross_corr_pmf(cl, cd, v1_span).a_tilde)
-    return worst
+    peaks = _pair_peaks(codes, v1_span)
+    return int(peaks[~np.eye(len(codes), dtype=bool)].max())
 
 
 def rank_code_subsets(m: int, subset_size: int, v1_span: int):
@@ -316,21 +328,22 @@ def rank_code_subsets(m: int, subset_size: int, v1_span: int):
 
     Returns a list of (quality, rows) sorted ascending by quality then rows;
     element 0 is the canonical best set, element -1 the canonical worst.
-    Pairwise peaks are precomputed once, so this stays cheap for m <= 32.
+    The pair peaks of all m-1 usable rows come from one batched search.
     """
     h = hadamard_matrix(m)
-    seqs = {r: BinarySequence(id=r, symbols=h[r], row=r) for r in range(1, m)}
-    pair_peak = {}
-    for a in seqs:
-        for b in seqs:
-            if a != b:
-                pair_peak[(a, b)] = cross_corr_pmf(seqs[a], seqs[b], v1_span).a_tilde
-    ranked = []
-    for rows in combinations(sorted(seqs), subset_size):
-        q = max(pair_peak[(a, b)] for a in rows for b in rows if a != b)
-        ranked.append((q, rows))
-    ranked.sort()
-    return ranked
+    if not 2 <= subset_size <= m - 1:
+        raise ValueError(f"subset_size must be in 2..{m - 1}, got {subset_size}")
+    if not 1 <= v1_span <= m - 1:
+        raise ValueError(f"v1_span must be in 1..{m - 1}, got {v1_span}")
+    peaks = _pair_peaks([BinarySequence(id=r, symbols=h[r], row=r) for r in range(1, m)], v1_span)
+    peaks = np.maximum(peaks, peaks.T)
+    subsets = list(combinations(range(1, m), subset_size))
+    idx = np.array(subsets) - 1
+    quality = np.zeros(len(subsets), dtype=np.int64)
+    for i, j in combinations(range(subset_size), 2):
+        np.maximum(quality, peaks[idx[:, i], idx[:, j]], out=quality)
+    # combinations come in lexicographic order, so a stable sort keeps ties by rows
+    return [(int(quality[s]), subsets[s]) for s in np.argsort(quality, kind="stable")]
 
 
 # --- codebook text format -------------------------------------------------

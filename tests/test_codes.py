@@ -1,6 +1,11 @@
 """Identity sequences: construction, shifts, and exact correlation structure."""
 
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from itertools import combinations
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -235,6 +240,140 @@ class TestSetQuality:
         assert worst_ties[0] == (1, 2, 3, 4, 5)
 
 
+def _pair_peak_oracle(codes, v1_span):
+    """a_tilde of every ordered pair of set positions, one pmf per pair."""
+    n = len(codes)
+    return {(i, j): cross_corr_pmf(codes[i], codes[j], v1_span).a_tilde
+            for i in range(n) for j in range(n) if i != j}
+
+
+def _pmf_oracle(code_l, code_d, law, v_total):
+    """One Fraction per (v1, c_d): the best |A| over every (c, k), summed by peak."""
+    m = code_l.length
+    weights, a_tilde = {}, 0
+    for v1, pv in law.items():
+        if pv == 0:
+            continue
+        for cd in range(1, m + 1):
+            laid = circular_shift(code_d, cd)
+            best = max(abs(partial_cross_corr(code_l, laid, c, k, v1))
+                       for c in range(1, m + 1) for k in range(v_total + 1))
+            a_tilde = max(a_tilde, best)
+            weights[best**2] = weights.get(best**2, Fraction(0)) + Fraction(1, m) * pv
+    support = tuple(sorted(weights))
+    return support, tuple(weights[a] for a in support), a_tilde
+
+
+def _pm1(bits):
+    return np.array([1 if b else -1 for b in bits], dtype=np.int64)
+
+
+class TestBatchedPeakSearch:
+    @pytest.mark.parametrize("m,size,span", [(8, 3, 2), (16, 3, 8), (16, 5, 4)])
+    def test_ranking_matches_per_pair_search(self, m, size, span):
+        h = hadamard_matrix(m)
+        seqs = [BinarySequence(id=r, symbols=h[r], row=r) for r in range(1, m)]
+        peak = _pair_peak_oracle(seqs, span)
+        expect = sorted(
+            (max(peak[(a - 1, b - 1)] for a in rows for b in rows if a != b), rows)
+            for rows in combinations(range(1, m), size)
+        )
+        assert rank_code_subsets(m, size, span) == expect
+
+    @given(
+        m=st.sampled_from([4, 8, 16]),
+        data=st.data(),
+        extra=st.integers(0, 3),
+        default_total=st.booleans(),
+    )
+    @settings(max_examples=30, deadline=None)
+    def test_pmf_matches_per_offset_oracle(self, m, data, extra, default_total):
+        bits = st.lists(st.booleans(), min_size=m, max_size=m)
+        code_l = BinarySequence(1, _pm1(data.draw(bits)))
+        code_d = BinarySequence(2, _pm1(data.draw(bits)))
+        v1s = data.draw(st.lists(st.integers(1, min(m - 1, 6)), min_size=1, max_size=4, unique=True))
+        w = data.draw(st.lists(st.integers(0, 3), min_size=len(v1s), max_size=len(v1s)))
+        if sum(w) == 0:
+            w[0] = 1
+        law = {v1: Fraction(wi, sum(w)) for v1, wi in zip(v1s, w)}
+        v_total = None if default_total else max(v1s) + extra
+        pmf = cross_corr_pmf(code_l, code_d, law, v_total)
+        support, probs, a_tilde = _pmf_oracle(code_l, code_d, law, v_total or max(v1s))
+        assert (pmf.support, pmf.probs, pmf.a_tilde) == (support, probs, a_tilde)
+
+    @given(
+        m=st.sampled_from([8, 16]),
+        data=st.data(),
+        span=st.integers(1, 4),
+    )
+    @settings(max_examples=20, deadline=None)
+    def test_set_quality_matches_per_pair_max(self, m, data, span):
+        h = hadamard_matrix(m)
+        n = data.draw(st.integers(2, 4))
+        codes = []
+        for i in range(n):
+            if data.draw(st.booleans()):
+                codes.append(BinarySequence(i, h[data.draw(st.integers(1, m - 1))]))
+            else:
+                codes.append(BinarySequence(i, _pm1(data.draw(st.lists(st.booleans(), min_size=m, max_size=m)))))
+        assert set_quality(codes, span) == max(_pair_peak_oracle(codes, span).values())
+
+    def test_set_quality_with_twin_and_foreign_shift(self, seq16):
+        h = hadamard_matrix(16)
+        # row 5 shifted by one is, up to sign, no row of the Hadamard matrix
+        shifted = circular_shift(seq16[5], 1)
+        assert np.all(np.abs(h @ shifted.symbols) < 16)
+        twin = BinarySequence(id=99, symbols=seq16[6].symbols, row=6)
+        for codes in ([seq16[1], seq16[6], twin], [seq16[3], seq16[8], shifted], [seq16[2], shifted, seq16[9]]):
+            assert set_quality(codes, 4) == max(_pair_peak_oracle(codes, 4).values())
+        assert set_quality([seq16[5], shifted], 4) == 16
+
+    @pytest.mark.parametrize("m,size,span,arg", [
+        (16, 16, 4, "subset_size"), (16, 1, 4, "subset_size"), (16, 0, 4, "subset_size"),
+        (16, 5, 0, "v1_span"), (16, 5, 16, "v1_span"), (2, 2, 1, "subset_size"),
+    ])
+    def test_ranking_rejects_out_of_range_arguments(self, m, size, span, arg):
+        with pytest.raises(ValueError, match=arg):
+            rank_code_subsets(m, size, span)
+
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def _rank_script(*args, out):
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    return subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "rank_codebooks.py"), "--out", str(out), *args],
+        env=env, capture_output=True, text=True,
+    )
+
+
+class TestRankCodebooksScript:
+    def test_regenerates_the_bundled_codebooks(self, tmp_path):
+        proc = _rank_script("--length", "16", out=tmp_path)
+        assert proc.returncode == 0, proc.stderr
+        for name in ("codebook_set1.txt", "codebook_set2.txt"):
+            assert (tmp_path / name).read_bytes() == (ROOT / "scripts" / "configs" / name).read_bytes()
+
+    @pytest.mark.parametrize("args,message", [
+        (("--subset-size", "16"), "subset_size"),
+        (("--subset-size", "1"), "subset_size"),
+        (("--subset-size", "0"), "subset_size"),
+        (("--length", "12"), "power of two"),
+        (("--pad", "0"), "v1_span"),
+        (("--pad", "16"), "v1_span"),
+    ])
+    def test_bad_arguments_exit_2(self, tmp_path, args, message):
+        proc = _rank_script(*args, out=tmp_path)
+        assert proc.returncode == 2 and message in proc.stderr and "Traceback" not in proc.stderr
+        assert not list(tmp_path.iterdir())
+
+    def test_missing_out_directory_exits_2(self, tmp_path):
+        proc = _rank_script(out=tmp_path / "absent")
+        assert proc.returncode == 2 and "--out" in proc.stderr and "Traceback" not in proc.stderr
+        assert not proc.stdout
+
+
 class TestDistinctShiftFraction:
     def test_alternating_row_collapses(self, seq16):
         assert distinct_shift_fraction(seq16[1]) == pytest.approx(1 / 16)
@@ -268,3 +407,9 @@ class TestSignClasses:
 def test_uniform_offset_law_normalized():
     law = uniform_offset_law(4)
     assert sum(law.values()) == 1 and set(law) == {1, 2, 3, 4}
+
+
+@pytest.mark.parametrize("v_total", [0, -3])
+def test_uniform_offset_law_rejects_empty_support(v_total):
+    with pytest.raises(ValueError, match="v_total"):
+        uniform_offset_law(v_total)
