@@ -224,6 +224,7 @@ class TestSetQuality:
     def test_duplicated_code_is_worst_case(self, seq16):
         twin = BinarySequence(id=99, symbols=seq16[5].symbols, row=5)
         assert set_quality([seq16[5], twin], 4) == 16
+        assert set_quality([seq16[5], seq16[5]], 4) == 16
 
     def test_requires_two_codes(self, seq16):
         with pytest.raises(ValueError):
@@ -309,13 +310,14 @@ class TestBatchedPeakSearch:
     @settings(max_examples=20, deadline=None)
     def test_set_quality_matches_per_pair_max(self, m, data, span):
         h = hadamard_matrix(m)
-        n = data.draw(st.integers(2, 4))
+        bits = st.lists(st.booleans(), min_size=m, max_size=m)
         codes = []
-        for i in range(n):
+        for i in range(data.draw(st.integers(2, 4))):
             if data.draw(st.booleans()):
-                codes.append(BinarySequence(i, h[data.draw(st.integers(1, m - 1))]))
+                symbols = h[data.draw(st.integers(1, m - 1))]
             else:
-                codes.append(BinarySequence(i, _pm1(data.draw(st.lists(st.booleans(), min_size=m, max_size=m)))))
+                symbols = _pm1(data.draw(bits))
+            codes.append(BinarySequence(i, symbols))
         assert set_quality(codes, span) == max(_pair_peak_oracle(codes, span).values())
 
     def test_set_quality_with_twin_and_foreign_shift(self, seq16):
