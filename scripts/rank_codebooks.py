@@ -19,6 +19,8 @@ def main() -> None:
     args = parser.parse_args()
     if not args.out.is_dir():
         parser.error(f"--out {args.out} is not a directory")
+    if args.top < 0:
+        parser.error(f"--top must be nonnegative, got {args.top}")
 
     pad = args.pad if args.pad is not None else args.length // 4
     try:
@@ -30,7 +32,7 @@ def main() -> None:
     for q, rows in ranked[: args.top]:
         print(f"  quality {q:3d}  rows {rows}")
     print("  ...")
-    for q, rows in ranked[-args.top:]:
+    for q, rows in ranked[max(len(ranked) - args.top, 0):]:
         print(f"  quality {q:3d}  rows {rows}")
 
     best_rows = ranked[0][1]

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -93,14 +94,29 @@ def path_gain(f_c: float, d_ur: float, d_rb: float) -> float:
 
 @dataclass(frozen=True)
 class CorrelationMatrix:
-    """Element correlation matrix together with a sampling factor F, F F^T ~ R."""
+    """Element correlation matrix together with a sampling factor F, F F^T ~ R.
+
+    F is kept as a read-only float64 copy, so the complex F^T that
+    ``sample_channel`` multiplies by, prepared on first use, cannot go stale.
+    """
 
     r: np.ndarray
     factor: np.ndarray
 
+    def __post_init__(self):
+        factor = np.array(self.factor, dtype=np.float64)
+        factor.flags.writeable = False
+        object.__setattr__(self, "factor", factor)
+
     @property
     def n(self) -> int:
         return self.r.shape[0]
+
+    @cached_property
+    def _factor_t(self) -> np.ndarray:
+        factor_t = np.ascontiguousarray(self.factor.T, dtype=np.complex128)
+        factor_t.flags.writeable = False
+        return factor_t
 
 
 def correlation_matrix(geom: RisGeometry, eig_floor: float = -1e-9) -> CorrelationMatrix:
@@ -145,7 +161,7 @@ def sample_channel(
     vector. Reproducible bit-for-bit for a given generator state.
     """
     z = rng.standard_normal((size or 1, corr.n, 2)).view(np.complex128)[..., 0]
-    h = np.sqrt(beta_hop / 2.0) * (z @ corr.factor.T)
+    h = np.sqrt(beta_hop / 2.0) * (z @ corr._factor_t)
     return h[0] if size is None else h
 
 

@@ -289,6 +289,8 @@ def cross_corr_pmf(
     if v_total is None:
         v_total = max(law)
     v1s = [v1 for v1, pv in law.items() if pv != 0]
+    if not all(1 <= v1 < m for v1 in v1s):
+        raise ValueError(f"v1 law support must lie in 1..{m - 1}, got {sorted(v1s)}")
     best = _best_peaks(all_shifts(code_l), all_shifts(code_d), v1s, v_total)[:, 0]
 
     weights: dict[int, Fraction] = {}

@@ -8,7 +8,9 @@ an absolute threshold. Nothing here ever reads the frame's ground truth.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Sequence, Tuple
 
 import numpy as np
@@ -41,25 +43,44 @@ def correlate(y, code: BinarySequence, c: int, k: int) -> complex:
     return complex(np.dot(shifted, samples[k : k + m]) / np.sqrt(m))
 
 
+@lru_cache(maxsize=64)
+def _shift_matrix(symbols: bytes) -> np.ndarray:
+    """Read-only complex (M, M) matrix whose column c-1 is the code shifted left by c.
+
+    Keyed by the symbols' int64 bytes, so equal codes share one matrix and a
+    code rebuilt or edited in place never meets another code's matrix.
+    """
+    code = BinarySequence(0, np.frombuffer(symbols, dtype=np.int64))
+    s = np.ascontiguousarray(all_shifts(code).T, dtype=np.complex128)
+    s.flags.writeable = False
+    return s
+
+
+@lru_cache(maxsize=64)
+def _windows(length: int, m: int) -> np.ndarray:
+    """(length - m + 1, 1, m) sample indices, one length-m window per offset k."""
+    idx = np.arange(length - m + 1)[:, None, None] + np.arange(m)
+    idx.flags.writeable = False
+    return idx
+
+
 def detect(y, code: BinarySequence) -> Tuple[float, int, int]:
     """Exhaustive (c, k) search; returns (D, c_hat, k_hat).
 
     D is the largest |d|^2 over all M shift hypotheses and all window
     offsets. Ties are broken toward the smallest k, then the smallest c, so
     results are reproducible even though sign-flipped shift pairs produce
-    exactly equal metrics.
+    exactly equal metrics. Each offset's window is one (1, M) row of a single
+    stacked matmul, the product a loop over offsets would take; one 2-D
+    (k, M) product may sum in another order and move the metric's last bit.
     """
     samples = _samples_of(y)
     m = code.length
     if len(samples) < m:
         raise ValueError("frame shorter than the code")
-    k_max = len(samples) - m
-    shifts_t = all_shifts(code).astype(np.float64).T  # (m, c)
-    metric = np.empty((k_max + 1, m))
-    for k in range(k_max + 1):
-        d = samples[k : k + m] @ shifts_t / np.sqrt(m)
-        metric[k] = d.real**2 + d.imag**2
-    flat = int(np.argmax(metric))  # row-major: smallest k first, then smallest c
+    d = samples[_windows(len(samples), m)] @ _shift_matrix(code.symbols.tobytes()) / math.sqrt(m)
+    metric = (d.real**2 + d.imag**2).reshape(-1, m)  # (k, c)
+    flat = int(metric.argmax())  # row-major: smallest k first, then smallest c
     k_hat, c_idx = divmod(flat, m)
     return float(metric[k_hat, c_idx]), c_idx + 1, k_hat
 

@@ -415,3 +415,47 @@ def test_uniform_offset_law_normalized():
 def test_uniform_offset_law_rejects_empty_support(v_total):
     with pytest.raises(ValueError, match="v_total"):
         uniform_offset_law(v_total)
+
+
+class TestPmfLawSupport:
+    @pytest.mark.parametrize("law,v_total", [({20: 1}, 20), ({-3: 1}, 2), ({0: 1}, 2), ({16: 1}, 4)])
+    def test_v1_outside_the_frame_raises(self, seq16, law, v_total):
+        with pytest.raises(ValueError, match="1..15"):
+            cross_corr_pmf(seq16[1], seq16[2], law, v_total)
+
+    def test_zero_probability_keys_outside_the_frame_are_ignored(self, seq16):
+        law = {20: Fraction(0), 2: Fraction(1)}
+        assert cross_corr_pmf(seq16[1], seq16[2], law, 4) == cross_corr_pmf(seq16[1], seq16[2], {2: 1}, 4)
+
+    @pytest.mark.parametrize("v_total", [1, 4, 15])
+    def test_cli_uniform_laws_match_the_oracle(self, seq16, v_total):
+        # the CLI passes the int v_total, a uniform law on 1..v_total < M
+        pmf = cross_corr_pmf(seq16[3], seq16[9], v_total)
+        law = uniform_offset_law(v_total)
+        assert pmf == cross_corr_pmf(seq16[3], seq16[9], law, v_total)
+        assert (pmf.support, pmf.probs, pmf.a_tilde) == _pmf_oracle(seq16[3], seq16[9], law, v_total)
+
+
+class TestRankCodebooksTop:
+    def _ranking_rows(self, stdout):
+        return [line for line in stdout.splitlines() if "quality" in line]
+
+    def test_top_zero_prints_no_ranking_rows(self, tmp_path):
+        proc = _rank_script("--length", "8", "--subset-size", "3", "--top", "0", out=tmp_path)
+        assert proc.returncode == 0, proc.stderr
+        assert self._ranking_rows(proc.stdout) == []
+        assert (tmp_path / "codebook_set1.txt").exists()
+
+    def test_top_prints_both_ends(self, tmp_path):
+        # 35 subsets of 7 rows: a --top above the count prints each end in full
+        ranked = rank_code_subsets(8, 3, 2)
+        for top, shown in ((2, 4), (40, 70)):
+            proc = _rank_script("--length", "8", "--subset-size", "3", "--top", str(top), out=tmp_path)
+            rows = self._ranking_rows(proc.stdout)
+            assert len(rows) == shown
+            assert rows[-1] == f"  quality {ranked[-1][0]:3d}  rows {ranked[-1][1]}"
+
+    def test_negative_top_exits_2(self, tmp_path):
+        proc = _rank_script("--top", "-1", out=tmp_path)
+        assert proc.returncode == 2 and "--top" in proc.stderr and "Traceback" not in proc.stderr
+        assert not proc.stdout and not list(tmp_path.iterdir())

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from risid.codes import build_codebook, partial_cross_corr
+from risid.codes import BinarySequence, build_codebook, hadamard_matrix, partial_cross_corr
 from risid.detector import correlate, detect, run_ris_id
 from risid.signal import synthesize_frame
 
@@ -210,3 +210,41 @@ class TestRunRisId:
         high = run_ris_id(fr, [(code, metric * 2.0)])
         assert low.per_ris[1].decided and not high.per_ris[1].decided
         assert low.threshold_used[1] == metric * 0.5
+
+
+class TestBatchedDetect:
+    """The one-product search against the per-offset loop, bit for bit."""
+
+    @pytest.mark.parametrize("m", [4, 8, 16, 32, 64])
+    def test_matches_per_offset_loop_bitwise(self, m):
+        code = build_codebook(m, [m - 1]).entries[0]
+        rng = np.random.default_rng(m)
+        for length in range(m + 1, m + m // 2 + 1):
+            # zero, real-only and general complex frames; the reference keeps its input's dtype
+            frames = [np.zeros(length, dtype=complex), rng.standard_normal(length).astype(complex)]
+            frames += [rng.standard_normal(length) + 1j * rng.standard_normal(length) for _ in range(20)]
+            for y in frames:
+                assert detect(y, code) == brute_force_detect_same_kernel(y, code)
+
+    def test_codes_of_one_length_never_share_a_matrix(self):
+        book = build_codebook(16, [3, 11])
+        rng = np.random.default_rng(41)
+        for _ in range(20):
+            y = rng.standard_normal(20) + 1j * rng.standard_normal(20)
+            for code in (book.entries[0], book.entries[1], book.entries[0]):
+                assert detect(y, code) == brute_force_detect_same_kernel(y, code)
+
+    def test_rebuilt_and_edited_codes_match_reference(self):
+        rng = np.random.default_rng(43)
+        y = rng.standard_normal(20) + 1j * rng.standard_normal(20)
+        first = build_codebook(16, [11]).entries[0]
+        detect(y, first)
+        rebuilt = build_codebook(16, [11]).entries[0]
+        assert rebuilt is not first
+        assert detect(y, rebuilt) == brute_force_detect_same_kernel(y, rebuilt)
+        # a code whose symbols change in place is searched with its new symbols
+        edited = BinarySequence(1, hadamard_matrix(16)[11].copy(), 11)
+        detect(y, edited)
+        edited.symbols[:] = hadamard_matrix(16)[5]
+        assert detect(y, edited) == brute_force_detect_same_kernel(y, edited)
+        assert detect(y, edited) == detect(y, build_codebook(16, [5]).entries[0])
