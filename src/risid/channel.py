@@ -161,7 +161,7 @@ def sample_channel(
     vector. Reproducible bit-for-bit for a given generator state.
     """
     z = rng.standard_normal((size or 1, corr.n, 2)).view(np.complex128)[..., 0]
-    h = np.sqrt(beta_hop / 2.0) * (z @ corr._factor_t)
+    h = math.sqrt(beta_hop / 2.0) * (z @ corr._factor_t)
     return h[0] if size is None else h
 
 
@@ -210,4 +210,4 @@ def cascaded_gain(h_ur: np.ndarray, h_rb: np.ndarray, power_w: float) -> complex
     h_rb = np.asarray(h_rb)
     if h_ur.shape != h_rb.shape:
         raise ValueError("hop vectors must have equal length")
-    return complex(np.sqrt(power_w) * np.sum(h_ur * h_rb))
+    return complex(np.sqrt(power_w) * (h_ur * h_rb).sum())

@@ -9,6 +9,9 @@ position, so the receiver knows neither the pad split nor the code phase.
 from __future__ import annotations
 
 import math
+import operator
+import sys
+import threading
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Mapping, Sequence
@@ -48,6 +51,28 @@ TAG_FRAME = 0
 TAG_RIS = 1
 
 _MASK64 = (1 << 64) - 1
+_ZEROS = np.zeros(4, dtype=np.uint64)  # counter and buffer words of a fresh Philox
+_ZEROS.flags.writeable = False
+
+
+class _Streams(threading.local):
+    """Per thread: tag -> the Generator that ``substream`` re-keys for that tag."""
+
+    def __init__(self):
+        self.slots = {}
+
+
+_streams = _Streams()
+
+
+def _refs(slots: dict, tag: int) -> tuple:
+    """References to the generator in ``slots[tag]`` and to its bit generator."""
+    return sys.getrefcount(slots[tag]), sys.getrefcount(slots[tag].bit_generator)
+
+
+# the counts when the mapping (and through it the generator) is the only holder,
+# measured on this interpreter rather than assumed
+_SOLE = _refs({TAG_FRAME: np.random.Generator(np.random.Philox(0))}, TAG_FRAME)
 
 
 def substream(seed: int, tag: int, ris_id: int, block: int) -> np.random.Generator:
@@ -55,12 +80,28 @@ def substream(seed: int, tag: int, ris_id: int, block: int) -> np.random.Generat
 
     Streams for different key tuples are independent Philox streams, so
     draws for one surface never depend on how many other surfaces exist or
-    in which order they are processed.
+    in which order they are processed. Each thread keeps one generator per
+    tag and re-keys it (new key, zero counter, empty buffer: the state a new
+    ``Philox(key=...)`` starts in) instead of building one, but only while
+    nothing outside that cache refers to it or to its bit generator; a
+    stream its caller still holds is never reused, and that call returns a
+    new generator. The draws are the same either way.
     """
-    if not 0 <= tag < 2**8 or not 0 <= ris_id < 2**16 or not 0 <= block < 2**40:
+    if (not 0 <= seed <= _MASK64 or not 0 <= tag < 2**8 or not 0 <= ris_id < 2**16
+            or not 0 <= block < 2**40):
         raise ValueError("substream path component out of range")
-    key = np.array([seed & _MASK64, (tag << 56) | (ris_id << 40) | block], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
+    key = np.array([operator.index(seed), (tag << 56) | (ris_id << 40) | block], dtype=np.uint64)
+    slots = _streams.slots
+    if tag in slots and _refs(slots, tag) == _SOLE:
+        gen = slots[tag]
+        gen.bit_generator.state = {
+            "bit_generator": "Philox", "state": {"counter": _ZEROS, "key": key},
+            "buffer": _ZEROS, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0,
+        }
+        return gen
+    gen = np.random.Generator(np.random.Philox(key=key))
+    slots.setdefault(tag, gen)
+    return gen
 
 
 def psrp_phase(q_symbol: int) -> float:
@@ -158,9 +199,15 @@ def synthesize_frame(
     if not profiles:
         raise ValueError("at least one surface profile is required")
     m = profiles[0].code.length
+    seen = set()
     for p in profiles:
         if p.code.length != m:
             raise ValueError("all codes must share the scenario sequence length")
+        if p.id in seen:
+            raise ValueError(f"surface id {p.id} is given twice")
+        if reachability is not None and p.id not in reachability:
+            raise ValueError(f"reachability has no entry for surface id {p.id}")
+        seen.add(p.id)
     if not 1 <= v_total < m:
         raise ValueError("pad budget must satisfy 1 <= v_total < M")
 
@@ -173,16 +220,16 @@ def synthesize_frame(
             corr = correlations[p.id]
         else:
             corr = _correlation_for(p.geometry)
-        c = rng.integers(1, m + 1, size=1)
+        c = int(rng.integers(1, m + 1))
         h_ur = sample_channel(corr, p.link.beta_ur, rng)
         h_rb = sample_channel(corr, p.link.beta_rb, rng)
         h = cascaded_gain(h_ur, h_rb, power_w)
         reachable = reachability is None or bool(reachability[p.id])
-        c_per_ris[p.id] = int(c[0])
+        c_per_ris[p.id] = c
         realizations[p.id] = ChannelRealization(h_ur=h_ur, h_rb=h_rb, h_tilde=h)
         reach_map[p.id] = reachable
         if reachable:
-            sym, shift, start = p.code.symbols, c_per_ris[p.id], int(v1[0])
+            sym, shift, start = p.code.symbols, c, int(v1[0])
             y[0, start : start + m] += h * np.concatenate((sym[shift:], sym[:shift]))  # np.roll by -c
 
     truth = FrameTruth(

@@ -1,16 +1,24 @@
 """Frame synthesis: phase mapping, padding, superposition, determinism."""
 
+import sys
+import threading
+import time
+
 import numpy as np
 import pytest
 
+from risid import signal
 from risid.channel import LinkBudget, RisGeometry, cascaded_gain, identity_correlation
 from risid.codes import build_codebook
 from risid.signal import (
+    TAG_FRAME,
+    TAG_RIS,
     RisProfile,
     frame_from_text,
     frame_to_text,
     noise_variance_from_bandwidth,
     psrp_phase,
+    substream,
     synthesize_frame,
 )
 
@@ -184,6 +192,117 @@ class TestSynthesizeFrame:
         p16 = make_profiles(m=16, rows=(15,))
         with pytest.raises(ValueError):
             synthesize_frame([p8[0], p16[0]], 2, 0.1, 1.0, seed=1)
+
+    def test_rejects_reachability_without_a_surface(self):
+        profiles = make_profiles(rows=(1, 2))
+        with pytest.raises(ValueError, match="no entry for surface id 2"):
+            synthesize_frame(profiles, 2, 0.1, 1.0, seed=1, reachability={1: True})
+
+    def test_rejects_repeated_surface_id(self):
+        p = make_profiles()[0]
+        with pytest.raises(ValueError, match="surface id 1 is given twice"):
+            synthesize_frame([p, p], 2, 0.1, 1.0, seed=1)
+
+
+def oracle(seed, tag, ris_id, block):
+    """A new generator per call, keyed as ``substream`` documents."""
+    key = np.array([seed, (tag << 56) | (ris_id << 40) | block], dtype=np.uint64)
+    return np.random.Generator(np.random.Philox(key=key))
+
+
+def draws(rng):
+    return np.concatenate((rng.standard_normal(7), rng.random(3), rng.integers(1, 17, size=5),
+                           [rng.integers(1, 17)], rng.standard_gamma(4.0, size=3)))
+
+
+class TestSubstream:
+    def test_draws_equal_a_new_philox_stream(self):
+        for seed in (0, 5, 2**63, 2**64 - 1):
+            for tag, ris_id, block in ((TAG_FRAME, 0, 0), (TAG_RIS, 3, 9), (255, 2**16 - 1, 2**40 - 1)):
+                assert np.array_equal(draws(substream(seed, tag, ris_id, block)),
+                                      draws(oracle(seed, tag, ris_id, block)))
+
+    def test_released_stream_is_rekeyed_in_place(self):
+        rs = substream(1, TAG_RIS, 1, 0)
+        first = id(rs)
+        del rs
+        assert id(substream(1, TAG_RIS, 2, 0)) == first
+
+    def test_held_stream_keeps_its_own_sequence(self):
+        held = substream(11, TAG_RIS, 1, 4)
+        head = held.standard_normal(3)
+        for block in range(5):  # same thread, same tag, while ``held`` is still bound
+            other = substream(11, TAG_RIS, 2, block)
+            assert other is not held
+            assert np.array_equal(draws(other), draws(oracle(11, TAG_RIS, 2, block)))
+        ref = oracle(11, TAG_RIS, 1, 4)
+        assert np.array_equal(head, ref.standard_normal(3))
+        assert np.array_equal(draws(held), draws(ref))
+
+    def test_rebinding_a_bound_name_gets_a_new_generator(self):
+        rs = substream(3, TAG_FRAME, 0, 0)
+        for block in range(1, 6):
+            before = id(rs)  # ``rs`` still holds the last stream during the call
+            rs = substream(3, TAG_FRAME, 0, block)
+            assert id(rs) != before
+            assert np.array_equal(draws(rs), draws(oracle(3, TAG_FRAME, 0, block)))
+
+    def test_holding_only_the_bit_generator_keeps_it(self):
+        bits = substream(4, TAG_RIS, 1, 0).bit_generator
+        fresh = substream(4, TAG_RIS, 1, 1)
+        assert fresh.bit_generator is not bits
+        assert np.array_equal(draws(np.random.Generator(bits)), draws(oracle(4, TAG_RIS, 1, 0)))
+
+    @pytest.mark.parametrize("seed", [-1, 2**64, 2**64 + 5])
+    def test_rejects_seed_outside_64_bits(self, seed):
+        with pytest.raises(ValueError, match="out of range"):
+            substream(seed, TAG_FRAME, 0, 0)
+
+    @pytest.mark.parametrize("rows", [(7,), (1, 2, 7)])
+    def test_frames_equal_the_new_generator_oracle(self, rows, monkeypatch):
+        profiles = make_profiles(rows=rows)  # sinc-kernel correlation
+        keys = [(seed, index) for seed in (0, 9, 2**64 - 1) for index in (0, 1, 2**40 - 1)]
+        got = [frame_to_text(synthesize_frame(profiles, 2, 0.1, 1.0, seed=s, frame_index=i))
+               for s, i in keys]
+        monkeypatch.setattr(signal, "substream", oracle)
+        want = [frame_to_text(synthesize_frame(profiles, 2, 0.1, 1.0, seed=s, frame_index=i))
+                for s, i in keys]
+        assert got == want
+
+    def test_concurrent_threads_give_the_sequential_bytes(self, monkeypatch):
+        profiles = make_profiles(rows=(1, 2, 7))
+        corrs = identity_corrs(profiles)
+
+        def frames(seed, out):
+            for index in range(150):
+                sub = profiles[: 1 + index % 3]
+                out.append(frame_to_text(synthesize_frame(sub, 2, 0.1, 1.0, seed=seed,
+                                                          frame_index=index, correlations=corrs)))
+
+        want = {}
+        for seed in (21, 22, 23):
+            frames(seed, want.setdefault(seed, []))
+        got = {seed: [] for seed in want}
+        refs = signal._refs
+
+        def yielding_refs(slots, tag):
+            counts = refs(slots, tag)
+            time.sleep(0)  # let another thread run between the ownership check and the take
+            return counts
+
+        monkeypatch.setattr(signal, "_refs", yielding_refs)
+        threads = [threading.Thread(target=frames, args=(seed, got[seed])) for seed in want]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert got == want
 
 
 class TestFrameText:
