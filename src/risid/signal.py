@@ -51,18 +51,9 @@ TAG_FRAME = 0
 TAG_RIS = 1
 
 _MASK64 = (1 << 64) - 1
-_ZEROS = np.zeros(4, dtype=np.uint64)  # counter and buffer words of a fresh Philox
+_ZEROS = np.zeros(4, dtype=np.uint64)  # counter and buffer words of a new Philox
 _ZEROS.flags.writeable = False
-
-
-class _Streams(threading.local):
-    """Per thread: tag -> the Generator that ``substream`` re-keys for that tag."""
-
-    def __init__(self):
-        self.slots = {}
-
-
-_streams = _Streams()
+_streams = threading.local()  # .slots: tag -> the Generator this thread re-keys
 
 
 def _refs(slots: dict, tag: int) -> tuple:
@@ -70,8 +61,7 @@ def _refs(slots: dict, tag: int) -> tuple:
     return sys.getrefcount(slots[tag]), sys.getrefcount(slots[tag].bit_generator)
 
 
-# the counts when the mapping (and through it the generator) is the only holder,
-# measured on this interpreter rather than assumed
+# the counts when the mapping is the only holder, measured on this interpreter
 _SOLE = _refs({TAG_FRAME: np.random.Generator(np.random.Philox(0))}, TAG_FRAME)
 
 
@@ -91,7 +81,9 @@ def substream(seed: int, tag: int, ris_id: int, block: int) -> np.random.Generat
             or not 0 <= block < 2**40):
         raise ValueError("substream path component out of range")
     key = np.array([operator.index(seed), (tag << 56) | (ris_id << 40) | block], dtype=np.uint64)
-    slots = _streams.slots
+    slots = getattr(_streams, "slots", None)
+    if slots is None:
+        slots = _streams.slots = {}
     if tag in slots and _refs(slots, tag) == _SOLE:
         gen = slots[tag]
         gen.bit_generator.state = {
@@ -188,8 +180,9 @@ def synthesize_frame(
     realization (block fading: a single scalar gain for the whole frame).
     Passing the same seed and frame_index reproduces the frame bit for bit,
     and per-surface substreams make the result independent of the order in
-    which profiles are listed. ``reachability`` maps each surface id to
-    whether it reflects (without it, every surface does); ``correlations`` overrides the sinc-kernel matrix (use
+    which profiles are listed. Surface ids must be distinct. ``reachability``
+    maps each surface id to whether it reflects (without it, every surface
+    does); ``correlations`` overrides the sinc-kernel matrix (use
     ``identity_correlation`` for uncorrelated elements). The pad split and
     code offset are drawn as in the Monte Carlo engine; the noise is all L
     samples, where the engine draws its coordinates in the correlator's
