@@ -61,8 +61,11 @@ def _refs(slots: dict, tag: int) -> tuple:
     return sys.getrefcount(slots[tag]), sys.getrefcount(slots[tag].bit_generator)
 
 
-# the counts when the mapping is the only holder, measured on this interpreter
-_SOLE = _refs({TAG_FRAME: np.random.Generator(np.random.Philox(0))}, TAG_FRAME)
+@lru_cache(maxsize=1)
+def _sole() -> tuple:
+    """``_refs`` when the mapping is the only holder, measured on this interpreter
+    at first use (numpy.random loads lazily, so not at import)."""
+    return _refs({TAG_FRAME: np.random.Generator(np.random.Philox(0))}, TAG_FRAME)
 
 
 def substream(seed: int, tag: int, ris_id: int, block: int) -> np.random.Generator:
@@ -84,7 +87,7 @@ def substream(seed: int, tag: int, ris_id: int, block: int) -> np.random.Generat
     slots = getattr(_streams, "slots", None)
     if slots is None:
         slots = _streams.slots = {}
-    if tag in slots and _refs(slots, tag) == _SOLE:
+    if tag in slots and _refs(slots, tag) == _sole():
         gen = slots[tag]
         gen.bit_generator.state = {
             "bit_generator": "Philox", "state": {"counter": _ZEROS, "key": key},
