@@ -220,6 +220,7 @@ def synthesize_frame(
         h_ur = sample_channel(corr, p.link.beta_ur, rng)
         h_rb = sample_channel(corr, p.link.beta_rb, rng)
         h = cascaded_gain(h_ur, h_rb, power_w)
+        del rng  # drawn out; released, the next surface's substream re-keys it
         reachable = reachability is None or bool(reachability[p.id])
         c_per_ris[p.id] = c
         realizations[p.id] = ChannelRealization(h_ur=h_ur, h_rb=h_rb, h_tilde=h)
