@@ -223,10 +223,19 @@ class TestSubstream:
                                       draws(oracle(seed, tag, ris_id, block)))
 
     def test_released_stream_is_rekeyed_in_place(self):
-        rs = substream(1, TAG_RIS, 1, 0)
-        first = id(rs)
-        del rs
-        assert id(substream(1, TAG_RIS, 2, 0)) == first
+        ids = []
+
+        def run():  # on a new thread, whose cache no other test has touched
+            rs = substream(1, TAG_RIS, 1, 0)
+            ids.append(id(rs))
+            del rs
+            ids.append(id(substream(1, TAG_RIS, 2, 0)))  # the cache still holds the first one
+
+        t = threading.Thread(target=run)
+        t.start()
+        t.join(timeout=60)
+        assert not t.is_alive()
+        assert len(ids) == 2 and ids[0] == ids[1]
 
     def test_held_stream_keeps_its_own_sequence(self):
         held = substream(11, TAG_RIS, 1, 4)
