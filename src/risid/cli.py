@@ -643,7 +643,10 @@ def cmd_confusion(scenario: Scenario, raw: dict, writer: RunWriter, threads: int
 
 def cmd_five_ris(scenario: Scenario, raw: dict, writer: RunWriter, threads: int) -> None:
     """Averaged miss/false rates vs threshold for a five-surface code set."""
-    metrics = montecarlo.averaged_metrics(_plan(scenario, threads), scenario.r_bar_grid)
+    try:
+        metrics = montecarlo.averaged_metrics(_plan(scenario, threads), scenario.r_bar_grid)
+    except ValueError as exc:  # a surface the trials never show reflecting, or never silent
+        raise ConfigError(str(exc), key="trials") from exc
     rows = [[m.r_bar, m.avg_pmiss, m.avg_pf, *m.per_ris_pmiss, *m.per_ris_pf] for m in metrics]
     header = ["r_bar", "avg_pmiss", "avg_pf"] + [f"{k}_ris{i}" for k in ("pmiss", "pf") for i in range(1, 6)]
     writer.csv("five_ris.csv", header, rows)

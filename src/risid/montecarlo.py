@@ -224,6 +224,7 @@ def _block(plan: TrialPlan, law: Mapping, profs, sub, blk: int, rows: slice):
         reach[:, j] = rs.random(BLOCK) < 0.5 if rule is None else rule
         c = rs.integers(1, scn.m + 1, size=BLOCK)[rows]
         h = compound_gains(rs, p.n, p.gain_weights, BLOCK, scn.power_w, p.beta_ur, p.beta_rb, rows.stop)
+        del rs  # drawn out; released, the next surface's substream re-keys it
         z += np.where(reach[rows, j], h[rows], 0.0)[:, None] * tables[j][v1 - 1, c - 1]
     step = _chunk_rows(a.shape[1])
     parts = np.zeros((2, step, a.shape[0]))  # real products need contiguous real and imaginary parts
@@ -327,6 +328,30 @@ def decision_sweep(
     return [_estimate(k, plan.trials) for k in events]
 
 
+def _joint_counts(plan: TrialPlan, r_bars: Sequence[float]) -> tuple:
+    """Joint (true state, decided state) counts of one fair-coin pass: a 2^L x 2^L array per
+    threshold, in ``r_bars`` order. A state sets bit l-1 when surface l (1-based position in
+    ascending id order) reflects, or is decided present."""
+    n_l = len(_profiles(plan))
+    n_states, weights = 1 << n_l, 1 << np.arange(n_l)
+    r_w = _thresholds_w(plan, r_bars)
+
+    def consume(metric, reach):
+        true_state = reach.astype(np.int64) @ weights
+        return tuple(np.bincount(true_state * n_states + (metric > rw).astype(np.int64) @ weights,
+                                 minlength=n_states**2).reshape(n_states, n_states) for rw in r_w)
+
+    return _run_blocks(plan, {}, 0, plan.trials, consume)
+
+
+def _marginal(counts: np.ndarray, surface: int, present: bool):
+    """Per true state of joint ``counts`` in which ``surface`` reflects (``present``) or is
+    silent, in state order: the state, its trials decided the opposite way, its trials."""
+    has = (np.arange(len(counts)) >> (surface - 1) & 1).astype(bool)
+    states = np.flatnonzero(has == present)
+    return states, counts[np.ix_(states, has != present)].sum(axis=1), counts[states].sum(axis=1)
+
+
 @dataclass(frozen=True)
 class ConfusionMatrix:
     """Joint true-state vs decided-state counts over 2^L reachability states.
@@ -348,24 +373,16 @@ class ConfusionMatrix:
 
     def _error_rate(self, surface: int, present: bool) -> Fraction:
         """Mean over the true states with the surface ``present`` of the opposite-decision rate."""
-        if self.counts.shape != (4, 4):
-            raise ValueError("per-surface tallies are defined for two surfaces")
-        bit = 1 << (surface - 1)
-        rows = [s for s in range(4) if bool(s & bit) == present]
-        total = Fraction(0)
-        for row in rows:
-            row_n = int(self.counts[row].sum())
-            if row_n == 0:
-                raise ValueError(f"no trials observed in state {self.labels[row]!r}")
-            num = int(sum(self.counts[row, c] for c in range(4) if bool(c & bit) != present))
-            total += Fraction(num, row_n)
-        return total / len(rows)
+        states, wrong, n = _marginal(self.counts, surface, present)
+        if not n.all():
+            raise ValueError(f"no trials observed in state {self.labels[states[n == 0][0]]!r}")
+        return sum(map(Fraction, wrong.tolist(), n.tolist()), Fraction(0)) / len(n)
 
     def miss_probability(self, surface: int) -> Fraction:
         """Exact tally of deciding the surface absent while it reflects.
 
         Averages the conditional miss rate over the equally likely states of
-        the other surface, mirroring the analytical conditioning.
+        the other surfaces, mirroring the analytical conditioning.
         """
         return self._error_rate(surface, present=True)
 
@@ -381,20 +398,6 @@ def confusion(plan: TrialPlan, r_bars: Sequence[float]):
     mapping each threshold to its ConfusionMatrix.
     """
     profs = _profiles(plan)
-    n_states = 1 << len(profs)
-    r_w = _thresholds_w(plan, r_bars)
-    weights = 1 << np.arange(len(profs))
-
-    def consume(metric, reach):
-        true_state = reach.astype(np.int64) @ weights
-        outs = []
-        for rw in r_w:
-            dec_state = (metric > rw).astype(np.int64) @ weights
-            joint = np.bincount(true_state * n_states + dec_state, minlength=n_states**2)
-            outs.append(joint.reshape(n_states, n_states))
-        return tuple(outs)
-
-    joints = _run_blocks(plan, {}, 0, plan.trials, consume)
     if len(profs) == 2:
         labels = ("NO RIS", "RIS 1", "RIS 2", "BOTH RISs")
     else:
@@ -402,11 +405,11 @@ def confusion(plan: TrialPlan, r_bars: Sequence[float]):
             "+".join(
                 [f"RIS {j + 1}" for j in range(len(profs)) if s & (1 << j)]
             ) or "NO RIS"
-            for s in range(n_states)
+            for s in range(1 << len(profs))
         )
     return {
         float(rb): ConfusionMatrix(counts=joint, labels=labels, trials=plan.trials)
-        for rb, joint in zip(r_bars, joints)
+        for rb, joint in zip(r_bars, _joint_counts(plan, r_bars))
     }
 
 
@@ -426,27 +429,20 @@ def averaged_metrics(plan: TrialPlan, r_bars: Sequence[float]):
 
     Surfaces follow fair-coin reachability; each surface's miss rate is
     tallied over the trials where it truly reflects, the false rate over
-    the rest, then both are averaged across surfaces.
+    the rest, then both are averaged across surfaces. A surface the trials
+    never show reflecting, or never silent, raises ValueError.
     """
-    n_l = len(_profiles(plan))
-    r_w = _thresholds_w(plan, r_bars)
-
-    def consume(metric, reach):
-        reach_n = reach.sum(axis=0).astype(np.int64)
-        silent_n = (~reach).sum(axis=0).astype(np.int64)
-        miss = np.empty((len(r_w), n_l), dtype=np.int64)
-        false = np.empty((len(r_w), n_l), dtype=np.int64)
-        for i, rw in enumerate(r_w):
-            dec = metric > rw
-            miss[i] = (reach & ~dec).sum(axis=0)
-            false[i] = (~reach & dec).sum(axis=0)
-        return reach_n, silent_n, miss, false
-
-    reach_n, silent_n, miss, false = _run_blocks(plan, {}, 0, plan.trials, consume)
+    surfaces = range(1, len(_profiles(plan)) + 1)
     out = []
-    for i, rb in enumerate(r_bars):
-        pmiss = miss[i] / np.maximum(reach_n, 1)
-        pf = false[i] / np.maximum(silent_n, 1)
+    for rb, counts in zip(r_bars, _joint_counts(plan, r_bars)):
+        rates = []
+        for present in (True, False):
+            wrong, n = np.array([_marginal(counts, s, present)[1:] for s in surfaces]).sum(axis=2).T
+            if not n.all():
+                raise ValueError(f"none of the {plan.trials} trials left RIS {np.argmin(n) + 1} "
+                                 + ("reflecting" if present else "silent"))
+            rates.append(wrong / n)
+        pmiss, pf = rates
         out.append(AveragedMetrics(
             r_bar=float(rb),
             avg_pmiss=float(pmiss.mean()),

@@ -313,15 +313,29 @@ class TestSubcommands:
         assert code == 0
         assert run and checked == run
 
+    # five_ris.csv of the config below, from the per-surface tally the joint counts replaced
+    FIVE_RIS_ROWS = {
+        3.0: [0.09886126035965649, 0.17990680964401048, 0.12855740922473013, 0.10208126858275521,
+              0.12133072407045009, 0.07244995233555768, 0.0698869475847893, 0.0509683995922528,
+              0.07467204843592332, 0.11860940695296524, 0.2891692954784437, 0.3661148977604674],
+        4.0: [0.19892767805689657, 0.05673423642888775, 0.2198233562315996, 0.20614469772051536,
+              0.22015655577299412, 0.16968541468064824, 0.17882836587872558, 0.009174311926605505,
+              0.004036326942482341, 0.02147239263803681, 0.11461619348054679, 0.13437195715676728],
+    }
+
     def test_five_ris_artifact(self, tmp_path):
+        """One row per grid entry, a repeated one included, each value as pinned."""
         code, out = run_cli(
             tmp_path, "five-ris",
             "m = 16\ncode_rows = 1, 2, 4, 8, 9\nn_elements = 8\nn_horizontal = 2\n"
-            "p_dbm = 15\nr_bar_grid = 3, 4\ntrials = 2000\nseed = 4\n",
+            "p_dbm = 15\nr_bar_grid = 3, 3, 4\ntrials = 2000\nseed = 4\n",
         )
         assert code == 0
-        lines = (out / "five_ris.csv").read_text().splitlines()
-        assert any(l.startswith("r_bar,avg_pmiss,avg_pf") for l in lines)
+        lines = [l for l in (out / "five_ris.csv").read_text().splitlines() if not l.startswith("#")]
+        header, *rows = list(csv.reader(lines))
+        assert header[:3] == ["r_bar", "avg_pmiss", "avg_pf"] and len(header) == 13
+        assert [[float(v) for v in row] for row in rows] == [
+            [rb] + self.FIVE_RIS_ROWS[rb] for rb in (3.0, 3.0, 4.0)]
 
     def test_tradeoff_selection(self, tmp_path):
         code, out = run_cli(
@@ -483,6 +497,9 @@ class TestExitCodes:
             ("confusion", "code_rows = 1, 2\nr_bar_grid = 3, 3.0000001\ntrials = 100\n", 2),
             ("five-ris", f"codebook_file = {BUNDLED_CONFIG_DIR / 'codebook_set1.txt'}\n"
                          "code_rows = 3, 5\n", 2),
+            ("five-ris", f"codebook_file = {BUNDLED_CONFIG_DIR / 'codebook_set1.txt'}\n"
+                         "n_elements = 128\np_dbm = 15\nr_bar_grid = 6, 6, 9\ntrials = 3\n"
+                         "seed = 111\n", 5),
             ("pf-two-np", "code_rows = 1, 2\np_dbm_values = 10, 2830\n"
                           "n_values = 64, 1099511627776\n", 2),
         ],
@@ -507,6 +524,7 @@ class TestExitCodes:
              "one_surface_tradeoff", "three_surfaces_confusion",
              "four_surfaces_from_l_count_five_ris", "empty_true_state_confusion",
              "clashing_file_names_confusion", "code_rows_beside_codebook",
+             "surface_never_silent_five_ris",
              "power_overflow_of_a_sweep_combination"],
     )
     def test_cross_field_error_is_two(self, tmp_path, capsys, subcommand, text, line):

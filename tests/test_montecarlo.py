@@ -4,6 +4,7 @@ import multiprocessing
 import os
 import subprocess
 import sys
+import threading
 import tracemalloc
 import weakref
 from dataclasses import replace
@@ -15,7 +16,7 @@ import pytest
 from scipy.stats import ks_2samp
 
 import risid
-from risid import montecarlo
+from risid import montecarlo, signal
 from risid.channel import compound_gains
 from risid.cli import Scenario
 from risid.codes import all_shifts, sign_classes
@@ -442,6 +443,29 @@ class TestTraceContract:
         assert sorted(calls["streams"]) == sorted(want)
         assert calls["shifts"] == 2 * 2
 
+    def test_repeated_pass_rekeys_every_stream(self, two_ris_scenario, monkeypatch):
+        """On one thread, every stream of a second two-surface pass is the thread's
+        cached generator of its tag, re-keyed, not a new one."""
+        plan = plan_for(two_ris_scenario, trials=2 * BLOCK)
+        substream, rekeyed = montecarlo.substream, []
+
+        def watching(seed, tag, ris_id, block):  # holds ids only, never a generator
+            cached = id(signal._streams.slots.get(tag))
+            gen = substream(seed, tag, ris_id, block)
+            rekeyed.append(id(gen) == cached)
+            return gen
+
+        def run():  # on a new thread, whose cache no other test has touched
+            confusion(plan, (3.0,))
+            monkeypatch.setattr(montecarlo, "substream", watching)
+            confusion(plan, (3.0,))
+
+        t = threading.Thread(target=run)
+        t.start()
+        t.join(timeout=120)
+        assert not t.is_alive()
+        assert rekeyed == [True] * 6  # per block: the frame stream, then each surface's
+
 
 class TestKeptPassSetup:
     """The engine keeps the last code set's subspace and one pool per worker count
@@ -610,6 +634,23 @@ class TestConfusion:
         )
         se = np.sqrt(derived * (1 - derived) * 2 / (trials / 2)) + forced.std_error
         assert abs(derived - forced.value) <= 3 * se + 1e-3
+
+    def test_three_surface_rates_equal_direct_tallies(self):
+        """Each surface's rates over the 8 x 8 counts: the mean over its four true states
+        of the share decided the opposite way."""
+        scn = Scenario(m=16, v_total=4, code_rows=(1, 2, 3), n_elements=16, n_horizontal=4,
+                       p_dbm=12.0, trials=4096, seed=29)
+        mat = confusion(plan_for(scn), (2.5,))[2.5]
+        c = mat.counts
+        assert c.shape == (8, 8) and c.sum() == 4096
+        for s in (1, 2, 3):
+            bit = 1 << (s - 1)
+            for present, got in ((True, mat.miss_probability(s)), (False, mat.false_probability(s))):
+                want = Fraction(0)
+                for row in (t for t in range(8) if bool(t & bit) == present):
+                    wrong = sum(int(c[row, d]) for d in range(8) if bool(d & bit) != present)
+                    want += Fraction(wrong, int(c[row].sum())) / 4
+                assert got == want and 0 < want < 1
 
     def test_labels_fixed_order(self, two_ris_scenario):
         mat = confusion(plan_for(two_ris_scenario, trials=512), (3.0,))[3.0]
