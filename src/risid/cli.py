@@ -73,18 +73,6 @@ def dbm_to_watts(dbm: float) -> float:
     return 10.0 ** (dbm / 10.0) / 1000.0
 
 
-def default_code_rows(l_count: int, m: int) -> tuple:
-    """Default row assignment: generic high row for one surface, else 1..L.
-
-    A single surface gets row m-1, whose cyclic shifts are maximally
-    distinct (half of them up to sign); consecutive low rows keep multi
-    surface setups simple but configs may pin any rows.
-    """
-    if l_count == 1:
-        return (m - 1,)
-    return tuple(range(1, l_count + 1))
-
-
 def default_n_horizontal(n: int) -> int:
     p = 1
     while (2 * p) ** 2 <= n:
@@ -92,7 +80,7 @@ def default_n_horizontal(n: int) -> int:
     return p
 
 
-def _fill_defaults(current: dict, changes: dict, l_count: int = 1) -> dict:
+def _fill_defaults(current: dict, changes: dict) -> dict:
     """``changes`` plus, where unset, v_total and code_rows from m and n_horizontal
     from n_elements; a change equal to its ``current`` value implies nothing.
     """
@@ -100,7 +88,7 @@ def _fill_defaults(current: dict, changes: dict, l_count: int = 1) -> dict:
     implied = {}
     if "m" in moved:
         implied["v_total"] = max(1, -(-moved["m"] // 4))  # exact for any int m
-        implied["code_rows"] = default_code_rows(l_count, moved["m"])
+        implied["code_rows"] = (moved["m"] - 1,)  # one surface; row m-1's shifts differ most
     if "n_elements" in moved:
         implied["n_horizontal"] = default_n_horizontal(moved["n_elements"])
     return implied | changes
@@ -134,8 +122,8 @@ def _gain_weights(n: int, n_h: int, spacing: str, wavelength: float):
 # Config key -> (test, wording) for numbers with a bounded range; grid entries
 # share their grid's range, and every float must also be finite.
 _RANGES = {
-    **dict.fromkeys(("n_elements", "n_horizontal", "l_count", "f_c_hz", "bandwidth_hz",
-                     "d_ur_m", "d_rb_m"), (lambda v: v > 0, "positive")),
+    **dict.fromkeys(("n_elements", "n_horizontal", "f_c_hz", "bandwidth_hz", "d_ur_m", "d_rb_m"),
+                    (lambda v: v > 0, "positive")),
     **dict.fromkeys(("r_bar", "r_bar_grid"), (lambda v: v >= 0 and math.isfinite(v * v),
                                                "nonnegative with a finite square")),
     "trials": (lambda v: 0 < v <= montecarlo.ESCALATION_CAP,
@@ -363,9 +351,7 @@ def _parse_float_list(tok: str, line: int) -> tuple:
 
 # Every config key and its value parser.
 _KEYS = {
-    **dict.fromkeys(
-        ("m", "v_total", "l_count", "n_elements", "n_horizontal", "trials", "seed"), _parse_int
-    ),
+    **dict.fromkeys(("m", "v_total", "n_elements", "n_horizontal", "trials", "seed"), _parse_int),
     **dict.fromkeys(("f_c_hz", "bandwidth_hz", "p_dbm", "d_ur_m", "d_rb_m", "r_bar",
                      "target_pf", "target_pmiss"), _parse_float),
     **dict.fromkeys(("spacing", "codebook_file"), _parse_str),
@@ -401,7 +387,6 @@ def scenario_from_config(raw: dict, config_dir: Path | None = None) -> Scenario:
     keys' values are checked by ``_passes``, for the subcommands that read them."""
     raw = dict(raw)
     run = {key: raw.pop(key) for key in _RUN_KEYS if key in raw}
-    given = set(raw)
     if "codebook_file" in raw:
         path = Path(raw.pop("codebook_file"))
         if config_dir is not None and not path.is_absolute():
@@ -410,38 +395,35 @@ def scenario_from_config(raw: dict, config_dir: Path | None = None) -> Scenario:
             book = codebook_from_text(path.read_text(), lambda m, rows: _check_pass_memory(
                 m, _fill_defaults({}, {**raw, "m": m})["v_total"], rows, key="codebook_file"))
         except (OSError, ValueError) as exc:
-            raise ConfigError(f"cannot load codebook: {exc}")
+            raise ConfigError(f"cannot load codebook: {exc}", key="codebook_file")
         if raw.setdefault("code_rows", book.rows) != book.rows:
             raise ConfigError(f"code_rows disagrees with the codebook's rows {book.rows}",
                               key="code_rows")
-        raw.setdefault("m", book.m)
-        if raw["m"] != book.m:
-            raise ConfigError("codebook length disagrees with the configured m")
-    if "l_count" in raw and "code_rows" in raw and raw["l_count"] != len(raw["code_rows"]):
-        raise ConfigError("l_count disagrees with the number of code rows")
-    l_count = raw.pop("l_count", 1)
-    _check_value("l_count", l_count)
+        if raw.setdefault("m", book.m) != book.m:
+            raise ConfigError("codebook length disagrees with the configured m", key="m")
     raw.setdefault("m", Scenario.m)
     try:
-        scenario = Scenario(**_fill_defaults({}, raw, l_count))
+        scenario = Scenario(**_fill_defaults({}, raw))
     except TypeError as exc:
         raise ConfigError(str(exc))
-    except ConfigError as exc:
-        if exc.key == "code_rows" and "code_rows" not in raw:  # the rows came from l_count
-            raise ConfigError(f"l_count = {l_count}: {exc}", key="l_count") from exc
-        if exc.key == "m" and "m" not in given:  # m came from the codebook
-            raise ConfigError(str(exc), key="codebook_file") from exc
-        raise
     for key, value in run.items():
         if _RUN_KEYS[key] is None:
             _check_value(key, value)
     return scenario
 
 
+# Field -> the config keys its value comes from when the config does not set it, in order.
+_SOURCES = {"m": ("codebook_file",), "code_rows": ("codebook_file", "m"), "v_total": ("m",),
+            "n_horizontal": ("n_elements",)}
+
+
 def _key_line(text: str, key: str | None) -> int:
-    """Line of ``key`` in config ``text``, 0 when absent."""
+    """Line of ``key`` in config ``text``; for a key ``text`` does not set, the first line
+    that one of its ``_SOURCES`` gives by the same rule; 0 when none gives one."""
     keys = [ln.split("#", 1)[0].split("=", 1)[0].strip() for ln in text.splitlines()]
-    return keys.index(key) + 1 if key in keys else 0
+    if key in keys:
+        return keys.index(key) + 1
+    return next((line for src in _SOURCES.get(key, ()) if (line := _key_line(text, src))), 0)
 
 
 def rescale(scenario: Scenario, **changes) -> Scenario:
@@ -543,7 +525,8 @@ def _passes(scenario: Scenario, raw: dict, labels: dict):
 
 
 def _mc_sweep(scenario: Scenario, raw: dict, writer: RunWriter, threads: int, labels: dict,
-              law: dict | None, theory, over_grid: bool = True, theory_kind: str = "theory") -> None:
+              law: dict | None, paired: bool, over_grid: bool = True,
+              theory_kind: str = "theory") -> None:
     """Shared body of the Monte Carlo subcommands: simulated rates beside their closed form.
 
     Each of the ``_passes`` over ``labels`` runs one ``decision_sweep`` of surface 1
@@ -551,35 +534,24 @@ def _mc_sweep(scenario: Scenario, raw: dict, writer: RunWriter, threads: int, la
     law forces surface 1 on and false detections otherwise, at every ``r_bar_grid``
     threshold (an ``r_bar`` column) or at ``r_bar`` alone (no such column). Its ``mc``
     rows come first, then one ``theory_kind`` row per threshold with five empty estimate
-    cells, in the subcommand's CSV (dashes as underscores). ``theory(scn)`` runs once per
-    pass and returns the closed form of an operating point.
+    cells, in the subcommand's CSV (dashes as underscores). The theory rows hold the
+    matching curve of ``analysis.pf_pmiss_threshold_sweep``, whose two-surface forms
+    take surface 2 as the interferer when the subcommand is ``paired``.
     """
     rows = []
     for combo, scn in _passes(scenario, raw, labels):
-        closed_form = theory(scn)
         r_bars = scn.r_bar_grid if over_grid else (scn.r_bar,)
         forced = dict.fromkeys(range(1, scn.l_count + 1), False) if law is None else law
         ests = montecarlo.decision_sweep(_plan(scn, threads), 1, r_bars, forced,
                                          count_missed=forced[1])
+        pf_c, pm_c, _ = analysis.pf_pmiss_threshold_sweep(
+            scn.operating_point(scn.r_bar), r_bars, scn.pair_pmf(1, 2) if paired else None)
         cells = [list(combo) + ([rb] if over_grid else []) for rb in r_bars]
-        op = scn.operating_point(scn.r_bar)
         rows += [_estimate_row(["mc"] + c, est) for c, est in zip(cells, ests)]
-        rows += [[theory_kind] + c + [closed_form(op.at(r_bar=rb))] + [""] * 5
-                 for c, rb in zip(cells, r_bars)]
+        rows += [[theory_kind] + c + [v] + [""] * 5
+                 for c, v in zip(cells, (pm_c if forced[1] else pf_c).y)]
     header = ["kind", *labels] + (["r_bar"] if over_grid else []) + _EST_COLS
     writer.csv(writer.subcommand.replace("-", "_") + ".csv", header, rows)
-
-
-def _pf_two(scn: Scenario):
-    """Theory builder: false detection of surface 1 beside surface 2."""
-    pmf = scn.pair_pmf(1, 2)
-    return lambda op: analysis.pf_two(op, pmf)
-
-
-def _pmiss_two(scn: Scenario):
-    """Theory builder: the miss lower bound of surface 1 beside surface 2."""
-    a_tilde = scn.pair_pmf(1, 2).a_tilde
-    return lambda op: analysis.pmiss_two(op, a_tilde)
 
 
 def cmd_tradeoff(scenario: Scenario, raw: dict, writer: RunWriter, threads: int) -> None:
@@ -683,9 +655,10 @@ class _Command:
     passes: dict | None = None
 
 
-def _sweep(help_text: str, labels: dict, law, theory, surfaces=_Command.surfaces, **layout):
-    """The row of a Monte Carlo subcommand: ``_mc_sweep`` over the passes of ``labels``."""
-    body = partial(_mc_sweep, labels=labels, law=law, theory=theory, **layout)
+def _sweep(help_text: str, labels: dict, law, surfaces=_Command.surfaces, **layout):
+    """The row of a Monte Carlo subcommand: ``_mc_sweep`` over the passes of ``labels``,
+    paired with surface 2 when it needs at least two code rows."""
+    body = partial(_mc_sweep, labels=labels, law=law, paired=surfaces[0] >= 2, **layout)
     return _Command(body, help_text, surfaces, labels)
 
 
@@ -693,24 +666,21 @@ _TWO_UP = (2, math.inf, "at least two")
 
 COMMANDS = {
     "pf-single": _sweep("single-surface false detection vs threshold (CSV: kind,m,r_bar,value,ci,events)",
-                        {"m": "m"}, None, lambda scn: analysis.pf_single_bound, theory_kind="bound"),
+                        {"m": "m"}, None, theory_kind="bound"),
     "pmiss-corr": _sweep("miss detection vs power per spacing mode (CSV: kind,spacing,p_dbm,value,ci)",
-                         {"spacing": "spacing", "p_dbm": "p_dbm"}, {1: True},
-                         lambda scn: analysis.pmiss_single, over_grid=False),
+                         {"spacing": "spacing", "p_dbm": "p_dbm"}, {1: True}, over_grid=False),
     "pmiss-m": _sweep("miss detection vs power per sequence length (CSV: kind,m,p_dbm,value,ci)",
-                      {"m": "m", "p_dbm": "p_dbm"}, {1: True}, lambda scn: analysis.pmiss_single,
-                      over_grid=False),
+                      {"m": "m", "p_dbm": "p_dbm"}, {1: True}, over_grid=False),
     "pmiss-n": _sweep("miss detection vs power per surface size (CSV: kind,n,p_dbm,value,ci)",
-                      {"n": "n_elements", "p_dbm": "p_dbm"}, {1: True},
-                      lambda scn: analysis.pmiss_single, over_grid=False),
+                      {"n": "n_elements", "p_dbm": "p_dbm"}, {1: True}, over_grid=False),
     "pf-two-m": _sweep("two-surface false detection vs threshold per length (CSV: kind,m,r_bar,value,ci)",
-                       {"m": "m"}, {1: False}, _pf_two, _TWO_UP),
+                       {"m": "m"}, {1: False}, _TWO_UP),
     "pf-two-np": _sweep("two-surface false detection vs threshold per size/power (CSV: kind,n,p_dbm,r_bar,value,ci)",
-                        {"n": "n_elements", "p_dbm": "p_dbm"}, {1: False}, _pf_two, _TWO_UP),
+                        {"n": "n_elements", "p_dbm": "p_dbm"}, {1: False}, _TWO_UP),
     "pmiss-two-m": _sweep("two-surface miss detection vs threshold per length (CSV: kind,m,r_bar,value,ci)",
-                          {"m": "m"}, {1: True}, _pmiss_two, _TWO_UP),
+                          {"m": "m"}, {1: True}, _TWO_UP),
     "pmiss-two-np": _sweep("two-surface miss detection vs threshold per size/power (CSV: kind,n,p_dbm,r_bar,value,ci)",
-                           {"n": "n_elements", "p_dbm": "p_dbm"}, {1: True}, _pmiss_two, _TWO_UP),
+                           {"n": "n_elements", "p_dbm": "p_dbm"}, {1: True}, _TWO_UP),
     "tradeoff": _Command(cmd_tradeoff, "joint false/miss theory curves and threshold selection (CSV + JSON)",
                          _TWO_UP),
     "confusion": _Command(cmd_confusion, "reachability confusion matrices per threshold (JSON + CSV grids)",
@@ -760,9 +730,8 @@ def main(argv=None) -> int:
         scenario = replace(scenario, **flags)
         lo, hi, wording = cmd.surfaces
         if not lo <= scenario.l_count <= hi:
-            key = next((k for k in ("codebook_file", "code_rows", "l_count") if k in raw), None)
             raise ConfigError(f"{args.subcommand} needs {wording} code rows, got {scenario.l_count}",
-                              key=key)
+                              key="code_rows")
         if cmd.passes is not None:  # the pass-memory rule, before any m x m or N x N array exists
             read = raw.keys() - {k for k, f in _RUN_KEYS.items() if f not in cmd.passes.values()}
             m_key = next((k for k in ("m_values", "codebook_file") if k in read), "m")

@@ -25,7 +25,6 @@ from risid.cli import (
     SPACINGS,
     ConfigError,
     Scenario,
-    default_code_rows,
     default_n_horizontal,
     main,
     parse_config_text,
@@ -130,16 +129,10 @@ class TestConfigParsing:
 
 class TestDefaults:
     def test_single_surface_row(self):
-        assert default_code_rows(1, 16) == (15,)
-        assert default_code_rows(1, 32) == (31,)
-
-    def test_multi_surface_rows(self):
-        assert default_code_rows(2, 32) == (1, 2)
-        assert default_code_rows(5, 16) == (1, 2, 3, 4, 5)
-
-    def test_l_count_drives_default_rows(self):
-        scn = scenario_from_config({"m": 32, "l_count": 2})
-        assert scn.code_rows == (1, 2)
+        """Without code rows, one surface takes row m-1, at load and after a rescale."""
+        assert scenario_from_config({}).code_rows == (15,)
+        assert scenario_from_config({"m": 32}).code_rows == (31,)
+        assert rescale(scenario_from_config({"m": 16}), m=32).code_rows == (31,)
 
     def test_n_horizontal(self):
         assert default_n_horizontal(64) == 8
@@ -169,6 +162,7 @@ def _bundled_runs():
 
 
 BUNDLED_RUNS, BUNDLED_CONFIG_DIR = _bundled_runs()
+DATA_DIR = Path(__file__).parent / "data"
 
 
 # Label column -> (sweep key, two values); spacing has no key and runs over SPACINGS.
@@ -187,6 +181,22 @@ MC_SWEEPS = [
     ("pmiss-two-np", "pmiss_two_np.csv", {"n": _N, "p_dbm": _P}, True, "theory"),
 ]
 SIMULATING = [case[0] for case in MC_SWEEPS] + ["confusion", "five-ris"]
+MC_CONFIG = ("m = 8\ncode_rows = 1, 2\nn_elements = 4\nn_horizontal = 2\nr_bar = 2\n"
+             "r_bar_grid = 2, 3\ntrials = 1000\nseed = 5\n")
+
+# label column -> the Scenario field it varies
+_LABEL_FIELDS = {"m": "m", "n": "n_elements", "p_dbm": "p_dbm", "spacing": "spacing"}
+
+# subcommand -> closed form of its theory rows, from a pass's scenario and operating point
+CLOSED_FORMS = {
+    "pf-single": lambda scn, op: risid.analysis.pf_single_bound(op),
+    **dict.fromkeys(("pmiss-corr", "pmiss-m", "pmiss-n"),
+                    lambda scn, op: risid.analysis.pmiss_single(op)),
+    **dict.fromkeys(("pf-two-m", "pf-two-np"),
+                    lambda scn, op: risid.analysis.pf_two(op, scn.pair_pmf(1, 2))),
+    **dict.fromkeys(("pmiss-two-m", "pmiss-two-np"),
+                    lambda scn, op: risid.analysis.pmiss_two(op, scn.pair_pmf(1, 2).a_tilde)),
+}
 
 
 def run_cli(tmp_path, subcommand, config_text, extra=()):
@@ -196,6 +206,19 @@ def run_cli(tmp_path, subcommand, config_text, extra=()):
     out = tmp_path / "out"
     code = main([subcommand, "--config", str(cfg), "--out", str(out), *extra])
     return code, out
+
+
+def _run_mc_sweep(tmp_path, subcommand, name, labels):
+    """Header and rows of ``name`` from ``subcommand`` on ``MC_CONFIG`` with each label's
+    sweep key (``MC_SWEEPS``) set to its two values."""
+    sweeps = "".join(
+        f"{key} = {', '.join(str(v) for v in values)}\n"
+        for key, values in labels.values() if key
+    )
+    code, out = run_cli(tmp_path, subcommand, MC_CONFIG + sweeps)
+    assert code == 0
+    lines = (out / name).read_text().splitlines()
+    return list(csv.reader(l for l in lines if not l.startswith("#")))
 
 
 class TestSubcommands:
@@ -254,18 +277,7 @@ class TestSubcommands:
         """Per label combination, in product order with the first column
         outermost: one mc row per threshold, then one theory row per threshold
         whose five last cells are empty."""
-        sweeps = "".join(
-            f"{key} = {', '.join(str(v) for v in values)}\n"
-            for key, values in labels.values() if key
-        )
-        code, out = run_cli(
-            tmp_path, subcommand,
-            "m = 8\ncode_rows = 1, 2\nn_elements = 4\nn_horizontal = 2\nr_bar = 2\n"
-            "r_bar_grid = 2, 3\ntrials = 1000\nseed = 5\n" + sweeps,
-        )
-        assert code == 0
-        lines = (out / name).read_text().splitlines()
-        header, *rows = csv.reader(l for l in lines if not l.startswith("#"))
+        header, *rows = _run_mc_sweep(tmp_path, subcommand, name, labels)
         r_col = ["r_bar"] if over_grid else []
         assert header == ["kind", *labels, *r_col, "value", "ci_low", "ci_high", "events",
                           "trials", "low_confidence"]
@@ -282,6 +294,24 @@ class TestSubcommands:
                 assert "" not in row
             else:
                 assert row[-5:] == [""] * 5 and row[-6] != ""
+
+    @pytest.mark.parametrize(
+        "subcommand, name, labels, over_grid, theory_kind", MC_SWEEPS,
+        ids=[case[0] for case in MC_SWEEPS],
+    )
+    def test_theory_rows_hold_the_closed_form(self, tmp_path, subcommand, name, labels,
+                                              over_grid, theory_kind):
+        """Every theory row equals its closed form taken straight from ``analysis`` at the
+        row's point: the config's scenario with the row's label values, at its threshold."""
+        header, *rows = _run_mc_sweep(tmp_path, subcommand, name, labels)
+        base = scenario_from_config(parse_config_text(MC_CONFIG))
+        expected = []
+        for combo in itertools.product(*(values for _, values in labels.values())):
+            scn = rescale(base, **{_LABEL_FIELDS[c]: v for c, v in zip(labels, combo)})
+            for rb in scn.r_bar_grid if over_grid else (scn.r_bar,):
+                expected.append(CLOSED_FORMS[subcommand](scn, scn.operating_point(rb)))
+        value = header.index("value")
+        assert [float(row[value]) for row in rows if row[0] == theory_kind] == expected
 
     @pytest.mark.parametrize("subcommand", SIMULATING)
     def test_memory_rule_checks_the_passes_run(self, tmp_path, monkeypatch, subcommand):
@@ -502,6 +532,12 @@ class TestExitCodes:
                          "seed = 111\n", 5),
             ("pf-two-np", "code_rows = 1, 2\np_dbm_values = 10, 2830\n"
                           "n_values = 64, 1099511627776\n", 2),
+            ("theory", "seed = 3\ncodebook_file = nope.txt\n", 2),
+            ("theory", f"codebook_file = {DATA_DIR / 'codebook_mismatched_code.txt'}\n", 1),
+            ("theory", f"codebook_file = {BUNDLED_CONFIG_DIR / 'codebook_set1.txt'}\nm = 32\n", 2),
+            ("theory", "n_elements = 18\n", 1),
+            ("pf-two-m", "m = 16\n", 1),
+            ("theory", "l_count = 2\n", 1),
         ],
         ids=["code_rows", "n_horizontal", "bandwidth", "distance", "nan_grid",
              "inf_power", "trials", "per_surface", "nan_pmiss_target", "pmiss_target_above_one",
@@ -525,7 +561,10 @@ class TestExitCodes:
              "four_surfaces_from_l_count_five_ris", "empty_true_state_confusion",
              "clashing_file_names_confusion", "code_rows_beside_codebook",
              "surface_never_silent_five_ris",
-             "power_overflow_of_a_sweep_combination"],
+             "power_overflow_of_a_sweep_combination", "missing_codebook",
+             "codebook_symbols_off_their_row", "codebook_length_beside_m",
+             "default_row_length_off_elements", "one_default_row_pf_two_m",
+             "retired_l_count_key"],
     )
     def test_cross_field_error_is_two(self, tmp_path, capsys, subcommand, text, line):
         cfg = tmp_path / "c.txt"
