@@ -1,11 +1,10 @@
 #!/usr/bin/env python3
-"""Rank code subsets by their worst-pair correlation peak and export the
-extremes as codebook files (the bundled set1/set2 files come from here)."""
+"""Rank code subsets by their worst-pair correlation peak and print the
+extremes as config lines (the bundled five-ris set1/set2 code rows come from here)."""
 
 import argparse
-from pathlib import Path
 
-from risid.codes import build_codebook, codebook_to_text, rank_code_subsets
+from risid.codes import rank_code_subsets
 
 
 def main() -> None:
@@ -14,11 +13,8 @@ def main() -> None:
     parser.add_argument("--subset-size", type=int, default=5)
     parser.add_argument("--pad", type=int, default=None,
                         help="window budget (default length // 4)")
-    parser.add_argument("--out", type=Path, default=Path("."))
     parser.add_argument("--top", type=int, default=5)
     args = parser.parse_args()
-    if not args.out.is_dir():
-        parser.error(f"--out {args.out} is not a directory")
     if args.top < 0:
         parser.error(f"--top must be nonnegative, got {args.top}")
 
@@ -39,9 +35,7 @@ def main() -> None:
     worst_q = ranked[-1][0]
     worst_rows = sorted(rows for q, rows in ranked if q == worst_q)[0]
     for name, rows in (("set1", best_rows), ("set2", worst_rows)):
-        path = args.out / f"codebook_{name}.txt"
-        path.write_text(codebook_to_text(build_codebook(args.length, list(rows))))
-        print(f"wrote {path} (rows {rows})")
+        print(f"# {name}\ncode_rows = {', '.join(str(r) for r in rows)}")
 
 
 if __name__ == "__main__":

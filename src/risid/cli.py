@@ -25,13 +25,7 @@ import numpy as np
 from . import __version__, analysis, montecarlo
 from .analysis import OperatingPoint
 from .channel import SPEED_OF_LIGHT, RisGeometry, correlation_matrix, gain_weights, path_gain
-from .codes import (
-    BinarySequence,
-    build_codebook,
-    codebook_from_text,
-    cross_corr_pmf,
-    distinct_shift_fraction,
-)
+from .codes import BinarySequence, build_codebook, cross_corr_pmf, distinct_shift_fraction
 from .signal import noise_variance_from_bandwidth
 
 SPACINGS = ("none", "half-lambda", "tenth-lambda")
@@ -80,17 +74,20 @@ def default_n_horizontal(n: int) -> int:
     return p
 
 
+# Field -> (the key it follows, the rule giving its value from that key's) for a config without it.
+_IMPLIED = {
+    "v_total": ("m", lambda m: max(1, -(-m // 4))),  # exact for any int m
+    "code_rows": ("m", lambda m: (m - 1,)),  # one surface; row m-1's shifts differ most
+    "n_horizontal": ("n_elements", default_n_horizontal),
+}
+
+
 def _fill_defaults(current: dict, changes: dict) -> dict:
-    """``changes`` plus, where unset, v_total and code_rows from m and n_horizontal
-    from n_elements; a change equal to its ``current`` value implies nothing.
+    """``changes`` plus, where unset, each ``_IMPLIED`` field from the key it follows;
+    a change equal to its ``current`` value implies nothing.
     """
     moved = {k: v for k, v in changes.items() if k not in current or v != current[k]}
-    implied = {}
-    if "m" in moved:
-        implied["v_total"] = max(1, -(-moved["m"] // 4))  # exact for any int m
-        implied["code_rows"] = (moved["m"] - 1,)  # one surface; row m-1's shifts differ most
-    if "n_elements" in moved:
-        implied["n_horizontal"] = default_n_horizontal(moved["n_elements"])
+    implied = {f: rule(moved[key]) for f, (key, rule) in _IMPLIED.items() if key in moved}
     return implied | changes
 
 
@@ -354,7 +351,7 @@ _KEYS = {
     **dict.fromkeys(("m", "v_total", "n_elements", "n_horizontal", "trials", "seed"), _parse_int),
     **dict.fromkeys(("f_c_hz", "bandwidth_hz", "p_dbm", "d_ur_m", "d_rb_m", "r_bar",
                      "target_pf", "target_pmiss"), _parse_float),
-    **dict.fromkeys(("spacing", "codebook_file"), _parse_str),
+    "spacing": _parse_str,
     **dict.fromkeys(("code_rows", "m_values", "n_values"), _parse_int_list),
     **dict.fromkeys(("r_bar_grid", "p_dbm_values"), _parse_float_list),
 }
@@ -382,25 +379,11 @@ def parse_config_text(text: str) -> dict:
     return out
 
 
-def scenario_from_config(raw: dict, config_dir: Path | None = None) -> Scenario:
+def scenario_from_config(raw: dict) -> Scenario:
     """Resolve a parsed config into a validated Scenario, dropping run keys; the sweep
     keys' values are checked by ``_passes``, for the subcommands that read them."""
     raw = dict(raw)
     run = {key: raw.pop(key) for key in _RUN_KEYS if key in raw}
-    if "codebook_file" in raw:
-        path = Path(raw.pop("codebook_file"))
-        if config_dir is not None and not path.is_absolute():
-            path = config_dir / path
-        try:
-            book = codebook_from_text(path.read_text(), lambda m, rows: _check_pass_memory(
-                m, _fill_defaults({}, {**raw, "m": m})["v_total"], rows, key="codebook_file"))
-        except (OSError, ValueError) as exc:
-            raise ConfigError(f"cannot load codebook: {exc}", key="codebook_file")
-        if raw.setdefault("code_rows", book.rows) != book.rows:
-            raise ConfigError(f"code_rows disagrees with the codebook's rows {book.rows}",
-                              key="code_rows")
-        if raw.setdefault("m", book.m) != book.m:
-            raise ConfigError("codebook length disagrees with the configured m", key="m")
     raw.setdefault("m", Scenario.m)
     try:
         scenario = Scenario(**_fill_defaults({}, raw))
@@ -412,18 +395,13 @@ def scenario_from_config(raw: dict, config_dir: Path | None = None) -> Scenario:
     return scenario
 
 
-# Field -> the config keys its value comes from when the config does not set it, in order.
-_SOURCES = {"m": ("codebook_file",), "code_rows": ("codebook_file", "m"), "v_total": ("m",),
-            "n_horizontal": ("n_elements",)}
-
-
 def _key_line(text: str, key: str | None) -> int:
-    """Line of ``key`` in config ``text``; for a key ``text`` does not set, the first line
-    that one of its ``_SOURCES`` gives by the same rule; 0 when none gives one."""
+    """Line of ``key`` in config ``text``; for a key ``text`` does not set, the line of the key
+    its ``_IMPLIED`` value follows, by the same rule; 0 when there is none."""
     keys = [ln.split("#", 1)[0].split("=", 1)[0].strip() for ln in text.splitlines()]
     if key in keys:
         return keys.index(key) + 1
-    return next((line for src in _SOURCES.get(key, ()) if (line := _key_line(text, src))), 0)
+    return _key_line(text, _IMPLIED[key][0]) if key in _IMPLIED else 0
 
 
 def rescale(scenario: Scenario, **changes) -> Scenario:
@@ -722,7 +700,7 @@ def main(argv=None) -> int:
         if args.config is not None:
             text = args.config.read_text()
             raw = parse_config_text(text)
-            scenario = scenario_from_config(raw, args.config.parent)
+            scenario = scenario_from_config(raw)
         else:
             raw, scenario = {}, scenario_from_config({})
         # from here on an error keyed to a flag's field concerns the flag, not a config line
@@ -734,7 +712,7 @@ def main(argv=None) -> int:
                               key="code_rows")
         if cmd.passes is not None:  # the pass-memory rule, before any m x m or N x N array exists
             read = raw.keys() - {k for k, f in _RUN_KEYS.items() if f not in cmd.passes.values()}
-            m_key = next((k for k in ("m_values", "codebook_file") if k in read), "m")
+            m_key = "m_values" if "m_values" in read else "m"
             n_key = "n_values" if "n_values" in read else "n_elements"
             for _, scn in _passes(scenario, raw, cmd.passes):
                 n = scn.n_elements if scn.spacing != "none" else 0

@@ -31,8 +31,6 @@ __all__ = [
     "uniform_offset_law",
     "set_quality",
     "rank_code_subsets",
-    "codebook_to_text",
-    "codebook_from_text",
 ]
 
 
@@ -138,10 +136,6 @@ class CodeBook:
 
     def __len__(self) -> int:
         return len(self.entries)
-
-    @property
-    def rows(self) -> tuple:
-        return tuple(e.row for e in self.entries)
 
 
 def build_codebook(m: int, assigned_rows: Sequence[int]) -> CodeBook:
@@ -347,49 +341,3 @@ def rank_code_subsets(m: int, subset_size: int, v1_span: int):
     # combinations come in lexicographic order, so a stable sort keeps ties by rows
     return [(int(quality[s]), subsets[s]) for s in np.argsort(quality, kind="stable")]
 
-
-# --- codebook text format -------------------------------------------------
-
-def codebook_to_text(book: CodeBook) -> str:
-    """Serialize a codebook: length, row indices, then one +/- line per code."""
-    lines = [f"m = {book.m}", f"rows = {', '.join(str(r) for r in book.rows)}"]
-    for e in book.entries:
-        syms = " ".join("+" if s > 0 else "-" for s in e.symbols)
-        lines.append(f"code {e.id}: {syms}")
-    return "\n".join(lines) + "\n"
-
-
-def codebook_from_text(text: str, admit=None) -> CodeBook:
-    """Parse ``codebook_to_text`` output and re-validate all invariants.
-
-    Symbol lines must reproduce the named Hadamard rows exactly; anything
-    else is rejected rather than silently repaired. ``admit(m, rows)``, if given,
-    sees the header before the m x m Hadamard matrix is built and may raise.
-    """
-    m = None
-    rows = None
-    symbol_lines = {}
-    for raw in text.splitlines():
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        if line.startswith("m "):
-            m = int(line.split("=", 1)[1])
-        elif line.startswith("rows"):
-            rows = [int(x) for x in line.split("=", 1)[1].split(",")]
-        elif line.startswith("code "):
-            head, syms = line.split(":", 1)
-            cid = int(head.split()[1])
-            vals = [1 if t == "+" else -1 for t in syms.split()]
-            symbol_lines[cid] = np.array(vals, dtype=np.int64)
-        else:
-            raise ValueError(f"unrecognized codebook line: {line!r}")
-    if m is None or rows is None:
-        raise ValueError("codebook text must define both m and rows")
-    if admit is not None:
-        admit(m, rows)
-    book = build_codebook(m, rows)
-    for e in book.entries:
-        if e.id in symbol_lines and not np.array_equal(e.symbols, symbol_lines[e.id]):
-            raise ValueError(f"symbols for code {e.id} do not match row {e.row}")
-    return book

@@ -31,7 +31,6 @@ from risid.cli import (
     rescale,
     scenario_from_config,
 )
-from risid.codes import build_codebook, codebook_to_text
 
 
 @st.composite
@@ -108,14 +107,6 @@ class TestConfigParsing:
         raw = parse_config_text("r_bar_grid = 13, 17, 21\n")
         assert raw["r_bar_grid"] == (13.0, 17.0, 21.0)
 
-    def test_codebook_file(self, tmp_path):
-        book = build_codebook(16, [1, 2, 4, 8, 9])
-        path = tmp_path / "book.txt"
-        path.write_text(codebook_to_text(book))
-        raw = parse_config_text(f"codebook_file = {path}\n")
-        scn = scenario_from_config(raw, tmp_path)
-        assert scn.code_rows == (1, 2, 4, 8, 9) and scn.m == 16
-
     def test_row_zero_rejected_on_load(self):
         with pytest.raises(Exception):
             scenario_from_config({"m": 16, "code_rows": (0, 1)})
@@ -133,6 +124,10 @@ class TestDefaults:
         assert scenario_from_config({}).code_rows == (15,)
         assert scenario_from_config({"m": 32}).code_rows == (31,)
         assert rescale(scenario_from_config({"m": 16}), m=32).code_rows == (31,)
+
+    def test_field_defaults_are_the_implied_values(self):
+        """Scenario's own v_total, code_rows and n_horizontal are those its m and n_elements imply."""
+        assert Scenario() == scenario_from_config({})
 
     def test_n_horizontal(self):
         assert default_n_horizontal(64) == 8
@@ -162,7 +157,15 @@ def _bundled_runs():
 
 
 BUNDLED_RUNS, BUNDLED_CONFIG_DIR = _bundled_runs()
-DATA_DIR = Path(__file__).parent / "data"
+PERFBENCH_CONFIG_DIR = Path(__file__).parents[1] / "perfbench" / "configs"
+# Every config the repository ships, the benchmark's copies included.
+SHIPPED_CONFIGS = sorted(BUNDLED_CONFIG_DIR.glob("*.txt")) + sorted(PERFBENCH_CONFIG_DIR.glob("*.txt"))
+
+
+@pytest.mark.parametrize("path", SHIPPED_CONFIGS,
+                         ids=[f"{path.parent.parent.name}/{path.name}" for path in SHIPPED_CONFIGS])
+def test_shipped_config_loads(path):
+    assert isinstance(scenario_from_config(parse_config_text(path.read_text())), Scenario)
 
 
 # Label column -> (sweep key, two values); spacing has no key and runs over SPACINGS.
@@ -525,19 +528,15 @@ class TestExitCodes:
             ("five-ris", "l_count = 4\nm = 16\n", 1),
             ("confusion", "code_rows = 1, 2\ntrials = 3\nr_bar_grid = 3\n", 2),
             ("confusion", "code_rows = 1, 2\nr_bar_grid = 3, 3.0000001\ntrials = 100\n", 2),
-            ("five-ris", f"codebook_file = {BUNDLED_CONFIG_DIR / 'codebook_set1.txt'}\n"
-                         "code_rows = 3, 5\n", 2),
-            ("five-ris", f"codebook_file = {BUNDLED_CONFIG_DIR / 'codebook_set1.txt'}\n"
+            ("five-ris", "m = 16\ncode_rows = 1, 2, 4, 8, 9\n"
                          "n_elements = 128\np_dbm = 15\nr_bar_grid = 6, 6, 9\ntrials = 3\n"
-                         "seed = 111\n", 5),
+                         "seed = 111\n", 6),
             ("pf-two-np", "code_rows = 1, 2\np_dbm_values = 10, 2830\n"
                           "n_values = 64, 1099511627776\n", 2),
-            ("theory", "seed = 3\ncodebook_file = nope.txt\n", 2),
-            ("theory", f"codebook_file = {DATA_DIR / 'codebook_mismatched_code.txt'}\n", 1),
-            ("theory", f"codebook_file = {BUNDLED_CONFIG_DIR / 'codebook_set1.txt'}\nm = 32\n", 2),
             ("theory", "n_elements = 18\n", 1),
             ("pf-two-m", "m = 16\n", 1),
             ("theory", "l_count = 2\n", 1),
+            ("theory", f"codebook_file = {BUNDLED_CONFIG_DIR / 'codebook_set1.txt'}\n", 1),
         ],
         ids=["code_rows", "n_horizontal", "bandwidth", "distance", "nan_grid",
              "inf_power", "trials", "per_surface", "nan_pmiss_target", "pmiss_target_above_one",
@@ -559,12 +558,10 @@ class TestExitCodes:
              "long_float_list", "one_surface_pf_two_m", "one_surface_from_l_count_pmiss_two_np",
              "one_surface_tradeoff", "three_surfaces_confusion",
              "four_surfaces_from_l_count_five_ris", "empty_true_state_confusion",
-             "clashing_file_names_confusion", "code_rows_beside_codebook",
-             "surface_never_silent_five_ris",
-             "power_overflow_of_a_sweep_combination", "missing_codebook",
-             "codebook_symbols_off_their_row", "codebook_length_beside_m",
+             "clashing_file_names_confusion", "surface_never_silent_five_ris",
+             "power_overflow_of_a_sweep_combination",
              "default_row_length_off_elements", "one_default_row_pf_two_m",
-             "retired_l_count_key"],
+             "retired_l_count_key", "retired_codebook_file_key"],
     )
     def test_cross_field_error_is_two(self, tmp_path, capsys, subcommand, text, line):
         cfg = tmp_path / "c.txt"
@@ -613,7 +610,7 @@ class TestExitCodes:
             ("pmiss-m", "m = 16\nm_values = 16, 1024\n", 2),
             ("pf-two-m", "code_rows = 1, 511\nm = 512\nm_values = 32\n", 2),
             ("pf-two-m", "code_rows = 1, 2\nm = 32\nm_values = 32, 512, 1024\n", 3),
-            ("five-ris", "codebook_file = book.txt\n", 1),
+            ("five-ris", "m = 512\ncode_rows = 255, 256, 300, 400, 511\n", 1),
             ("pf-single", f"code_rows = 1\nm = {2**1100}\n", 2),
             ("pf-single", "spacing = half-lambda\nn_elements = 8192\n", 2),
             ("pmiss-corr", "n_elements = 8192\nspacing = none\n", 1),
@@ -625,7 +622,6 @@ class TestExitCodes:
     )
     def test_pass_memory_over_limit_is_two(self, tmp_path, capsys, subcommand, text, line):
         """Rejected at load from the config's sizes, allocating nothing large."""
-        (tmp_path / "book.txt").write_text(codebook_to_text(build_codebook(512, [255, 256, 300, 400, 511])))
         cfg = tmp_path / "c.txt"
         cfg.write_text(text)
         tracemalloc.start()
@@ -638,23 +634,6 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert f"c.txt:{line}: config error" in err and "GiB per simulation pass" in err
         assert peak < 16 * 2**20
-        assert not (tmp_path / "o").exists()
-
-    def test_codebook_header_checked_before_its_matrix(self, tmp_path, capsys):
-        """A codebook's m and rows meet the pass-memory rule before its m x m matrix is built."""
-        (tmp_path / "book.txt").write_text(f"m = {2**16}\nrows = 1, 2\n")
-        cfg = tmp_path / "c.txt"
-        cfg.write_text("seed = 3\ncodebook_file = book.txt\n")
-        tracemalloc.start()
-        try:
-            code = main(["pf-two-m", "--config", str(cfg), "--out", str(tmp_path / "o")])
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert code == 2
-        err = capsys.readouterr().err
-        assert "c.txt:2: config error: m = 65536" in err and "GiB per simulation pass" in err
-        assert peak < 2**20
         assert not (tmp_path / "o").exists()
 
     def test_pass_memory_counts_every_worker(self, tmp_path, capsys, monkeypatch):
@@ -670,15 +649,12 @@ class TestExitCodes:
             assert main(argv + ["--threads", "8"]) == 2
             monkeypatch.setenv("RISID_THREADS", "8")
             assert main(argv) == 2
-            (tmp_path / "book.txt").write_text("m = 256\nrows = 255\n")
-            cfg.write_text("v_total = 4\ncodebook_file = book.txt\n")  # m from the codebook
-            assert main(argv) == 2
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         err = capsys.readouterr().err
-        assert err.count("c.txt:2: config error: m = 256, v_total = 4 and code rows (255,) need") == 3
-        assert err.count("GiB per simulation pass with 8 worker threads") == 3
+        assert err.count("c.txt:2: config error: m = 256, v_total = 4 and code rows (255,) need") == 2
+        assert err.count("GiB per simulation pass with 8 worker threads") == 2
         assert peak < 16 * 2**20
         assert not (tmp_path / "o").exists()
 

@@ -17,8 +17,6 @@ from risid.codes import (
     all_shifts,
     build_codebook,
     circular_shift,
-    codebook_from_text,
-    codebook_to_text,
     cross_corr_pmf,
     distinct_shift_fraction,
     hadamard_matrix,
@@ -85,20 +83,6 @@ class TestCodebook:
         good = [BinarySequence(id=r, symbols=h[r], row=r) for r in (1, 2, 4, 8, 9)]
         bad = [BinarySequence(id=r, symbols=h[r], row=r) for r in (1, 2, 3, 4, 5)]
         assert set_quality(good, 8) < set_quality(bad, 8)
-
-    def test_text_round_trip(self):
-        book = build_codebook(16, [1, 2, 4])
-        text = codebook_to_text(book)
-        back = codebook_from_text(text)
-        assert back.m == 16 and back.rows == (1, 2, 4)
-        for a, b in zip(book.entries, back.entries):
-            assert np.array_equal(a.symbols, b.symbols)
-
-    def test_text_rejects_corrupted_symbols(self):
-        book = build_codebook(8, [1])
-        text = codebook_to_text(book).replace("code 1: + -", "code 1: - -")
-        with pytest.raises(ValueError, match="do not match"):
-            codebook_from_text(text)
 
 
 class TestCircularShift:
@@ -342,20 +326,26 @@ class TestBatchedPeakSearch:
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def _rank_script(*args, out):
+def _rank_script(*args, cwd):
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     return subprocess.run(
-        [sys.executable, str(ROOT / "scripts" / "rank_codebooks.py"), "--out", str(out), *args],
-        env=env, capture_output=True, text=True,
+        [sys.executable, str(ROOT / "scripts" / "rank_codebooks.py"), *args],
+        env=env, cwd=cwd, capture_output=True, text=True,
     )
+
+
+def _code_rows_lines(text):
+    return [line for line in text.splitlines() if line.startswith("code_rows =")]
 
 
 class TestRankCodebooksScript:
     def test_regenerates_the_bundled_codebooks(self, tmp_path):
-        proc = _rank_script("--length", "16", out=tmp_path)
+        proc = _rank_script("--length", "16", cwd=tmp_path)
         assert proc.returncode == 0, proc.stderr
-        for name in ("codebook_set1.txt", "codebook_set2.txt"):
-            assert (tmp_path / name).read_bytes() == (ROOT / "scripts" / "configs" / name).read_bytes()
+        bundled = [(ROOT / "scripts" / "configs" / f"five_ris_{name}.txt").read_text()
+                   for name in ("set1", "set2")]
+        assert _code_rows_lines(proc.stdout) == [_code_rows_lines(text)[0] for text in bundled]
+        assert not list(tmp_path.iterdir())
 
     @pytest.mark.parametrize("args,message", [
         (("--subset-size", "16"), "subset_size"),
@@ -366,14 +356,9 @@ class TestRankCodebooksScript:
         (("--pad", "16"), "v1_span"),
     ])
     def test_bad_arguments_exit_2(self, tmp_path, args, message):
-        proc = _rank_script(*args, out=tmp_path)
+        proc = _rank_script(*args, cwd=tmp_path)
         assert proc.returncode == 2 and message in proc.stderr and "Traceback" not in proc.stderr
-        assert not list(tmp_path.iterdir())
-
-    def test_missing_out_directory_exits_2(self, tmp_path):
-        proc = _rank_script(out=tmp_path / "absent")
-        assert proc.returncode == 2 and "--out" in proc.stderr and "Traceback" not in proc.stderr
-        assert not proc.stdout
+        assert not proc.stdout and not list(tmp_path.iterdir())
 
 
 class TestDistinctShiftFraction:
@@ -441,21 +426,21 @@ class TestRankCodebooksTop:
         return [line for line in stdout.splitlines() if "quality" in line]
 
     def test_top_zero_prints_no_ranking_rows(self, tmp_path):
-        proc = _rank_script("--length", "8", "--subset-size", "3", "--top", "0", out=tmp_path)
+        proc = _rank_script("--length", "8", "--subset-size", "3", "--top", "0", cwd=tmp_path)
         assert proc.returncode == 0, proc.stderr
         assert self._ranking_rows(proc.stdout) == []
-        assert (tmp_path / "codebook_set1.txt").exists()
+        assert len(_code_rows_lines(proc.stdout)) == 2
 
     def test_top_prints_both_ends(self, tmp_path):
         # 35 subsets of 7 rows: a --top above the count prints each end in full
         ranked = rank_code_subsets(8, 3, 2)
         for top, shown in ((2, 4), (40, 70)):
-            proc = _rank_script("--length", "8", "--subset-size", "3", "--top", str(top), out=tmp_path)
+            proc = _rank_script("--length", "8", "--subset-size", "3", "--top", str(top), cwd=tmp_path)
             rows = self._ranking_rows(proc.stdout)
             assert len(rows) == shown
             assert rows[-1] == f"  quality {ranked[-1][0]:3d}  rows {ranked[-1][1]}"
 
     def test_negative_top_exits_2(self, tmp_path):
-        proc = _rank_script("--top", "-1", out=tmp_path)
+        proc = _rank_script("--top", "-1", cwd=tmp_path)
         assert proc.returncode == 2 and "--top" in proc.stderr and "Traceback" not in proc.stderr
         assert not proc.stdout and not list(tmp_path.iterdir())
