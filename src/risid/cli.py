@@ -82,15 +82,6 @@ _IMPLIED = {
 }
 
 
-def _fill_defaults(current: dict, changes: dict) -> dict:
-    """``changes`` plus, where unset, each ``_IMPLIED`` field from the key it follows;
-    a change equal to its ``current`` value implies nothing.
-    """
-    moved = {k: v for k, v in changes.items() if k not in current or v != current[k]}
-    implied = {f: rule(moved[key]) for f, (key, rule) in _IMPLIED.items() if key in moved}
-    return implied | changes
-
-
 @dataclass(frozen=True)
 class SimRis:
     """Engine view of one surface: code, size, per-hop gains, and the
@@ -384,9 +375,8 @@ def scenario_from_config(raw: dict) -> Scenario:
     keys' values are checked by ``_passes``, for the subcommands that read them."""
     raw = dict(raw)
     run = {key: raw.pop(key) for key in _RUN_KEYS if key in raw}
-    raw.setdefault("m", Scenario.m)
     try:
-        scenario = Scenario(**_fill_defaults({}, raw))
+        scenario = rescale(Scenario(), raw, **raw)
     except TypeError as exc:
         raise ConfigError(str(exc))
     for key, value in run.items():
@@ -404,11 +394,12 @@ def _key_line(text: str, key: str | None) -> int:
     return _key_line(text, _IMPLIED[key][0]) if key in _IMPLIED else 0
 
 
-def rescale(scenario: Scenario, **changes) -> Scenario:
-    """Vary m/n/p across sweeps; dependents follow, but several surfaces keep their rows."""
-    if scenario.l_count > 1:
-        changes.setdefault("code_rows", scenario.code_rows)
-    return replace(scenario, **_fill_defaults(vars(scenario), changes))
+def rescale(scenario: Scenario, config: dict | None = None, **changes) -> Scenario:
+    """``scenario`` with ``changes`` in place; each ``_IMPLIED`` field that ``config`` does not
+    set follows the changed key it comes from."""
+    implied = {f: rule(changes[key]) for f, (key, rule) in _IMPLIED.items()
+               if key in changes and f not in (config or {})}
+    return replace(scenario, **implied | changes)
 
 
 # --- artifact writing -------------------------------------------------------
@@ -484,15 +475,16 @@ def _passes(scenario: Scenario, raw: dict, labels: dict):
     """Yield (label values, scenario) for each engine pass. ``labels`` maps each label column
     to the field it varies, which runs over its sweep key's values (``_RUN_KEYS``) if set,
     every spacing mode for ``spacing``, else the scenario's own value; the columns combine
-    in product order, first column outermost, and no column gives one pass. A combination
-    the scenario rejects is keyed to a sweep key it varies, the failing field's if swept."""
+    in product order, first column outermost, and no column gives one pass. Each pass is the
+    config with the values in place of their keys (``rescale``). A combination the scenario
+    rejects is keyed to a sweep key it varies, the failing field's if swept."""
     varied = list(labels.values())
     keys = {f: key for f in varied for key, g in _RUN_KEYS.items() if g == f and key in raw}
     swept = {"spacing": SPACINGS} | {f: raw[key] for f, key in keys.items()}
     for combo in itertools.product(*(swept.get(f, (getattr(scenario, f),)) for f in varied)):
         changes = dict(zip(varied, combo))
         try:
-            scn = rescale(scenario, **changes)
+            scn = rescale(scenario, raw, **changes)
         except ConfigError as exc:
             if not keys:
                 raise

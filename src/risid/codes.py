@@ -29,7 +29,6 @@ __all__ = [
     "partial_cross_corr",
     "cross_corr_pmf",
     "uniform_offset_law",
-    "set_quality",
     "rank_code_subsets",
 ]
 
@@ -56,7 +55,7 @@ class BinarySequence:
     """One surface identity: +/-1 symbol vector of power-of-two length.
 
     ``id`` is the surface identifier the sequence is bound to; ``row`` records
-    which Hadamard row it came from (used by the codebook text format).
+    which Hadamard row it came from (-1: none), for a codebook's errors to name.
     """
 
     id: int
@@ -122,7 +121,6 @@ class CodeBook:
 
     m: int
     entries: tuple
-    excluded_rows: tuple
 
     def __post_init__(self):
         for a, b in combinations(self.entries, 2):
@@ -158,8 +156,7 @@ def build_codebook(m: int, assigned_rows: Sequence[int]) -> CodeBook:
         if not 0 < r < m:
             raise ValueError(f"row index {r} out of range 1..{m - 1}")
         entries.append(BinarySequence(id=l, symbols=h[r], row=r))
-    excluded = tuple(sorted(set(range(m)) - set(rows)))
-    return CodeBook(m=m, entries=tuple(entries), excluded_rows=excluded)
+    return CodeBook(m=m, entries=tuple(entries))
 
 
 def partial_cross_corr(
@@ -304,19 +301,6 @@ def _pair_peaks(codes: Sequence[BinarySequence], v1_span: int) -> np.ndarray:
     shifts = np.vstack([all_shifts(c) for c in codes])
     best = _best_peaks(shifts, shifts, list(uniform_offset_law(v1_span)), v1_span)
     return best.reshape(-1, len(codes), len(codes), codes[0].length).max(axis=(0, 3))
-
-
-def set_quality(codes: Sequence[BinarySequence], v1_span: int) -> int:
-    """Worst-pair correlation peak of a code set; lower is better.
-
-    Maximum of a_tilde over all ordered pairs of set positions (detector
-    code, interferer code). A value of M means some pair is a cyclic shift of
-    another and the surfaces cannot be told apart under offset uncertainty.
-    """
-    if len(codes) < 2:
-        raise ValueError("set quality needs at least two codes")
-    peaks = _pair_peaks(codes, v1_span)
-    return int(peaks[~np.eye(len(codes), dtype=bool)].max())
 
 
 def rank_code_subsets(m: int, subset_size: int, v1_span: int):

@@ -33,13 +33,10 @@ __all__ = [
     "RisProfile",
     "FrameTruth",
     "ReceivedFrame",
-    "psrp_phase",
     "noise_variance_from_bandwidth",
     "synthesize_frame",
     "substream",
     "draw_frames",
-    "frame_to_text",
-    "frame_from_text",
     "TAG_FRAME",
     "TAG_RIS",
 ]
@@ -97,16 +94,6 @@ def substream(seed: int, tag: int, ris_id: int, block: int) -> np.random.Generat
     gen = np.random.Generator(np.random.Philox(key=key))
     slots.setdefault(tag, gen)
     return gen
-
-
-def psrp_phase(q_symbol: int) -> float:
-    """Common phase shift encoding one sequence bit: bit 1 -> 0, bit 0 -> pi.
-
-    exp(1j * phase) is then exactly the BPSK symbol 2q - 1.
-    """
-    if q_symbol not in (0, 1):
-        raise ValueError(f"sequence bit must be 0 or 1, got {q_symbol}")
-    return 0.0 if q_symbol == 1 else float(np.pi)
 
 
 def noise_variance_from_bandwidth(bw_hz: float) -> float:
@@ -235,89 +222,3 @@ def synthesize_frame(
     )
     return ReceivedFrame(samples=y[0], truth=truth, noise_variance=noise_variance)
 
-
-# --- frame text format (golden-test interchange) ---------------------------
-
-def frame_to_text(frame: ReceivedFrame) -> str:
-    """Serialize samples and the full truth block, one value pair per line."""
-    t = frame.truth
-    lines = [
-        f"length = {len(frame.samples)}",
-        f"v1 = {t.v1}",
-        f"v2 = {t.v2}",
-        f"noise_variance = {float(frame.noise_variance)!r}",
-    ]
-    for rid in sorted(t.c_per_ris):
-        real = t.realizations[rid]
-        lines.append(
-            f"ris {rid}: c = {t.c_per_ris[rid]}, reachable = "
-            f"{int(t.reachability[rid])}, h_tilde = "
-            f"{float(real.h_tilde.real)!r} {float(real.h_tilde.imag)!r}"
-        )
-        for name, vec in (("h_ur", real.h_ur), ("h_rb", real.h_rb)):
-            vals = " ".join(f"{float(v.real)!r} {float(v.imag)!r}" for v in vec)
-            lines.append(f"ris {rid} {name}: {vals}")
-    for s in frame.samples:
-        lines.append(f"sample: {float(s.real)!r} {float(s.imag)!r}")
-    return "\n".join(lines) + "\n"
-
-
-def frame_from_text(text: str) -> ReceivedFrame:
-    """Parse ``frame_to_text`` output back into a frame with truth attached."""
-    length = v1 = v2 = None
-    noise_variance = None
-    samples = []
-    c_per_ris, reach, h_tilde, hops = {}, {}, {}, {}
-    for raw in text.splitlines():
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        if line.startswith("length"):
-            length = int(line.split("=", 1)[1])
-        elif line.startswith("v1"):
-            v1 = int(line.split("=", 1)[1])
-        elif line.startswith("v2"):
-            v2 = int(line.split("=", 1)[1])
-        elif line.startswith("noise_variance"):
-            noise_variance = float(line.split("=", 1)[1])
-        elif line.startswith("sample:"):
-            re_s, im_s = line.split(":", 1)[1].split()
-            samples.append(complex(float(re_s), float(im_s)))
-        elif line.startswith("ris"):
-            head, body = line.split(":", 1)
-            parts = head.split()
-            rid = int(parts[1])
-            if len(parts) == 2:
-                fields = {}
-                for kv in body.split(","):
-                    key, val = kv.split("=", 1)
-                    fields[key.strip()] = val.strip()
-                c_per_ris[rid] = int(fields["c"])
-                reach[rid] = bool(int(fields["reachable"]))
-                re_s, im_s = fields["h_tilde"].split()
-                h_tilde[rid] = complex(float(re_s), float(im_s))
-            else:
-                vals = [float(x) for x in body.split()]
-                vec = np.array(vals[0::2]) + 1j * np.array(vals[1::2])
-                hops.setdefault(rid, {})[parts[2]] = vec
-        else:
-            raise ValueError(f"unrecognized frame line: {line!r}")
-    if None in (length, v1, v2, noise_variance):
-        raise ValueError("frame text is missing header fields")
-    if len(samples) != length:
-        raise ValueError(f"expected {length} samples, found {len(samples)}")
-    realizations = {
-        rid: ChannelRealization(
-            h_ur=hops[rid]["h_ur"], h_rb=hops[rid]["h_rb"], h_tilde=h_tilde[rid]
-        )
-        for rid in c_per_ris
-    }
-    truth = FrameTruth(
-        v1=v1, v2=v2, c_per_ris=c_per_ris, realizations=realizations,
-        reachability=reach,
-    )
-    return ReceivedFrame(
-        samples=np.array(samples, dtype=np.complex128),
-        truth=truth,
-        noise_variance=noise_variance,
-    )

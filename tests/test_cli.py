@@ -138,13 +138,18 @@ class TestDefaults:
         scn = scenario_from_config({"m": 16})  # default row 15
         assert scn.operating_point(3.0).rho == 0.5
 
-    def test_dependents_follow_only_a_changed_value(self):
-        scn = scenario_from_config({
-            "m": 16, "v_total": 2, "code_rows": (1, 2), "n_elements": 64, "n_horizontal": 4,
-        })
-        assert rescale(scn, m=16).v_total == 2
-        assert rescale(scn, m=32).v_total == 8 and rescale(scn, m=32).code_rows == (1, 2)
-        assert rescale(scn, n_elements=256).n_horizontal == 16
+    def test_dependents_follow_their_key_unless_the_config_sets_them(self):
+        """A rescale with the config is the config with the new values in place of their keys."""
+        bare = {"m": 16, "code_rows": (1, 2), "n_elements": 64}
+        full = bare | {"v_total": 2, "n_horizontal": 4}
+        for config in (bare, full):
+            scn = scenario_from_config(config)
+            for changes in ({"m": 16}, {"m": 32}, {"n_elements": 256}, {"m": 32, "n_elements": 256}):
+                assert rescale(scn, config, **changes) == scenario_from_config(config | changes)
+        assert rescale(scenario_from_config(bare), bare, m=32, n_elements=256).v_total == 8
+        assert rescale(scenario_from_config(bare), bare, n_elements=256).n_horizontal == 16
+        scn = rescale(scenario_from_config(full), full, m=32, n_elements=256)
+        assert (scn.v_total, scn.code_rows, scn.n_horizontal) == (2, (1, 2), 4)
 
 
 def _bundled_runs():
@@ -305,12 +310,13 @@ class TestSubcommands:
     def test_theory_rows_hold_the_closed_form(self, tmp_path, subcommand, name, labels,
                                               over_grid, theory_kind):
         """Every theory row equals its closed form taken straight from ``analysis`` at the
-        row's point: the config's scenario with the row's label values, at its threshold."""
+        row's point: the config with the row's label values in place of their keys, at its
+        threshold."""
         header, *rows = _run_mc_sweep(tmp_path, subcommand, name, labels)
-        base = scenario_from_config(parse_config_text(MC_CONFIG))
+        raw = parse_config_text(MC_CONFIG)
         expected = []
         for combo in itertools.product(*(values for _, values in labels.values())):
-            scn = rescale(base, **{_LABEL_FIELDS[c]: v for c, v in zip(labels, combo)})
+            scn = scenario_from_config(raw | {_LABEL_FIELDS[c]: v for c, v in zip(labels, combo)})
             for rb in scn.r_bar_grid if over_grid else (scn.r_bar,):
                 expected.append(CLOSED_FORMS[subcommand](scn, scn.operating_point(rb)))
         value = header.index("value")
@@ -345,6 +351,22 @@ class TestSubcommands:
         )
         assert code == 0
         assert run and checked == run
+
+    def test_sweep_pass_keeps_the_rows_the_config_sets(self, tmp_path, monkeypatch):
+        """Each pass is the config with the sweep value in place of its key: the config's
+        code_rows = 5 runs at both lengths, and v_total, which it leaves out, follows m."""
+        run = set()
+        run_blocks = montecarlo._run_blocks
+
+        def spy_run(plan, *args):
+            run.add((plan.scenario.m, plan.scenario.v_total, plan.scenario.code_rows))
+            return run_blocks(plan, *args)
+
+        monkeypatch.setattr(montecarlo, "_run_blocks", spy_run)
+        code, _ = run_cli(tmp_path, "pf-single", "code_rows = 5\nn_elements = 4\nn_horizontal = 2\n"
+                          "r_bar_grid = 3\ntrials = 100\nm_values = 16, 32\n")
+        assert code == 0
+        assert run == {(16, 4, (5,)), (32, 8, (5,))}
 
     # five_ris.csv of the config below, from the per-surface tally the joint counts replaced
     FIVE_RIS_ROWS = {
@@ -537,6 +559,7 @@ class TestExitCodes:
             ("pf-two-m", "m = 16\n", 1),
             ("theory", "l_count = 2\n", 1),
             ("theory", f"codebook_file = {BUNDLED_CONFIG_DIR / 'codebook_set1.txt'}\n", 1),
+            ("pf-single", "m = 16\nv_total = 12\nm_values = 8, 16\n", 3),
         ],
         ids=["code_rows", "n_horizontal", "bandwidth", "distance", "nan_grid",
              "inf_power", "trials", "per_surface", "nan_pmiss_target", "pmiss_target_above_one",
@@ -561,7 +584,8 @@ class TestExitCodes:
              "clashing_file_names_confusion", "surface_never_silent_five_ris",
              "power_overflow_of_a_sweep_combination",
              "default_row_length_off_elements", "one_default_row_pf_two_m",
-             "retired_l_count_key", "retired_codebook_file_key"],
+             "retired_l_count_key", "retired_codebook_file_key",
+             "set_pad_budget_beside_m_sweep"],
     )
     def test_cross_field_error_is_two(self, tmp_path, capsys, subcommand, text, line):
         cfg = tmp_path / "c.txt"
@@ -678,14 +702,14 @@ class TestExitCodes:
 
     def test_sweep_values_checked_only_where_read(self, tmp_path, capsys):
         """m_values = 1024 would need 8 GiB a pass: pmiss-n never runs it, pf-single does."""
-        text = "m = 16\nv_total = 4\ncode_rows = 15\nm_values = 1024\n"
+        text = "m = 16\nm_values = 1024\n"
         code, out = run_cli(tmp_path / "pmiss", "pmiss-n", text, ("--trials", "2000"))
         assert code == 0
         assert (out / "pmiss_n.csv").is_file()
         code, out = run_cli(tmp_path / "pf", "pf-single", text, ("--trials", "2000"))
         assert code == 2
         err = capsys.readouterr().err
-        assert "config.txt:4: config error: m_values: m = 1024" in err
+        assert "config.txt:2: config error: m_values: m = 1024" in err
         assert "GiB per simulation pass" in err
         assert not out.exists()
 

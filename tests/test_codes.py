@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 from risid.codes import (
     BinarySequence,
+    _pair_peaks,
     all_shifts,
     build_codebook,
     circular_shift,
@@ -22,7 +23,6 @@ from risid.codes import (
     hadamard_matrix,
     partial_cross_corr,
     rank_code_subsets,
-    set_quality,
     sign_classes,
     uniform_offset_law,
 )
@@ -73,16 +73,6 @@ class TestCodebook:
     def test_rejects_out_of_range(self):
         with pytest.raises(ValueError, match="range"):
             build_codebook(16, [16])
-
-    def test_excluded_rows_complement(self):
-        book = build_codebook(8, [1, 5])
-        assert book.excluded_rows == (0, 2, 3, 4, 6, 7)
-
-    def test_two_subsets_differ_in_shifted_cross_correlation(self):
-        h = hadamard_matrix(32)
-        good = [BinarySequence(id=r, symbols=h[r], row=r) for r in (1, 2, 4, 8, 9)]
-        bad = [BinarySequence(id=r, symbols=h[r], row=r) for r in (1, 2, 3, 4, 5)]
-        assert set_quality(good, 8) < set_quality(bad, 8)
 
 
 class TestCircularShift:
@@ -205,15 +195,6 @@ class TestCrossCorrPmf:
 
 
 class TestSetQuality:
-    def test_duplicated_code_is_worst_case(self, seq16):
-        twin = BinarySequence(id=99, symbols=seq16[5].symbols, row=5)
-        assert set_quality([seq16[5], twin], 4) == 16
-        assert set_quality([seq16[5], seq16[5]], 4) == 16
-
-    def test_requires_two_codes(self, seq16):
-        with pytest.raises(ValueError):
-            set_quality([seq16[1]], 4)
-
     def test_subset_ranking_m16(self):
         ranked = rank_code_subsets(16, 5, 4)
         best_q, best_rows = ranked[0]
@@ -286,33 +267,16 @@ class TestBatchedPeakSearch:
         support, probs, a_tilde = _pmf_oracle(code_l, code_d, law, v_total or max(v1s))
         assert (pmf.support, pmf.probs, pmf.a_tilde) == (support, probs, a_tilde)
 
-    @given(
-        m=st.sampled_from([8, 16]),
-        data=st.data(),
-        span=st.integers(1, 4),
-    )
-    @settings(max_examples=20, deadline=None)
-    def test_set_quality_matches_per_pair_max(self, m, data, span):
-        h = hadamard_matrix(m)
-        bits = st.lists(st.booleans(), min_size=m, max_size=m)
-        codes = []
-        for i in range(data.draw(st.integers(2, 4))):
-            if data.draw(st.booleans()):
-                symbols = h[data.draw(st.integers(1, m - 1))]
-            else:
-                symbols = _pm1(data.draw(bits))
-            codes.append(BinarySequence(i, symbols))
-        assert set_quality(codes, span) == max(_pair_peak_oracle(codes, span).values())
-
-    def test_set_quality_with_twin_and_foreign_shift(self, seq16):
+    def test_pair_peaks_with_twin_and_foreign_shift(self, seq16):
         h = hadamard_matrix(16)
         # row 5 shifted by one is, up to sign, no row of the Hadamard matrix
         shifted = circular_shift(seq16[5], 1)
         assert np.all(np.abs(h @ shifted.symbols) < 16)
         twin = BinarySequence(id=99, symbols=seq16[6].symbols, row=6)
         for codes in ([seq16[1], seq16[6], twin], [seq16[3], seq16[8], shifted], [seq16[2], shifted, seq16[9]]):
-            assert set_quality(codes, 4) == max(_pair_peak_oracle(codes, 4).values())
-        assert set_quality([seq16[5], shifted], 4) == 16
+            peaks = _pair_peaks(codes, 4)
+            assert {pair: peaks[pair] for pair in _pair_peak_oracle(codes, 4)} == _pair_peak_oracle(codes, 4)
+        assert _pair_peaks([seq16[5], shifted], 4)[0, 1] == 16
 
     @pytest.mark.parametrize("m,size,span,arg", [
         (16, 16, 4, "subset_size"), (16, 1, 4, "subset_size"), (16, 0, 4, "subset_size"),

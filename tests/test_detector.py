@@ -152,25 +152,28 @@ class TestDetect:
 
 
 class TestGoldenFrame:
-    """Frozen frame from the text interchange format, detected bit-for-bit."""
+    """Frozen frame (its samples and noise variance), detected bit-for-bit."""
 
     def test_golden_frame_detection(self):
         from pathlib import Path
-        from risid.signal import frame_from_text
 
-        text = (Path(__file__).parent / "data" / "golden_frame.txt").read_text()
-        fr = frame_from_text(text)
-        assert fr.truth.v1 == 1
-        assert fr.truth.c_per_ris == {1: 11, 2: 1}
+        samples, noise_variance = [], None
+        for line in (Path(__file__).parent / "data" / "golden_frame.txt").read_text().splitlines():
+            if line.startswith("sample:"):
+                re_s, im_s = line.split(":", 1)[1].split()
+                samples.append(complex(float(re_s), float(im_s)))
+            elif line.startswith("noise_variance"):
+                noise_variance = float(line.split("=", 1)[1])
+        y = np.array(samples, dtype=np.complex128)
         book = build_codebook(16, [1, 2])
-        got1 = detect(fr, book.entries[0])
-        got2 = detect(fr, book.entries[1])
+        got1 = detect(y, book.entries[0])
+        got2 = detect(y, book.entries[1])
         # row 1 alternates, so every shift hypothesis ties up to sign and the
         # tie-break lands on c=1 even though the true offset is 11
         assert got1 == (3.5910786130548384e-12, 1, 1)
         assert got2 == (4.191934779736066e-12, 1, 3)
-        r = 9.0 * fr.noise_variance
-        report = run_ris_id(fr, [(book.entries[0], r), (book.entries[1], r)])
+        r = 9.0 * noise_variance
+        report = run_ris_id(y, [(book.entries[0], r), (book.entries[1], r)])
         assert report.decided_ids() == (1, 2)
 
 

@@ -1,4 +1,4 @@
-"""Frame synthesis: phase mapping, padding, superposition, determinism."""
+"""Frame synthesis and its substreams: noise power, padding, superposition, determinism."""
 
 import sys
 import threading
@@ -14,10 +14,7 @@ from risid.signal import (
     TAG_FRAME,
     TAG_RIS,
     RisProfile,
-    frame_from_text,
-    frame_to_text,
     noise_variance_from_bandwidth,
-    psrp_phase,
     substream,
     synthesize_frame,
 )
@@ -38,21 +35,15 @@ def identity_corrs(profiles):
     return {p.id: identity_correlation(p.geometry.n) for p in profiles}
 
 
-class TestPsrpPhase:
-    def test_bit_one_no_shift(self):
-        assert psrp_phase(1) == 0.0
-
-    def test_bit_zero_half_turn(self):
-        assert psrp_phase(0) == pytest.approx(np.pi)
-
-    def test_round_trip_to_bpsk(self):
-        for q in (0, 1):
-            assert np.exp(1j * psrp_phase(q)).real == pytest.approx(2 * q - 1)
-            assert abs(np.exp(1j * psrp_phase(q)).imag) < 1e-15
-
-    def test_rejects_other_symbols(self):
-        with pytest.raises(ValueError):
-            psrp_phase(2)
+def frame_bytes(frame):
+    """A frame, exactly: its sample bytes, v1, v2, each surface's offset, reachability and
+    h_ur, h_rb and h_tilde bytes, and the noise variance. Equal frames give equal values."""
+    t = frame.truth
+    hops = {rid: tuple(np.asarray(v, dtype=np.complex128).tobytes()
+                       for v in (r.h_ur, r.h_rb, r.h_tilde))
+            for rid, r in t.realizations.items()}
+    return (frame.samples.tobytes(), t.v1, t.v2, t.c_per_ris, t.reachability, hops,
+            frame.noise_variance)
 
 
 class TestNoiseVariance:
@@ -271,10 +262,10 @@ class TestSubstream:
     def test_frames_equal_the_new_generator_oracle(self, rows, monkeypatch):
         profiles = make_profiles(rows=rows)  # sinc-kernel correlation
         keys = [(seed, index) for seed in (0, 9, 2**64 - 1) for index in (0, 1, 2**40 - 1)]
-        got = [frame_to_text(synthesize_frame(profiles, 2, 0.1, 1.0, seed=s, frame_index=i))
+        got = [frame_bytes(synthesize_frame(profiles, 2, 0.1, 1.0, seed=s, frame_index=i))
                for s, i in keys]
         monkeypatch.setattr(signal, "substream", oracle)
-        want = [frame_to_text(synthesize_frame(profiles, 2, 0.1, 1.0, seed=s, frame_index=i))
+        want = [frame_bytes(synthesize_frame(profiles, 2, 0.1, 1.0, seed=s, frame_index=i))
                 for s, i in keys]
         assert got == want
 
@@ -285,8 +276,8 @@ class TestSubstream:
         def frames(seed, out):
             for index in range(150):
                 sub = profiles[: 1 + index % 3]
-                out.append(frame_to_text(synthesize_frame(sub, 2, 0.1, 1.0, seed=seed,
-                                                          frame_index=index, correlations=corrs)))
+                out.append(frame_bytes(synthesize_frame(sub, 2, 0.1, 1.0, seed=seed,
+                                                        frame_index=index, correlations=corrs)))
 
         want = {}
         for seed in (21, 22, 23):
@@ -313,33 +304,3 @@ class TestSubstream:
         assert not any(t.is_alive() for t in threads)
         assert got == want
 
-
-class TestFrameText:
-    def test_round_trip_exact(self):
-        profiles = make_profiles(rows=(1, 2))
-        fr = synthesize_frame(
-            profiles, 2, 0.05, 1.0, seed=21, frame_index=5,
-            reachability={1: True, 2: False},
-            correlations=identity_corrs(profiles),
-        )
-        back = frame_from_text(frame_to_text(fr))
-        assert np.array_equal(back.samples, fr.samples)
-        assert back.truth.v1 == fr.truth.v1 and back.truth.v2 == fr.truth.v2
-        assert back.truth.c_per_ris == fr.truth.c_per_ris
-        assert back.truth.reachability == fr.truth.reachability
-        assert back.noise_variance == fr.noise_variance
-        for rid in (1, 2):
-            a = back.truth.realizations[rid]
-            b = fr.truth.realizations[rid]
-            assert a.h_tilde == b.h_tilde
-            assert np.array_equal(a.h_ur, b.h_ur)
-            assert np.array_equal(a.h_rb, b.h_rb)
-
-    def test_rejects_sample_count_mismatch(self):
-        profiles = make_profiles()
-        fr = synthesize_frame(profiles, 2, 0.05, 1.0, seed=2,
-                              correlations=identity_corrs(profiles))
-        text = frame_to_text(fr)
-        truncated = "\n".join(text.splitlines()[:-1])
-        with pytest.raises(ValueError, match="samples"):
-            frame_from_text(truncated)
