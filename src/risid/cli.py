@@ -15,6 +15,7 @@ import json
 import math
 import os
 import sys
+from collections import namedtuple
 from dataclasses import dataclass, fields, replace
 from decimal import Decimal
 from functools import lru_cache, partial
@@ -74,14 +75,6 @@ def default_n_horizontal(n: int) -> int:
     return p
 
 
-# Field -> (the key it follows, the rule giving its value from that key's) for a config without it.
-_IMPLIED = {
-    "v_total": ("m", lambda m: max(1, -(-m // 4))),  # exact for any int m
-    "code_rows": ("m", lambda m: (m - 1,)),  # one surface; row m-1's shifts differ most
-    "n_horizontal": ("n_elements", default_n_horizontal),
-}
-
-
 @dataclass(frozen=True)
 class SimRis:
     """Engine view of one surface: code, size, per-hop gains, and the
@@ -107,36 +100,24 @@ def _gain_weights(n: int, n_h: int, spacing: str, wavelength: float):
     return gain_weights(correlation_matrix(geom))
 
 
-# Config key -> (test, wording) for numbers with a bounded range; grid entries
-# share their grid's range, and every float must also be finite.
-_RANGES = {
-    **dict.fromkeys(("n_elements", "n_horizontal", "f_c_hz", "bandwidth_hz", "d_ur_m", "d_rb_m"),
-                    (lambda v: v > 0, "positive")),
-    **dict.fromkeys(("r_bar", "r_bar_grid"), (lambda v: v >= 0 and math.isfinite(v * v),
-                                               "nonnegative with a finite square")),
-    "trials": (lambda v: 0 < v <= montecarlo.ESCALATION_CAP,
-               f"in 1..{montecarlo.ESCALATION_CAP}"),
-    "seed": (lambda v: 0 <= v < 2**64, f"in 0..{2**64 - 1}"),
-    **dict.fromkeys(("target_pf", "target_pmiss"), (lambda v: 0 < v < 1, "inside (0, 1)")),
-}
-
-
 def _check_value(key: str, val) -> None:
-    """Reject a non-finite float, or a value outside the range of ``key``."""
+    """Reject a non-finite float, or a value outside the ``bound`` of ``key``."""
     if isinstance(val, float) and not math.isfinite(val):
         raise ConfigError(f"{key} must be finite, got {val!r}", key=key)
-    if key in _RANGES and not _RANGES[key][0](val):
-        raise ConfigError(f"{key} must be {_RANGES[key][1]}, got {val!r}", key=key)
+    bound = _KEYS[key].bound
+    if bound and not bound[0](val):
+        raise ConfigError(f"{key} must be {bound[1]}, got {val!r}", key=key)
 
 
-def _check_pass_memory(m: int, v_total: int, rows, threads: int = 1, key: str = "m", n: int = 0,
-                       n_key: str = "n_elements") -> None:
-    """Reject a simulation pass that ``montecarlo.pass_bytes`` puts over ``MAX_PASS_BYTES``,
-    keyed to ``n_key`` when it would fit without its ``n`` correlated elements (0: none)."""
+def _check_pass_memory(m: int, v_total: int, rows, threads: int = 1, n: int = 0, keys=None) -> None:
+    """Reject a simulation pass that ``montecarlo.pass_bytes`` puts over ``MAX_PASS_BYTES``, keyed
+    to ``n_elements`` when it would fit without its ``n`` correlated elements (0: none), else to
+    ``m``; to the sweep key of that field when ``keys`` (``_sweep_keys``) holds one."""
     need = montecarlo.pass_bytes(m, v_total, rows, threads, n)
     if need > montecarlo.MAX_PASS_BYTES:
-        if n and montecarlo.pass_bytes(m, v_total, rows, threads) <= montecarlo.MAX_PASS_BYTES:
-            key = n_key
+        fits = montecarlo.pass_bytes(m, v_total, rows, threads) <= montecarlo.MAX_PASS_BYTES
+        field = "n_elements" if n and fits else "m"
+        key = (keys or {}).get(field, field)
         workers = f" with {threads} worker threads" if threads > 1 else ""
         elements = f" with {n} correlated elements" if n else ""
         raise ConfigError(f"m = {m}, v_total = {v_total} and code rows {tuple(rows)}{elements} need "
@@ -284,15 +265,17 @@ class Scenario:
 # --- config file parsing ----------------------------------------------------
 
 def _parse_int(tok: str, line: int) -> int:
-    """An integer literal, read exactly, or an integral float form like ``1e6``."""
+    """An integer literal or an integral float form like ``1e6``, read exactly."""
     try:
         return int(tok)
     except ValueError:
         pass
-    f = _parse_float(tok, line)
-    if not f.is_integer():
-        raise ConfigError(f"expected an integer, got {tok!r}", line)
-    return int(f)
+    try:  # finite and integral as a float first, which bounds the size of the exact value
+        if _parse_float(tok, line).is_integer() and (exact := Decimal(tok)) == int(exact):
+            return int(exact)
+    except ArithmeticError:  # Decimal rejects an exponent past 1e18
+        pass
+    raise ConfigError(f"expected an integer, got {tok!r}", line)
 
 
 def _parse_float(tok: str, line: int) -> float:
@@ -300,10 +283,6 @@ def _parse_float(tok: str, line: int) -> float:
         return float(tok)
     except ValueError:
         raise ConfigError(f"expected a number, got {tok!r}", line)
-
-
-def _parse_str(tok: str, line: int) -> str:
-    return tok
 
 
 def _check_list_length(count, line: int) -> None:
@@ -337,19 +316,38 @@ def _parse_float_list(tok: str, line: int) -> tuple:
     return tuple(_parse_float(p, line) for p in _list_items(tok, line))
 
 
-# Every config key and its value parser.
-_KEYS = {
-    **dict.fromkeys(("m", "v_total", "n_elements", "n_horizontal", "trials", "seed"), _parse_int),
-    **dict.fromkeys(("f_c_hz", "bandwidth_hz", "p_dbm", "d_ur_m", "d_rb_m", "r_bar",
-                     "target_pf", "target_pmiss"), _parse_float),
-    "spacing": _parse_str,
-    **dict.fromkeys(("code_rows", "m_values", "n_values"), _parse_int_list),
-    **dict.fromkeys(("r_bar_grid", "p_dbm_values"), _parse_float_list),
-}
+# One config key: its value parser, its bound (test, wording; None: any finite value; a grid's
+# entries each), the Scenario field a sweep key sweeps, and for a field the key it follows and
+# the rule giving its value from that key's when the config leaves it out. The keys that are
+# not Scenario fields drive subcommands.
+_Key = namedtuple("_Key", "parse bound sweeps follows rule", defaults=(None,) * 4)
+_POSITIVE = (lambda v: v > 0, "positive")
+_THRESHOLD = (lambda v: v >= 0 and math.isfinite(v * v), "nonnegative with a finite square")
+_PROBABILITY = (lambda v: 0 < v < 1, "inside (0, 1)")
 
-# Keys that drive subcommands, not the Scenario: sweep key -> field it varies.
-_RUN_KEYS = {"m_values": "m", "n_values": "n_elements", "p_dbm_values": "p_dbm",
-             "target_pf": None, "target_pmiss": None}
+_KEYS = {
+    "m": _Key(_parse_int),
+    "v_total": _Key(_parse_int, follows="m", rule=lambda m: max(1, -(-m // 4))),  # exact for any int m
+    "code_rows": _Key(_parse_int_list, follows="m", rule=lambda m: (m - 1,)),  # row m-1 differs most
+    "n_elements": _Key(_parse_int, _POSITIVE),
+    "n_horizontal": _Key(_parse_int, _POSITIVE, follows="n_elements", rule=default_n_horizontal),
+    "spacing": _Key(lambda tok, line: tok),
+    "f_c_hz": _Key(_parse_float, _POSITIVE),
+    "bandwidth_hz": _Key(_parse_float, _POSITIVE),
+    "p_dbm": _Key(_parse_float),
+    "d_ur_m": _Key(_parse_float, _POSITIVE),
+    "d_rb_m": _Key(_parse_float, _POSITIVE),
+    "r_bar": _Key(_parse_float, _THRESHOLD),
+    "r_bar_grid": _Key(_parse_float_list, _THRESHOLD),
+    "trials": _Key(_parse_int, (lambda v: 0 < v <= montecarlo.ESCALATION_CAP,
+                                f"in 1..{montecarlo.ESCALATION_CAP}")),
+    "seed": _Key(_parse_int, (lambda v: 0 <= v < 2**64, f"in 0..{2**64 - 1}")),
+    "m_values": _Key(_parse_int_list, sweeps="m"),
+    "n_values": _Key(_parse_int_list, sweeps="n_elements"),
+    "p_dbm_values": _Key(_parse_float_list, sweeps="p_dbm"),
+    "target_pf": _Key(_parse_float, _PROBABILITY),
+    "target_pmiss": _Key(_parse_float, _PROBABILITY),
+}
 
 
 def parse_config_text(text: str) -> dict:
@@ -366,40 +364,43 @@ def parse_config_text(text: str) -> dict:
             raise ConfigError(f"duplicate key {key!r}", lineno)
         if key not in _KEYS:
             raise ConfigError(f"unknown key {key!r}", lineno)
-        out[key] = _KEYS[key](val, lineno)
+        out[key] = _KEYS[key].parse(val, lineno)
     return out
 
 
 def scenario_from_config(raw: dict) -> Scenario:
-    """Resolve a parsed config into a validated Scenario, dropping run keys; the sweep
-    keys' values are checked by ``_passes``, for the subcommands that read them."""
+    """Resolve a parsed config into a validated Scenario, dropping the keys that are not its
+    fields; the sweep keys' values are checked by ``_passes``, for the subcommands that read them."""
     raw = dict(raw)
-    run = {key: raw.pop(key) for key in _RUN_KEYS if key in raw}
-    try:
-        scenario = rescale(Scenario(), raw, **raw)
-    except TypeError as exc:
-        raise ConfigError(str(exc))
+    run = {key: raw.pop(key) for key in _KEYS
+           if key in raw and key not in Scenario.__dataclass_fields__}
+    scenario = rescale(Scenario(), raw, **raw)
     for key, value in run.items():
-        if _RUN_KEYS[key] is None:
+        if not _KEYS[key].sweeps:
             _check_value(key, value)
     return scenario
 
 
 def _key_line(text: str, key: str | None) -> int:
     """Line of ``key`` in config ``text``; for a key ``text`` does not set, the line of the key
-    its ``_IMPLIED`` value follows, by the same rule; 0 when there is none."""
+    its implied value ``follows`` (``_KEYS``), by the same rule; 0 when there is none."""
     keys = [ln.split("#", 1)[0].split("=", 1)[0].strip() for ln in text.splitlines()]
     if key in keys:
         return keys.index(key) + 1
-    return _key_line(text, _IMPLIED[key][0]) if key in _IMPLIED else 0
+    return _key_line(text, _KEYS[key].follows) if key in _KEYS else 0
 
 
 def rescale(scenario: Scenario, config: dict | None = None, **changes) -> Scenario:
-    """``scenario`` with ``changes`` in place; each ``_IMPLIED`` field that ``config`` does not
-    set follows the changed key it comes from."""
-    implied = {f: rule(changes[key]) for f, (key, rule) in _IMPLIED.items()
-               if key in changes and f not in (config or {})}
+    """``scenario`` with ``changes`` in place; each field that ``config`` does not set follows
+    the changed key it comes from by its ``rule`` (``_KEYS``)."""
+    implied = {f: row.rule(changes[row.follows]) for f, row in _KEYS.items()
+               if row.follows in changes and f not in (config or {})}
     return replace(scenario, **implied | changes)
+
+
+def _sweep_keys(raw: dict, varied) -> dict:
+    """Field -> the key of ``raw`` that ``sweeps`` it (``_KEYS``), for ``varied``'s fields in order."""
+    return {f: key for f in varied for key, row in _KEYS.items() if row.sweeps == f and key in raw}
 
 
 # --- artifact writing -------------------------------------------------------
@@ -473,13 +474,13 @@ def _plan(scn: Scenario, threads: int) -> montecarlo.TrialPlan:
 
 def _passes(scenario: Scenario, raw: dict, labels: dict):
     """Yield (label values, scenario) for each engine pass. ``labels`` maps each label column
-    to the field it varies, which runs over its sweep key's values (``_RUN_KEYS``) if set,
+    to the field it varies, which runs over its sweep key's values (``_sweep_keys``) if set,
     every spacing mode for ``spacing``, else the scenario's own value; the columns combine
     in product order, first column outermost, and no column gives one pass. Each pass is the
     config with the values in place of their keys (``rescale``). A combination the scenario
     rejects is keyed to a sweep key it varies, the failing field's if swept."""
     varied = list(labels.values())
-    keys = {f: key for f in varied for key, g in _RUN_KEYS.items() if g == f and key in raw}
+    keys = _sweep_keys(raw, varied)
     swept = {"spacing": SPACINGS} | {f: raw[key] for f, key in keys.items()}
     for combo in itertools.product(*(swept.get(f, (getattr(scenario, f),)) for f in varied)):
         changes = dict(zip(varied, combo))
@@ -703,14 +704,12 @@ def main(argv=None) -> int:
             raise ConfigError(f"{args.subcommand} needs {wording} code rows, got {scenario.l_count}",
                               key="code_rows")
         if cmd.passes is not None:  # the pass-memory rule, before any m x m or N x N array exists
-            read = raw.keys() - {k for k, f in _RUN_KEYS.items() if f not in cmd.passes.values()}
-            m_key = "m_values" if "m_values" in read else "m"
-            n_key = "n_values" if "n_values" in read else "n_elements"
+            keys = _sweep_keys(raw, cmd.passes.values())
             for _, scn in _passes(scenario, raw, cmd.passes):
                 n = scn.n_elements if scn.spacing != "none" else 0
-                _check_pass_memory(scn.m, scn.v_total, scn.code_rows, args.threads, m_key, n, n_key)
+                _check_pass_memory(scn.m, scn.v_total, scn.code_rows, args.threads, n, keys)
         echo = scenario.echo()
-        echo.update((key, _echo_value(raw[key])) for key in _RUN_KEYS if key in raw)
+        echo.update((key, _echo_value(value)) for key, value in raw.items() if key not in echo)
         writer = RunWriter(args.out, args.subcommand, echo)
         cmd.body(scenario, raw, writer, args.threads)
         writer.manifest()

@@ -6,6 +6,7 @@ import itertools
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -17,7 +18,7 @@ from hypothesis import strategies as st
 
 import risid
 import risid.analysis
-from risid import montecarlo
+from risid import cli, montecarlo
 from risid.channel import path_gain
 from risid.cli import (
     PEAK_POWER_CEILING,
@@ -98,6 +99,25 @@ class TestConfigParsing:
     def test_scientific_trials_accepted(self):
         raw = parse_config_text("trials = 1e6\n")
         assert raw["trials"] == 1_000_000
+
+    @pytest.mark.parametrize("token, value", [
+        ("9007199254740993.0", 9007199254740993),  # a float holds only ...992
+        ("1.2345678901234567e18", 1234567890123456700),  # a float holds ...768
+    ])
+    def test_integral_float_form_read_exactly(self, token, value):
+        assert parse_config_text(f"seed = {token}\n") == {"seed": value}
+
+    @pytest.mark.parametrize("token", ["9999999.0000000001", "1e-400", "1e400"])
+    def test_integer_with_a_fraction_or_no_finite_value_rejected(self, token):
+        with pytest.raises(ConfigError, match=re.escape(f"expected an integer, got '{token}'")) as err:
+            parse_config_text(f"m = 16\ntrials = {token}\n")
+        assert err.value.line == 2
+
+    def test_readme_config_block_sets_every_key(self):
+        """The config reference in README's CLI section names every key the parser knows."""
+        readme = (Path(__file__).parents[1] / "README.md").read_text()
+        (block,) = re.findall(r"^```\n(m = .*?)^```", readme, re.MULTILINE | re.DOTALL)
+        assert parse_config_text(block).keys() == cli._KEYS.keys()
 
     def test_grid_range_syntax(self):
         raw = parse_config_text("r_bar_grid = 1:3:0.5\n")
