@@ -328,7 +328,7 @@ _PROBABILITY = (lambda v: 0 < v < 1, "inside (0, 1)")
 _KEYS = {
     "m": _Key(_parse_int),
     "v_total": _Key(_parse_int, follows="m", rule=lambda m: max(1, -(-m // 4))),  # exact for any int m
-    "code_rows": _Key(_parse_int_list, follows="m", rule=lambda m: (m - 1,)),  # row m-1 differs most
+    "code_rows": _Key(_parse_int_list, follows="m", rule=lambda m: (m - 1,)),  # row m-1: shifts differ most
     "n_elements": _Key(_parse_int, _POSITIVE),
     "n_horizontal": _Key(_parse_int, _POSITIVE, follows="n_elements", rule=default_n_horizontal),
     "spacing": _Key(lambda tok, line: tok),
