@@ -35,13 +35,14 @@ RUNS = [
 ]
 
 
-def main() -> int:
+def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--out", type=Path, default=Path("out"))
-    parser.add_argument("--only", nargs="*", help="subcommand names to run")
+    parser.add_argument("--only", nargs="*", choices=list(dict.fromkeys(sub for sub, _ in RUNS)),
+                        help="subcommand names to run")
     parser.add_argument("--trials", type=int, default=None)
     parser.add_argument("--seed", type=int, default=None)
-    args = parser.parse_args()
+    args = parser.parse_args(argv)
 
     runs = failures = 0
     start = time.time()

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -20,7 +19,6 @@ __all__ = [
     "SPEED_OF_LIGHT",
     "RisGeometry",
     "LinkBudget",
-    "ChannelRealization",
     "CorrelationMatrix",
     "path_gain",
     "correlation_matrix",
@@ -94,29 +92,18 @@ def path_gain(f_c: float, d_ur: float, d_rb: float) -> float:
 
 @dataclass(frozen=True)
 class CorrelationMatrix:
-    """Element correlation matrix together with a sampling factor F, F F^T ~ R.
+    """Element correlation matrix R together with a sampling factor F, F F^T ~ R.
 
-    F is kept as a read-only float64 copy, so the complex F^T that
-    ``sample_channel`` multiplies by, prepared on first use, cannot go stale.
+    ``gain_weights`` reads the compound law's weights off F, and ``sample_channel``
+    draws explicit hop vectors with it.
     """
 
     r: np.ndarray
     factor: np.ndarray
 
-    def __post_init__(self):
-        factor = np.array(self.factor, dtype=np.float64)
-        factor.flags.writeable = False
-        object.__setattr__(self, "factor", factor)
-
     @property
     def n(self) -> int:
         return self.r.shape[0]
-
-    @cached_property
-    def _factor_t(self) -> np.ndarray:
-        factor_t = np.ascontiguousarray(self.factor.T, dtype=np.complex128)
-        factor_t.flags.writeable = False
-        return factor_t
 
 
 def correlation_matrix(geom: RisGeometry, eig_floor: float = -1e-9) -> CorrelationMatrix:
@@ -153,25 +140,15 @@ def sample_channel(
     corr: CorrelationMatrix,
     beta_hop: float,
     rng: np.random.Generator,
-    size: int | None = None,
+    size: int,
 ) -> np.ndarray:
-    """Draw CN(0, beta_hop * R) vectors: sqrt(beta_hop / 2) * z F^T.
+    """Draw a (size, N) batch of CN(0, beta_hop * R) vectors: sqrt(beta_hop / 2) * z F^T.
 
-    With ``size`` given, returns a (size, N) batch; otherwise a single (N,)
-    vector. Reproducible bit-for-bit for a given generator state.
+    The explicit-hop reference that ``compound_gains`` is tested against; reproducible
+    bit-for-bit for a given generator state.
     """
-    z = rng.standard_normal((size or 1, corr.n, 2)).view(np.complex128)[..., 0]
-    h = math.sqrt(beta_hop / 2.0) * (z @ corr._factor_t)
-    return h[0] if size is None else h
-
-
-@dataclass(frozen=True)
-class ChannelRealization:
-    """One frame's two hop vectors and the resulting cascaded scalar gain."""
-
-    h_ur: np.ndarray
-    h_rb: np.ndarray
-    h_tilde: complex
+    z = rng.standard_normal((size, corr.n, 2)).view(np.complex128)[..., 0]
+    return math.sqrt(beta_hop / 2.0) * (z @ corr.factor.T)
 
 
 def gain_weights(corr: CorrelationMatrix) -> np.ndarray:

@@ -14,6 +14,7 @@ import itertools
 import json
 import math
 import os
+import re
 import sys
 from collections import namedtuple
 from dataclasses import dataclass, fields, replace
@@ -55,11 +56,13 @@ MAX_THREADS = 64
 class ConfigError(Exception):
     """Invalid configuration; carries the offending line number (0 = none).
 
-    Scenario validation names the config ``key`` at fault instead.
+    Scenario validation names the config ``key`` at fault instead. The message shows each
+    integer of over 30 digits as its first 12 digits and its digit count.
     """
 
     def __init__(self, message: str, line: int = 0, key: str | None = None):
-        super().__init__(message)
+        super().__init__(re.sub(r"\d{31,}", lambda d: f"{d[0][:12]}... ({len(d[0])} digits)",
+                                message))
         self.line = line
         self.key = key
 

@@ -19,13 +19,12 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .channel import (
-    ChannelRealization,
     CorrelationMatrix,
     LinkBudget,
     RisGeometry,
-    cascaded_gain,
+    compound_gains,
     correlation_matrix,
-    sample_channel,
+    gain_weights,
 )
 from .codes import BinarySequence
 
@@ -116,12 +115,12 @@ class RisProfile:
 
 @dataclass
 class FrameTruth:
-    """Everything the synthesizer drew; revealed only to the scorer."""
+    """Everything the synthesizer drew, revealed only to the scorer; ``gains`` holds each h~."""
 
     v1: int
     v2: int
     c_per_ris: dict
-    realizations: dict
+    gains: dict
     reachability: dict
 
 
@@ -166,18 +165,17 @@ def synthesize_frame(
     """Synthesize one received frame.
 
     The pad split v1 is drawn uniformly from {1..v_total}; every surface
-    independently draws a cyclic code offset from {1..M} and one channel
-    realization (block fading: a single scalar gain for the whole frame).
+    independently draws a cyclic code offset from {1..M} and one cascaded
+    gain h~ (block fading: a single scalar gain for the whole frame).
     Passing the same seed and frame_index reproduces the frame bit for bit,
     and per-surface substreams make the result independent of the order in
     which profiles are listed. Surface ids must be distinct. ``reachability``
     maps each surface id to whether it reflects (without it, every surface
     does); ``correlations`` overrides the sinc-kernel matrix (use
-    ``identity_correlation`` for uncorrelated elements). The pad split and
-    code offset are drawn as in the Monte Carlo engine; the noise is all L
-    samples, where the engine draws its coordinates in the correlator's
-    subspace, and the gain is the ``cascaded_gain`` of two explicit
-    ``sample_channel`` hops, where the engine uses their compound law.
+    ``identity_correlation`` for uncorrelated elements). The pad split, code
+    offset and h~ are drawn as in the Monte Carlo engine, h~ by its compound
+    law (``compound_gains``); the noise is all L samples, where the engine
+    draws its coordinates in the correlator's subspace.
     """
     if not profiles:
         raise ValueError("at least one surface profile is required")
@@ -196,7 +194,7 @@ def synthesize_frame(
 
     frame_rng = substream(seed, TAG_FRAME, 0, frame_index)
     v1, y = draw_frames(frame_rng, v_total, m + v_total, noise_variance, 1)
-    c_per_ris, realizations, reach_map = {}, {}, {}
+    c_per_ris, gains, reach_map = {}, {}, {}
     for p in sorted(profiles, key=lambda q: q.id):
         rng = substream(seed, TAG_RIS, p.id, frame_index)
         if correlations is not None and p.id in correlations:
@@ -204,13 +202,12 @@ def synthesize_frame(
         else:
             corr = _correlation_for(p.geometry)
         c = int(rng.integers(1, m + 1))
-        h_ur = sample_channel(corr, p.link.beta_ur, rng)
-        h_rb = sample_channel(corr, p.link.beta_rb, rng)
-        h = cascaded_gain(h_ur, h_rb, power_w)
+        h = complex(compound_gains(rng, corr.n, gain_weights(corr), 1, power_w,
+                                   p.link.beta_ur, p.link.beta_rb)[0])
         del rng  # drawn out; released, the next surface's substream re-keys it
         reachable = reachability is None or bool(reachability[p.id])
         c_per_ris[p.id] = c
-        realizations[p.id] = ChannelRealization(h_ur=h_ur, h_rb=h_rb, h_tilde=h)
+        gains[p.id] = h
         reach_map[p.id] = reachable
         if reachable:
             sym, shift, start = p.code.symbols, c, int(v1[0])
@@ -218,7 +215,7 @@ def synthesize_frame(
 
     truth = FrameTruth(
         v1=int(v1[0]), v2=v_total - int(v1[0]), c_per_ris=c_per_ris,
-        realizations=realizations, reachability=reach_map,
+        gains=gains, reachability=reach_map,
     )
     return ReceivedFrame(samples=y[0], truth=truth, noise_variance=noise_variance)
 

@@ -188,9 +188,7 @@ class TestCascadedGain:
 
 
 class TestPreparedFactor:
-    """sample_channel multiplies by a complex F^T prepared once per matrix."""
-
-    @pytest.mark.parametrize("size", [None, 1, 5, 4096])
+    @pytest.mark.parametrize("size", [1, 5, 4096])
     @pytest.mark.parametrize("kind", ["identity", "sinc"])
     def test_matches_per_call_cast_bitwise(self, kind, size):
         geom = RisGeometry(n=64, n_h=8, d_h=0.02, d_v=0.02, wavelength=0.1)
@@ -198,18 +196,7 @@ class TestPreparedFactor:
         beta = 0.37
         for seed in range(3):
             rng = np.random.default_rng(seed)
-            z = rng.standard_normal((size or 1, 64, 2)).view(np.complex128)[..., 0]
+            z = rng.standard_normal((size, 64, 2)).view(np.complex128)[..., 0]
             ref = np.sqrt(beta / 2.0) * (z @ corr.factor.T)
             got = sample_channel(corr, beta, np.random.default_rng(seed), size=size)
-            assert np.array_equal(got, ref[0] if size is None else ref)
-
-    def test_factor_is_a_read_only_copy(self):
-        r = np.array([[1.0, 0.5], [0.5, 1.0]])
-        w, v = np.linalg.eigh(r)
-        factor = v * np.sqrt(w)
-        corr = CorrelationMatrix(r=r, factor=factor)
-        before = sample_channel(corr, 1.0, np.random.default_rng(3))
-        factor[:] = 0.0  # the caller's array is not the matrix's
-        with pytest.raises(ValueError):
-            corr.factor[0, 0] = 0.0
-        assert np.array_equal(sample_channel(corr, 1.0, np.random.default_rng(3)), before)
+            assert np.array_equal(got, ref)

@@ -172,16 +172,17 @@ class TestDefaults:
         assert (scn.v_total, scn.code_rows, scn.n_horizontal) == (2, (1, 2), 4)
 
 
-def _bundled_runs():
-    """``RUNS`` and ``CONFIG_DIR`` of ``scripts/run_experiments.py``."""
+def _experiments_script():
+    """``scripts/run_experiments.py``, loaded as a module."""
     path = Path(__file__).parents[1] / "scripts" / "run_experiments.py"
     spec = importlib.util.spec_from_file_location("run_experiments", path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
-    return module.RUNS, module.CONFIG_DIR
+    return module
 
 
-BUNDLED_RUNS, BUNDLED_CONFIG_DIR = _bundled_runs()
+EXPERIMENTS = _experiments_script()
+BUNDLED_RUNS, BUNDLED_CONFIG_DIR = EXPERIMENTS.RUNS, EXPERIMENTS.CONFIG_DIR
 PERFBENCH_CONFIG_DIR = Path(__file__).parents[1] / "perfbench" / "configs"
 # Every config the repository ships, the benchmark's copies included.
 SHIPPED_CONFIGS = sorted(BUNDLED_CONFIG_DIR.glob("*.txt")) + sorted(PERFBENCH_CONFIG_DIR.glob("*.txt"))
@@ -457,6 +458,30 @@ class TestSubcommands:
                     continue
                 assert math.isfinite(value), (name, cell)
 
+    def test_bundled_configs_independent_of_worker_count(self, tmp_path):
+        for subcommand, config in BUNDLED_RUNS:
+            got = []
+            for threads in ("1", "2"):
+                out = tmp_path / config.removesuffix(".txt") / threads
+                argv = [subcommand, "--config", str(BUNDLED_CONFIG_DIR / config), "--out", str(out),
+                        "--trials", "2000", "--threads", threads]
+                assert main(argv) == 0
+                got.append({p.name: p.read_bytes() for p in out.iterdir()})
+            assert got[0] == got[1], config
+
+    def test_run_experiments_only_runs_the_named_subcommands(self, tmp_path, capsys):
+        assert EXPERIMENTS.main(["--out", str(tmp_path), "--only", "theory", "design"]) == 0
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["design", "theory"]
+        assert "2 runs, 0 failed" in capsys.readouterr().out
+
+    def test_run_experiments_rejects_an_unknown_only_name(self, tmp_path, capsys):
+        """A config name is not a subcommand name: a usage error, not a run of nothing."""
+        with pytest.raises(SystemExit) as exc:
+            EXPERIMENTS.main(["--out", str(tmp_path / "out"), "--only", "pf_single"])
+        assert exc.value.code == 2
+        assert "invalid choice: 'pf_single'" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_artifacts_independent_of_worker_and_blas_threads(self, tmp_path):
         cfg = tmp_path / "c.txt"
         cfg.write_text(
@@ -493,6 +518,28 @@ class TestExitCodes:
         assert code == 2
         err = capsys.readouterr().err
         assert "c.txt:2" in err
+
+    @pytest.mark.parametrize("subcommand, text, line, want", [
+        ("theory", f"m = {2**1100}\n", 1,
+         "m = 135829852904... (332 digits), v_total = 339574632262... (331 digits) and code rows "
+         "(135829852904... (332 digits),) need"),
+        ("theory", "n_elements = 1e300\n", 1,
+         "element count 100000000000... (301 digits) not divisible by row length 818347651974... "
+         "(150 digits)"),
+        ("theory", "m = 1e300\n", 1,
+         "sequence length must be a power of two, got 100000000000... (301 digits)"),
+        ("pf-two-np", "code_rows = 1, 2\np_dbm_values = 10, 20\nn_values = 64, 1e300\n", 3,
+         "n_values at n_elements = 100000000000... (301 digits), p_dbm = 10.0: element count"),
+        ("theory", "m = 24\n", 1, "sequence length must be a power of two, got 24"),
+    ], ids=["m_1100_bits", "n_elements_1e300", "m_1e300", "sweep_n_values_1e300", "m_24"])
+    def test_long_integer_shown_by_leading_digits(self, tmp_path, capsys, monkeypatch,
+                                                   subcommand, text, line, want):
+        monkeypatch.chdir(tmp_path)
+        Path("c.txt").write_text(text)
+        assert main([subcommand, "--config", "c.txt", "--out", "o"]) == 2
+        (err,) = capsys.readouterr().err.splitlines()
+        assert err.startswith(f"c.txt:{line}: config error: {want}") and len(err) < 300
+        assert not Path("o").exists()
 
     def test_missing_config_file_is_two(self, tmp_path):
         code = main(["theory", "--config", str(tmp_path / "nope.txt"),

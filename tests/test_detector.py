@@ -25,7 +25,7 @@ class TestCorrelate:
         fr, profiles = noiseless_frame()
         t = fr.truth
         d = correlate(fr, profiles[0].code, t.c_per_ris[1], t.v1)
-        h = t.realizations[1].h_tilde
+        h = t.gains[1]
         assert d == pytest.approx(np.sqrt(16) * h, rel=1e-12)
 
     def test_zero_frame(self):
@@ -62,7 +62,7 @@ class TestDetect:
         code = build_codebook(16, [15]).entries[0]
         metric, c_hat, k_hat = detect(fr, code)
         t = fr.truth
-        h = t.realizations[1].h_tilde
+        h = t.gains[1]
         assert k_hat == t.v1
         assert metric == pytest.approx(16 * abs(h) ** 2, rel=1e-12)
 
@@ -89,7 +89,7 @@ class TestDetect:
         code_a = profiles[0].code
         code_b = profiles[1].code
         metric, c_hat, k_hat = detect(fr, code_b)
-        h = t.realizations[1].h_tilde
+        h = t.gains[1]
         got = metric * 16 / abs(h) ** 2
         from risid.codes import circular_shift
 

@@ -8,7 +8,14 @@ import numpy as np
 import pytest
 
 from risid import signal
-from risid.channel import LinkBudget, RisGeometry, cascaded_gain, identity_correlation
+from risid.channel import (
+    LinkBudget,
+    RisGeometry,
+    compound_gains,
+    correlation_matrix,
+    gain_weights,
+    identity_correlation,
+)
 from risid.codes import build_codebook
 from risid.signal import (
     TAG_FRAME,
@@ -37,12 +44,10 @@ def identity_corrs(profiles):
 
 def frame_bytes(frame):
     """A frame, exactly: its sample bytes, v1, v2, each surface's offset, reachability and
-    h_ur, h_rb and h_tilde bytes, and the noise variance. Equal frames give equal values."""
+    gain bytes, and the noise variance. Equal frames give equal values."""
     t = frame.truth
-    hops = {rid: tuple(np.asarray(v, dtype=np.complex128).tobytes()
-                       for v in (r.h_ur, r.h_rb, r.h_tilde))
-            for rid, r in t.realizations.items()}
-    return (frame.samples.tobytes(), t.v1, t.v2, t.c_per_ris, t.reachability, hops,
+    gains = {rid: np.complex128(h).tobytes() for rid, h in t.gains.items()}
+    return (frame.samples.tobytes(), t.v1, t.v2, t.c_per_ris, t.reachability, gains,
             frame.noise_variance)
 
 
@@ -88,7 +93,7 @@ class TestSynthesizeFrame:
             correlations=identity_corrs(profiles),
         )
         t = fr.truth
-        h = t.realizations[1].h_tilde
+        h = t.gains[1]
         code = profiles[0].code
         m = code.length
         assert np.all(fr.samples[: t.v1] == 0)
@@ -102,7 +107,7 @@ class TestSynthesizeFrame:
             profiles, 2, 0.0, 2.5, seed=10, frame_index=0,
             correlations=identity_corrs(profiles),
         )
-        h = fr.truth.realizations[1].h_tilde
+        h = fr.truth.gains[1]
         energy = np.sum(np.abs(fr.samples) ** 2)
         assert energy == pytest.approx(8 * abs(h) ** 2, rel=1e-12)
 
@@ -166,11 +171,17 @@ class TestSynthesizeFrame:
             seen.add(fr.truth.v1)
         assert seen == {1, 2}
 
-    def test_truth_gain_is_cascade_of_truth_hops(self):
+    def test_truth_gain_is_the_compound_law_oracle(self):
+        """Each surface's offset and h~, bit for bit: a new Philox keyed as ``substream``
+        documents draws the offset, then ``compound_gains`` with the ``gain_weights``."""
         profiles = make_profiles(rows=(1, 2))  # sinc-kernel correlation
         fr = synthesize_frame(profiles, 2, 0.1, 2.5, seed=8, frame_index=3)
-        for real in fr.truth.realizations.values():
-            assert real.h_tilde == cascaded_gain(real.h_ur, real.h_rb, 2.5)
+        for p in profiles:
+            rng = oracle(8, TAG_RIS, p.id, 3)
+            assert fr.truth.c_per_ris[p.id] == rng.integers(1, p.code.length + 1)
+            weights = gain_weights(correlation_matrix(p.geometry))
+            h = compound_gains(rng, p.geometry.n, weights, 1, 2.5, p.link.beta_ur, p.link.beta_rb)
+            assert fr.truth.gains[p.id] == h[0]
 
     def test_frame_length_invariant(self):
         profiles = make_profiles(m=16, rows=(15,))
