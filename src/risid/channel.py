@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -25,7 +26,6 @@ __all__ = [
     "identity_correlation",
     "sample_channel",
     "cascaded_gain",
-    "gain_weights",
     "compound_gains",
 ]
 
@@ -94,8 +94,8 @@ def path_gain(f_c: float, d_ur: float, d_rb: float) -> float:
 class CorrelationMatrix:
     """Element correlation matrix R together with a sampling factor F, F F^T ~ R.
 
-    ``gain_weights`` reads the compound law's weights off F, and ``sample_channel``
-    draws explicit hop vectors with it.
+    ``weights`` reads the compound law's weights off F, once per matrix, and
+    ``sample_channel`` draws explicit hop vectors with it.
     """
 
     r: np.ndarray
@@ -104,6 +104,15 @@ class CorrelationMatrix:
     @property
     def n(self) -> int:
         return self.r.shape[0]
+
+    @cached_property
+    def weights(self) -> np.ndarray | None:
+        """``compound_gains`` weights lambda_i^2, computed once: R's squared eigenvalues above
+        1e-12 times the largest, off F's column norms; None exactly when R is the identity."""
+        if np.count_nonzero(self.r) == self.n and (np.diagonal(self.r) == 1.0).all():
+            return None
+        lam = np.einsum("ij,ij->j", self.factor, self.factor)
+        return lam[lam > 1e-12 * lam.max()] ** 2
 
 
 def correlation_matrix(geom: RisGeometry, eig_floor: float = -1e-9) -> CorrelationMatrix:
@@ -151,13 +160,6 @@ def sample_channel(
     return math.sqrt(beta_hop / 2.0) * (z @ corr.factor.T)
 
 
-def gain_weights(corr: CorrelationMatrix) -> np.ndarray:
-    """Weights lambda_i^2 of ``compound_gains``: the squared eigenvalues of R above
-    1e-12 times the largest, read off the sampling factor's column norms."""
-    lam = np.einsum("ij,ij->j", corr.factor, corr.factor)
-    return lam[lam > 1e-12 * lam.max()] ** 2
-
-
 def compound_gains(
     rng: np.random.Generator, n: int, weights, size: int,
     power_w: float, beta_ur: float, beta_rb: float, stop: int | None = None,
@@ -168,10 +170,10 @@ def compound_gains(
     hops z F^T, z' F^T with z, z' ~ CN(0, 2 I) (``sample_channel`` before its
     sqrt(beta_hop / 2) scale) is sum_i lambda_i z_i z'_i. Given z it is
     CN(0, 4 s) with s = sum_i lambda_i^2 E_i, E_i = |z_i|^2 / 2 ~ Exp(1):
-    the gain is sqrt(2 s) w with w a standard normal pair. ``weights`` None
-    stands for uncorrelated elements, where s ~ Gamma(n); otherwise it holds
-    ``gain_weights``. Draws s, then w; with ``stop``, w and the gains only for the first
-    ``stop`` trials, which are those of a full draw (arrays fill in C order from one stream).
+    the gain is sqrt(2 s) w with w a standard normal pair. ``weights`` None stands for R = I,
+    where s ~ Gamma(n) (at n = 1, the Exp(1) that weights [1] draw); otherwise it holds
+    ``CorrelationMatrix.weights``. Draws s, then w; with ``stop``, w and the gains only for the
+    first ``stop`` trials, which are those of a full draw (arrays fill in C order from one stream).
     """
     if weights is None:
         s = rng.standard_gamma(n, size)

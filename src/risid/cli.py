@@ -26,7 +26,7 @@ import numpy as np
 
 from . import __version__, analysis, montecarlo
 from .analysis import OperatingPoint
-from .channel import SPEED_OF_LIGHT, RisGeometry, correlation_matrix, gain_weights, path_gain
+from .channel import SPEED_OF_LIGHT, RisGeometry, correlation_matrix, path_gain
 from .codes import BinarySequence, build_codebook, cross_corr_pmf, distinct_shift_fraction
 from .signal import noise_variance_from_bandwidth
 
@@ -47,10 +47,6 @@ PEAK_POWER_CEILING = 1e280
 # Most values a list key may hold: each threshold adds a BLOCK-wide column
 # to every tally, and each sweep value a full simulation.
 MAX_LIST_VALUES = 10_000
-
-# Most engine worker threads (``--threads``, ``RISID_THREADS``): each worker
-# holds one block's arrays, which the pass-memory rule counts per worker.
-MAX_THREADS = 64
 
 
 class ConfigError(Exception):
@@ -81,7 +77,7 @@ def default_n_horizontal(n: int) -> int:
 @dataclass(frozen=True)
 class SimRis:
     """Engine view of one surface: code, size, per-hop gains, and the
-    ``channel.gain_weights`` of its correlation (None: uncorrelated).
+    ``CorrelationMatrix.weights`` of its correlation (None: R is the identity).
 
     The engine takes these per surface; ``Scenario.sim_profiles`` gives
     every surface the same size, gains and weights."""
@@ -100,7 +96,7 @@ def _gain_weights(n: int, n_h: int, spacing: str, wavelength: float):
         return None
     d = wavelength / 2.0 if spacing == "half-lambda" else wavelength / 10.0
     geom = RisGeometry(n=n, n_h=n_h, d_h=d, d_v=d, wavelength=wavelength)
-    return gain_weights(correlation_matrix(geom))
+    return correlation_matrix(geom).weights
 
 
 def _check_value(key: str, val) -> None:
@@ -691,8 +687,8 @@ def main(argv=None) -> int:
     cmd = COMMANDS[args.subcommand]
     text, flags = "", {}
     try:
-        if not 1 <= args.threads <= MAX_THREADS:  # before any worker starts
-            raise ConfigError(f"threads must be in 1..{MAX_THREADS}, got {args.threads}")
+        if not 1 <= args.threads <= montecarlo.MAX_THREADS:  # before any worker starts
+            raise ConfigError(f"threads must be in 1..{montecarlo.MAX_THREADS}, got {args.threads}")
         if args.config is not None:
             text = args.config.read_text()
             raw = parse_config_text(text)

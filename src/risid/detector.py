@@ -107,12 +107,14 @@ class DetectionReport:
 def run_ris_id(y, candidates: Sequence[Tuple[BinarySequence, float]]) -> DetectionReport:
     """Independent detection of every candidate (code, absolute threshold r).
 
-    Candidates are keyed by their code's surface id. No cancellation between
-    candidates: each decision uses the same raw frame.
+    Candidates are keyed by their code's surface id, which must be distinct. No
+    cancellation between candidates: each decision uses the same raw frame.
     """
     per_ris = {}
     thresholds = {}
     for code, r in candidates:
+        if code.id in per_ris:
+            raise ValueError(f"code id {code.id} is given twice")
         metric, c_hat, k_hat = detect(y, code)
         per_ris[code.id] = PerRisDecision(
             metric=metric, c_hat=c_hat, k_hat=k_hat, decided=bool(metric > r)

@@ -38,6 +38,7 @@ __all__ = [
 BLOCK = 8192  # trials per randomness block; fixed so results never depend on scheduling
 CHUNK_BYTES = 2**18  # most bytes of one correlator product (``_chunk_rows``), about an L2 share
 MAX_PASS_BYTES = 2**30  # most memory a config may ask of one pass (``pass_bytes``)
+MAX_THREADS = 64  # most worker threads; each holds a block's arrays (``pass_bytes``)
 
 ESCALATION_FACTOR = 10
 ESCALATION_CAP = 10_000_000
@@ -84,8 +85,8 @@ class TrialPlan:
             raise ValueError("at least one trial is required")
         if self.max_trials < self.trials:
             raise ValueError("escalation cap below the base trial count")
-        if self.threads < 1:
-            raise ValueError("at least one worker thread is required")
+        if not 1 <= self.threads <= MAX_THREADS:
+            raise ValueError(f"worker threads must be in 1..{MAX_THREADS}, got {self.threads}")
 
 
 @dataclass(frozen=True)
@@ -269,7 +270,10 @@ def _run_blocks(plan: TrialPlan, law: Mapping, t0: int, t1: int, consume):
 
 def _threshold_counter(plan: TrialPlan, target_ris: int, r_bars, count_missed: bool):
     """``consume`` tallying the target's decided (or missed) trials per threshold."""
-    idx = [p.id for p in _profiles(plan)].index(target_ris)
+    ids = [p.id for p in _profiles(plan)]
+    if target_ris not in ids:
+        raise ValueError(f"no surface has id {target_ris}; the scenario's ids are {ids}")
+    idx = ids.index(target_ris)
     r_w = _thresholds_w(plan, r_bars)
 
     def consume(metric, reach):

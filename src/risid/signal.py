@@ -24,7 +24,6 @@ from .channel import (
     RisGeometry,
     compound_gains,
     correlation_matrix,
-    gain_weights,
 )
 from .codes import BinarySequence
 
@@ -115,7 +114,8 @@ class RisProfile:
 
 @dataclass
 class FrameTruth:
-    """Everything the synthesizer drew, revealed only to the scorer; ``gains`` holds each h~."""
+    """Everything the synthesizer drew, revealed only to the scorer. ``reachability`` holds
+    every surface id; ``c_per_ris`` and ``gains`` (each h~) only those that reflect."""
 
     v1: int
     v2: int
@@ -164,30 +164,38 @@ def synthesize_frame(
 ) -> ReceivedFrame:
     """Synthesize one received frame.
 
-    The pad split v1 is drawn uniformly from {1..v_total}; every surface
-    independently draws a cyclic code offset from {1..M} and one cascaded
-    gain h~ (block fading: a single scalar gain for the whole frame).
+    The pad split v1 is drawn uniformly from {1..v_total}; every reflecting
+    surface independently draws a cyclic code offset from {1..M} and one
+    cascaded gain h~ (block fading: a single scalar gain for the whole frame).
     Passing the same seed and frame_index reproduces the frame bit for bit,
     and per-surface substreams make the result independent of the order in
-    which profiles are listed. Surface ids must be distinct. ``reachability``
-    maps each surface id to whether it reflects (without it, every surface
-    does); ``correlations`` overrides the sinc-kernel matrix (use
-    ``identity_correlation`` for uncorrelated elements). The pad split, code
-    offset and h~ are drawn as in the Monte Carlo engine, h~ by its compound
-    law (``compound_gains``); the noise is all L samples, where the engine
+    which profiles are listed. Surface ids must be distinct and equal to their
+    codes' ids. ``reachability`` maps each surface id to whether it reflects
+    (without it, every surface does); a silent surface opens no substream and
+    draws nothing. ``correlations`` overrides the sinc-kernel matrix with one
+    of the surface's element count (``identity_correlation``: uncorrelated
+    elements, drawn as Gamma(N)). The pad split, code offset and h~ are drawn
+    as in the Monte Carlo engine, h~ by its compound law (``compound_gains``)
+    with the matrix's ``weights``; the noise is all L samples, where the engine
     draws its coordinates in the correlator's subspace.
     """
     if not profiles:
         raise ValueError("at least one surface profile is required")
     m = profiles[0].code.length
+    correlations = correlations or {}
     seen = set()
     for p in profiles:
         if p.code.length != m:
             raise ValueError("all codes must share the scenario sequence length")
         if p.id in seen:
             raise ValueError(f"surface id {p.id} is given twice")
+        if p.id != p.code.id:
+            raise ValueError(f"surface id {p.id} carries the code of id {p.code.id}")
         if reachability is not None and p.id not in reachability:
             raise ValueError(f"reachability has no entry for surface id {p.id}")
+        if p.id in correlations and correlations[p.id].n != p.geometry.n:
+            raise ValueError(f"correlation for surface id {p.id} has {correlations[p.id].n} "
+                             f"elements, its geometry {p.geometry.n}")
         seen.add(p.id)
     if not 1 <= v_total < m:
         raise ValueError("pad budget must satisfy 1 <= v_total < M")
@@ -196,26 +204,20 @@ def synthesize_frame(
     v1, y = draw_frames(frame_rng, v_total, m + v_total, noise_variance, 1)
     c_per_ris, gains, reach_map = {}, {}, {}
     for p in sorted(profiles, key=lambda q: q.id):
+        reach_map[p.id] = reachability is None or bool(reachability[p.id])
+        if not reach_map[p.id]:
+            continue
+        corr = correlations[p.id] if p.id in correlations else _correlation_for(p.geometry)
         rng = substream(seed, TAG_RIS, p.id, frame_index)
-        if correlations is not None and p.id in correlations:
-            corr = correlations[p.id]
-        else:
-            corr = _correlation_for(p.geometry)
-        c = int(rng.integers(1, m + 1))
-        h = complex(compound_gains(rng, corr.n, gain_weights(corr), 1, power_w,
-                                   p.link.beta_ur, p.link.beta_rb)[0])
+        c = c_per_ris[p.id] = int(rng.integers(1, m + 1))
+        h = gains[p.id] = complex(compound_gains(rng, corr.n, corr.weights, 1, power_w,
+                                                 p.link.beta_ur, p.link.beta_rb)[0])
         del rng  # drawn out; released, the next surface's substream re-keys it
-        reachable = reachability is None or bool(reachability[p.id])
-        c_per_ris[p.id] = c
-        gains[p.id] = h
-        reach_map[p.id] = reachable
-        if reachable:
-            sym, shift, start = p.code.symbols, c, int(v1[0])
-            y[0, start : start + m] += h * np.concatenate((sym[shift:], sym[:shift]))  # np.roll by -c
+        sym, start = p.code.symbols, int(v1[0])
+        y[0, start : start + m] += h * np.concatenate((sym[c:], sym[:c]))  # np.roll by -c
 
     truth = FrameTruth(
         v1=int(v1[0]), v2=v_total - int(v1[0]), c_per_ris=c_per_ris,
         gains=gains, reachability=reach_map,
     )
     return ReceivedFrame(samples=y[0], truth=truth, noise_variance=noise_variance)
-

@@ -104,6 +104,35 @@ class TestCorrelationMatrix:
             RisGeometry(n=6, n_h=4, d_h=0.1, d_v=0.1, wavelength=0.2)
 
 
+class TestWeights:
+    def test_computed_once_per_matrix(self):
+        geom = RisGeometry(n=16, n_h=4, d_h=0.02, d_v=0.02, wavelength=0.1)
+        corr = correlation_matrix(geom)
+        assert corr.weights is corr.weights
+
+    @pytest.mark.parametrize("n", [1, 4, 64])
+    def test_none_for_the_identity(self, n):
+        assert identity_correlation(n).weights is None
+
+    def test_none_for_a_one_element_surface(self):
+        geom = RisGeometry(n=1, n_h=1, d_h=0.05, d_v=0.05, wavelength=0.1)
+        assert correlation_matrix(geom).weights is None
+
+    def test_kept_for_a_half_wavelength_pair(self):
+        """Its weights read [1, 1], but R is not the identity, so its law stays."""
+        geom = RisGeometry(n=2, n_h=2, d_h=0.05, d_v=0.05, wavelength=0.1)
+        assert correlation_matrix(geom).weights is not None
+
+    @pytest.mark.parametrize("stop", [None, 3])
+    def test_one_element_gamma_equals_unit_weight(self, stop):
+        """Gamma(1) is drawn as the Exp(1) that weights [1] take: a one-element surface
+        draws the same bits under either law."""
+        args = (5, 2.0, 0.3, 0.7, stop)  # size, power, per-hop gains, stop
+        gamma = compound_gains(np.random.default_rng(9), 1, None, *args)
+        unit = compound_gains(np.random.default_rng(9), 1, np.ones(1), *args)
+        assert np.array_equal(gamma, unit)
+
+
 class TestSampleChannel:
     def test_identity_statistics(self):
         rng = np.random.default_rng(5)

@@ -182,6 +182,11 @@ class TestRunRisId:
         report = run_ris_id(np.zeros(10, dtype=complex), [])
         assert report.per_ris == {} and report.decided_ids() == ()
 
+    def test_rejects_two_candidates_with_one_code_id(self):
+        code = build_codebook(16, [15]).entries[0]
+        with pytest.raises(ValueError, match="code id 1 is given twice"):
+            run_ris_id(np.zeros(20, dtype=complex), [(code, 1.0), (code, 2.0)])
+
     def test_threshold_dominance_on_noise(self):
         code = build_codebook(16, [15]).entries[0]
         rng = np.random.default_rng(31)

@@ -727,3 +727,18 @@ class TestPlanValidation:
     def test_rejects_fewer_than_one_thread(self, small_scenario, threads):
         with pytest.raises(ValueError):
             TrialPlan(scenario=small_scenario, trials=100, seed=1, threads=threads)
+
+    def test_rejects_more_than_max_threads(self, small_scenario):
+        TrialPlan(scenario=small_scenario, trials=100, seed=1, threads=montecarlo.MAX_THREADS)
+        for threads in (montecarlo.MAX_THREADS + 1, 10**6):  # built only: no worker starts
+            with pytest.raises(ValueError, match=f"worker threads must be in 1..64, got {threads}"):
+                TrialPlan(scenario=small_scenario, trials=100, seed=1, threads=threads)
+
+    @pytest.mark.parametrize("run", [
+        lambda plan: estimate_pf(plan, 9, 3.0),
+        lambda plan: estimate_pmiss(plan, 9, 3.0),
+        lambda plan: decision_sweep(plan, 9, (3.0,), {}),
+    ])
+    def test_rejects_target_id_no_surface_has(self, two_ris_scenario, run):
+        with pytest.raises(ValueError, match=r"no surface has id 9; the scenario's ids are \[1, 2\]"):
+            run(plan_for(two_ris_scenario))

@@ -3,6 +3,7 @@
 import sys
 import threading
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -13,7 +14,6 @@ from risid.channel import (
     RisGeometry,
     compound_gains,
     correlation_matrix,
-    gain_weights,
     identity_correlation,
 )
 from risid.codes import build_codebook
@@ -119,7 +119,7 @@ class TestSynthesizeFrame:
         both = synthesize_frame(profiles, reachability={1: True, 2: True}, **kw)
         only1 = synthesize_frame(profiles, reachability={1: True, 2: False}, **kw)
         only2 = synthesize_frame(profiles, reachability={1: False, 2: True}, **kw)
-        assert both.truth.c_per_ris == only1.truth.c_per_ris
+        assert both.truth.c_per_ris[1] == only1.truth.c_per_ris[1]
         assert np.array_equal(both.samples, only1.samples + only2.samples)
 
     def test_superposition_with_noise_exact(self):
@@ -173,15 +173,42 @@ class TestSynthesizeFrame:
 
     def test_truth_gain_is_the_compound_law_oracle(self):
         """Each surface's offset and h~, bit for bit: a new Philox keyed as ``substream``
-        documents draws the offset, then ``compound_gains`` with the ``gain_weights``."""
+        documents draws the offset, then ``compound_gains`` with the matrix's ``weights``."""
         profiles = make_profiles(rows=(1, 2))  # sinc-kernel correlation
         fr = synthesize_frame(profiles, 2, 0.1, 2.5, seed=8, frame_index=3)
         for p in profiles:
             rng = oracle(8, TAG_RIS, p.id, 3)
             assert fr.truth.c_per_ris[p.id] == rng.integers(1, p.code.length + 1)
-            weights = gain_weights(correlation_matrix(p.geometry))
+            weights = correlation_matrix(p.geometry).weights
             h = compound_gains(rng, p.geometry.n, weights, 1, 2.5, p.link.beta_ur, p.link.beta_rb)
             assert fr.truth.gains[p.id] == h[0]
+
+    def test_identity_gain_is_the_gamma_oracle(self):
+        """R = I draws h~ by the engine's ``spacing = none`` law: the offset, then
+        ``compound_gains`` with weights None (one Gamma(N) draw)."""
+        profiles = make_profiles(m=16, n=8, rows=(15,))
+        p = profiles[0]
+        fr = synthesize_frame(profiles, 4, 0.1, 2.5, seed=6, frame_index=5,
+                              correlations=identity_corrs(profiles))
+        rng = oracle(6, TAG_RIS, p.id, 5)
+        assert fr.truth.c_per_ris[p.id] == rng.integers(1, p.code.length + 1)
+        h = compound_gains(rng, p.geometry.n, None, 1, 2.5, p.link.beta_ur, p.link.beta_rb)
+        assert fr.truth.gains[p.id] == h[0]
+
+    def test_silent_surface_opens_no_stream(self, monkeypatch):
+        profiles = make_profiles(rows=(1, 2))
+        opened = []
+
+        def spy(seed, tag, ris_id, block):
+            opened.append((tag, ris_id))
+            return oracle(seed, tag, ris_id, block)
+
+        monkeypatch.setattr(signal, "substream", spy)
+        fr = synthesize_frame(profiles, 2, 0.1, 1.0, seed=2, frame_index=1,
+                              reachability={1: True, 2: False})
+        assert [i for tag, i in opened if tag == TAG_RIS] == [1]
+        assert fr.truth.reachability == {1: True, 2: False}
+        assert fr.truth.c_per_ris.keys() == fr.truth.gains.keys() == {1}
 
     def test_frame_length_invariant(self):
         profiles = make_profiles(m=16, rows=(15,))
@@ -204,6 +231,16 @@ class TestSynthesizeFrame:
         p = make_profiles()[0]
         with pytest.raises(ValueError, match="surface id 1 is given twice"):
             synthesize_frame([p, p], 2, 0.1, 1.0, seed=1)
+
+    def test_rejects_surface_id_other_than_its_code_id(self):
+        p = replace(make_profiles()[0], id=7)  # its code has id 1
+        with pytest.raises(ValueError, match="surface id 7 carries the code of id 1"):
+            synthesize_frame([p], 2, 0.1, 1.0, seed=1)
+
+    def test_rejects_correlation_of_another_size(self):
+        profiles = make_profiles(n=16, rows=(7,))
+        with pytest.raises(ValueError, match="surface id 1 has 4 elements, its geometry 16"):
+            synthesize_frame(profiles, 2, 0.1, 1.0, seed=1, correlations={1: identity_correlation(4)})
 
 
 def oracle(seed, tag, ris_id, block):
