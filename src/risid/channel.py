@@ -15,6 +15,7 @@ from functools import cached_property
 import numpy as np
 
 SPEED_OF_LIGHT = 299792458.0
+CHUNK_BYTES = 2**18  # most bytes of one chunk of draws or products (``chunk_rows``), about an L2 share
 
 __all__ = [
     "SPEED_OF_LIGHT",
@@ -27,6 +28,7 @@ __all__ = [
     "sample_channel",
     "cascaded_gain",
     "compound_gains",
+    "chunk_rows",
 ]
 
 
@@ -160,6 +162,12 @@ def sample_channel(
     return math.sqrt(beta_hop / 2.0) * (z @ corr.factor.T)
 
 
+def chunk_rows(cols: int, least: int = 1) -> int:
+    """Rows per chunk of ``cols`` float64 columns: the largest power of two whose rows fit in
+    ``CHUNK_BYTES``, and at least ``least``."""
+    return max(least, 1 << (max(CHUNK_BYTES // (8 * max(cols, 1)), 1).bit_length() - 1))
+
+
 def compound_gains(
     rng: np.random.Generator, n: int, weights, size: int,
     power_w: float, beta_ur: float, beta_rb: float, stop: int | None = None,
@@ -172,13 +180,23 @@ def compound_gains(
     CN(0, 4 s) with s = sum_i lambda_i^2 E_i, E_i = |z_i|^2 / 2 ~ Exp(1):
     the gain is sqrt(2 s) w with w a standard normal pair. ``weights`` None stands for R = I,
     where s ~ Gamma(n) (at n = 1, the Exp(1) that weights [1] draw); otherwise it holds
-    ``CorrelationMatrix.weights``. Draws s, then w; with ``stop``, w and the gains only for the
-    first ``stop`` trials, which are those of a full draw (arrays fill in C order from one stream).
+    ``CorrelationMatrix.weights``. Past 4 rows and ``CHUNK_BYTES``, the E_i are drawn and
+    reduced in chunks of ``chunk_rows`` rows, at least 4, all of one shape: memory holds one
+    chunk, and on OpenBLAS an 8192-row block gets the bits of one full-size product, which
+    chunks of 1, 2 or 7 rows do not give. Draws s, then w; with ``stop``, w and the gains only
+    for the first ``stop`` trials, which are those of a full draw (arrays fill in C order from
+    one stream).
     """
     if weights is None:
         s = rng.standard_gamma(n, size)
-    else:
+    elif size <= 4 or 8 * size * len(weights) <= CHUNK_BYTES:
         s = rng.standard_exponential((size, len(weights))) @ weights
+    else:
+        step = chunk_rows(len(weights), 4)
+        draws, s = np.empty((step, len(weights))), np.empty(size)
+        for i in range(0, size, step):
+            rng.standard_exponential(out=draws[: size - i])
+            s[i : i + step] = (draws @ weights)[: size - i]
     w = rng.standard_normal((size if stop is None else stop, 2)).view(np.complex128)[:, 0]
     return math.sqrt(power_w) * (math.sqrt(beta_ur * beta_rb) / 2.0) * (np.sqrt(2.0 * s[: len(w)]) * w)
 

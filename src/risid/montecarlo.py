@@ -17,7 +17,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .channel import compound_gains
+from .channel import chunk_rows, compound_gains
 from .codes import all_shifts, sign_classes
 from .signal import TAG_FRAME, TAG_RIS, draw_frames, substream
 
@@ -36,7 +36,6 @@ __all__ = [
 ]
 
 BLOCK = 8192  # trials per randomness block; fixed so results never depend on scheduling
-CHUNK_BYTES = 2**18  # most bytes of one correlator product (``_chunk_rows``), about an L2 share
 MAX_PASS_BYTES = 2**30  # most memory a config may ask of one pass (``pass_bytes``)
 MAX_THREADS = 64  # most worker threads; each holds a block's arrays (``pass_bytes``)
 
@@ -126,9 +125,9 @@ def _thresholds_w(plan: TrialPlan, r_bars: Sequence[float]) -> np.ndarray:
 
 
 def _chunk_rows(k: int) -> int:
-    """Block rows per correlator product with k columns: the largest power of two, at most
-    BLOCK, whose products fit in ``CHUNK_BYTES`` (at least one row). Chunks tile a block."""
-    return min(BLOCK, 1 << (max(CHUNK_BYTES // (8 * max(k, 1)), 1).bit_length() - 1))
+    """Block rows per correlator product with k columns: ``channel.chunk_rows``, at most BLOCK.
+    Chunks tile a block."""
+    return min(BLOCK, chunk_rows(k))
 
 
 def pass_bytes(m: int, v_total: int, rows: Sequence[int], threads: int = 1, n: int = 0) -> int:
@@ -137,11 +136,11 @@ def pass_bytes(m: int, v_total: int, rows: Sequence[int], threads: int = 1, n: i
     and A (L x K), a v_total x m x R table per surface, and per worker one block's BLOCK x R
     coordinates and one chunk's parts and products (``_chunk_rows`` x (R + K), twice). ``n`` is
     the element count of correlated surfaces (0: uncorrelated), which adds the gain weights'
-    N x N arrays and eigendecomposition (``channel.correlation_matrix``) and per worker a
-    block's BLOCK x N exponential draws (``channel.compound_gains``)."""
+    N x N arrays and eigendecomposition (``channel.correlation_matrix``) and per worker one
+    chunk of ``channel.chunk_rows(n, 4)`` x N exponential draws (``channel.compound_gains``)."""
     l, k = m + v_total, (v_total + 1) * sum(1 << (r.bit_length() - 1) for r in rows if r > 0)
     shared = (2 + 2 * len(rows)) * m * m + 4 * l * k + len(rows) * v_total * m * min(l, k) + 10 * n * n
-    return 8 * (shared + threads * (8 * BLOCK * min(l, k) + 4 * _chunk_rows(k) * k + BLOCK * n))
+    return 8 * (shared + threads * (8 * BLOCK * min(l, k) + 4 * _chunk_rows(k) * k + chunk_rows(n, 4) * n))
 
 
 _memo: dict = {}  # "last": (key, subspace) of the last code set (``_subspace``)
@@ -206,10 +205,11 @@ def _block(plan: TrialPlan, law: Mapping, profs, sub, blk: int, rows: slice):
     (``_subspace``). Each surface stream draws the fair coin (only under the coin law),
     code offsets and compound-law gains; a surface forced off opens none. Each stream's
     last draw (noise; the gains' normal pairs) stops at ``rows.stop`` and the others are
-    full-size, so every row gets a full block's draws. A reflecting surface adds gain
-    times table row; D is the largest |(U^T y) A|^2 over each code's columns, taken over
-    block-aligned chunks of ``_chunk_rows`` rows, zero-padded so that every product has
-    one shape and a row's bits never depend on which rows a pass scores.
+    full-size, so every row gets a full block's draws. D is the largest |(U^T y) A|^2 over
+    each code's columns, taken over block-aligned chunks of ``_chunk_rows`` rows,
+    zero-padded so that every product has one shape and a row's bits never depend on which
+    rows a pass scores. Each chunk's noise gets every drawn surface's gain (0 where silent)
+    times its table row, in id order, so a block holds one frame of coordinates.
     """
     scn = plan.scenario
     _, a, starts, tables = sub
@@ -217,6 +217,7 @@ def _block(plan: TrialPlan, law: Mapping, profs, sub, blk: int, rows: slice):
     v1, z = draw_frames(frame_rng, scn.v_total, a.shape[0], scn.noise_variance_w, BLOCK, rows.stop)
     v1, z = v1[rows], z[rows]
     reach = np.zeros((BLOCK, len(profs)), dtype=bool)
+    adds = []  # per drawn surface: gain, flat table row (v1 - 1) * m + c - 1, table as rows
     for j, p in enumerate(profs):
         rule = law.get(p.id, None)
         if rule is False:
@@ -226,7 +227,8 @@ def _block(plan: TrialPlan, law: Mapping, profs, sub, blk: int, rows: slice):
         c = rs.integers(1, scn.m + 1, size=BLOCK)[rows]
         h = compound_gains(rs, p.n, p.gain_weights, BLOCK, scn.power_w, p.beta_ur, p.beta_rb, rows.stop)
         del rs  # drawn out; released, the next surface's substream re-keys it
-        z += np.where(reach[rows, j], h[rows], 0.0)[:, None] * tables[j][v1 - 1, c - 1]
+        adds.append((np.where(reach[rows, j], h[rows], 0.0), (v1 - 1) * scn.m + c - 1,
+                     tables[j].reshape(-1, a.shape[0])))
     step = _chunk_rows(a.shape[1])
     parts = np.zeros((2, step, a.shape[0]))  # real products need contiguous real and imaginary parts
     prods = np.empty((2, step, a.shape[1]))
@@ -235,7 +237,12 @@ def _block(plan: TrialPlan, law: Mapping, profs, sub, blk: int, rows: slice):
         i0, i1 = max(lo, 0), min(lo + step, len(z))
         if i1 - i0 < step:
             parts.fill(0.0)
-        parts[0, i0 - lo : i1 - lo], parts[1, i0 - lo : i1 - lo] = z[i0:i1].real, z[i0:i1].imag
+        re, im = parts[0, i0 - lo : i1 - lo], parts[1, i0 - lo : i1 - lo]
+        re[:], im[:] = z[i0:i1].real, z[i0:i1].imag
+        for g, at, table in adds:
+            row = table.take(at[i0:i1], axis=0)
+            re += g.real[i0:i1, None] * row
+            im += g.imag[i0:i1, None] * row
         np.square(np.matmul(parts, a, out=prods), out=prods)
         prods[0] += prods[1]
         metric[i0:i1] = np.maximum.reduceat(prods[0, i0 - lo : i1 - lo], starts, axis=1)

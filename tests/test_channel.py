@@ -1,5 +1,7 @@
 """Channel statistics: path gain, sinc correlation, sampling, cascaded gain."""
 
+import math
+
 import numpy as np
 import pytest
 from scipy import stats
@@ -16,6 +18,7 @@ from risid.channel import (
     sample_channel,
 )
 from risid.cli import SPACINGS, Scenario
+from risid.montecarlo import BLOCK
 
 C0 = 299792458.0
 
@@ -214,6 +217,23 @@ class TestCascadedGain:
             scn.power_w, prof.beta_ur, prof.beta_rb,
         )
         assert stats.ks_2samp(explicit, np.abs(compound) ** 2).pvalue > 1e-3
+
+
+class TestChunkedDraws:
+    @pytest.mark.parametrize("stop", [BLOCK, 700, 1])
+    @pytest.mark.parametrize("n", [1, 2, 64, 89, 256, 1024])
+    def test_equal_one_block_draw(self, n, stop):
+        """The correlated law's exponentials, drawn and reduced in chunks, give the bits of one
+        B x n draw reduced with ``@ weights`` and then the normal pairs, and leave the
+        generator where that draw does."""
+        weights = np.random.default_rng(n).uniform(0.1, 2.0, n)
+        got_rng, ref_rng = (np.random.Generator(np.random.Philox(17)) for _ in range(2))
+        got = compound_gains(got_rng, n, weights, BLOCK, 2.0, 0.3, 0.7, stop)
+        s = ref_rng.standard_exponential((BLOCK, n)) @ weights
+        w = ref_rng.standard_normal((stop, 2)).view(np.complex128)[:, 0]
+        ref = math.sqrt(2.0) * (math.sqrt(0.3 * 0.7) / 2.0) * (np.sqrt(2.0 * s[:stop]) * w)
+        assert np.array_equal(got, ref)
+        assert got_rng.random() == ref_rng.random()
 
 
 class TestPreparedFactor:

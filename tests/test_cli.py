@@ -749,6 +749,15 @@ class TestExitCodes:
         assert peak < 16 * 2**20
         assert not (tmp_path / "o").exists()
 
+    def test_pass_memory_counts_one_chunk_of_draws_per_worker(self):
+        """64 workers at N = 256 hold one chunk of exponential draws each, about 0.69 GiB in all
+        (a block of draws each read 1.67 GiB); at N = 3600 they still exit 2 at n_elements."""
+        cli._check_pass_memory(16, 4, (15,), threads=64, n=256)
+        assert montecarlo.pass_bytes(16, 4, (15,), threads=64, n=256) < 0.7 * 2**30
+        with pytest.raises(ConfigError, match="with 3600 correlated elements need") as err:
+            cli._check_pass_memory(16, 4, (15,), threads=64, n=3600)
+        assert err.value.key == "n_elements"
+
     def test_empty_true_state_from_trial_flag_has_no_line(self, tmp_path, capsys):
         cfg = tmp_path / "c.txt"
         cfg.write_text("code_rows = 1, 2\nr_bar_grid = 3\ntrials = 1000\n")

@@ -368,25 +368,33 @@ class TestSubspaceEngine:
                 assert ks_2samp(a, b).pvalue > 1e-3, (j, state)
 
     def test_block_peak_memory_stays_near_one_frame(self):
-        """One block at M = 32, row 31 (K = 144) holds about one B x L frame, not B x K products."""
-        scn = Scenario(
-            m=32, v_total=8, code_rows=(31,), n_elements=64, n_horizontal=8,
-            p_dbm=15.0, r_bar=3.5, trials=BLOCK, seed=5,
-        )
-        plan = plan_for(scn)
+        """One block holds about one B x L frame: not B x K products (M = 32, row 31: K = 144),
+        nor a block of B x N exponential draws (N = 256), nor B x R signal temporaries (two
+        surfaces on a fair coin; M = 64, row 63: R = 48)."""
+        cases = [
+            (dict(m=32, v_total=8, code_rows=(31,), r_bar=3.5), {1: False}),
+            (dict(m=16, v_total=4, code_rows=(15,), n_elements=256, n_horizontal=16,
+                  spacing="half-lambda"), {1: True}),
+            (dict(m=32, v_total=8, code_rows=(1, 2)), {}),
+            (dict(m=64, v_total=16, code_rows=(63,)), {1: True}),
+        ]
 
         def consume(metric, reach):
             return ((metric > 0).sum(axis=0),)
 
-        _run_blocks(plan, {1: False}, 0, BLOCK, consume)  # fill the caches first
-        tracemalloc.start()
-        try:
-            _run_blocks(plan, {1: False}, 0, BLOCK, consume)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        frame = BLOCK * (scn.m + scn.v_total) * 16  # the frame path's complex frames
-        assert peak <= frame + 2 * 2**20
+        for kw, law in cases:
+            scn = Scenario(**{"n_elements": 64, "n_horizontal": 8, **kw}, p_dbm=15.0, trials=BLOCK,
+                           seed=5)
+            plan = plan_for(scn)
+            _run_blocks(plan, law, 0, BLOCK, consume)  # fill the caches first
+            tracemalloc.start()
+            try:
+                _run_blocks(plan, law, 0, BLOCK, consume)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            frame = BLOCK * (scn.m + scn.v_total) * 16  # the frame path's complex frames
+            assert peak <= frame + 2 * 2**20, (kw, law, peak)
 
     def test_pass_bytes_bounds_the_subspace_arrays(self):
         """The config-time estimate covers W, A and the tables the engine builds."""
