@@ -750,7 +750,7 @@ class TestExitCodes:
         assert not (tmp_path / "o").exists()
 
     def test_pass_memory_counts_one_chunk_of_draws_per_worker(self):
-        """64 workers at N = 256 hold one chunk of exponential draws each, about 0.69 GiB in all
+        """64 workers at N = 256 hold one chunk of exponential draws each, about 0.68 GiB in all
         (a block of draws each read 1.67 GiB); at N = 3600 they still exit 2 at n_elements."""
         cli._check_pass_memory(16, 4, (15,), threads=64, n=256)
         assert montecarlo.pass_bytes(16, 4, (15,), threads=64, n=256) < 0.7 * 2**30
