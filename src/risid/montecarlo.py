@@ -133,14 +133,18 @@ def _chunk_rows(k: int) -> int:
 def pass_bytes(m: int, v_total: int, rows: Sequence[int], threads: int = 1, n: int = 0) -> int:
     """Upper bound on the bytes of one pass with ``threads`` workers, for Sylvester-Hadamard
     ``rows`` (row r's shifts fall in 2**floor(log2 r) sign classes): m x m matrices, W, its SVD
-    and A (L x K), a v_total x m x R table per surface, and per worker one block's BLOCK x R
-    coordinates and one chunk's parts and products (``_chunk_rows`` x (R + K), twice). ``n`` is
-    the element count of correlated surfaces (0: uncorrelated), which adds the gain weights'
-    N x N arrays and eigendecomposition (``channel.correlation_matrix``) and per worker one
-    chunk of ``channel.chunk_rows(n, 4)`` x N exponential draws (``channel.compound_gains``)."""
+    and A (L x K), a v_total x m x R table per surface, and per worker what ``_block`` holds:
+    one frame of BLOCK x R complex coordinates, ten BLOCK-long vectors for the pad splits and
+    ten per surface (offsets, gains, table rows, metric, the gain draw's temporaries), and one
+    chunk's parts, gathered table rows and products (``_chunk_rows`` x (R + R + K), twice).
+    ``n`` is the element count of correlated surfaces (0: uncorrelated), which adds the gain
+    weights' N x N arrays and eigendecomposition (``channel.correlation_matrix``) and per worker
+    one chunk of ``channel.chunk_rows(n, 4)`` x N exponential draws (``channel.compound_gains``)."""
     l, k = m + v_total, (v_total + 1) * sum(1 << (r.bit_length() - 1) for r in rows if r > 0)
     shared = (2 + 2 * len(rows)) * m * m + 4 * l * k + len(rows) * v_total * m * min(l, k) + 10 * n * n
-    return 8 * (shared + threads * (8 * BLOCK * min(l, k) + 4 * _chunk_rows(k) * k + chunk_rows(n, 4) * n))
+    block = (2 * BLOCK * min(l, k) + 10 * BLOCK * (1 + len(rows)) + 6 * _chunk_rows(k) * k
+             + chunk_rows(n, 4) * n)
+    return 8 * (shared + threads * block)
 
 
 _memo: dict = {}  # "last": (key, subspace) of the last code set (``_subspace``)
@@ -226,7 +230,6 @@ def _block(plan: TrialPlan, law: Mapping, profs, sub, blk: int, rows: slice):
         reach[:, j] = rs.random(BLOCK) < 0.5 if rule is None else rule
         c = rs.integers(1, scn.m + 1, size=BLOCK)[rows]
         h = compound_gains(rs, p.n, p.gain_weights, BLOCK, scn.power_w, p.beta_ur, p.beta_rb, rows.stop)
-        del rs  # drawn out; released, the next surface's substream re-keys it
         adds.append((np.where(reach[rows, j], h[rows], 0.0), (v1 - 1) * scn.m + c - 1,
                      tables[j].reshape(-1, a.shape[0])))
     step = _chunk_rows(a.shape[1])
@@ -334,6 +337,10 @@ def decision_sweep(
     not depend on the threshold, so a single run yields an estimate per
     grid point. No escalation is applied.
     """
+    ids = [p.id for p in _profiles(plan)]
+    if set(forced) - set(ids):
+        raise ValueError(f"forced: no surface has id {min(set(forced) - set(ids))}; "
+                         f"the scenario's ids are {ids}")
     consume = _threshold_counter(plan, target_ris, r_bars, count_missed)
     (events,) = _run_blocks(plan, forced, 0, plan.trials, consume)
     return [_estimate(k, plan.trials) for k in events]

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 import operator
-import sys
 import threading
 from dataclasses import dataclass
 from functools import lru_cache
@@ -48,50 +47,34 @@ TAG_RIS = 1
 _MASK64 = (1 << 64) - 1
 _ZEROS = np.zeros(4, dtype=np.uint64)  # counter and buffer words of a new Philox
 _ZEROS.flags.writeable = False
-_streams = threading.local()  # .slots: tag -> the Generator this thread re-keys
+_frames = threading.local()  # .gen: the one generator this thread's single frames re-key
 
 
-def _refs(slots: dict, tag: int) -> tuple:
-    """References to the generator in ``slots[tag]`` and to its bit generator."""
-    return sys.getrefcount(slots[tag]), sys.getrefcount(slots[tag].bit_generator)
-
-
-@lru_cache(maxsize=1)
-def _sole() -> tuple:
-    """``_refs`` when the mapping is the only holder, measured on this interpreter
-    at first use (numpy.random loads lazily, so not at import)."""
-    return _refs({TAG_FRAME: np.random.Generator(np.random.Philox(0))}, TAG_FRAME)
+def _key(seed: int, tag: int, ris_id: int, block: int) -> np.ndarray:
+    """Philox key of (seed, purpose, surface, block): the seed, then tag, id and block packed."""
+    if not (0 <= seed <= _MASK64 and 0 <= tag < 2**8 and 0 <= ris_id < 2**16 and 0 <= block < 2**40):
+        raise ValueError("substream path component out of range")
+    return np.array([operator.index(seed), (tag << 56) | (ris_id << 40) | block], dtype=np.uint64)
 
 
 def substream(seed: int, tag: int, ris_id: int, block: int) -> np.random.Generator:
-    """Counter-style generator keyed by (seed, purpose, surface, block).
+    """Counter-style generator keyed by (seed, purpose, surface, block), new on every call.
+    Streams for different key tuples are independent Philox streams, so draws for one surface
+    never depend on how many other surfaces exist or in which order they are processed."""
+    return np.random.Generator(np.random.Philox(key=_key(seed, tag, ris_id, block)))
 
-    Streams for different key tuples are independent Philox streams, so
-    draws for one surface never depend on how many other surfaces exist or
-    in which order they are processed. Each thread keeps one generator per
-    tag and re-keys it (new key, zero counter, empty buffer: the state a new
-    ``Philox(key=...)`` starts in) instead of building one, but only while
-    nothing outside that cache refers to it or to its bit generator; a
-    stream its caller still holds is never reused, and that call returns a
-    new generator. The draws are the same either way.
-    """
-    if (not 0 <= seed <= _MASK64 or not 0 <= tag < 2**8 or not 0 <= ris_id < 2**16
-            or not 0 <= block < 2**40):
-        raise ValueError("substream path component out of range")
-    key = np.array([operator.index(seed), (tag << 56) | (ris_id << 40) | block], dtype=np.uint64)
-    slots = getattr(_streams, "slots", None)
-    if slots is None:
-        slots = _streams.slots = {}
-    if tag in slots and _refs(slots, tag) == _sole():
-        gen = slots[tag]
-        gen.bit_generator.state = {
-            "bit_generator": "Philox", "state": {"counter": _ZEROS, "key": key},
-            "buffer": _ZEROS, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0,
-        }
-        return gen
-    gen = np.random.Generator(np.random.Philox(key=key))
-    slots.setdefault(tag, gen)
-    return gen
+
+def _frame_stream(seed: int, tag: int, ris_id: int, block: int) -> np.random.Generator:
+    """``substream``'s draws from this thread's one frame generator, re-keyed in place: new key,
+    zero counter and empty buffer, the state a new ``Philox(key=...)`` starts in. It never leaves
+    ``synthesize_frame``, which draws each stream out before it asks for the next."""
+    if not hasattr(_frames, "gen"):
+        _frames.gen = np.random.Generator(np.random.Philox(0))
+    _frames.gen.bit_generator.state = {
+        "bit_generator": "Philox", "state": {"counter": _ZEROS, "key": _key(seed, tag, ris_id, block)},
+        "buffer": _ZEROS, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0,
+    }
+    return _frames.gen
 
 
 def noise_variance_from_bandwidth(bw_hz: float) -> float:
@@ -174,10 +157,10 @@ def synthesize_frame(
     (without it, every surface does); a silent surface opens no substream and
     draws nothing. ``correlations`` overrides the sinc-kernel matrix with one
     of the surface's element count (``identity_correlation``: uncorrelated
-    elements, drawn as Gamma(N)). The pad split, code offset and h~ are drawn
-    as in the Monte Carlo engine, h~ by its compound law (``compound_gains``)
-    with the matrix's ``weights``; the noise is all L samples, where the engine
-    draws its coordinates in the correlator's subspace.
+    elements, drawn as Gamma(N)); neither may name an id no surface has. The
+    pad split, code offset and h~ are drawn as in the Monte Carlo engine, h~
+    by its compound law (``compound_gains``) with the matrix's ``weights``;
+    the noise is all L samples, where the engine draws subspace coordinates.
     """
     if not profiles:
         raise ValueError("at least one surface profile is required")
@@ -197,22 +180,24 @@ def synthesize_frame(
             raise ValueError(f"correlation for surface id {p.id} has {correlations[p.id].n} "
                              f"elements, its geometry {p.geometry.n}")
         seen.add(p.id)
+    for name, given in (("reachability", reachability or {}), ("correlations", correlations)):
+        if set(given) - seen:
+            raise ValueError(f"{name} names surface id {min(set(given) - seen)}, which no profile has")
     if not 1 <= v_total < m:
         raise ValueError("pad budget must satisfy 1 <= v_total < M")
 
-    frame_rng = substream(seed, TAG_FRAME, 0, frame_index)
-    v1, y = draw_frames(frame_rng, v_total, m + v_total, noise_variance, 1)
+    v1, y = draw_frames(_frame_stream(seed, TAG_FRAME, 0, frame_index), v_total, m + v_total,
+                        noise_variance, 1)
     c_per_ris, gains, reach_map = {}, {}, {}
     for p in sorted(profiles, key=lambda q: q.id):
         reach_map[p.id] = reachability is None or bool(reachability[p.id])
         if not reach_map[p.id]:
             continue
         corr = correlations[p.id] if p.id in correlations else _correlation_for(p.geometry)
-        rng = substream(seed, TAG_RIS, p.id, frame_index)
+        rng = _frame_stream(seed, TAG_RIS, p.id, frame_index)
         c = c_per_ris[p.id] = int(rng.integers(1, m + 1))
         h = gains[p.id] = complex(compound_gains(rng, corr.n, corr.weights, 1, power_w,
                                                  p.link.beta_ur, p.link.beta_rb)[0])
-        del rng  # drawn out; released, the next surface's substream re-keys it
         sym, start = p.code.symbols, int(v1[0])
         y[0, start : start + m] += h * np.concatenate((sym[c:], sym[:c]))  # np.roll by -c
 

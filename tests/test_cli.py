@@ -728,24 +728,25 @@ class TestExitCodes:
         assert not (tmp_path / "o").exists()
 
     def test_pass_memory_counts_every_worker(self, tmp_path, capsys, monkeypatch):
-        """About 133 MiB of block arrays per worker: one worker fits the limit, eight do not."""
+        """About 35 MiB of block arrays per worker: one or eight workers fit the limit, 64 do not."""
         assert montecarlo.pass_bytes(256, 4, (255,)) <= montecarlo.MAX_PASS_BYTES
-        assert montecarlo.pass_bytes(256, 4, (255,), threads=8) > montecarlo.MAX_PASS_BYTES
+        assert montecarlo.pass_bytes(256, 4, (255,), threads=8) <= montecarlo.MAX_PASS_BYTES
+        assert montecarlo.pass_bytes(256, 4, (255,), threads=64) > montecarlo.MAX_PASS_BYTES
         cfg = tmp_path / "c.txt"
         cfg.write_text("trials = 1000\nm = 256\nv_total = 4\ncode_rows = 255\n")
         assert scenario_from_config(parse_config_text(cfg.read_text())).m == 256
         argv = ["pf-single", "--config", str(cfg), "--out", str(tmp_path / "o")]
         tracemalloc.start()
         try:
-            assert main(argv + ["--threads", "8"]) == 2
-            monkeypatch.setenv("RISID_THREADS", "8")
+            assert main(argv + ["--threads", "64"]) == 2
+            monkeypatch.setenv("RISID_THREADS", "64")
             assert main(argv) == 2
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         err = capsys.readouterr().err
         assert err.count("c.txt:2: config error: m = 256, v_total = 4 and code rows (255,) need") == 2
-        assert err.count("GiB per simulation pass with 8 worker threads") == 2
+        assert err.count("GiB per simulation pass with 64 worker threads") == 2
         assert peak < 16 * 2**20
         assert not (tmp_path / "o").exists()
 
@@ -798,20 +799,20 @@ class TestExitCodes:
                 "p_dbm = 2830.0: p_dbm puts the mean received peak") in capsys.readouterr().err
 
     def test_pass_memory_checks_the_m_run_not_an_unread_sweep(self, tmp_path, capsys):
-        """pmiss-n never reads m_values, so it runs, and the rule checks, m = 256 at 8 workers."""
+        """pmiss-n never reads m_values, so it runs, and the rule checks, m = 256 at 64 workers."""
         cfg = tmp_path / "c.txt"
         cfg.write_text("trials = 1000\nm = 256\nv_total = 4\ncode_rows = 255\nm_values = 16\n")
         tracemalloc.start()
         try:
             code = main(["pmiss-n", "--config", str(cfg), "--out", str(tmp_path / "o"),
-                         "--threads", "8"])
+                         "--threads", "64"])
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert code == 2
         err = capsys.readouterr().err
         assert "c.txt:2: config error: m = 256, v_total = 4 and code rows (255,) need" in err
-        assert "GiB per simulation pass with 8 worker threads" in err
+        assert "GiB per simulation pass with 64 worker threads" in err
         assert peak < 16 * 2**20
         assert not (tmp_path / "o").exists()
 

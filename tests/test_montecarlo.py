@@ -4,7 +4,6 @@ import multiprocessing
 import os
 import subprocess
 import sys
-import threading
 import tracemalloc
 import weakref
 from dataclasses import replace
@@ -16,7 +15,7 @@ import pytest
 from scipy.stats import ks_2samp
 
 import risid
-from risid import montecarlo, signal
+from risid import montecarlo
 from risid.channel import compound_gains
 from risid.cli import Scenario
 from risid.codes import all_shifts, sign_classes
@@ -43,6 +42,32 @@ def plan_for(scenario, trials=None, seed=None, threads=1, **kw):
         threads=threads,
         **kw,
     )
+
+
+PEAK_CASES = [  # (Scenario fields, law) of blocks whose memory the tests bound
+    (dict(m=32, v_total=8, code_rows=(31,), r_bar=3.5), {1: False}),
+    (dict(m=16, v_total=4, code_rows=(15,), n_elements=256, n_horizontal=16,
+          spacing="half-lambda"), {1: True}),
+    (dict(m=32, v_total=8, code_rows=(1, 2)), {}),
+    (dict(m=64, v_total=16, code_rows=(63,)), {1: True}),
+]
+
+
+def block_peak(kw, law):
+    """The scenario of ``kw`` and the tracemalloc peak of its block 0, run again once warm."""
+    scn = Scenario(**{"n_elements": 64, "n_horizontal": 8, **kw}, p_dbm=15.0, trials=BLOCK, seed=5)
+    plan = plan_for(scn)
+
+    def consume(metric, reach):
+        return ((metric > 0).sum(axis=0),)
+
+    _run_blocks(plan, law, 0, BLOCK, consume)  # fill the caches first
+    tracemalloc.start()
+    try:
+        _run_blocks(plan, law, 0, BLOCK, consume)
+        return scn, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 class TestWilson:
@@ -371,30 +396,22 @@ class TestSubspaceEngine:
         """One block holds about one B x L frame: not B x K products (M = 32, row 31: K = 144),
         nor a block of B x N exponential draws (N = 256), nor B x R signal temporaries (two
         surfaces on a fair coin; M = 64, row 63: R = 48)."""
-        cases = [
-            (dict(m=32, v_total=8, code_rows=(31,), r_bar=3.5), {1: False}),
-            (dict(m=16, v_total=4, code_rows=(15,), n_elements=256, n_horizontal=16,
-                  spacing="half-lambda"), {1: True}),
-            (dict(m=32, v_total=8, code_rows=(1, 2)), {}),
-            (dict(m=64, v_total=16, code_rows=(63,)), {1: True}),
-        ]
-
-        def consume(metric, reach):
-            return ((metric > 0).sum(axis=0),)
-
-        for kw, law in cases:
-            scn = Scenario(**{"n_elements": 64, "n_horizontal": 8, **kw}, p_dbm=15.0, trials=BLOCK,
-                           seed=5)
-            plan = plan_for(scn)
-            _run_blocks(plan, law, 0, BLOCK, consume)  # fill the caches first
-            tracemalloc.start()
-            try:
-                _run_blocks(plan, law, 0, BLOCK, consume)
-                peak = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
+        for kw, law in PEAK_CASES:
+            scn, peak = block_peak(kw, law)
             frame = BLOCK * (scn.m + scn.v_total) * 16  # the frame path's complex frames
             assert peak <= frame + 2 * 2**20, (kw, law, peak)
+
+    def test_pass_bytes_counts_a_block_per_worker(self):
+        """``pass_bytes``' per-worker term holds a warmed block's traced peak, within 3x of it:
+        at the one-frame shapes, at M = 256, row 255 (R = 132), where it counted over 7x, and at
+        M = 16, v_total = 1, row 1 (R = 2, K = 2), where full-block chunks carry the most."""
+        for kw, law in PEAK_CASES + [(dict(m=256, v_total=4, code_rows=(255,)), {1: True}),
+                                     (dict(m=16, v_total=1, code_rows=(1,)), {1: True})]:
+            scn, peak = block_peak(kw, law)
+            n = scn.n_elements if scn.spacing != "none" else 0
+            per_worker = (montecarlo.pass_bytes(scn.m, scn.v_total, scn.code_rows, 2, n)
+                          - montecarlo.pass_bytes(scn.m, scn.v_total, scn.code_rows, 1, n))
+            assert peak <= per_worker <= 3 * peak, (kw, law, peak, per_worker)
 
     def test_pass_bytes_bounds_the_subspace_arrays(self):
         """The config-time estimate covers W, A and the tables the engine builds."""
@@ -450,29 +467,6 @@ class TestTraceContract:
         want = [(TAG_FRAME, 0, b) for b in (0, 0, 1)] + [(TAG_RIS, 2, b) for b in (0, 0, 1)]
         assert sorted(calls["streams"]) == sorted(want)
         assert calls["shifts"] == 2 * 2
-
-    def test_repeated_pass_rekeys_every_stream(self, two_ris_scenario, monkeypatch):
-        """On one thread, every stream of a second two-surface pass is the thread's
-        cached generator of its tag, re-keyed, not a new one."""
-        plan = plan_for(two_ris_scenario, trials=2 * BLOCK)
-        substream, rekeyed = montecarlo.substream, []
-
-        def watching(seed, tag, ris_id, block):  # holds ids only, never a generator
-            cached = id(signal._streams.slots.get(tag))
-            gen = substream(seed, tag, ris_id, block)
-            rekeyed.append(id(gen) == cached)
-            return gen
-
-        def run():  # on a new thread, whose cache no other test has touched
-            confusion(plan, (3.0,))
-            monkeypatch.setattr(montecarlo, "substream", watching)
-            confusion(plan, (3.0,))
-
-        t = threading.Thread(target=run)
-        t.start()
-        t.join(timeout=120)
-        assert not t.is_alive()
-        assert rekeyed == [True] * 6  # per block: the frame stream, then each surface's
 
 
 class TestKeptPassSetup:
@@ -582,6 +576,11 @@ class TestDecisionSweep:
         plan = plan_for(two_ris_scenario, escalate=False)
         sweep = decision_sweep(plan, 1, (0.0,), {1: True}, count_missed=True)
         assert sweep[0].events == 0
+
+    def test_rejects_forced_id_no_surface_has(self, two_ris_scenario):
+        """A forced surface the scenario lacks is named, not silently left on its fair coin."""
+        with pytest.raises(ValueError, match=r"forced: no surface has id 3; the scenario's ids are \[1, 2\]"):
+            decision_sweep(plan_for(two_ris_scenario), 1, (3.0,), {1: True, 3: False})
 
 
 class TestConfusion:

@@ -203,7 +203,7 @@ class TestSynthesizeFrame:
             opened.append((tag, ris_id))
             return oracle(seed, tag, ris_id, block)
 
-        monkeypatch.setattr(signal, "substream", spy)
+        monkeypatch.setattr(signal, "_frame_stream", spy)
         fr = synthesize_frame(profiles, 2, 0.1, 1.0, seed=2, frame_index=1,
                               reachability={1: True, 2: False})
         assert [i for tag, i in opened if tag == TAG_RIS] == [1]
@@ -237,6 +237,16 @@ class TestSynthesizeFrame:
         with pytest.raises(ValueError, match="surface id 7 carries the code of id 1"):
             synthesize_frame([p], 2, 0.1, 1.0, seed=1)
 
+    def test_rejects_reachability_naming_no_surface(self):
+        profiles = make_profiles()  # surface 1 alone
+        with pytest.raises(ValueError, match="reachability names surface id 2, which no profile has"):
+            synthesize_frame(profiles, 2, 0.1, 1.0, seed=1, reachability={1: True, 2: False})
+
+    def test_rejects_correlations_naming_no_surface(self):
+        profiles = make_profiles()  # surface 1 alone, which would silently keep its sinc matrix
+        with pytest.raises(ValueError, match="correlations names surface id 2, which no profile has"):
+            synthesize_frame(profiles, 2, 0.1, 1.0, seed=1, correlations={2: identity_correlation(4)})
+
     def test_rejects_correlation_of_another_size(self):
         profiles = make_profiles(n=16, rows=(7,))
         with pytest.raises(ValueError, match="surface id 1 has 4 elements, its geometry 16"):
@@ -261,20 +271,26 @@ class TestSubstream:
                 assert np.array_equal(draws(substream(seed, tag, ris_id, block)),
                                       draws(oracle(seed, tag, ris_id, block)))
 
-    def test_released_stream_is_rekeyed_in_place(self):
-        ids = []
+    def test_two_surface_frames_build_one_philox(self, monkeypatch):
+        """On a new thread, frames re-key one generator for the frame stream and every
+        surface stream; ``substream`` is not asked for one."""
+        profiles = make_profiles(rows=(1, 2))
+        philox, built = np.random.Philox, []
 
-        def run():  # on a new thread, whose cache no other test has touched
-            rs = substream(1, TAG_RIS, 1, 0)
-            ids.append(id(rs))
-            del rs
-            ids.append(id(substream(1, TAG_RIS, 2, 0)))  # the cache still holds the first one
+        def counting(*args, **kwargs):
+            built.append(args)
+            return philox(*args, **kwargs)
 
+        def run():
+            for index in range(3):
+                synthesize_frame(profiles, 2, 0.1, 1.0, seed=1, frame_index=index)
+
+        monkeypatch.setattr(np.random, "Philox", counting)
         t = threading.Thread(target=run)
         t.start()
         t.join(timeout=60)
         assert not t.is_alive()
-        assert len(ids) == 2 and ids[0] == ids[1]
+        assert len(built) == 1
 
     def test_held_stream_keeps_its_own_sequence(self):
         held = substream(11, TAG_RIS, 1, 4)
@@ -312,7 +328,7 @@ class TestSubstream:
         keys = [(seed, index) for seed in (0, 9, 2**64 - 1) for index in (0, 1, 2**40 - 1)]
         got = [frame_bytes(synthesize_frame(profiles, 2, 0.1, 1.0, seed=s, frame_index=i))
                for s, i in keys]
-        monkeypatch.setattr(signal, "substream", oracle)
+        monkeypatch.setattr(signal, "_frame_stream", oracle)
         want = [frame_bytes(synthesize_frame(profiles, 2, 0.1, 1.0, seed=s, frame_index=i))
                 for s, i in keys]
         assert got == want
@@ -324,21 +340,22 @@ class TestSubstream:
         def frames(seed, out):
             for index in range(150):
                 sub = profiles[: 1 + index % 3]
-                out.append(frame_bytes(synthesize_frame(sub, 2, 0.1, 1.0, seed=seed,
-                                                        frame_index=index, correlations=corrs)))
+                out.append(frame_bytes(synthesize_frame(
+                    sub, 2, 0.1, 1.0, seed=seed, frame_index=index,
+                    correlations={p.id: corrs[p.id] for p in sub})))
 
         want = {}
         for seed in (21, 22, 23):
             frames(seed, want.setdefault(seed, []))
         got = {seed: [] for seed in want}
-        refs = signal._refs
+        stream = signal._frame_stream
 
-        def yielding_refs(slots, tag):
-            counts = refs(slots, tag)
-            time.sleep(0)  # let another thread run between the ownership check and the take
-            return counts
+        def yielding_stream(seed, tag, ris_id, block):
+            gen = stream(seed, tag, ris_id, block)
+            time.sleep(0)  # let another thread run between the re-key and the draws
+            return gen
 
-        monkeypatch.setattr(signal, "_refs", yielding_refs)
+        monkeypatch.setattr(signal, "_frame_stream", yielding_stream)
         threads = [threading.Thread(target=frames, args=(seed, got[seed])) for seed in want]
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
