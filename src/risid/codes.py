@@ -44,9 +44,13 @@ def hadamard_matrix(m: int) -> np.ndarray:
     """
     if not _is_power_of_two(m):
         raise ValueError(f"Hadamard order must be a power of two, got {m}")
-    h = np.array([[1]], dtype=np.int64)
-    while h.shape[0] < m:
-        h = np.block([[h, h], [h, -h]])
+    h = np.empty((m, m), dtype=np.int64)  # doubled in place: peak memory is the matrix
+    h[0, 0] = 1
+    k = 1
+    while k < m:
+        h[:k, k : 2 * k] = h[k : 2 * k, :k] = h[:k, :k]
+        np.negative(h[:k, :k], out=h[k : 2 * k, k : 2 * k])
+        k *= 2
     return h
 
 
@@ -91,8 +95,7 @@ def all_shifts(seq: BinarySequence) -> np.ndarray:
     Row M-1 (shift by M) equals the unshifted sequence.
     """
     m = seq.length
-    idx = (np.arange(1, m + 1)[:, None] + np.arange(m)[None, :]) % m
-    return seq.symbols[idx]
+    return np.lib.stride_tricks.sliding_window_view(np.tile(seq.symbols, 2), m)[1 : m + 1].copy()
 
 
 def sign_classes(shifts: np.ndarray) -> np.ndarray:
@@ -155,7 +158,7 @@ def build_codebook(m: int, assigned_rows: Sequence[int]) -> CodeBook:
             )
         if not 0 < r < m:
             raise ValueError(f"row index {r} out of range 1..{m - 1}")
-        entries.append(BinarySequence(id=l, symbols=h[r], row=r))
+        entries.append(BinarySequence(id=l, symbols=h[r].copy(), row=r))  # h is dropped
     return CodeBook(m=m, entries=tuple(entries))
 
 

@@ -19,7 +19,7 @@ import numpy as np
 
 from .channel import chunk_rows, compound_gains
 from .codes import all_shifts, sign_classes
-from .signal import TAG_FRAME, TAG_RIS, draw_frames, substream
+from .signal import TAG_FRAME, TAG_RIS, draw_noise, draw_pads, substream
 
 __all__ = [
     "BLOCK",
@@ -134,15 +134,15 @@ def pass_bytes(m: int, v_total: int, rows: Sequence[int], threads: int = 1, n: i
     """Upper bound on the bytes of one pass with ``threads`` workers, for Sylvester-Hadamard
     ``rows`` (row r's shifts fall in 2**floor(log2 r) sign classes): m x m matrices, W, its SVD
     and A (L x K), a v_total x m x R table per surface, and per worker what ``_block`` holds:
-    one frame of BLOCK x R complex coordinates, ten BLOCK-long vectors for the pad splits and
-    ten per surface (offsets, gains, table rows, metric, the gain draw's temporaries), and one
-    chunk's parts, gathered table rows and products (``_chunk_rows`` x (R + R + K), twice).
+    two BLOCK-long vectors for the pad splits and five per surface (metric, reachability, gains,
+    table rows, and the offset and gain draws' temporaries before the chunks), and one chunk's
+    noise, parts, gathered table rows and products (``_chunk_rows`` x (R + R + R + K), twice).
     ``n`` is the element count of correlated surfaces (0: uncorrelated), which adds the gain
     weights' N x N arrays and eigendecomposition (``channel.correlation_matrix``) and per worker
     one chunk of ``channel.chunk_rows(n, 4)`` x N exponential draws (``channel.compound_gains``)."""
     l, k = m + v_total, (v_total + 1) * sum(1 << (r.bit_length() - 1) for r in rows if r > 0)
     shared = (2 + 2 * len(rows)) * m * m + 4 * l * k + len(rows) * v_total * m * min(l, k) + 10 * n * n
-    block = (2 * BLOCK * min(l, k) + 10 * BLOCK * (1 + len(rows)) + 6 * _chunk_rows(k) * k
+    block = (BLOCK * (2 + 5 * len(rows)) + _chunk_rows(k) * (6 * min(l, k) + 2 * k + len(rows))
              + chunk_rows(n, 4) * n)
     return 8 * (shared + threads * block)
 
@@ -206,20 +206,21 @@ def _block(plan: TrialPlan, law: Mapping, profs, sub, blk: int, rows: slice):
     """Decision metric and true reachability of the ``rows`` of block ``blk``.
 
     The frame stream draws pad splits, then noise as R coordinates in the basis U
-    (``_subspace``). Each surface stream draws the fair coin (only under the coin law),
-    code offsets and compound-law gains; a surface forced off opens none. Each stream's
-    last draw (noise; the gains' normal pairs) stops at ``rows.stop`` and the others are
-    full-size, so every row gets a full block's draws. D is the largest |(U^T y) A|^2 over
-    each code's columns, taken over block-aligned chunks of ``_chunk_rows`` rows,
-    zero-padded so that every product has one shape and a row's bits never depend on which
-    rows a pass scores. Each chunk's noise gets every drawn surface's gain (0 where silent)
-    times its table row, in id order, so a block holds one frame of coordinates.
+    (``_subspace``), one correlator chunk at a time. Each surface stream draws the fair coin
+    (only under the coin law), code offsets and compound-law gains; a surface forced off
+    opens none. Each stream's last draw (noise; the gains' normal pairs) stops at
+    ``rows.stop`` and the others are full-size, so every row gets a full block's draws. D is
+    the largest |(U^T y) A|^2 over each code's columns, taken over block-aligned chunks of
+    ``_chunk_rows`` rows, zero-padded so that every product has one shape and a row's bits
+    never depend on which rows a pass scores. Each chunk draws its noise rows into one reused
+    buffer (a chunk before the first scored row is drawn there and dropped), then adds
+    every drawn surface's gain (0 where silent) times its table row, in id order, so a block
+    holds one chunk of coordinates and a few block-long vectors per surface.
     """
     scn = plan.scenario
     _, a, starts, tables = sub
     frame_rng = substream(plan.seed, TAG_FRAME, 0, blk)
-    v1, z = draw_frames(frame_rng, scn.v_total, a.shape[0], scn.noise_variance_w, BLOCK, rows.stop)
-    v1, z = v1[rows], z[rows]
+    v1 = draw_pads(frame_rng, scn.v_total, BLOCK)[rows]
     reach = np.zeros((BLOCK, len(profs)), dtype=bool)
     adds = []  # per drawn surface: gain, flat table row (v1 - 1) * m + c - 1, table as rows
     for j, p in enumerate(profs):
@@ -228,20 +229,24 @@ def _block(plan: TrialPlan, law: Mapping, profs, sub, blk: int, rows: slice):
             continue
         rs = substream(plan.seed, TAG_RIS, p.id, blk)
         reach[:, j] = rs.random(BLOCK) < 0.5 if rule is None else rule
-        c = rs.integers(1, scn.m + 1, size=BLOCK)[rows]
-        h = compound_gains(rs, p.n, p.gain_weights, BLOCK, scn.power_w, p.beta_ur, p.beta_rb, rows.stop)
-        adds.append((np.where(reach[rows, j], h[rows], 0.0), (v1 - 1) * scn.m + c - 1,
-                     tables[j].reshape(-1, a.shape[0])))
+        at = (v1 - 1) * scn.m + rs.integers(1, scn.m + 1, size=BLOCK)[rows] - 1
+        g = compound_gains(rs, p.n, p.gain_weights, BLOCK, scn.power_w, p.beta_ur, p.beta_rb, rows.stop)[rows]
+        g[~reach[rows, j]] = 0.0
+        adds.append((g, at, tables[j].reshape(-1, a.shape[0])))
     step = _chunk_rows(a.shape[1])
+    noise = np.empty((step, a.shape[0], 2))
     parts = np.zeros((2, step, a.shape[0]))  # real products need contiguous real and imaginary parts
     prods = np.empty((2, step, a.shape[1]))
-    metric = np.empty((len(z), len(profs)))
-    for lo in range(-(rows.start % step), len(z), step):
-        i0, i1 = max(lo, 0), min(lo + step, len(z))
+    metric = np.empty((len(v1), len(profs)))
+    for lo in range(-rows.start, len(v1), step):  # every chunk from the block's first row
+        i0, i1 = max(lo, 0), min(lo + step, len(v1))
+        z = draw_noise(frame_rng, noise[: i1 - lo], scn.noise_variance_w)[i0 - lo :]
+        if i1 <= 0:
+            continue  # before the first scored row: drawn and dropped
         if i1 - i0 < step:
             parts.fill(0.0)
         re, im = parts[0, i0 - lo : i1 - lo], parts[1, i0 - lo : i1 - lo]
-        re[:], im[:] = z[i0:i1].real, z[i0:i1].imag
+        re[:], im[:] = z.real, z.imag
         for g, at, table in adds:
             row = table.take(at[i0:i1], axis=0)
             re += g.real[i0:i1, None] * row

@@ -33,7 +33,8 @@ __all__ = [
     "noise_variance_from_bandwidth",
     "synthesize_frame",
     "substream",
-    "draw_frames",
+    "draw_pads",
+    "draw_noise",
     "TAG_FRAME",
     "TAG_RIS",
 ]
@@ -119,15 +120,19 @@ class ReceivedFrame:
         return len(self.samples)
 
 
-def draw_frames(rng: np.random.Generator, v_total: int, length: int, noise_variance: float,
-                size: int, stop: int | None = None):
-    """``size`` pad splits v1, then CN(0, noise_variance) frames (stop, length) for the first
-    ``stop`` (default all) of them, in that order: m + v_total samples, or their coordinates in
-    an orthonormal basis. Arrays fill in C order from one stream: the frames are a full draw's."""
-    v1 = rng.integers(1, v_total + 1, size=size)
-    y = rng.standard_normal((size if stop is None else stop, length, 2)).view(np.complex128)[..., 0]
-    y *= math.sqrt(noise_variance / 2.0)
-    return v1, y
+def draw_pads(rng: np.random.Generator, v_total: int, size: int) -> np.ndarray:
+    """``size`` pad splits v1, uniform on {1..v_total}: a frame stream's first draw."""
+    return rng.integers(1, v_total + 1, size=size)
+
+
+def draw_noise(rng: np.random.Generator, out: np.ndarray, noise_variance: float) -> np.ndarray:
+    """The stream's next ``len(out)`` CN(0, noise_variance) rows, written to ``out`` (rows,
+    length, 2) and returned as its complex view (rows, length): m + v_total samples, or their
+    coordinates in an orthonormal basis. Normals fill in C order from one stream, so rows drawn
+    in pieces after ``draw_pads`` are a full draw's."""
+    rng.standard_normal(out=out)
+    out *= math.sqrt(noise_variance / 2.0)
+    return out.view(np.complex128)[..., 0]
 
 
 @lru_cache(maxsize=16)
@@ -160,7 +165,8 @@ def synthesize_frame(
     elements, drawn as Gamma(N)); neither may name an id no surface has. The
     pad split, code offset and h~ are drawn as in the Monte Carlo engine, h~
     by its compound law (``compound_gains``) with the matrix's ``weights``;
-    the noise is all L samples, where the engine draws subspace coordinates.
+    the noise is one row of all L samples (``draw_noise``), where the engine
+    draws chunks of rows of subspace coordinates.
     """
     if not profiles:
         raise ValueError("at least one surface profile is required")
@@ -186,8 +192,9 @@ def synthesize_frame(
     if not 1 <= v_total < m:
         raise ValueError("pad budget must satisfy 1 <= v_total < M")
 
-    v1, y = draw_frames(_frame_stream(seed, TAG_FRAME, 0, frame_index), v_total, m + v_total,
-                        noise_variance, 1)
+    rng = _frame_stream(seed, TAG_FRAME, 0, frame_index)
+    v1 = draw_pads(rng, v_total, 1)
+    y = draw_noise(rng, np.empty((1, m + v_total, 2)), noise_variance)
     c_per_ris, gains, reach_map = {}, {}, {}
     for p in sorted(profiles, key=lambda q: q.id):
         reach_map[p.id] = reachability is None or bool(reachability[p.id])

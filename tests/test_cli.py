@@ -510,6 +510,10 @@ class TestSubcommands:
                 assert (out / name).read_bytes() == (outs[0] / name).read_bytes()
 
 
+ALL_ROWS_64 = tuple(range(1, 64))  # every usable row at m = 64: 63 surfaces, 20 MiB a worker
+ROWS_64_TEXT = ", ".join(map(str, ALL_ROWS_64))
+
+
 class TestExitCodes:
     def test_config_error_is_two(self, tmp_path, capsys):
         cfg = tmp_path / "c.txt"
@@ -728,13 +732,14 @@ class TestExitCodes:
         assert not (tmp_path / "o").exists()
 
     def test_pass_memory_counts_every_worker(self, tmp_path, capsys, monkeypatch):
-        """About 35 MiB of block arrays per worker: one or eight workers fit the limit, 64 do not."""
-        assert montecarlo.pass_bytes(256, 4, (255,)) <= montecarlo.MAX_PASS_BYTES
-        assert montecarlo.pass_bytes(256, 4, (255,), threads=8) <= montecarlo.MAX_PASS_BYTES
-        assert montecarlo.pass_bytes(256, 4, (255,), threads=64) > montecarlo.MAX_PASS_BYTES
+        """About 20 MiB of block arrays per worker at m = 64 with all 63 usable rows as surfaces:
+        one or eight workers fit the limit, 64 do not."""
+        assert montecarlo.pass_bytes(64, 4, ALL_ROWS_64) <= montecarlo.MAX_PASS_BYTES
+        assert montecarlo.pass_bytes(64, 4, ALL_ROWS_64, threads=8) <= montecarlo.MAX_PASS_BYTES
+        assert montecarlo.pass_bytes(64, 4, ALL_ROWS_64, threads=64) > montecarlo.MAX_PASS_BYTES
         cfg = tmp_path / "c.txt"
-        cfg.write_text("trials = 1000\nm = 256\nv_total = 4\ncode_rows = 255\n")
-        assert scenario_from_config(parse_config_text(cfg.read_text())).m == 256
+        cfg.write_text(f"trials = 1000\nm = 64\nv_total = 4\ncode_rows = {ROWS_64_TEXT}\n")
+        assert scenario_from_config(parse_config_text(cfg.read_text())).m == 64
         argv = ["pf-single", "--config", str(cfg), "--out", str(tmp_path / "o")]
         tracemalloc.start()
         try:
@@ -745,7 +750,7 @@ class TestExitCodes:
         finally:
             tracemalloc.stop()
         err = capsys.readouterr().err
-        assert err.count("c.txt:2: config error: m = 256, v_total = 4 and code rows (255,) need") == 2
+        assert err.count(f"c.txt:2: config error: m = 64, v_total = 4 and code rows {ALL_ROWS_64} need") == 2
         assert err.count("GiB per simulation pass with 64 worker threads") == 2
         assert peak < 16 * 2**20
         assert not (tmp_path / "o").exists()
@@ -799,9 +804,10 @@ class TestExitCodes:
                 "p_dbm = 2830.0: p_dbm puts the mean received peak") in capsys.readouterr().err
 
     def test_pass_memory_checks_the_m_run_not_an_unread_sweep(self, tmp_path, capsys):
-        """pmiss-n never reads m_values, so it runs, and the rule checks, m = 256 at 64 workers."""
+        """pmiss-n never reads m_values, so it runs, and the rule checks, m = 64 with 63 surfaces
+        at 64 workers."""
         cfg = tmp_path / "c.txt"
-        cfg.write_text("trials = 1000\nm = 256\nv_total = 4\ncode_rows = 255\nm_values = 16\n")
+        cfg.write_text(f"trials = 1000\nm = 64\nv_total = 4\ncode_rows = {ROWS_64_TEXT}\nm_values = 16\n")
         tracemalloc.start()
         try:
             code = main(["pmiss-n", "--config", str(cfg), "--out", str(tmp_path / "o"),
@@ -811,7 +817,7 @@ class TestExitCodes:
             tracemalloc.stop()
         assert code == 2
         err = capsys.readouterr().err
-        assert "c.txt:2: config error: m = 256, v_total = 4 and code rows (255,) need" in err
+        assert f"c.txt:2: config error: m = 64, v_total = 4 and code rows {ALL_ROWS_64} need" in err
         assert "GiB per simulation pass with 64 worker threads" in err
         assert peak < 16 * 2**20
         assert not (tmp_path / "o").exists()

@@ -31,7 +31,7 @@ from risid.montecarlo import (
     wilson_interval,
     _run_blocks,
 )
-from risid.signal import TAG_FRAME, TAG_RIS, draw_frames
+from risid.signal import TAG_FRAME, TAG_RIS, draw_noise, draw_pads
 
 
 def plan_for(scenario, trials=None, seed=None, threads=1, **kw):
@@ -174,9 +174,10 @@ class TestPrefixDraws:
             assert np.array_equal(split_reach, reach), n
 
     def test_partial_pass_draws_only_its_rows(self, monkeypatch):
-        """A pass over [0, 2000) asks for 2000 x R noise pairs and 2000 gain pairs."""
+        """A pass over [0, 2000) asks for 2000 x R noise pairs, in chunks of at most
+        ``_chunk_rows(K)`` rows, and 2000 gain pairs."""
         scn = Scenario(m=32, v_total=8, code_rows=(1, 2), n_elements=16, n_horizontal=4, seed=3)
-        r = montecarlo._subspace(scn.sim_profiles(), scn.m, scn.v_total)[1].shape[0]
+        r, k = montecarlo._subspace(scn.sim_profiles(), scn.m, scn.v_total)[1].shape
         sizes = []
         substream = montecarlo.substream
 
@@ -186,15 +187,19 @@ class TestPrefixDraws:
 
             def __getattr__(self, name):
                 def draw(*args, **kwargs):
-                    sizes.append((self.tag, name, kwargs.get("size", args[-1] if args else None)))
+                    size = kwargs["out"].shape if "out" in kwargs else kwargs.get("size", args[-1])
+                    sizes.append((self.tag, name, size))
                     return getattr(self.gen, name)(*args, **kwargs)
                 return draw
 
         monkeypatch.setattr(montecarlo, "substream", lambda seed, tag, ris_id, block:
                             Recording(substream(seed, tag, ris_id, block), tag))
         self.rows_of(plan_for(scn), {2: True}, [(0, 2000)])
-        assert sizes == [
-            (TAG_FRAME, "integers", BLOCK), (TAG_FRAME, "standard_normal", (2000, r, 2)),
+        noise = [size for tag, name, size in sizes if (tag, name) == (TAG_FRAME, "standard_normal")]
+        assert sum(size[0] for size in noise) == 2000
+        assert all(size[0] <= montecarlo._chunk_rows(k) and size[1:] == (r, 2) for size in noise)
+        assert [c for c in sizes if c[:2] != (TAG_FRAME, "standard_normal")] == [
+            (TAG_FRAME, "integers", BLOCK),
             (TAG_RIS, "random", BLOCK), (TAG_RIS, "integers", BLOCK),
             (TAG_RIS, "standard_gamma", BLOCK), (TAG_RIS, "standard_normal", (2000, 2)),
             (TAG_RIS, "integers", BLOCK), (TAG_RIS, "standard_gamma", BLOCK),
@@ -266,29 +271,40 @@ class TestEngineMatchesDetector:
 
     @staticmethod
     def engine_and_frames(monkeypatch, scn):
-        """(frames, scored) over every block of ``scn``, one array of each per block."""
+        """(frames, scored) over every block of ``scn``, one array of each per block: a block's
+        frame is the rows of its noise chunks, in order."""
         profs = scn.sim_profiles()
         u = montecarlo._subspace(profs, scn.m, scn.v_total)[0]
+        length = scn.m + scn.v_total
         rng = np.random.default_rng(41)
-        frames, scored = [], []
+        pads, chunks, scored = [], [], []
 
-        def frame_coordinates(stream, v_total, length, noise_variance, size, stop):
-            assert length == u.shape[1]
-            v1, y = draw_frames(rng, v_total, scn.m + v_total, noise_variance, size, stop)
+        def frame_pads(stream, v_total, size):
+            pads.append(draw_pads(rng, v_total, size))
+            chunks.append([])
+            return pads[-1]
+
+        def frame_coordinates(stream, out, noise_variance):
+            assert out.shape[1:] == (u.shape[1], 2)
+            at = sum(map(len, chunks[-1]))
+            y = draw_noise(rng, np.empty((len(out), length, 2)), noise_variance)
             for p in profs:
-                amp = 3 * np.sqrt(noise_variance) * rng.standard_normal(stop)
-                for t in range(stop):
-                    y[t] += amp[t] * laid(p.code, v1[t], rng.integers(1, scn.m + 1), scn.m + v_total)
-            frames.append(y)
-            return v1, y @ u
+                amp = 3 * np.sqrt(noise_variance) * rng.standard_normal(len(out))
+                for t in range(len(out)):
+                    y[t] += amp[t] * laid(p.code, pads[-1][at + t], rng.integers(1, scn.m + 1), length)
+            chunks[-1].append(y)
+            z = out.view(np.complex128)[..., 0]
+            z[:] = y @ u
+            return z
 
         def consume(metric, reach):
             scored.append(metric.copy())
             return (np.zeros(1, dtype=np.int64),)
 
-        monkeypatch.setattr(montecarlo, "draw_frames", frame_coordinates)
+        monkeypatch.setattr(montecarlo, "draw_pads", frame_pads)
+        monkeypatch.setattr(montecarlo, "draw_noise", frame_coordinates)
         _run_blocks(plan_for(scn), {p.id: False for p in profs}, 0, scn.trials, consume)
-        return frames, scored
+        return [np.concatenate(c) for c in chunks], scored
 
     @staticmethod
     def assert_matches_detect(scn, frames, scored):
@@ -309,7 +325,7 @@ class TestEngineMatchesDetector:
             spacing="tenth-lambda", p_dbm=-5.0, trials=BLOCK + 700, seed=23,
         )
         frames, scored = self.engine_and_frames(monkeypatch, scn)
-        assert [len(s) for s in scored] == [BLOCK, 700] and len(frames) == 2
+        assert [len(y) for y in frames] == [len(s) for s in scored] == [BLOCK, 700]  # a frame a block
         self.assert_matches_detect(scn, frames, scored)
 
     @pytest.mark.parametrize("m, rows", CASES)
@@ -323,7 +339,7 @@ class TestEngineMatchesDetector:
         per_offset = np.diff(list(starts) + [a.shape[1]]) // (scn.v_total + 1)
         assert list(per_offset) == [1 << (r.bit_length() - 1) for r in rows]  # M/2 at row M-1
         frames, scored = self.engine_and_frames(monkeypatch, scn)
-        assert [len(s) for s in scored] == [BLOCK]
+        assert [len(y) for y in frames] == [len(s) for s in scored] == [BLOCK]  # a frame a block
         self.assert_matches_detect(scn, frames, scored)
 
 
@@ -377,7 +393,8 @@ class TestSubspaceEngine:
         _run_blocks(plan_for(scn), {}, 0, n, consume)
         got, got_reach = np.concatenate(got), np.concatenate(got_reach)
         rng = np.random.default_rng(53)
-        v1, y = draw_frames(rng, scn.v_total, scn.m + scn.v_total, scn.noise_variance_w, n)
+        v1 = draw_pads(rng, scn.v_total, n)
+        y = draw_noise(rng, np.empty((n, scn.m + scn.v_total, 2)), scn.noise_variance_w)
         reach = rng.random((n, len(profs))) < 0.5
         for j, p in enumerate(profs):
             c = rng.integers(1, scn.m + 1, size=n)
@@ -400,6 +417,12 @@ class TestSubspaceEngine:
             scn, peak = block_peak(kw, law)
             frame = BLOCK * (scn.m + scn.v_total) * 16  # the frame path's complex frames
             assert peak <= frame + 2 * 2**20, (kw, law, peak)
+
+    def test_wide_block_holds_one_noise_chunk(self):
+        """At M = 256, row 255 (R = 132) a block's frame of noise coordinates is 17 MiB; the
+        block holds one correlator chunk of them (32 rows) and stays within 2 MiB."""
+        _, peak = block_peak(dict(m=256, v_total=4, code_rows=(255,)), {1: True})
+        assert peak <= 2 * 2**20, peak
 
     def test_pass_bytes_counts_a_block_per_worker(self):
         """``pass_bytes``' per-worker term holds a warmed block's traced peak, within 3x of it:
