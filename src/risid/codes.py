@@ -158,7 +158,7 @@ def build_codebook(m: int, assigned_rows: Sequence[int]) -> CodeBook:
             )
         if not 0 < r < m:
             raise ValueError(f"row index {r} out of range 1..{m - 1}")
-        entries.append(BinarySequence(id=l, symbols=h[r].copy(), row=r))  # h is dropped
+        entries.append(BinarySequence(id=l, symbols=h[r].copy(), row=r))  # a view would keep all of h
     return CodeBook(m=m, entries=tuple(entries))
 
 

@@ -136,7 +136,7 @@ def pass_bytes(m: int, v_total: int, rows: Sequence[int], threads: int = 1, n: i
     and A (L x K), a v_total x m x R table per surface, and per worker what ``_block`` holds:
     two BLOCK-long vectors for the pad splits and five per surface (metric, reachability, gains,
     table rows, and the offset and gain draws' temporaries before the chunks), and one chunk's
-    noise, parts, gathered table rows and products (``_chunk_rows`` x (R + R + R + K), twice).
+    noise, parts, gathered table rows, products (``_chunk_rows`` x (R + R + R + K), twice) and maxima.
     ``n`` is the element count of correlated surfaces (0: uncorrelated), which adds the gain
     weights' N x N arrays and eigendecomposition (``channel.correlation_matrix``) and per worker
     one chunk of ``channel.chunk_rows(n, 4)`` x N exponential draws (``channel.compound_gains``)."""
