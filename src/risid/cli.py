@@ -627,12 +627,12 @@ class _Command:
 
 def _sweep(help_text: str, labels: dict, law, surfaces=_Command.surfaces, **layout):
     """The row of a Monte Carlo subcommand: ``_mc_sweep`` over the passes of ``labels``,
-    paired with surface 2 when it needs at least two code rows."""
+    paired with surface 2 when it needs two code rows."""
     body = partial(_mc_sweep, labels=labels, law=law, paired=surfaces[0] >= 2, **layout)
     return _Command(body, help_text, surfaces, labels)
 
 
-_TWO_UP = (2, math.inf, "at least two")
+_TWO = (2, 2, "exactly two")  # the two-surface closed forms model one interferer
 
 COMMANDS = {
     "pf-single": _sweep("single-surface false detection vs threshold (CSV: kind,m,r_bar,value,ci,events)",
@@ -644,17 +644,17 @@ COMMANDS = {
     "pmiss-n": _sweep("miss detection vs power per surface size (CSV: kind,n,p_dbm,value,ci)",
                       {"n": "n_elements", "p_dbm": "p_dbm"}, {1: True}, over_grid=False),
     "pf-two-m": _sweep("two-surface false detection vs threshold per length (CSV: kind,m,r_bar,value,ci)",
-                       {"m": "m"}, {1: False}, _TWO_UP),
+                       {"m": "m"}, {1: False}, _TWO),
     "pf-two-np": _sweep("two-surface false detection vs threshold per size/power (CSV: kind,n,p_dbm,r_bar,value,ci)",
-                        {"n": "n_elements", "p_dbm": "p_dbm"}, {1: False}, _TWO_UP),
+                        {"n": "n_elements", "p_dbm": "p_dbm"}, {1: False}, _TWO),
     "pmiss-two-m": _sweep("two-surface miss detection vs threshold per length (CSV: kind,m,r_bar,value,ci)",
-                          {"m": "m"}, {1: True}, _TWO_UP),
+                          {"m": "m"}, {1: True}, _TWO),
     "pmiss-two-np": _sweep("two-surface miss detection vs threshold per size/power (CSV: kind,n,p_dbm,r_bar,value,ci)",
-                           {"n": "n_elements", "p_dbm": "p_dbm"}, {1: True}, _TWO_UP),
+                           {"n": "n_elements", "p_dbm": "p_dbm"}, {1: True}, _TWO),
     "tradeoff": _Command(cmd_tradeoff, "joint false/miss theory curves and threshold selection (CSV + JSON)",
-                         _TWO_UP),
+                         _TWO),
     "confusion": _Command(cmd_confusion, "reachability confusion matrices per threshold (JSON + CSV grids)",
-                          (2, 2, "exactly two"), {}),
+                          _TWO, {}),
     "five-ris": _Command(cmd_five_ris, "averaged miss/false rates for a five-surface code set (CSV)",
                          (5, 5, "exactly five"), {}),
     "theory": _Command(cmd_theory, "closed-form curves only (CSV: r_bar,value,kind,M,N,P_dBm)"),

@@ -37,21 +37,24 @@ def _is_power_of_two(n: int) -> bool:
     return n >= 1 and (n & (n - 1)) == 0
 
 
-def hadamard_matrix(m: int) -> np.ndarray:
-    """Sylvester-Hadamard matrix of order ``m`` (power of two), entries +/-1.
-
-    Satisfies H @ H.T == m * I exactly; row 0 is all ones.
-    """
+def _sylvester_rows(m: int, rows: Sequence[int]) -> np.ndarray:
+    """Rows ``rows`` of the order-``m`` Sylvester-Hadamard matrix (``m`` a power of two), by
+    doubling: row r of H_2k is row (r mod k) of H_k, then that row negated where r has bit k."""
     if not _is_power_of_two(m):
         raise ValueError(f"Hadamard order must be a power of two, got {m}")
-    h = np.empty((m, m), dtype=np.int64)  # doubled in place: peak memory is the matrix
-    h[0, 0] = 1
+    r = np.asarray(rows, dtype=np.int64).reshape(-1, 1)
+    h = np.ones((len(r), m), dtype=np.int64)
     k = 1
     while k < m:
-        h[:k, k : 2 * k] = h[k : 2 * k, :k] = h[:k, :k]
-        np.negative(h[:k, :k], out=h[k : 2 * k, k : 2 * k])
+        np.multiply(h[:, :k], np.where(r & k, -1, 1), out=h[:, k : 2 * k])
         k *= 2
     return h
+
+
+def hadamard_matrix(m: int) -> np.ndarray:
+    """Sylvester-Hadamard matrix of order ``m`` (power of two), entries +/-1: H @ H.T == m * I
+    exactly, and row 0 is all ones."""
+    return _sylvester_rows(m, range(m))
 
 
 @dataclass(frozen=True, eq=False)
@@ -125,16 +128,6 @@ class CodeBook:
     m: int
     entries: tuple
 
-    def __post_init__(self):
-        for a, b in combinations(self.entries, 2):
-            if int(np.dot(a.symbols, b.symbols)) != 0:
-                raise ValueError(f"codes for rows {a.row} and {b.row} are not orthogonal")
-        for a in self.entries:
-            if int(np.dot(a.symbols, a.symbols)) != self.m:
-                raise ValueError("sequence energy must equal its length")
-            if np.all(a.symbols == 1):
-                raise ValueError("the all-ones row is not a usable identity")
-
     def __len__(self) -> int:
         return len(self.entries)
 
@@ -148,9 +141,8 @@ def build_codebook(m: int, assigned_rows: Sequence[int]) -> CodeBook:
     rows = list(assigned_rows)
     if len(set(rows)) != len(rows):
         raise ValueError(f"assigned rows must be distinct, got {rows}")
-    h = hadamard_matrix(m)
-    entries = []
-    for l, r in enumerate(rows, start=1):
+    codes = _sylvester_rows(m, rows)
+    for r in rows:
         if r == 0:
             raise ValueError(
                 "row 0 is the all-ones sequence; it applies no modulation and "
@@ -158,7 +150,7 @@ def build_codebook(m: int, assigned_rows: Sequence[int]) -> CodeBook:
             )
         if not 0 < r < m:
             raise ValueError(f"row index {r} out of range 1..{m - 1}")
-        entries.append(BinarySequence(id=l, symbols=h[r].copy(), row=r))  # a view would keep all of h
+    entries = (BinarySequence(id=l, symbols=s, row=r) for l, (r, s) in enumerate(zip(rows, codes), 1))
     return CodeBook(m=m, entries=tuple(entries))
 
 

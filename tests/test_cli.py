@@ -618,6 +618,8 @@ class TestExitCodes:
             ("pmiss-two-np", "m = 16\nl_count = 1\n", 2),
             ("tradeoff", "code_rows = 3\nm = 16\n", 1),
             ("confusion", "m = 16\ncode_rows = 1, 2, 3\n", 2),
+            ("pf-two-m", "m = 16\ncode_rows = 1, 2, 3\n", 2),
+            ("tradeoff", "m = 16\ncode_rows = 1, 2, 3\n", 2),
             ("five-ris", "l_count = 4\nm = 16\n", 1),
             ("confusion", "code_rows = 1, 2\ntrials = 3\nr_bar_grid = 3\n", 2),
             ("confusion", "code_rows = 1, 2\nr_bar_grid = 3, 3.0000001\ntrials = 100\n", 2),
@@ -650,7 +652,8 @@ class TestExitCodes:
              "zero_threshold_design", "negative_seed", "seed_above_64_bits",
              "overflowing_range", "long_range", "nan_range", "long_int_list",
              "long_float_list", "one_surface_pf_two_m", "one_surface_from_l_count_pmiss_two_np",
-             "one_surface_tradeoff", "three_surfaces_confusion",
+             "one_surface_tradeoff", "three_surfaces_confusion", "three_surfaces_pf_two_m",
+             "three_surfaces_tradeoff",
              "four_surfaces_from_l_count_five_ris", "empty_true_state_confusion",
              "clashing_file_names_confusion", "surface_never_silent_five_ris",
              "power_overflow_of_a_sweep_combination",

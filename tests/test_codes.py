@@ -3,7 +3,9 @@
 import os
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
+from functools import reduce
 from itertools import combinations
 from pathlib import Path
 
@@ -52,6 +54,18 @@ class TestHadamard:
         with pytest.raises(ValueError):
             hadamard_matrix(m)
 
+    @pytest.mark.parametrize("m", [2**e for e in range(11)])
+    def test_matches_kronecker_oracle(self, m):
+        """H_m is the Kronecker product of log2(m) copies of [[1, 1], [1, -1]], and codebook
+        entries are its rows, for every order up to 1024."""
+        oracle = reduce(np.kron, [np.array([[1, 1], [1, -1]])] * (m.bit_length() - 1),
+                        np.ones((1, 1), dtype=np.int64))
+        h = hadamard_matrix(m)
+        assert h.dtype == np.int64 and np.array_equal(h, oracle)
+        rows = list(range(1, m))
+        for entry, r in zip(build_codebook(m, rows).entries, rows):
+            assert np.array_equal(entry.symbols, oracle[r])
+
 
 class TestCodebook:
     def test_all_usable_rows_orthogonal(self):
@@ -73,6 +87,16 @@ class TestCodebook:
     def test_rejects_out_of_range(self):
         with pytest.raises(ValueError, match="range"):
             build_codebook(16, [16])
+
+    def test_builds_only_its_rows(self):
+        """One code at m = 1024 traces under 1 MiB: no 1024 x 1024 matrix (8 MiB) behind it."""
+        tracemalloc.start()
+        try:
+            build_codebook(1024, [1023])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2**20, peak
 
 
 class TestCircularShift:
