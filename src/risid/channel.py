@@ -26,7 +26,7 @@ __all__ = [
     "correlation_matrix",
     "identity_correlation",
     "sample_channel",
-    "cascaded_gain",
+    "compound_scales",
     "compound_gains",
     "chunk_rows",
 ]
@@ -109,7 +109,7 @@ class CorrelationMatrix:
 
     @cached_property
     def weights(self) -> np.ndarray | None:
-        """``compound_gains`` weights lambda_i^2, computed once: R's squared eigenvalues above
+        """``compound_scales`` weights lambda_i^2, computed once: R's squared eigenvalues above
         1e-12 times the largest, off F's column norms; None exactly when R is the identity."""
         if np.count_nonzero(self.r) == self.n and (np.diagonal(self.r) == 1.0).all():
             return None
@@ -168,43 +168,36 @@ def chunk_rows(cols: int, least: int = 1) -> int:
     return max(least, 1 << (max(CHUNK_BYTES // (8 * max(cols, 1)), 1).bit_length() - 1))
 
 
-def compound_gains(
-    rng: np.random.Generator, n: int, weights, size: int,
-    power_w: float, beta_ur: float, beta_rb: float, stop: int | None = None,
-) -> np.ndarray:
-    """``size`` cascaded gains drawn from their exact compound law, without hops.
+def compound_scales(rng: np.random.Generator, n: int, weights, size: int) -> np.ndarray:
+    """``size`` scales s of the cascaded gain's compound law (``compound_gains``).
 
     With F = Q sqrt(Lambda), F^T F = Lambda, so the unscaled gain of two
     hops z F^T, z' F^T with z, z' ~ CN(0, 2 I) (``sample_channel`` before its
     sqrt(beta_hop / 2) scale) is sum_i lambda_i z_i z'_i. Given z it is
-    CN(0, 4 s) with s = sum_i lambda_i^2 E_i, E_i = |z_i|^2 / 2 ~ Exp(1):
-    the gain is sqrt(2 s) w with w a standard normal pair. ``weights`` None stands for R = I,
-    where s ~ Gamma(n) (at n = 1, the Exp(1) that weights [1] draw); otherwise it holds
-    ``CorrelationMatrix.weights``. Past 4 rows and ``CHUNK_BYTES``, the E_i are drawn and
+    CN(0, 4 s) with s = sum_i lambda_i^2 E_i, E_i = |z_i|^2 / 2 ~ Exp(1). ``weights`` None stands
+    for R = I, where s ~ Gamma(n) (at n = 1, the Exp(1) that weights [1] draw); otherwise it
+    holds ``CorrelationMatrix.weights``. Past 4 rows and ``CHUNK_BYTES``, the E_i are drawn and
     reduced in chunks of ``chunk_rows`` rows, at least 4, all of one shape: memory holds one
     chunk, and on OpenBLAS an 8192-row block gets the bits of one full-size product, which
-    chunks of 1, 2 or 7 rows do not give. Draws s, then w; with ``stop``, w and the gains only
-    for the first ``stop`` trials, which are those of a full draw (arrays fill in C order from
-    one stream).
+    chunks of 1, 2 or 7 rows do not give.
     """
     if weights is None:
-        s = rng.standard_gamma(n, size)
-    elif size <= 4 or 8 * size * len(weights) <= CHUNK_BYTES:
-        s = rng.standard_exponential((size, len(weights))) @ weights
-    else:
-        step = chunk_rows(len(weights), 4)
-        draws, s = np.empty((step, len(weights))), np.empty(size)
-        for i in range(0, size, step):
-            rng.standard_exponential(out=draws[: size - i])
-            s[i : i + step] = (draws @ weights)[: size - i]
-    w = rng.standard_normal((size if stop is None else stop, 2)).view(np.complex128)[:, 0]
-    return math.sqrt(power_w) * (math.sqrt(beta_ur * beta_rb) / 2.0) * (np.sqrt(2.0 * s[: len(w)]) * w)
+        return rng.standard_gamma(n, size)
+    if size <= 4 or 8 * size * len(weights) <= CHUNK_BYTES:
+        return rng.standard_exponential((size, len(weights))) @ weights
+    step = chunk_rows(len(weights), 4)
+    draws, s = np.empty((step, len(weights))), np.empty(size)
+    for i in range(0, size, step):
+        rng.standard_exponential(out=draws[: size - i])
+        s[i : i + step] = (draws @ weights)[: size - i]
+    return s
 
 
-def cascaded_gain(h_ur: np.ndarray, h_rb: np.ndarray, power_w: float) -> complex:
-    """Scalar gain of the whole reflected path: sqrt(P) * sum_i h_ur_i h_rb_i."""
-    h_ur = np.asarray(h_ur)
-    h_rb = np.asarray(h_rb)
-    if h_ur.shape != h_rb.shape:
-        raise ValueError("hop vectors must have equal length")
-    return complex(np.sqrt(power_w) * (h_ur * h_rb).sum())
+def compound_gains(rng: np.random.Generator, s: np.ndarray, power_w: float,
+                   beta_ur: float, beta_rb: float) -> np.ndarray:
+    """The cascaded gains of scales ``s`` (``compound_scales``): sqrt(P) sqrt(beta_ur beta_rb) / 2
+    times sqrt(2 s) w, with w the stream's next len(s) standard normal pairs. The pairs fill in
+    C order from one stream, so gains drawn for consecutive row ranges are those of one draw.
+    """
+    w = rng.standard_normal((len(s), 2)).view(np.complex128)[:, 0]
+    return math.sqrt(power_w) * (math.sqrt(beta_ur * beta_rb) / 2.0) * (np.sqrt(2.0 * s) * w)

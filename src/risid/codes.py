@@ -22,11 +22,9 @@ __all__ = [
     "CrossCorrPmf",
     "hadamard_matrix",
     "build_codebook",
-    "circular_shift",
     "all_shifts",
     "sign_classes",
     "distinct_shift_fraction",
-    "partial_cross_corr",
     "cross_corr_pmf",
     "uniform_offset_law",
     "rank_code_subsets",
@@ -80,16 +78,6 @@ class BinarySequence:
     @property
     def length(self) -> int:
         return int(self.symbols.size)
-
-
-def circular_shift(seq: BinarySequence, c: int) -> BinarySequence:
-    """Shift the symbols left by ``c`` positions, cyclically.
-
-    Element m of the output is element ((c+m-1) mod M)+1 of the input in
-    1-based terms; shifting by M (or 0) is the identity.
-    """
-    m = seq.length
-    return BinarySequence(seq.id, np.roll(seq.symbols, -(c % m)), seq.row)
 
 
 def all_shifts(seq: BinarySequence) -> np.ndarray:
@@ -152,40 +140,6 @@ def build_codebook(m: int, assigned_rows: Sequence[int]) -> CodeBook:
             raise ValueError(f"row index {r} out of range 1..{m - 1}")
     entries = (BinarySequence(id=l, symbols=s, row=r) for l, (r, s) in enumerate(zip(rows, codes), 1))
     return CodeBook(m=m, entries=tuple(entries))
-
-
-def partial_cross_corr(
-    code_l: BinarySequence, code_d: BinarySequence, c: int, k: int, v1: int
-) -> int:
-    """Signed overlap correlation between a shift hypothesis and a received code.
-
-    ``code_l`` is the detector's reference sequence, shifted left by ``c``.
-    ``code_d`` is the interfering sequence exactly as laid into the frame,
-    i.e. already carrying its own cyclic offset. The correlator window starts
-    ``k`` samples into the frame while the signal block starts at ``v1``, so
-    only the overlapping portion contributes:
-
-        k < v1 : window tail  (positions v1-k+1 .. M of the reference)
-        k = v1 : full window
-        k > v1 : window head  (positions 1 .. M+v1-k)
-
-    Returns 0 when the window misses the signal block entirely (k - v1 >= M).
-    Requires v1 < M.
-    """
-    m = code_l.length
-    if not 1 <= v1 < m:
-        raise ValueError(f"v1 must be in 1..{m - 1}, got {v1}")
-    if k < 0:
-        raise ValueError("k must be nonnegative")
-    t = k - v1
-    if t >= m:
-        return 0
-    if t < 0:
-        m2 = np.arange(v1 - k + 1, m + 1)
-    else:
-        m2 = np.arange(1, m - t + 1)
-    sl = np.roll(code_l.symbols, -(c % m))
-    return int(np.dot(sl[m2 - 1], code_d.symbols[m2 + t - 1]))
 
 
 def uniform_offset_law(v_total: int) -> dict:

@@ -17,30 +17,12 @@ import numpy as np
 
 from .codes import BinarySequence, all_shifts
 
-__all__ = ["PerRisDecision", "DetectionReport", "correlate", "detect", "run_ris_id"]
+__all__ = ["PerRisDecision", "DetectionReport", "detect", "run_ris_id"]
 
 
 def _samples_of(y) -> np.ndarray:
     samples = getattr(y, "samples", y)
     return np.asarray(samples, dtype=np.complex128)
-
-
-def correlate(y, code: BinarySequence, c: int, k: int) -> complex:
-    """Correlator output d = (1/sqrt(M)) * sum_m s_{c,m} y_{m+k}.
-
-    ``c`` selects the cyclic shift hypothesis (1..M, with M the identity) and
-    ``k`` the window offset into the frame (0..len(y)-M). The 1/sqrt(M)
-    normalization keeps the pure-noise output variance at the sample noise
-    variance.
-    """
-    samples = _samples_of(y)
-    m = code.length
-    if not 1 <= c <= m:
-        raise ValueError(f"shift hypothesis must be in 1..{m}, got {c}")
-    if not 0 <= k <= len(samples) - m:
-        raise ValueError(f"window offset must be in 0..{len(samples) - m}, got {k}")
-    shifted = np.roll(code.symbols, -c)
-    return complex(np.dot(shifted, samples[k : k + m]) / np.sqrt(m))
 
 
 @lru_cache(maxsize=64)

@@ -17,7 +17,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .channel import chunk_rows, compound_gains
+from .channel import chunk_rows, compound_gains, compound_scales
 from .codes import all_shifts, sign_classes
 from .signal import TAG_FRAME, TAG_RIS, draw_noise, draw_pads, substream
 
@@ -133,13 +133,13 @@ def _chunk_rows(k: int) -> int:
 def pass_bytes(m: int, v_total: int, rows: Sequence[int], threads: int = 1, n: int = 0) -> int:
     """Upper bound on the bytes of one pass with ``threads`` workers, for Sylvester-Hadamard
     ``rows`` (row r's shifts fall in 2**floor(log2 r) sign classes): m x m matrices, W, its SVD
-    and A (L x K), a v_total x m x R table per surface, and per worker what ``_block`` holds:
-    two BLOCK-long vectors for the pad splits and five per surface (metric, reachability, gains,
-    table rows, and the offset and gain draws' temporaries before the chunks), and one chunk's
-    noise, parts, gathered table rows, products (``_chunk_rows`` x (R + R + R + K), twice) and maxima.
-    ``n`` is the element count of correlated surfaces (0: uncorrelated), which adds the gain
-    weights' N x N arrays and eigendecomposition (``channel.correlation_matrix``) and per worker
-    one chunk of ``channel.chunk_rows(n, 4)`` x N exponential draws (``channel.compound_gains``)."""
+    and A (L x K), a v_total x m x R table per surface, and per worker what a ``_Block`` holds:
+    two BLOCK-long vectors for the pad splits and five per surface (metric, reachability, flat
+    table rows, scales s and the scored rows' gains), and one chunk's noise, parts, gathered
+    table rows, products (``_chunk_rows`` x (R + R + R + K), twice) and maxima. ``n`` is the
+    element count of correlated surfaces (0: uncorrelated), which adds the gain weights' N x N
+    arrays and eigendecomposition (``channel.correlation_matrix``) and per worker one chunk of
+    ``channel.chunk_rows(n, 4)`` x N exponential draws (``channel.compound_scales``)."""
     l, k = m + v_total, (v_total + 1) * sum(1 << (r.bit_length() - 1) for r in rows if r > 0)
     shared = (2 + 2 * len(rows)) * m * m + 4 * l * k + len(rows) * v_total * m * min(l, k) + 10 * n * n
     block = (BLOCK * (2 + 5 * len(rows)) + _chunk_rows(k) * (6 * min(l, k) + 2 * k + len(rows))
@@ -202,62 +202,88 @@ def _pool(threads: int) -> ThreadPoolExecutor:
     return pool
 
 
-def _block(plan: TrialPlan, law: Mapping, profs, sub, blk: int, rows: slice):
-    """Decision metric and true reachability of the ``rows`` of block ``blk``.
+class _Block:
+    """Block ``blk``'s streams, drawn in row order up to the last row scored so far.
 
-    The frame stream draws pad splits, then noise as R coordinates in the basis U
-    (``_subspace``), one correlator chunk at a time. Each surface stream draws the fair coin
-    (only under the coin law), code offsets and compound-law gains; a surface forced off
-    opens none. Each stream's last draw (noise; the gains' normal pairs) stops at
-    ``rows.stop`` and the others are full-size, so every row gets a full block's draws. D is
-    the largest |(U^T y) A|^2 over each code's columns, taken over block-aligned chunks of
-    ``_chunk_rows`` rows, zero-padded so that every product has one shape and a row's bits
-    never depend on which rows a pass scores. Each chunk draws its noise rows into one reused
-    buffer (a chunk before the first scored row is drawn there and dropped), then adds
-    every drawn surface's gain (0 where silent) times its table row, in id order, so a block
-    holds one chunk of coordinates and a few block-long vectors per surface.
+    The first ``score`` opens the frame stream and draws the pad splits, then per drawn surface,
+    in id order, opens its stream and draws the fair coin (only under the coin law), the code
+    offsets and the compound-law scales s (``channel.compound_scales``), full-size; a surface
+    forced off opens none. Every ``score`` continues the row-ordered draws from the first row
+    not yet drawn to ``rows.stop``: each surface's gain pairs (``channel.compound_gains``), then
+    the noise as R coordinates in the basis U (``_subspace``), one correlator chunk at a time.
+    So the first score makes one pass's draws, and rows scored over several calls in order see
+    the draws of one call. D is the largest |(U^T y) A|^2 over each code's columns, taken over
+    block-aligned chunks of ``_chunk_rows`` rows, zero-padded so that every product has one
+    shape and a row's bits never depend on which rows a pass scores. Each chunk draws its new
+    noise rows into one reused buffer (rows before the first scored row are drawn there and
+    dropped), then adds every drawn surface's gain (0 where silent) times its table row, in id
+    order, so a block holds one chunk of coordinates and a few block-long vectors per surface.
     """
-    scn = plan.scenario
-    _, a, starts, tables = sub
-    frame_rng = substream(plan.seed, TAG_FRAME, 0, blk)
-    v1 = draw_pads(frame_rng, scn.v_total, BLOCK)[rows]
-    reach = np.zeros((BLOCK, len(profs)), dtype=bool)
-    adds = []  # per drawn surface: gain, flat table row (v1 - 1) * m + c - 1, table as rows
-    for j, p in enumerate(profs):
-        rule = law.get(p.id, None)
-        if rule is False:
-            continue
-        rs = substream(plan.seed, TAG_RIS, p.id, blk)
-        reach[:, j] = rs.random(BLOCK) < 0.5 if rule is None else rule
-        at = (v1 - 1) * scn.m + rs.integers(1, scn.m + 1, size=BLOCK)[rows] - 1
-        g = compound_gains(rs, p.n, p.gain_weights, BLOCK, scn.power_w, p.beta_ur, p.beta_rb, rows.stop)[rows]
-        g[~reach[rows, j]] = 0.0
-        adds.append((g, at, tables[j].reshape(-1, a.shape[0])))
-    step = _chunk_rows(a.shape[1])
-    noise = np.empty((step, a.shape[0], 2))
-    parts = np.zeros((2, step, a.shape[0]))  # real products need contiguous real and imaginary parts
-    prods = np.empty((2, step, a.shape[1]))
-    metric = np.empty((len(v1), len(profs)))
-    for lo in range(-rows.start, len(v1), step):  # every chunk from the block's first row
-        i0, i1 = max(lo, 0), min(lo + step, len(v1))
-        z = draw_noise(frame_rng, noise[: i1 - lo], scn.noise_variance_w)[i0 - lo :]
-        if i1 <= 0:
-            continue  # before the first scored row: drawn and dropped
-        if i1 - i0 < step:
-            parts.fill(0.0)
-        re, im = parts[0, i0 - lo : i1 - lo], parts[1, i0 - lo : i1 - lo]
-        re[:], im[:] = z.real, z.imag
-        for g, at, table in adds:
-            row = table.take(at[i0:i1], axis=0)
-            re += g.real[i0:i1, None] * row
-            im += g.imag[i0:i1, None] * row
-        np.square(np.matmul(parts, a, out=prods), out=prods)
-        prods[0] += prods[1]
-        metric[i0:i1] = np.maximum.reduceat(prods[0, i0 - lo : i1 - lo], starts, axis=1)
-    return metric, reach[rows]
+
+    def __init__(self, plan: TrialPlan, law: Mapping, profs, sub, blk: int):
+        self.plan, self.law, self.profs, self.sub, self.blk = plan, law, profs, sub, blk
+        self.drawn, self.frame, self.reach, self.surfaces = 0, None, None, None  # drawn: rows drawn
+
+    def _open(self):
+        """Open the streams and make the full-size draws, yielding each drawn surface's
+        (column, profile, stream, flat table rows (v1 - 1) * m + c - 1, scales s) as it opens."""
+        scn, blk = self.plan.scenario, self.blk
+        self.frame = substream(self.plan.seed, TAG_FRAME, 0, blk)
+        v1 = draw_pads(self.frame, scn.v_total, BLOCK)
+        self.reach, self.surfaces = np.zeros((BLOCK, len(self.profs)), dtype=bool), []
+        for j, p in enumerate(self.profs):
+            rule = self.law.get(p.id, None)
+            if rule is False:
+                continue
+            rs = substream(self.plan.seed, TAG_RIS, p.id, blk)
+            self.reach[:, j] = rs.random(BLOCK) < 0.5 if rule is None else rule
+            at = (v1 - 1) * scn.m + rs.integers(1, scn.m + 1, size=BLOCK) - 1
+            self.surfaces.append((j, p, rs, at, compound_scales(rs, p.n, p.gain_weights, BLOCK)))
+            yield self.surfaces[-1]
+
+    def score(self, rows: slice):
+        """Decision metric and true reachability of ``rows``, which start at or after the
+        first row not yet drawn."""
+        scn, (_, a, starts, tables) = self.plan.scenario, self.sub
+        r0, r1, drawn = rows.start, rows.stop, self.drawn
+        adds = []  # per drawn surface: gain of each scored row, flat table row, table as rows
+        for j, p, rs, at, s in self._open() if self.surfaces is None else self.surfaces:
+            g = compound_gains(rs, s[drawn:r1], scn.power_w, p.beta_ur, p.beta_rb)[r0 - drawn :]
+            g[~self.reach[r0:r1, j]] = 0.0
+            adds.append((g, at[r0:r1], tables[j].reshape(-1, a.shape[0])))
+        self.drawn = r1
+        step = _chunk_rows(a.shape[1])
+        noise = np.empty((step, a.shape[0], 2))
+        parts = np.zeros((2, step, a.shape[0]))  # real products need contiguous real and imaginary parts
+        prods = np.empty((2, step, a.shape[1]))
+        metric = np.empty((r1 - r0, len(self.profs)))
+        for lo in range(drawn - drawn % step, r1, step):  # every chunk from the first row not drawn
+            new, i0, i1 = max(lo, drawn), max(lo, r0), min(lo + step, r1)
+            z = draw_noise(self.frame, noise[new - lo : i1 - lo], scn.noise_variance_w)[i0 - new :]
+            if i1 <= r0:
+                continue  # before the first scored row: drawn and dropped
+            if i1 - i0 < step:
+                parts.fill(0.0)
+            re, im = parts[0, i0 - lo : i1 - lo], parts[1, i0 - lo : i1 - lo]
+            re[:], im[:] = z.real, z.imag
+            for g, at, table in adds:
+                row = table.take(at[i0 - r0 : i1 - r0], axis=0)
+                re += g.real[i0 - r0 : i1 - r0, None] * row
+                im += g.imag[i0 - r0 : i1 - r0, None] * row
+            np.square(np.matmul(parts, a, out=prods), out=prods)
+            prods[0] += prods[1]
+            metric[i0 - r0 : i1 - r0] = np.maximum.reduceat(prods[0, i0 - lo : i1 - lo], starts, axis=1)
+        return metric, self.reach[rows]
 
 
-def _run_blocks(plan: TrialPlan, law: Mapping, t0: int, t1: int, consume):
+def _block(plan: TrialPlan, law: Mapping, profs, sub, blk: int, rows: slice):
+    """Decision metric and true reachability of the ``rows`` of block ``blk``, scored in one go:
+    each stream's row-ordered draws stop at ``rows.stop`` and the others are full-size, so
+    every row gets a full block's draws (``_Block``)."""
+    return _Block(plan, law, profs, sub, blk).score(rows)
+
+
+def _run_blocks(plan: TrialPlan, law: Mapping, t0: int, t1: int, consume, held: dict | None = None):
     """Apply ``consume(D, reach)`` to every block slice in [t0, t1).
 
     ``law`` maps a surface id to True (always reachable) or False (never);
@@ -267,13 +293,26 @@ def _run_blocks(plan: TrialPlan, law: Mapping, t0: int, t1: int, consume):
     stream up to its last scored trial, and every earlier draw full-size
     (``_block``), so trial t sees the same draws and the same metric bits
     regardless of the total trial count or how a run is split into passes.
+    With ``held``, a dict that one caller passes to its passes over
+    consecutive ranges, the block this pass stops in is kept there, and the
+    next pass scores on from that block's last drawn row (``_Block``)
+    instead of drawing its earlier rows again: a block's own worker moves it
+    in and out, so no more blocks are live than workers.
     """
     profs = _profiles(plan)
     sub = _subspace(profs, plan.scenario.m, plan.scenario.v_total)
 
     def one_block(blk: int):
         rows = slice(max(t0 - blk * BLOCK, 0), min(t1 - blk * BLOCK, BLOCK))
-        return consume(*_block(plan, law, profs, sub, blk, rows))
+        if held is None:
+            return consume(*_block(plan, law, profs, sub, blk, rows))
+        block = held.pop(blk, None)
+        if block is None or block.drawn > rows.start:
+            block = _Block(plan, law, profs, sub, blk)
+        out = consume(*block.score(rows))
+        if rows.stop < BLOCK:
+            held[blk] = block
+        return out
 
     blocks = range(t0 // BLOCK, (t1 - 1) // BLOCK + 1)
     if plan.threads > 1:
@@ -300,12 +339,14 @@ def _threshold_counter(plan: TrialPlan, target_ris: int, r_bars, count_missed: b
 
 
 def _escalated(plan: TrialPlan, law: Mapping, consume) -> Estimate:
-    """One-threshold count, extended tenfold up to the cap until 50 events."""
-    total = plan.trials
-    (events,) = _run_blocks(plan, law, 0, total, consume)
+    """One-threshold count, extended tenfold up to the cap until 50 events. Every pass hands
+    the block it stops in to the next (``_run_blocks``' ``held``), so each block opens its
+    streams once and draws each row once over all passes."""
+    total, held = plan.trials, {}
+    (events,) = _run_blocks(plan, law, 0, total, consume, held)
     while plan.escalate and events[0] < MIN_EVENTS and total < plan.max_trials:
         new_total = min(total * ESCALATION_FACTOR, plan.max_trials)
-        (extra,) = _run_blocks(plan, law, total, new_total, consume)
+        (extra,) = _run_blocks(plan, law, total, new_total, consume, held)
         events = events + extra
         total = new_total
     return _estimate(events[0], total)

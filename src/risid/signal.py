@@ -22,6 +22,7 @@ from .channel import (
     LinkBudget,
     RisGeometry,
     compound_gains,
+    compound_scales,
     correlation_matrix,
 )
 from .codes import BinarySequence
@@ -164,9 +165,9 @@ def synthesize_frame(
     of the surface's element count (``identity_correlation``: uncorrelated
     elements, drawn as Gamma(N)); neither may name an id no surface has. The
     pad split, code offset and h~ are drawn as in the Monte Carlo engine, h~
-    by its compound law (``compound_gains``) with the matrix's ``weights``;
-    the noise is one row of all L samples (``draw_noise``), where the engine
-    draws chunks of rows of subspace coordinates.
+    by its compound law (``compound_scales``, then ``compound_gains``) with the
+    matrix's ``weights``; the noise is one row of all L samples (``draw_noise``),
+    where the engine draws chunks of rows of subspace coordinates.
     """
     if not profiles:
         raise ValueError("at least one surface profile is required")
@@ -203,8 +204,8 @@ def synthesize_frame(
         corr = correlations[p.id] if p.id in correlations else _correlation_for(p.geometry)
         rng = _frame_stream(seed, TAG_RIS, p.id, frame_index)
         c = c_per_ris[p.id] = int(rng.integers(1, m + 1))
-        h = gains[p.id] = complex(compound_gains(rng, corr.n, corr.weights, 1, power_w,
-                                                 p.link.beta_ur, p.link.beta_rb)[0])
+        s = compound_scales(rng, corr.n, corr.weights, 1)
+        h = gains[p.id] = complex(compound_gains(rng, s, power_w, p.link.beta_ur, p.link.beta_rb)[0])
         sym, start = p.code.symbols, int(v1[0])
         y[0, start : start + m] += h * np.concatenate((sym[c:], sym[:c]))  # np.roll by -c
 

@@ -5,7 +5,79 @@ import pytest
 
 from risid.cli import Scenario
 from risid.codes import BinarySequence, all_shifts, hadamard_matrix
-from risid.detector import correlate
+
+
+def correlate(y, code, c, k):
+    """Correlator output d = (1/sqrt(M)) * sum_m s_{c,m} y_{m+k}: the single-window oracle
+    that ``detect``'s batched search is held to.
+
+    ``c`` selects the cyclic shift hypothesis (1..M, with M the identity) and
+    ``k`` the window offset into the frame (0..len(y)-M). The 1/sqrt(M)
+    normalization keeps the pure-noise output variance at the sample noise
+    variance.
+    """
+    samples = np.asarray(getattr(y, "samples", y), dtype=np.complex128)
+    m = code.length
+    if not 1 <= c <= m:
+        raise ValueError(f"shift hypothesis must be in 1..{m}, got {c}")
+    if not 0 <= k <= len(samples) - m:
+        raise ValueError(f"window offset must be in 0..{len(samples) - m}, got {k}")
+    shifted = np.roll(code.symbols, -c)
+    return complex(np.dot(shifted, samples[k : k + m]) / np.sqrt(m))
+
+
+def circular_shift(seq, c):
+    """Shift the symbols left by ``c`` positions, cyclically: lays an interferer at its offset
+    in the per-window oracles.
+
+    Element m of the output is element ((c+m-1) mod M)+1 of the input in
+    1-based terms; shifting by M (or 0) is the identity.
+    """
+    m = seq.length
+    return BinarySequence(seq.id, np.roll(seq.symbols, -(c % m)), seq.row)
+
+
+def partial_cross_corr(code_l, code_d, c, k, v1):
+    """Signed overlap correlation between a shift hypothesis and a received code: the
+    per-window oracle of ``cross_corr_pmf``'s enumeration.
+
+    ``code_l`` is the detector's reference sequence, shifted left by ``c``.
+    ``code_d`` is the interfering sequence exactly as laid into the frame,
+    i.e. already carrying its own cyclic offset. The correlator window starts
+    ``k`` samples into the frame while the signal block starts at ``v1``, so
+    only the overlapping portion contributes:
+
+        k < v1 : window tail  (positions v1-k+1 .. M of the reference)
+        k = v1 : full window
+        k > v1 : window head  (positions 1 .. M+v1-k)
+
+    Returns 0 when the window misses the signal block entirely (k - v1 >= M).
+    Requires v1 < M.
+    """
+    m = code_l.length
+    if not 1 <= v1 < m:
+        raise ValueError(f"v1 must be in 1..{m - 1}, got {v1}")
+    if k < 0:
+        raise ValueError("k must be nonnegative")
+    t = k - v1
+    if t >= m:
+        return 0
+    if t < 0:
+        m2 = np.arange(v1 - k + 1, m + 1)
+    else:
+        m2 = np.arange(1, m - t + 1)
+    sl = np.roll(code_l.symbols, -(c % m))
+    return int(np.dot(sl[m2 - 1], code_d.symbols[m2 + t - 1]))
+
+
+def cascaded_gain(h_ur, h_rb, power_w):
+    """Scalar gain of the whole reflected path, sqrt(P) * sum_i h_ur_i h_rb_i: the explicit-hop
+    gain the compound law is tested against."""
+    h_ur = np.asarray(h_ur)
+    h_rb = np.asarray(h_rb)
+    if h_ur.shape != h_rb.shape:
+        raise ValueError("hop vectors must have equal length")
+    return complex(np.sqrt(power_w) * (h_ur * h_rb).sum())
 
 
 def brute_force_detect(samples, code):

@@ -10,8 +10,8 @@ from risid.channel import (
     CorrelationMatrix,
     LinkBudget,
     RisGeometry,
-    cascaded_gain,
     compound_gains,
+    compound_scales,
     correlation_matrix,
     identity_correlation,
     path_gain,
@@ -19,6 +19,8 @@ from risid.channel import (
 )
 from risid.cli import SPACINGS, Scenario
 from risid.montecarlo import BLOCK
+
+from conftest import cascaded_gain
 
 C0 = 299792458.0
 
@@ -130,10 +132,11 @@ class TestWeights:
     def test_one_element_gamma_equals_unit_weight(self, stop):
         """Gamma(1) is drawn as the Exp(1) that weights [1] take: a one-element surface
         draws the same bits under either law."""
-        args = (5, 2.0, 0.3, 0.7, stop)  # size, power, per-hop gains, stop
-        gamma = compound_gains(np.random.default_rng(9), 1, None, *args)
-        unit = compound_gains(np.random.default_rng(9), 1, np.ones(1), *args)
-        assert np.array_equal(gamma, unit)
+        def gains(weights):
+            rng = np.random.default_rng(9)
+            return compound_gains(rng, compound_scales(rng, 1, weights, 5)[:stop], 2.0, 0.3, 0.7)
+
+        assert np.array_equal(gains(None), gains(np.ones(1)))
 
 
 class TestSampleChannel:
@@ -212,10 +215,9 @@ class TestCascadedGain:
             hu = sample_channel(corr, prof.beta_ur, rng, size=chunk)
             hb = sample_channel(corr, prof.beta_rb, rng, size=chunk)
             explicit += [abs(cascaded_gain(u, b, scn.power_w)) ** 2 for u, b in zip(hu, hb)]
-        compound = compound_gains(
-            np.random.default_rng(42), prof.n, prof.gain_weights, draws,
-            scn.power_w, prof.beta_ur, prof.beta_rb,
-        )
+        rng = np.random.default_rng(42)
+        s = compound_scales(rng, prof.n, prof.gain_weights, draws)
+        compound = compound_gains(rng, s, scn.power_w, prof.beta_ur, prof.beta_rb)
         assert stats.ks_2samp(explicit, np.abs(compound) ** 2).pvalue > 1e-3
 
 
@@ -228,7 +230,7 @@ class TestChunkedDraws:
         generator where that draw does."""
         weights = np.random.default_rng(n).uniform(0.1, 2.0, n)
         got_rng, ref_rng = (np.random.Generator(np.random.Philox(17)) for _ in range(2))
-        got = compound_gains(got_rng, n, weights, BLOCK, 2.0, 0.3, 0.7, stop)
+        got = compound_gains(got_rng, compound_scales(got_rng, n, weights, BLOCK)[:stop], 2.0, 0.3, 0.7)
         s = ref_rng.standard_exponential((BLOCK, n)) @ weights
         w = ref_rng.standard_normal((stop, 2)).view(np.complex128)[:, 0]
         ref = math.sqrt(2.0) * (math.sqrt(0.3 * 0.7) / 2.0) * (np.sqrt(2.0 * s[:stop]) * w)

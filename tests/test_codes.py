@@ -19,16 +19,14 @@ from risid.codes import (
     _pair_peaks,
     all_shifts,
     build_codebook,
-    circular_shift,
     cross_corr_pmf,
     distinct_shift_fraction,
     hadamard_matrix,
-    partial_cross_corr,
     rank_code_subsets,
     sign_classes,
     uniform_offset_law,
 )
-from conftest import brute_force_pmf
+from conftest import brute_force_pmf, circular_shift, partial_cross_corr
 
 
 class TestHadamard:

@@ -3,11 +3,17 @@
 import numpy as np
 import pytest
 
-from risid.codes import BinarySequence, build_codebook, hadamard_matrix, partial_cross_corr
-from risid.detector import correlate, detect, run_ris_id
+from risid.codes import BinarySequence, build_codebook, hadamard_matrix
+from risid.detector import detect, run_ris_id
 from risid.signal import synthesize_frame
 
-from conftest import brute_force_detect, brute_force_detect_same_kernel
+from conftest import (
+    brute_force_detect,
+    brute_force_detect_same_kernel,
+    circular_shift,
+    correlate,
+    partial_cross_corr,
+)
 from test_signal import make_profiles, identity_corrs
 
 
@@ -91,8 +97,6 @@ class TestDetect:
         metric, c_hat, k_hat = detect(fr, code_b)
         h = t.gains[1]
         got = metric * 16 / abs(h) ** 2
-        from risid.codes import circular_shift
-
         laid = circular_shift(code_a, t.c_per_ris[1])
         best = max(
             abs(partial_cross_corr(code_b, laid, c, k, t.v1))

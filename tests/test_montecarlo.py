@@ -16,7 +16,7 @@ from scipy.stats import ks_2samp
 
 import risid
 from risid import montecarlo
-from risid.channel import compound_gains
+from risid.channel import compound_gains, compound_scales
 from risid.cli import Scenario
 from risid.codes import all_shifts, sign_classes
 from risid.detector import detect
@@ -205,6 +205,100 @@ class TestPrefixDraws:
             (TAG_RIS, "integers", BLOCK), (TAG_RIS, "standard_gamma", BLOCK),
             (TAG_RIS, "standard_normal", (2000, 2)),
         ]
+
+
+def no_events(metric, reach):
+    """``consume`` that counts no event, so every escalating call runs to its cap."""
+    return (np.zeros(1, dtype=np.int64),)
+
+
+class TestResumedBlocks:
+    """An escalation hands the block a pass stopped in to the next pass, which scores on from
+    that block's last drawn row: every row sees one pass's draws and is drawn once."""
+
+    @pytest.fixture
+    def scored(self, monkeypatch):
+        """``scored(run)``: (metric, reach) of every row that ``run()`` scores, in trial order,
+        whichever worker or pass scored it."""
+        score, got = montecarlo._Block.score, {}
+
+        def recording(block, rows):
+            got[block.blk, rows.start] = score(block, rows)
+            return got[block.blk, rows.start]
+
+        monkeypatch.setattr(montecarlo._Block, "score", recording)
+
+        def scored(run):
+            got.clear()
+            run()
+            parts = [got[k] for k in sorted(got)]
+            return np.concatenate([p[0] for p in parts]), np.concatenate([p[1] for p in parts])
+
+        return scored
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    @pytest.mark.parametrize("spacing", ["none", "tenth-lambda"])
+    @pytest.mark.parametrize("law", [{}, {1: True}, {1: False}], ids=["coin", "forced_on", "forced_off"])
+    def test_escalated_passes_match_one_pass(self, scored, threads, spacing, law):
+        """``_escalated``'s passes [0, n) and [n, 10 n) against one pass over [0, 10 n): equal
+        metric bits and reachability, where the held block reuses its scales s and continues
+        its gain pairs and noise."""
+        scn = Scenario(
+            m=32, v_total=8, code_rows=(1, 2), n_elements=16, n_horizontal=4,
+            spacing=spacing, p_dbm=0.0, seed=71,
+        )
+        for n in (1, 700, BLOCK - 1, BLOCK + 1):
+            plan = plan_for(scn, trials=n, max_trials=10 * n, threads=threads)
+            metric, reach = scored(lambda: _run_blocks(plan, law, 0, 10 * n, no_events))
+            assert metric.shape == (10 * n, 2)
+            est = []
+            split_metric, split_reach = scored(lambda: est.append(montecarlo._escalated(plan, law, no_events)))
+            assert est[0].trials == 10 * n
+            assert np.array_equal(split_metric, metric), n
+            assert np.array_equal(split_reach, reach), n
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_escalating_estimate_draws_each_row_once(self, monkeypatch, threads):
+        """``estimate_pf`` escalating from 2000 to 20000 trials asks ``draw_noise`` for 20000
+        rows in all and opens the frame stream of each of its three blocks once."""
+        scn = Scenario(m=32, v_total=8, code_rows=(31,), n_elements=16, n_horizontal=4, seed=3)
+        rows, opened = [], []
+        substream, draw_noise = montecarlo.substream, montecarlo.draw_noise
+
+        def counting_substream(seed, tag, ris_id, block):
+            if tag == TAG_FRAME:
+                opened.append(block)
+            return substream(seed, tag, ris_id, block)
+
+        def counting_noise(rng, out, noise_variance):
+            rows.append(len(out))
+            return draw_noise(rng, out, noise_variance)
+
+        monkeypatch.setattr(montecarlo, "substream", counting_substream)
+        monkeypatch.setattr(montecarlo, "draw_noise", counting_noise)
+        est = estimate_pf(plan_for(scn, trials=2000, max_trials=20_000, threads=threads), 1, 1e3)
+        assert est.trials == 20_000 and est.events == 0
+        assert sum(rows) == 20_000
+        assert sorted(opened) == [0, 1, 2]
+
+    def test_escalation_peak_stays_within_a_worker(self):
+        """A warmed two-pass escalation, [0, 2000) then [2000, 20000), peaks within
+        ``pass_bytes``' per-worker term: the block held between passes is the one a worker
+        scores next, not one more."""
+        for kw, law in PEAK_CASES:
+            scn = Scenario(**{"n_elements": 64, "n_horizontal": 8, **kw}, p_dbm=15.0, seed=5)
+            plan = plan_for(scn, trials=2000, max_trials=20_000)
+            montecarlo._escalated(plan, law, no_events)  # fill the caches first
+            tracemalloc.start()
+            try:
+                montecarlo._escalated(plan, law, no_events)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            n = scn.n_elements if scn.spacing != "none" else 0
+            per_worker = (montecarlo.pass_bytes(scn.m, scn.v_total, scn.code_rows, 2, n)
+                          - montecarlo.pass_bytes(scn.m, scn.v_total, scn.code_rows, 1, n))
+            assert peak <= per_worker, (kw, law, peak, per_worker)
 
 
 class TestConditioning:
@@ -398,7 +492,8 @@ class TestSubspaceEngine:
         reach = rng.random((n, len(profs))) < 0.5
         for j, p in enumerate(profs):
             c = rng.integers(1, scn.m + 1, size=n)
-            h = compound_gains(rng, p.n, p.gain_weights, n, scn.power_w, p.beta_ur, p.beta_rb)
+            s = compound_scales(rng, p.n, p.gain_weights, n)
+            h = compound_gains(rng, s, scn.power_w, p.beta_ur, p.beta_rb)
             shifts = all_shifts(p.code)
             for t in np.flatnonzero(reach[:, j]):
                 y[t, v1[t] : v1[t] + scn.m] += h[t] * shifts[c[t] - 1]
@@ -486,8 +581,8 @@ class TestTraceContract:
         plan = plan_for(two_ris_scenario, trials=1000, max_trials=10_000)
         est = estimate_pf(plan, 1, 1e3)  # surface 1 forced off, no events
         assert est.trials == 10_000
-        # pass 1 draws block 0; the escalation pass covers blocks 0 and 1
-        want = [(TAG_FRAME, 0, b) for b in (0, 0, 1)] + [(TAG_RIS, 2, b) for b in (0, 0, 1)]
+        # pass 1 opens block 0; the escalation pass scores on in it and opens block 1
+        want = [(TAG_FRAME, 0, b) for b in (0, 1)] + [(TAG_RIS, 2, b) for b in (0, 1)]
         assert sorted(calls["streams"]) == sorted(want)
         assert calls["shifts"] == 2 * 2
 

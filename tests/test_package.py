@@ -15,10 +15,6 @@ MODULES = sorted(info.name for info in pkgutil.iter_modules(risid.__path__))
 
 # Exported names that no program calls, each kept for a reason.
 UNCALLED = {
-    "correlate": "the single-window correlator, the oracle detect's batched search is held to",
-    "partial_cross_corr": "the per-window overlap, the oracle of cross_corr_pmf's enumeration",
-    "circular_shift": "lays an interferer at its offset in the per-window oracles",
-    "cascaded_gain": "the explicit-hop gain the compound law is tested against",
     "rayleigh_cf": "the characteristic function behind the Gil-Pelaez reference",
     "gil_pelaez_cdf": "the reference CDF that pmiss_two's closed form is checked against",
     "estimate_pmiss": "estimate_pf's miss counterpart, the plain Monte Carlo reference for a "

@@ -13,6 +13,7 @@ from risid.channel import (
     LinkBudget,
     RisGeometry,
     compound_gains,
+    compound_scales,
     correlation_matrix,
     identity_correlation,
 )
@@ -173,26 +174,29 @@ class TestSynthesizeFrame:
 
     def test_truth_gain_is_the_compound_law_oracle(self):
         """Each surface's offset and h~, bit for bit: a new Philox keyed as ``substream``
-        documents draws the offset, then ``compound_gains`` with the matrix's ``weights``."""
+        documents draws the offset, then ``compound_scales`` with the matrix's ``weights`` and
+        ``compound_gains``."""
         profiles = make_profiles(rows=(1, 2))  # sinc-kernel correlation
         fr = synthesize_frame(profiles, 2, 0.1, 2.5, seed=8, frame_index=3)
         for p in profiles:
             rng = oracle(8, TAG_RIS, p.id, 3)
             assert fr.truth.c_per_ris[p.id] == rng.integers(1, p.code.length + 1)
             weights = correlation_matrix(p.geometry).weights
-            h = compound_gains(rng, p.geometry.n, weights, 1, 2.5, p.link.beta_ur, p.link.beta_rb)
+            s = compound_scales(rng, p.geometry.n, weights, 1)
+            h = compound_gains(rng, s, 2.5, p.link.beta_ur, p.link.beta_rb)
             assert fr.truth.gains[p.id] == h[0]
 
     def test_identity_gain_is_the_gamma_oracle(self):
         """R = I draws h~ by the engine's ``spacing = none`` law: the offset, then
-        ``compound_gains`` with weights None (one Gamma(N) draw)."""
+        ``compound_scales`` with weights None (one Gamma(N) draw) and ``compound_gains``."""
         profiles = make_profiles(m=16, n=8, rows=(15,))
         p = profiles[0]
         fr = synthesize_frame(profiles, 4, 0.1, 2.5, seed=6, frame_index=5,
                               correlations=identity_corrs(profiles))
         rng = oracle(6, TAG_RIS, p.id, 5)
         assert fr.truth.c_per_ris[p.id] == rng.integers(1, p.code.length + 1)
-        h = compound_gains(rng, p.geometry.n, None, 1, 2.5, p.link.beta_ur, p.link.beta_rb)
+        s = compound_scales(rng, p.geometry.n, None, 1)
+        h = compound_gains(rng, s, 2.5, p.link.beta_ur, p.link.beta_rb)
         assert fr.truth.gains[p.id] == h[0]
 
     def test_silent_surface_opens_no_stream(self, monkeypatch):
