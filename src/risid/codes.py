@@ -59,13 +59,11 @@ def hadamard_matrix(m: int) -> np.ndarray:
 class BinarySequence:
     """One surface identity: +/-1 symbol vector of power-of-two length.
 
-    ``id`` is the surface identifier the sequence is bound to; ``row`` records
-    which Hadamard row it came from (-1: none), for a codebook's errors to name.
+    ``id`` is the surface identifier the sequence is bound to.
     """
 
     id: int
     symbols: np.ndarray
-    row: int = -1
 
     def __post_init__(self):
         sym = np.asarray(self.symbols, dtype=np.int64)
@@ -138,7 +136,7 @@ def build_codebook(m: int, assigned_rows: Sequence[int]) -> CodeBook:
             )
         if not 0 < r < m:
             raise ValueError(f"row index {r} out of range 1..{m - 1}")
-    entries = (BinarySequence(id=l, symbols=s, row=r) for l, (r, s) in enumerate(zip(rows, codes), 1))
+    entries = (BinarySequence(id=l, symbols=s) for l, s in enumerate(codes, 1))
     return CodeBook(m=m, entries=tuple(entries))
 
 
@@ -264,7 +262,7 @@ def rank_code_subsets(m: int, subset_size: int, v1_span: int):
         raise ValueError(f"subset_size must be in 2..{m - 1}, got {subset_size}")
     if not 1 <= v1_span <= m - 1:
         raise ValueError(f"v1_span must be in 1..{m - 1}, got {v1_span}")
-    peaks = _pair_peaks([BinarySequence(id=r, symbols=h[r], row=r) for r in range(1, m)], v1_span)
+    peaks = _pair_peaks([BinarySequence(id=r, symbols=h[r]) for r in range(1, m)], v1_span)
     peaks = np.maximum(peaks, peaks.T)
     subsets = list(combinations(range(1, m), subset_size))
     idx = np.array(subsets) - 1

@@ -34,7 +34,7 @@ def circular_shift(seq, c):
     1-based terms; shifting by M (or 0) is the identity.
     """
     m = seq.length
-    return BinarySequence(seq.id, np.roll(seq.symbols, -(c % m)), seq.row)
+    return BinarySequence(seq.id, np.roll(seq.symbols, -(c % m)))
 
 
 def partial_cross_corr(code_l, code_d, c, k, v1):
@@ -150,7 +150,7 @@ def h16():
 @pytest.fixture(scope="session")
 def seq16():
     h = hadamard_matrix(16)
-    return {r: BinarySequence(id=r, symbols=h[r], row=r) for r in range(1, 16)}
+    return {r: BinarySequence(id=r, symbols=h[r]) for r in range(1, 16)}
 
 
 @pytest.fixture

@@ -152,8 +152,8 @@ class TestPartialCrossCorr:
 
     def test_m4_table_against_direct_summation(self):
         h = hadamard_matrix(4)
-        s1 = BinarySequence(id=1, symbols=h[1], row=1)
-        s2 = BinarySequence(id=2, symbols=h[2], row=2)
+        s1 = BinarySequence(id=1, symbols=h[1])
+        s2 = BinarySequence(id=2, symbols=h[2])
         v1 = 1
         for cd in range(1, 5):
             laid = circular_shift(s2, cd)
@@ -260,7 +260,7 @@ class TestBatchedPeakSearch:
     @pytest.mark.parametrize("m,size,span", [(8, 3, 2), (16, 3, 8), (16, 5, 4)])
     def test_ranking_matches_per_pair_search(self, m, size, span):
         h = hadamard_matrix(m)
-        seqs = [BinarySequence(id=r, symbols=h[r], row=r) for r in range(1, m)]
+        seqs = [BinarySequence(id=r, symbols=h[r]) for r in range(1, m)]
         peak = _pair_peak_oracle(seqs, span)
         expect = sorted(
             (max(peak[(a - 1, b - 1)] for a in rows for b in rows if a != b), rows)
@@ -294,7 +294,7 @@ class TestBatchedPeakSearch:
         # row 5 shifted by one is, up to sign, no row of the Hadamard matrix
         shifted = circular_shift(seq16[5], 1)
         assert np.all(np.abs(h @ shifted.symbols) < 16)
-        twin = BinarySequence(id=99, symbols=seq16[6].symbols, row=6)
+        twin = BinarySequence(id=99, symbols=seq16[6].symbols)
         for codes in ([seq16[1], seq16[6], twin], [seq16[3], seq16[8], shifted], [seq16[2], shifted, seq16[9]]):
             peaks = _pair_peaks(codes, 4)
             assert {pair: peaks[pair] for pair in _pair_peak_oracle(codes, 4)} == _pair_peak_oracle(codes, 4)
@@ -365,7 +365,7 @@ class TestSignClasses:
     @pytest.mark.parametrize("m", [16, 32])
     def test_classes_partition_every_hadamard_row(self, m):
         for row, symbols in enumerate(hadamard_matrix(m)):
-            seq = BinarySequence(1, symbols, row)
+            seq = BinarySequence(1, symbols)
             shifts = all_shifts(seq)
             classes = sign_classes(shifts)
             assert np.all(classes[:, 0] == 1)

@@ -255,7 +255,7 @@ class TestBatchedDetect:
         assert rebuilt is not first
         assert detect(y, rebuilt) == brute_force_detect_same_kernel(y, rebuilt)
         # a code whose symbols change in place is searched with its new symbols
-        edited = BinarySequence(1, hadamard_matrix(16)[11].copy(), 11)
+        edited = BinarySequence(1, hadamard_matrix(16)[11].copy())
         detect(y, edited)
         edited.symbols[:] = hadamard_matrix(16)[5]
         assert detect(y, edited) == brute_force_detect_same_kernel(y, edited)

@@ -175,36 +175,53 @@ class TestPrefixDraws:
 
     def test_partial_pass_draws_only_its_rows(self, monkeypatch):
         """A pass over [0, 2000) asks for 2000 x R noise pairs, in chunks of at most
-        ``_chunk_rows(K)`` rows, and 2000 gain pairs."""
+        ``_chunk_rows(K)`` rows, and 2000 gain pairs, in each stream's own order."""
         scn = Scenario(m=32, v_total=8, code_rows=(1, 2), n_elements=16, n_horizontal=4, seed=3)
         r, k = montecarlo._subspace(scn.sim_profiles(), scn.m, scn.v_total)[1].shape
-        sizes = []
+        calls = {}  # (tag, surface id) -> that stream's (method, size) in call order
         substream = montecarlo.substream
 
         class Recording:
-            def __init__(self, gen, tag):
-                self.gen, self.tag = gen, tag
+            def __init__(self, gen, stream):
+                self.gen, self.stream = gen, stream
 
             def __getattr__(self, name):
                 def draw(*args, **kwargs):
                     size = kwargs["out"].shape if "out" in kwargs else kwargs.get("size", args[-1])
-                    sizes.append((self.tag, name, size))
+                    calls.setdefault(self.stream, []).append((name, size))
                     return getattr(self.gen, name)(*args, **kwargs)
                 return draw
 
         monkeypatch.setattr(montecarlo, "substream", lambda seed, tag, ris_id, block:
-                            Recording(substream(seed, tag, ris_id, block), tag))
+                            Recording(substream(seed, tag, ris_id, block), (tag, ris_id)))
         self.rows_of(plan_for(scn), {2: True}, [(0, 2000)])
-        noise = [size for tag, name, size in sizes if (tag, name) == (TAG_FRAME, "standard_normal")]
-        assert sum(size[0] for size in noise) == 2000
-        assert all(size[0] <= montecarlo._chunk_rows(k) and size[1:] == (r, 2) for size in noise)
-        assert [c for c in sizes if c[:2] != (TAG_FRAME, "standard_normal")] == [
-            (TAG_FRAME, "integers", BLOCK),
-            (TAG_RIS, "random", BLOCK), (TAG_RIS, "integers", BLOCK),
-            (TAG_RIS, "standard_gamma", BLOCK), (TAG_RIS, "standard_normal", (2000, 2)),
-            (TAG_RIS, "integers", BLOCK), (TAG_RIS, "standard_gamma", BLOCK),
-            (TAG_RIS, "standard_normal", (2000, 2)),
-        ]
+        pads, *noise = calls.pop((TAG_FRAME, 0))
+        assert pads == ("integers", BLOCK)
+        assert all(name == "standard_normal" for name, _ in noise)
+        assert sum(size[0] for _, size in noise) == 2000
+        assert all(size[0] <= montecarlo._chunk_rows(k) and size[1:] == (r, 2) for _, size in noise)
+        assert calls == {
+            (TAG_RIS, 1): [("random", BLOCK), ("integers", BLOCK), ("standard_gamma", BLOCK),
+                           ("standard_normal", (2000, 2))],
+            (TAG_RIS, 2): [("integers", BLOCK), ("standard_gamma", BLOCK), ("standard_normal", (2000, 2))],
+        }
+
+    def test_held_block_drawn_past_the_start_is_made_anew(self):
+        """Passes [0, 2000) then [1000, 3000) sharing one ``held`` dict: the second pass
+        cannot score on from the held block's row 2000, so it gets rows [1000, 3000) of
+        one pass over [0, 3000)."""
+        scn = Scenario(m=32, v_total=8, code_rows=(1, 2), n_elements=16, n_horizontal=4, seed=3)
+        plan, held, got = plan_for(scn), {}, []
+
+        def consume(metric, reach):
+            got.append((metric.copy(), reach.copy()))
+            return (np.zeros(1, dtype=np.int64),)
+
+        _run_blocks(plan, {}, 0, 2000, consume, held)
+        assert held[0].drawn == 2000
+        _run_blocks(plan, {}, 1000, 3000, consume, held)
+        metric, reach = self.rows_of(plan, {}, [(0, 3000)])
+        assert np.array_equal(got[1][0], metric[1000:]) and np.array_equal(got[1][1], reach[1000:])
 
 
 def no_events(metric, reach):
@@ -222,9 +239,10 @@ class TestResumedBlocks:
         whichever worker or pass scored it."""
         score, got = montecarlo._Block.score, {}
 
-        def recording(block, rows):
-            got[block.blk, rows.start] = score(block, rows)
-            return got[block.blk, rows.start]
+        def recording(block, stop):
+            key = block.blk, block.drawn
+            got[key] = score(block, stop)
+            return got[key]
 
         monkeypatch.setattr(montecarlo._Block, "score", recording)
 
@@ -600,13 +618,13 @@ class TestKeptPassSetup:
         """A cold, A warm, B, then A again: every A run and both B runs are bit-identical."""
         a = Scenario(**self.BASE, trials=BLOCK + 500)
         b = replace(a, **change)
-        block, by_block = montecarlo._block, {}
+        score, by_block = montecarlo._Block.score, {}
 
-        def recording(plan, law, profs, sub, blk, rows):
-            by_block[blk] = block(plan, law, profs, sub, blk, rows)
-            return by_block[blk]
+        def recording(block, stop):
+            by_block[block.blk] = score(block, stop)
+            return by_block[block.blk]
 
-        monkeypatch.setattr(montecarlo, "_block", recording)
+        monkeypatch.setattr(montecarlo._Block, "score", recording)
 
         def scored(scn):  # (metric, reach) in block order, whichever worker ran a block
             by_block.clear()
