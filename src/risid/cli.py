@@ -662,7 +662,10 @@ COMMANDS = {
 }
 
 
-def build_parser() -> argparse.ArgumentParser:
+@lru_cache(maxsize=1)
+def _parser() -> tuple:
+    """The argparse tree and its subcommand parsers, built by the first ``main`` of a process.
+    ``main`` sets every ``--threads`` default from RISID_THREADS before each parse."""
     parser = argparse.ArgumentParser(
         prog="risid",
         description="Deterministic link-level experiments for surface identification.",
@@ -676,14 +679,16 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--trials", type=int, default=None, help="override the config trial count")
         p.add_argument(
             "--threads", type=int,
-            default=os.environ.get("RISID_THREADS", "1"),
             help="worker threads for simulation blocks (default RISID_THREADS or 1)",
         )
-    return parser
+    return parser, tuple(sub.choices.values())
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    parser, subparsers = _parser()
+    for p in subparsers:  # a string default goes through type=int, so RISID_THREADS=two exits 2
+        p.set_defaults(threads=os.environ.get("RISID_THREADS", "1"))
+    args = parser.parse_args(argv)
     cmd = COMMANDS[args.subcommand]
     text, flags = "", {}
     try:

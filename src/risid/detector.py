@@ -60,7 +60,8 @@ def detect(y, code: BinarySequence) -> Tuple[float, int, int]:
     m = code.length
     if len(samples) < m:
         raise ValueError("frame shorter than the code")
-    d = samples[_windows(len(samples), m)] @ _shift_matrix(code.symbols.tobytes()) / math.sqrt(m)
+    d = samples[_windows(len(samples), m)] @ _shift_matrix(code.symbols.tobytes())
+    d /= math.sqrt(m)
     metric = (d.real**2 + d.imag**2).reshape(-1, m)  # (k, c)
     flat = int(metric.argmax())  # row-major: smallest k first, then smallest c
     k_hat, c_idx = divmod(flat, m)

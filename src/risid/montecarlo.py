@@ -238,7 +238,7 @@ class _Block:
         """Decision metric and true reachability of the rows from the first not yet drawn to
         ``stop``."""
         scn, (_, a, starts, tables) = self.plan.scenario, self.sub
-        r0 = self.drawn
+        r0, sn2 = self.drawn, scn.noise_variance_w  # a property: read once, not once per chunk
         adds = []  # per drawn surface: gain of each scored row, flat table row, table as rows
         for j, p, rs, at, s in self.surfaces:
             g = compound_gains(rs, s[r0:stop], scn.power_w, p.beta_ur, p.beta_rb)
@@ -252,7 +252,7 @@ class _Block:
         metric = np.empty((stop - r0, self.reach.shape[1]))
         for lo in range(r0 - r0 % step, stop, step):  # every chunk from the first row not drawn
             i0, i1 = max(lo, r0), min(lo + step, stop)
-            z = draw_noise(self.frame, noise[i0 - lo : i1 - lo], scn.noise_variance_w)
+            z = draw_noise(self.frame, noise[i0 - lo : i1 - lo], sn2)
             if i1 - i0 < step:
                 parts.fill(0.0)
             re, im = parts[0, i0 - lo : i1 - lo], parts[1, i0 - lo : i1 - lo]

@@ -121,8 +121,9 @@ class ReceivedFrame:
         return len(self.samples)
 
 
-def draw_pads(rng: np.random.Generator, v_total: int, size: int) -> np.ndarray:
-    """``size`` pad splits v1, uniform on {1..v_total}: a frame stream's first draw."""
+def draw_pads(rng: np.random.Generator, v_total: int, size: int | None = None):
+    """``size`` pad splits v1, uniform on {1..v_total}: a frame stream's first draw. With no
+    ``size``, one split as a scalar: the value and stream state of ``size=1``'s one element."""
     return rng.integers(1, v_total + 1, size=size)
 
 
@@ -194,7 +195,7 @@ def synthesize_frame(
         raise ValueError("pad budget must satisfy 1 <= v_total < M")
 
     rng = _frame_stream(seed, TAG_FRAME, 0, frame_index)
-    v1 = draw_pads(rng, v_total, 1)
+    v1 = int(draw_pads(rng, v_total))
     y = draw_noise(rng, np.empty((1, m + v_total, 2)), noise_variance)
     c_per_ris, gains, reach_map = {}, {}, {}
     for p in sorted(profiles, key=lambda q: q.id):
@@ -206,11 +207,10 @@ def synthesize_frame(
         c = c_per_ris[p.id] = int(rng.integers(1, m + 1))
         s = compound_scales(rng, corr.n, corr.weights, 1)
         h = gains[p.id] = complex(compound_gains(rng, s, power_w, p.link.beta_ur, p.link.beta_rb)[0])
-        sym, start = p.code.symbols, int(v1[0])
-        y[0, start : start + m] += h * np.concatenate((sym[c:], sym[:c]))  # np.roll by -c
+        sym = p.code.symbols
+        y[0, v1 : v1 + m] += h * np.concatenate((sym[c:], sym[:c]))  # np.roll by -c
 
     truth = FrameTruth(
-        v1=int(v1[0]), v2=v_total - int(v1[0]), c_per_ris=c_per_ris,
-        gains=gains, reachability=reach_map,
+        v1=v1, v2=v_total - v1, c_per_ris=c_per_ris, gains=gains, reachability=reach_map,
     )
     return ReceivedFrame(samples=y[0], truth=truth, noise_variance=noise_variance)

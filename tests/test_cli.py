@@ -878,6 +878,69 @@ def _fresh_python(tmp_path, code: str) -> str:
     return proc.stdout
 
 
+class TestReusedParser:
+    """``main`` builds its argparse tree once per process and reads RISID_THREADS on every call."""
+
+    def test_each_call_reads_the_thread_environment(self, tmp_path, capsys, monkeypatch):
+        seen = []
+        theory = cli.COMMANDS["theory"]
+        monkeypatch.setitem(cli.COMMANDS, "theory", cli._Command(
+            lambda scenario, raw, writer, threads: seen.append(threads), theory.help))
+        argv = ["theory", "--out", str(tmp_path / "o")]
+        for env in ("1", "3", "1"):
+            monkeypatch.setenv("RISID_THREADS", env)
+            assert main(argv) == 0
+        assert main(argv + ["--threads", "2"]) == 0
+        monkeypatch.setenv("RISID_THREADS", "65")
+        assert main(argv) == 2
+        monkeypatch.delenv("RISID_THREADS")
+        assert main(argv) == 0
+        assert seen == [1, 3, 1, 2, 1]
+        assert capsys.readouterr().err == "config error: threads must be in 1..64, got 65\n"
+
+    def test_bad_thread_environment_after_a_good_call(self, tmp_path, capsys, monkeypatch):
+        """Still a usage error, with the stderr of a process whose first call it is."""
+        monkeypatch.setenv("COLUMNS", "80")
+        argv = ["theory", "--out", str(tmp_path / "o")]
+        assert main(argv) == 0
+        capsys.readouterr()
+        monkeypatch.setenv("RISID_THREADS", "two")
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert err.endswith("risid theory: error: argument --threads: invalid int value: 'two'\n")
+        fresh = _fresh_python(tmp_path, f"""
+import contextlib, io
+from risid.cli import main
+err = io.StringIO()
+with contextlib.redirect_stderr(err):
+    try:
+        main({argv!r})
+    except SystemExit as exc:
+        print(exc.code)
+print(repr(err.getvalue()))
+""")
+        assert fresh.splitlines() == ["2", repr(err)]
+
+    def test_help_equals_a_new_trees(self, tmp_path, capsys, monkeypatch):
+        """``--help`` of the top level and of every subcommand, after earlier calls, is the
+        text of a tree built anew."""
+        monkeypatch.setenv("COLUMNS", "80")
+        assert main(["theory", "--out", str(tmp_path / "o")]) == 0
+        capsys.readouterr()
+        parser, subparsers = cli._parser.__wrapped__()
+        want = {"": parser.format_help()}
+        want.update(zip(cli.COMMANDS, (p.format_help() for p in subparsers)))
+        assert len(want) == 1 + len(cli.COMMANDS) == 14
+        for sub, text in want.items():
+            with pytest.raises(SystemExit) as exit_info:
+                main([sub, "--help"] if sub else ["--help"])
+            assert exit_info.value.code == 0
+            assert capsys.readouterr().out == text
+        assert "--threads THREADS" in want["pf-single"] and "RISID_THREADS" in want["pf-single"]
+
+
 class TestScipyOnDemand:
     """Only the Gil-Pelaez reference loads scipy; the tests above import it themselves."""
 

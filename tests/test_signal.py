@@ -22,6 +22,8 @@ from risid.signal import (
     TAG_FRAME,
     TAG_RIS,
     RisProfile,
+    draw_noise,
+    draw_pads,
     noise_variance_from_bandwidth,
     substream,
     synthesize_frame,
@@ -373,3 +375,33 @@ class TestSubstream:
         assert not any(t.is_alive() for t in threads)
         assert got == want
 
+
+
+def stream_state(rng):
+    """A generator's whole state, arrays as lists, so that two states compare with ==."""
+    st = rng.bit_generator.state
+    return {k: v.tolist() if isinstance(v, np.ndarray) else
+            {kk: vv.tolist() for kk, vv in v.items()} if isinstance(v, dict) else v
+            for k, v in st.items()}
+
+
+class TestPadDraw:
+    @pytest.mark.parametrize("v_total", [1, 2, 7, 4096, 2**32 + 5])
+    def test_scalar_split_is_the_one_element_draw(self, v_total):
+        """No ``size`` draws the value of ``size=1`` and leaves the stream where it leaves it:
+        the same state, and the same noise rows after it."""
+        for seed in (0, 5, 2**63, 2**64 - 1):
+            for block in (0, 3):
+                one, arr = substream(seed, TAG_FRAME, 0, block), substream(seed, TAG_FRAME, 0, block)
+                v1, want = draw_pads(one, v_total), draw_pads(arr, v_total, 1)
+                assert np.ndim(v1) == 0 and want.shape == (1,)
+                assert int(v1) == int(want[0]) and 1 <= int(v1) <= v_total
+                assert stream_state(one) == stream_state(arr)
+                rows = [draw_noise(g, np.empty((2, 6, 2)), 0.3) for g in (one, arr)]
+                assert rows[0].tobytes() == rows[1].tobytes()
+
+    def test_frame_keeps_its_split_as_an_int(self):
+        profiles = make_profiles(rows=(1, 2))
+        for index in range(20):
+            t = synthesize_frame(profiles, 3, 0.1, 1.0, seed=9, frame_index=index).truth
+            assert type(t.v1) is int and type(t.v2) is int and t.v1 + t.v2 == 3
