@@ -664,8 +664,7 @@ COMMANDS = {
 
 @lru_cache(maxsize=1)
 def _parser() -> tuple:
-    """The argparse tree and its subcommand parsers, built by the first ``main`` of a process.
-    ``main`` sets every ``--threads`` default from RISID_THREADS before each parse."""
+    """The argparse tree and its subcommand parsers, built by a process's first ``main``."""
     parser = argparse.ArgumentParser(
         prog="risid",
         description="Deterministic link-level experiments for surface identification.",
@@ -686,7 +685,7 @@ def _parser() -> tuple:
 
 def main(argv=None) -> int:
     parser, subparsers = _parser()
-    for p in subparsers:  # a string default goes through type=int, so RISID_THREADS=two exits 2
+    for p in subparsers:  # read on every call; a string default goes through type=int, so "two" exits 2
         p.set_defaults(threads=os.environ.get("RISID_THREADS", "1"))
     args = parser.parse_args(argv)
     cmd = COMMANDS[args.subcommand]
