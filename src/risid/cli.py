@@ -495,31 +495,29 @@ def _passes(scenario: Scenario, raw: dict, labels: dict):
 
 
 def _mc_sweep(scenario: Scenario, raw: dict, writer: RunWriter, threads: int, labels: dict,
-              law: dict | None, paired: bool, over_grid: bool = True,
+              law: dict, paired: bool, over_grid: bool = True,
               theory_kind: str = "theory") -> None:
     """Shared body of the Monte Carlo subcommands: simulated rates beside their closed form.
 
-    Each of the ``_passes`` over ``labels`` runs one ``decision_sweep`` of surface 1
-    under the reachability ``law`` (None: every surface off), counting misses when the
-    law forces surface 1 on and false detections otherwise, at every ``r_bar_grid``
-    threshold (an ``r_bar`` column) or at ``r_bar`` alone (no such column). Its ``mc``
-    rows come first, then one ``theory_kind`` row per threshold with five empty estimate
-    cells, in the subcommand's CSV (dashes as underscores). The theory rows hold the
-    matching curve of ``analysis.pf_pmiss_threshold_sweep``, whose two-surface forms
-    take surface 2 as the interferer when the subcommand is ``paired``.
+    Each of the ``_passes`` over ``labels`` runs one ``decision_sweep`` of surface 1 under
+    the reachability ``law``, counting misses when the law forces surface 1 on and false
+    detections otherwise, at every ``r_bar_grid`` threshold (an ``r_bar`` column) or at
+    ``r_bar`` alone (no such column). Its ``mc`` rows come first, then one ``theory_kind``
+    row per threshold with five empty estimate cells, in the subcommand's CSV (dashes as
+    underscores). The theory rows hold the matching curve of
+    ``analysis.pf_pmiss_threshold_sweep``, whose two-surface forms take surface 2 as the
+    interferer when the subcommand is ``paired``.
     """
     rows = []
     for combo, scn in _passes(scenario, raw, labels):
         r_bars = scn.r_bar_grid if over_grid else (scn.r_bar,)
-        forced = dict.fromkeys(range(1, scn.l_count + 1), False) if law is None else law
-        ests = montecarlo.decision_sweep(_plan(scn, threads), 1, r_bars, forced,
-                                         count_missed=forced[1])
+        ests = montecarlo.decision_sweep(_plan(scn, threads), 1, r_bars, law, count_missed=law[1])
         pf_c, pm_c, _ = analysis.pf_pmiss_threshold_sweep(
             scn.operating_point(scn.r_bar), r_bars, scn.pair_pmf(1, 2) if paired else None)
         cells = [list(combo) + ([rb] if over_grid else []) for rb in r_bars]
         rows += [_estimate_row(["mc"] + c, est) for c, est in zip(cells, ests)]
         rows += [[theory_kind] + c + [v] + [""] * 5
-                 for c, v in zip(cells, (pm_c if forced[1] else pf_c).y)]
+                 for c, v in zip(cells, (pm_c if law[1] else pf_c).y)]
     header = ["kind", *labels] + (["r_bar"] if over_grid else []) + _EST_COLS
     writer.csv(writer.subcommand.replace("-", "_") + ".csv", header, rows)
 
@@ -621,28 +619,29 @@ class _Command:
 
     body: object
     help: str
-    surfaces: tuple = (1, math.inf, "")
+    surfaces: tuple
     passes: dict | None = None
 
 
-def _sweep(help_text: str, labels: dict, law, surfaces=_Command.surfaces, **layout):
+def _sweep(help_text: str, labels: dict, law, surfaces, **layout):
     """The row of a Monte Carlo subcommand: ``_mc_sweep`` over the passes of ``labels``,
     paired with surface 2 when it needs two code rows."""
     body = partial(_mc_sweep, labels=labels, law=law, paired=surfaces[0] >= 2, **layout)
     return _Command(body, help_text, surfaces, labels)
 
 
-_TWO = (2, 2, "exactly two")  # the two-surface closed forms model one interferer
+# the single-surface closed forms model one surface, the two-surface ones one interferer
+_ONE, _TWO = (1, 1, "exactly one code row"), (2, 2, "exactly two code rows")
 
 COMMANDS = {
     "pf-single": _sweep("single-surface false detection vs threshold (CSV: kind,m,r_bar,value,ci,events)",
-                        {"m": "m"}, None, theory_kind="bound"),
+                        {"m": "m"}, {1: False}, _ONE, theory_kind="bound"),
     "pmiss-corr": _sweep("miss detection vs power per spacing mode (CSV: kind,spacing,p_dbm,value,ci)",
-                         {"spacing": "spacing", "p_dbm": "p_dbm"}, {1: True}, over_grid=False),
+                         {"spacing": "spacing", "p_dbm": "p_dbm"}, {1: True}, _ONE, over_grid=False),
     "pmiss-m": _sweep("miss detection vs power per sequence length (CSV: kind,m,p_dbm,value,ci)",
-                      {"m": "m", "p_dbm": "p_dbm"}, {1: True}, over_grid=False),
+                      {"m": "m", "p_dbm": "p_dbm"}, {1: True}, _ONE, over_grid=False),
     "pmiss-n": _sweep("miss detection vs power per surface size (CSV: kind,n,p_dbm,value,ci)",
-                      {"n": "n_elements", "p_dbm": "p_dbm"}, {1: True}, over_grid=False),
+                      {"n": "n_elements", "p_dbm": "p_dbm"}, {1: True}, _ONE, over_grid=False),
     "pf-two-m": _sweep("two-surface false detection vs threshold per length (CSV: kind,m,r_bar,value,ci)",
                        {"m": "m"}, {1: False}, _TWO),
     "pf-two-np": _sweep("two-surface false detection vs threshold per size/power (CSV: kind,n,p_dbm,r_bar,value,ci)",
@@ -656,9 +655,10 @@ COMMANDS = {
     "confusion": _Command(cmd_confusion, "reachability confusion matrices per threshold (JSON + CSV grids)",
                           _TWO, {}),
     "five-ris": _Command(cmd_five_ris, "averaged miss/false rates for a five-surface code set (CSV)",
-                         (5, 5, "exactly five"), {}),
-    "theory": _Command(cmd_theory, "closed-form curves only (CSV: r_bar,value,kind,M,N,P_dBm)"),
-    "design": _Command(cmd_design, "required surface size for a miss target (JSON)"),
+                         (5, 5, "exactly five code rows"), {}),
+    "theory": _Command(cmd_theory, "closed-form curves only (CSV: r_bar,value,kind,M,N,P_dBm)",
+                       (1, 2, "one or two code rows")),
+    "design": _Command(cmd_design, "required surface size for a miss target (JSON)", _ONE),
 }
 
 
@@ -704,7 +704,7 @@ def main(argv=None) -> int:
         scenario = replace(scenario, **flags)
         lo, hi, wording = cmd.surfaces
         if not lo <= scenario.l_count <= hi:
-            raise ConfigError(f"{args.subcommand} needs {wording} code rows, got {scenario.l_count}",
+            raise ConfigError(f"{args.subcommand} needs {wording}, got {scenario.l_count}",
                               key="code_rows")
         if cmd.passes is not None:  # the pass-memory rule, before any m x m or N x N array exists
             keys = _sweep_keys(raw, cmd.passes.values())

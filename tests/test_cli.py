@@ -210,8 +210,13 @@ MC_SWEEPS = [
     ("pmiss-two-np", "pmiss_two_np.csv", {"n": _N, "p_dbm": _P}, True, "theory"),
 ]
 SIMULATING = [case[0] for case in MC_SWEEPS] + ["confusion", "five-ris"]
-MC_CONFIG = ("m = 8\ncode_rows = 1, 2\nn_elements = 4\nn_horizontal = 2\nr_bar = 2\n"
+MC_CONFIG = ("m = 8\ncode_rows = {rows}\nn_elements = 4\nn_horizontal = 2\nr_bar = 2\n"
              "r_bar_grid = 2, 3\ntrials = 1000\nseed = 5\n")
+
+
+def _rows_text(subcommand):
+    """The code rows 1..L of the L surfaces ``subcommand`` runs, as a config value."""
+    return ", ".join(map(str, range(1, cli.COMMANDS[subcommand].surfaces[0] + 1)))
 
 # label column -> the Scenario field it varies
 _LABEL_FIELDS = {"m": "m", "n": "n_elements", "p_dbm": "p_dbm", "spacing": "spacing"}
@@ -238,13 +243,13 @@ def run_cli(tmp_path, subcommand, config_text, extra=()):
 
 
 def _run_mc_sweep(tmp_path, subcommand, name, labels):
-    """Header and rows of ``name`` from ``subcommand`` on ``MC_CONFIG`` with each label's
-    sweep key (``MC_SWEEPS``) set to its two values."""
+    """Header and rows of ``name`` from ``subcommand`` on ``MC_CONFIG`` with the subcommand's
+    code rows and each label's sweep key (``MC_SWEEPS``) set to its two values."""
     sweeps = "".join(
         f"{key} = {', '.join(str(v) for v in values)}\n"
         for key, values in labels.values() if key
     )
-    code, out = run_cli(tmp_path, subcommand, MC_CONFIG + sweeps)
+    code, out = run_cli(tmp_path, subcommand, MC_CONFIG.format(rows=_rows_text(subcommand)) + sweeps)
     assert code == 0
     lines = (out / name).read_text().splitlines()
     return list(csv.reader(l for l in lines if not l.startswith("#")))
@@ -334,7 +339,7 @@ class TestSubcommands:
         row's point: the config with the row's label values in place of their keys, at its
         threshold."""
         header, *rows = _run_mc_sweep(tmp_path, subcommand, name, labels)
-        raw = parse_config_text(MC_CONFIG)
+        raw = parse_config_text(MC_CONFIG.format(rows=_rows_text(subcommand)))
         expected = []
         for combo in itertools.product(*(values for _, values in labels.values())):
             scn = scenario_from_config(raw | {_LABEL_FIELDS[c]: v for c, v in zip(labels, combo)})
@@ -362,10 +367,9 @@ class TestSubcommands:
 
         monkeypatch.setattr(montecarlo, "pass_bytes", spy_bytes)
         monkeypatch.setattr(montecarlo, "_run_blocks", spy_run)
-        rows = "1, 2, 3, 4, 5" if subcommand == "five-ris" else "1, 2"
         code, _ = run_cli(
             tmp_path, subcommand,
-            f"m = 8\ncode_rows = {rows}\nn_elements = 4\nn_horizontal = 2\nspacing = half-lambda\n"
+            f"m = 8\ncode_rows = {_rows_text(subcommand)}\nn_elements = 4\nn_horizontal = 2\nspacing = half-lambda\n"
             "r_bar = 2\nr_bar_grid = 2, 3\ntrials = 200\nm_values = 8, 16\nn_values = 4, 16\n"
             "p_dbm_values = 10, 20\n",
             ("--threads", "2"),
@@ -510,8 +514,8 @@ class TestSubcommands:
                 assert (out / name).read_bytes() == (outs[0] / name).read_bytes()
 
 
-ALL_ROWS_64 = tuple(range(1, 64))  # every usable row at m = 64: 63 surfaces, 20 MiB a worker
-ROWS_64_TEXT = ", ".join(map(str, ALL_ROWS_64))
+FIVE_ROWS_2048 = (1, 2, 4, 8, 9)  # five surfaces at m = 2048, v_total = 16: 0.88 GiB at one worker
+FIVE_ROWS_2048_TEXT = ", ".join(map(str, FIVE_ROWS_2048))
 
 
 class TestExitCodes:
@@ -633,6 +637,19 @@ class TestExitCodes:
             ("theory", "l_count = 2\n", 1),
             ("theory", f"codebook_file = {BUNDLED_CONFIG_DIR / 'codebook_set1.txt'}\n", 1),
             ("pf-single", "m = 16\nv_total = 12\nm_values = 8, 16\n", 3),
+            ("pf-single", "m = 16\ncode_rows = 15, 3\ntrials = 1000\n", 2),
+            ("pf-single", "code_rows = 1, 2\nm = 8\nm_values = 8, 16\ntrials = 1000\n", 1),
+            ("pmiss-corr", "code_rows = 1, 2\np_dbm = 10\ntrials = 1000\n", 1),
+            ("pmiss-corr", "m = 8\nspacing = half-lambda\ncode_rows = 7, 1\ntrials = 1000\n", 3),
+            ("pmiss-m", "m = 16\ncode_rows = 15, 3\nm_values = 16, 32\ntrials = 1000\n", 2),
+            ("pmiss-m", "code_rows = 1, 2\ntrials = 1000\n", 1),
+            ("pmiss-n", "m = 16\ncode_rows = 15, 3\ntrials = 1000\n", 2),
+            ("pmiss-n", "n_values = 16, 64\ncode_rows = 1, 2\ntrials = 1000\n", 2),
+            ("design", "m = 32\ncode_rows = 31, 1\ntarget_pmiss = 0.01\n", 2),
+            ("design", "target_pmiss = 0.01\ncode_rows = 1, 2\n", 2),
+            ("theory", "m = 16\ncode_rows = 1, 2, 3\n", 2),
+            ("theory", "code_rows = 1, 2, 4, 8, 9\nm = 16\n", 1),
+            ("theory", "m = 8\nr_bar_grid = 2, 3\ncode_rows = 7, 6, 5\n", 3),
         ],
         ids=["code_rows", "n_horizontal", "bandwidth", "distance", "nan_grid",
              "inf_power", "trials", "per_surface", "nan_pmiss_target", "pmiss_target_above_one",
@@ -659,7 +676,12 @@ class TestExitCodes:
              "power_overflow_of_a_sweep_combination",
              "default_row_length_off_elements", "one_default_row_pf_two_m",
              "retired_l_count_key", "retired_codebook_file_key",
-             "set_pad_budget_beside_m_sweep"],
+             "set_pad_budget_beside_m_sweep", "two_surfaces_pf_single",
+             "two_surfaces_m_sweep_pf_single", "two_surfaces_pmiss_corr",
+             "two_correlated_surfaces_pmiss_corr", "two_surfaces_pmiss_m",
+             "two_default_length_surfaces_pmiss_m", "two_surfaces_pmiss_n",
+             "two_surfaces_n_sweep_pmiss_n", "two_surfaces_design", "two_surfaces_first_design",
+             "three_surfaces_theory", "five_surfaces_theory", "three_surfaces_last_theory"],
     )
     def test_cross_field_error_is_two(self, tmp_path, capsys, subcommand, text, line):
         cfg = tmp_path / "c.txt"
@@ -667,6 +689,21 @@ class TestExitCodes:
         code = main([subcommand, "--config", str(cfg), "--out", str(tmp_path / "o")])
         assert code == 2
         assert f"c.txt:{line}: config error" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("subcommand, rows, want", [
+        ("pf-single", "15, 3", "pf-single needs exactly one code row, got 2"),
+        ("pmiss-n", "15, 3", "pmiss-n needs exactly one code row, got 2"),
+        ("design", "1, 2", "design needs exactly one code row, got 2"),
+        ("theory", "1, 2, 3", "theory needs one or two code rows, got 3"),
+        ("pf-two-m", "1, 2, 3", "pf-two-m needs exactly two code rows, got 3"),
+        ("five-ris", "1, 2, 3, 4", "five-ris needs exactly five code rows, got 4"),
+    ], ids=["pf_single", "pmiss_n", "design", "theory", "pf_two_m", "five_ris"])
+    def test_row_count_error_names_the_subcommand(self, tmp_path, capsys, subcommand, rows, want):
+        cfg = tmp_path / "c.txt"
+        cfg.write_text(f"m = 16\ncode_rows = {rows}\n")
+        assert main([subcommand, "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err == f"{cfg}:2: config error: {want}\n"
         assert not (tmp_path / "o").exists()
 
     def test_trial_flag_above_cap_is_two(self, tmp_path, capsys):
@@ -735,15 +772,15 @@ class TestExitCodes:
         assert not (tmp_path / "o").exists()
 
     def test_pass_memory_counts_every_worker(self, tmp_path, capsys, monkeypatch):
-        """About 20 MiB of block arrays per worker at m = 64 with all 63 usable rows as surfaces:
-        one or eight workers fit the limit, 64 do not."""
-        assert montecarlo.pass_bytes(64, 4, ALL_ROWS_64) <= montecarlo.MAX_PASS_BYTES
-        assert montecarlo.pass_bytes(64, 4, ALL_ROWS_64, threads=8) <= montecarlo.MAX_PASS_BYTES
-        assert montecarlo.pass_bytes(64, 4, ALL_ROWS_64, threads=64) > montecarlo.MAX_PASS_BYTES
+        """About 3 MiB of block arrays per worker beside 0.88 GiB of tables at m = 2048,
+        v_total = 16 with five surfaces: one or eight workers fit the limit, 64 do not."""
+        assert montecarlo.pass_bytes(2048, 16, FIVE_ROWS_2048) <= montecarlo.MAX_PASS_BYTES
+        assert montecarlo.pass_bytes(2048, 16, FIVE_ROWS_2048, threads=8) <= montecarlo.MAX_PASS_BYTES
+        assert montecarlo.pass_bytes(2048, 16, FIVE_ROWS_2048, threads=64) > montecarlo.MAX_PASS_BYTES
         cfg = tmp_path / "c.txt"
-        cfg.write_text(f"trials = 1000\nm = 64\nv_total = 4\ncode_rows = {ROWS_64_TEXT}\n")
-        assert scenario_from_config(parse_config_text(cfg.read_text())).m == 64
-        argv = ["pf-single", "--config", str(cfg), "--out", str(tmp_path / "o")]
+        cfg.write_text(f"trials = 1000\nm = 2048\nv_total = 16\ncode_rows = {FIVE_ROWS_2048_TEXT}\n")
+        assert scenario_from_config(parse_config_text(cfg.read_text())).m == 2048
+        argv = ["five-ris", "--config", str(cfg), "--out", str(tmp_path / "o")]
         tracemalloc.start()
         try:
             assert main(argv + ["--threads", "64"]) == 2
@@ -753,7 +790,8 @@ class TestExitCodes:
         finally:
             tracemalloc.stop()
         err = capsys.readouterr().err
-        assert err.count(f"c.txt:2: config error: m = 64, v_total = 4 and code rows {ALL_ROWS_64} need") == 2
+        assert err.count(f"c.txt:2: config error: m = 2048, v_total = 16 and code rows {FIVE_ROWS_2048} "
+                         "need") == 2
         assert err.count("GiB per simulation pass with 64 worker threads") == 2
         assert peak < 16 * 2**20
         assert not (tmp_path / "o").exists()
@@ -807,20 +845,21 @@ class TestExitCodes:
                 "p_dbm = 2830.0: p_dbm puts the mean received peak") in capsys.readouterr().err
 
     def test_pass_memory_checks_the_m_run_not_an_unread_sweep(self, tmp_path, capsys):
-        """pmiss-n never reads m_values, so it runs, and the rule checks, m = 64 with 63 surfaces
-        at 64 workers."""
+        """five-ris never reads m_values, so it runs, and the rule checks, m = 2048 with five
+        surfaces at 64 workers."""
         cfg = tmp_path / "c.txt"
-        cfg.write_text(f"trials = 1000\nm = 64\nv_total = 4\ncode_rows = {ROWS_64_TEXT}\nm_values = 16\n")
+        cfg.write_text(f"trials = 1000\nm = 2048\nv_total = 16\ncode_rows = {FIVE_ROWS_2048_TEXT}\n"
+                       "m_values = 16\n")
         tracemalloc.start()
         try:
-            code = main(["pmiss-n", "--config", str(cfg), "--out", str(tmp_path / "o"),
+            code = main(["five-ris", "--config", str(cfg), "--out", str(tmp_path / "o"),
                          "--threads", "64"])
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert code == 2
         err = capsys.readouterr().err
-        assert f"c.txt:2: config error: m = 64, v_total = 4 and code rows {ALL_ROWS_64} need" in err
+        assert f"c.txt:2: config error: m = 2048, v_total = 16 and code rows {FIVE_ROWS_2048} need" in err
         assert "GiB per simulation pass with 64 worker threads" in err
         assert peak < 16 * 2**20
         assert not (tmp_path / "o").exists()
@@ -885,7 +924,7 @@ class TestReusedParser:
         seen = []
         theory = cli.COMMANDS["theory"]
         monkeypatch.setitem(cli.COMMANDS, "theory", cli._Command(
-            lambda scenario, raw, writer, threads: seen.append(threads), theory.help))
+            lambda scenario, raw, writer, threads: seen.append(threads), theory.help, theory.surfaces))
         argv = ["theory", "--out", str(tmp_path / "o")]
         for env in ("1", "3", "1"):
             monkeypatch.setenv("RISID_THREADS", env)
