@@ -218,6 +218,7 @@ def _rows_text(subcommand):
     """The code rows 1..L of the L surfaces ``subcommand`` runs, as a config value."""
     return ", ".join(map(str, range(1, cli.COMMANDS[subcommand].surfaces[0] + 1)))
 
+
 # label column -> the Scenario field it varies
 _LABEL_FIELDS = {"m": "m", "n": "n_elements", "p_dbm": "p_dbm", "spacing": "spacing"}
 
