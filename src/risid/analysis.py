@@ -83,9 +83,6 @@ class OperatingPoint:
         """Mean of the aligned decision metric for a reachable surface."""
         return self.n * self.power_w * self.beta * self.m
 
-    def at(self, **changes) -> "OperatingPoint":
-        return replace(self, **changes)
-
 
 def pf_single_bound(op: OperatingPoint, raw: bool = False) -> float:
     """Upper bound on false detection with no other surface active.
@@ -355,12 +352,12 @@ def pf_pmiss_threshold_sweep(
     if any(b < a for a, b in zip(grid, grid[1:])):
         raise ValueError("threshold grid must be ascending")
     if pmf is None:
-        pf_vals = tuple(pf_single_bound(op.at(r_bar=r)) for r in grid)
-        pm_vals = tuple(pmiss_single(op.at(r_bar=r)) for r in grid)
+        pf_vals = tuple(pf_single_bound(replace(op, r_bar=r)) for r in grid)
+        pm_vals = tuple(pmiss_single(replace(op, r_bar=r)) for r in grid)
         pf_kind, pm_kind = "pf_single_bound", "pmiss_single"
     else:
-        pf_vals = tuple(pf_two(op.at(r_bar=r), pmf) for r in grid)
-        pm_vals = tuple(pmiss_two(op.at(r_bar=r), pmf.a_tilde) for r in grid)
+        pf_vals = tuple(pf_two(replace(op, r_bar=r), pmf) for r in grid)
+        pm_vals = tuple(pmiss_two(replace(op, r_bar=r), pmf.a_tilde) for r in grid)
         pf_kind, pm_kind = "pf_two", "pmiss_two_lower"
 
     r_pf = next((r for r, v in zip(grid, pf_vals) if v <= pf_cap), None)

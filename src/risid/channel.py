@@ -16,6 +16,7 @@ import numpy as np
 
 SPEED_OF_LIGHT = 299792458.0
 CHUNK_BYTES = 2**18  # most bytes of one chunk of draws or products (``chunk_rows``), about an L2 share
+EIG_FLOOR = -1e-9  # most negative eigenvalue ``correlation_matrix`` clips to zero
 
 __all__ = [
     "SPEED_OF_LIGHT",
@@ -60,28 +61,21 @@ class RisGeometry:
 
 @dataclass(frozen=True)
 class LinkBudget:
-    """Per-hop and overall path gains of one UE-surface-BS link."""
+    """Per-hop path gains of one UE-surface-BS link."""
 
-    f_c: float
-    d_ur: float
-    d_rb: float
     beta_ur: float
     beta_rb: float
 
     def __post_init__(self):
-        if min(self.f_c, self.d_ur, self.d_rb, self.beta_ur, self.beta_rb) <= 0:
+        if min(self.beta_ur, self.beta_rb) <= 0:
             raise ValueError("link budget values must be positive")
-
-    @property
-    def beta(self) -> float:
-        return self.beta_ur * self.beta_rb
 
     @classmethod
     def from_distances(cls, f_c: float, d_ur: float, d_rb: float) -> "LinkBudget":
         """Split the overall path gain evenly between the two hops."""
         beta = path_gain(f_c, d_ur, d_rb)
         hop = float(np.sqrt(beta))
-        return cls(f_c=f_c, d_ur=d_ur, d_rb=d_rb, beta_ur=hop, beta_rb=hop)
+        return cls(beta_ur=hop, beta_rb=hop)
 
 
 def path_gain(f_c: float, d_ur: float, d_rb: float) -> float:
@@ -117,13 +111,13 @@ class CorrelationMatrix:
         return lam[lam > 1e-12 * lam.max()] ** 2
 
 
-def correlation_matrix(geom: RisGeometry, eig_floor: float = -1e-9) -> CorrelationMatrix:
+def correlation_matrix(geom: RisGeometry) -> CorrelationMatrix:
     """Sinc-kernel correlation across elements with a PSD sampling factor.
 
     R[w, w~] = sinc(2 ||u_w - u_w~|| / lambda). The kernel is analytically
     PSD but numerically rank deficient at dense spacing, so the factor comes
     from a symmetric eigendecomposition with tiny negative eigenvalues
-    (>= eig_floor) clipped to zero; anything below the floor indicates model
+    (>= ``EIG_FLOOR``) clipped to zero; anything below the floor indicates model
     misuse and raises.
     """
     pos = geom.element_positions()
@@ -132,10 +126,10 @@ def correlation_matrix(geom: RisGeometry, eig_floor: float = -1e-9) -> Correlati
     r = (r + r.T) / 2.0
     np.fill_diagonal(r, 1.0)
     eigval, eigvec = np.linalg.eigh(r)
-    if eigval.min() < eig_floor:
+    if eigval.min() < EIG_FLOOR:
         raise ValueError(
             f"correlation matrix has eigenvalue {eigval.min():.3e} below the "
-            f"PSD tolerance {eig_floor:.1e}"
+            f"PSD tolerance {EIG_FLOOR:.1e}"
         )
     factor = eigvec * np.sqrt(np.clip(eigval, 0.0, None))
     return CorrelationMatrix(r=r, factor=factor)

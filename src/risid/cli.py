@@ -180,6 +180,9 @@ class Scenario:
                 f"element count {self.n_elements} not divisible by row length {self.n_horizontal}",
                 key="n_horizontal",
             )
+        if self.noise_variance_w < PEAK_POWER_FLOOR:  # every threshold is r_bar^2 times it
+            raise ConfigError(f"bandwidth_hz puts the noise variance below {PEAK_POWER_FLOOR:.3g} W",
+                              key="bandwidth_hz")
         self._check_peak_power()
 
     def _check_peak_power(self) -> None:
@@ -607,7 +610,7 @@ def cmd_design(scenario: Scenario, raw: dict, writer: RunWriter, threads: int) -
         "r_bar": scenario.r_bar,
         "n_required": req.n_required,
         "n_raw": req.raw,
-        "pmiss_at_raw": analysis.pmiss_single(op.at(n=max(1, req.n_required))),
+        "pmiss_at_raw": analysis.pmiss_single(replace(op, n=max(1, req.n_required))),
     })
 
 

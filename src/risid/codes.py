@@ -111,11 +111,7 @@ def distinct_shift_fraction(seq: BinarySequence) -> float:
 class CodeBook:
     """Lookup table mapping surface ids (1-based positions) to sequences."""
 
-    m: int
     entries: tuple
-
-    def __len__(self) -> int:
-        return len(self.entries)
 
 
 def build_codebook(m: int, assigned_rows: Sequence[int]) -> CodeBook:
@@ -137,7 +133,7 @@ def build_codebook(m: int, assigned_rows: Sequence[int]) -> CodeBook:
         if not 0 < r < m:
             raise ValueError(f"row index {r} out of range 1..{m - 1}")
     entries = (BinarySequence(id=l, symbols=s) for l, s in enumerate(codes, 1))
-    return CodeBook(m=m, entries=tuple(entries))
+    return CodeBook(entries=tuple(entries))
 
 
 def uniform_offset_law(v_total: int) -> dict:
@@ -257,11 +253,11 @@ def rank_code_subsets(m: int, subset_size: int, v1_span: int):
     element 0 is the canonical best set, element -1 the canonical worst.
     The pair peaks of all m-1 usable rows come from one batched search.
     """
-    h = hadamard_matrix(m)
     if not 2 <= subset_size <= m - 1:
         raise ValueError(f"subset_size must be in 2..{m - 1}, got {subset_size}")
     if not 1 <= v1_span <= m - 1:
         raise ValueError(f"v1_span must be in 1..{m - 1}, got {v1_span}")
+    h = hadamard_matrix(m)
     peaks = _pair_peaks([BinarySequence(id=r, symbols=h[r]) for r in range(1, m)], v1_span)
     peaks = np.maximum(peaks, peaks.T)
     subsets = list(combinations(range(1, m), subset_size))

@@ -277,25 +277,21 @@ def _run_blocks(plan: TrialPlan, law: Mapping, t0: int, t1: int, consume, held: 
     by one ``_Block``, which draws each stream up to its last scored trial
     and every earlier draw full-size, so trial t sees the same draws and
     the same metric bits regardless of the total trial count or how a run
-    is split into passes. The block this pass stops in is kept in ``held``
-    (a dict that one caller passes to its passes over consecutive ranges;
-    by default this pass's own), and a pass scores on from a held block's
-    last drawn row; a block is made anew when none is held or the held one
-    has drawn past the pass's start. A block's own worker moves it in and
-    out, so no more blocks are live than workers.
+    is split into passes. ``held`` keeps the block each pass stops in (by
+    default this pass's own dict). A pass starts at trial 0, or at ``t1`` of
+    the last pass over the same ``held``, and scores on from that block's
+    last drawn row. A block's own worker moves it in and out, so no more
+    blocks are live than workers.
     """
     profs = _profiles(plan)
     sub = _subspace(profs, plan.scenario.m, plan.scenario.v_total)
     held = {} if held is None else held
 
     def one_block(blk: int):
-        rows = slice(max(t0 - blk * BLOCK, 0), min(t1 - blk * BLOCK, BLOCK))
-        block = held.pop(blk, None)
-        if block is None or block.drawn > rows.start:
-            block = _Block(plan, law, profs, sub, blk)
-        skip = rows.start - block.drawn  # 0 unless the pass starts inside a block it does not hold
-        out = consume(*(x[skip:] for x in block.score(rows.stop)))
-        if rows.stop < BLOCK:
+        stop = min(t1 - blk * BLOCK, BLOCK)
+        block = held.pop(blk, None) or _Block(plan, law, profs, sub, blk)
+        out = consume(*block.score(stop))
+        if stop < BLOCK:
             held[blk] = block
         return out
 

@@ -1,6 +1,7 @@
 """Closed forms, characteristic functions, inversion and design helpers."""
 
 import math
+from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -245,14 +246,14 @@ class TestPmissTwo:
             npb = op.n * op.power_w * op.beta
             cf = rayleigh_sum_cf((math.sqrt(op.m * npb / 2), a_tilde * math.sqrt(npb / (2 * op.m))))
             for r_bar in scn.r_bar_grid:
-                at = op.at(r_bar=r_bar)
+                at = replace(op, r_bar=r_bar)
                 inverted = 0.5 * (pmiss_single(at) + gil_pelaez_cdf(math.sqrt(at.r), cf))
                 assert pmiss_two(at, a_tilde) == pytest.approx(inverted, rel=0, abs=1e-9)
 
     @pytest.mark.parametrize("p_dbm", [-150.0, -20.0, 15.0, 40.0, 200.0])
     def test_nondecreasing_in_threshold(self, p_dbm):
         op = op_at(m=32, n=256, p_dbm=p_dbm, v_total=8)
-        vals = [pmiss_two(op.at(r_bar=float(r)), 2) for r in np.linspace(0, 80, 801)]
+        vals = [pmiss_two(replace(op, r_bar=float(r)), 2) for r in np.linspace(0, 80, 801)]
         assert all(b >= a for a, b in zip(vals, vals[1:]))
         assert all(0 <= v <= 1 for v in vals)
 
@@ -295,7 +296,7 @@ class TestRequiredSize:
         # the power where the n=64 curve hits 1e-2 must invert back to 64
         op = op_at(n=64, m=16, r_bar=3.0)
         p_star = -op.r / (64 * op.beta * op.m * math.log1p(-1e-2))
-        req = required_ris_size(op.at(power_w=p_star), 1e-2)
+        req = required_ris_size(replace(op, power_w=p_star), 1e-2)
         assert req.raw == pytest.approx(64.0, rel=1e-9)
 
     def test_rejects_bad_target(self):

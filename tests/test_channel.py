@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from risid import channel
 from risid.channel import (
     CorrelationMatrix,
     LinkBudget,
@@ -61,7 +62,7 @@ class TestPathGain:
 
     def test_link_budget_split(self):
         link = LinkBudget.from_distances(1.8e9, 10, 50)
-        assert link.beta == pytest.approx(path_gain(1.8e9, 10, 50), rel=1e-12)
+        assert link.beta_ur * link.beta_rb == pytest.approx(path_gain(1.8e9, 10, 50), rel=1e-12)
         assert link.beta_ur == pytest.approx(link.beta_rb)
 
 
@@ -98,11 +99,12 @@ class TestCorrelationMatrix:
         corr = correlation_matrix(geom)
         assert np.allclose(corr.factor @ corr.factor.T, corr.r, atol=1e-8)
 
-    def test_clipping_floor_enforced(self):
+    def test_clipping_floor_enforced(self, monkeypatch):
         lam = 0.1665
         geom = RisGeometry(n=64, n_h=8, d_h=lam / 10, d_v=lam / 10, wavelength=lam)
+        monkeypatch.setattr(channel, "EIG_FLOOR", -1e-30)
         with pytest.raises(ValueError, match="PSD"):
-            correlation_matrix(geom, eig_floor=-1e-30)
+            correlation_matrix(geom)
 
     def test_geometry_validation(self):
         with pytest.raises(ValueError):

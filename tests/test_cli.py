@@ -651,6 +651,9 @@ class TestExitCodes:
             ("theory", "m = 16\ncode_rows = 1, 2, 3\n", 2),
             ("theory", "code_rows = 1, 2, 4, 8, 9\nm = 16\n", 1),
             ("theory", "m = 8\nr_bar_grid = 2, 3\ncode_rows = 7, 6, 5\n", 3),
+            ("theory", "bandwidth_hz = 1e-305\n", 1),
+            ("pmiss-two-np", "code_rows = 1, 2\nbandwidth_hz = 1e-305\n", 2),
+            ("confusion", "code_rows = 1, 2\nbandwidth_hz = 1e-305\n", 2),
         ],
         ids=["code_rows", "n_horizontal", "bandwidth", "distance", "nan_grid",
              "inf_power", "trials", "per_surface", "nan_pmiss_target", "pmiss_target_above_one",
@@ -682,7 +685,8 @@ class TestExitCodes:
              "two_correlated_surfaces_pmiss_corr", "two_surfaces_pmiss_m",
              "two_default_length_surfaces_pmiss_m", "two_surfaces_pmiss_n",
              "two_surfaces_n_sweep_pmiss_n", "two_surfaces_design", "two_surfaces_first_design",
-             "three_surfaces_theory", "five_surfaces_theory", "three_surfaces_last_theory"],
+             "three_surfaces_theory", "five_surfaces_theory", "three_surfaces_last_theory",
+             "noise_underflow", "noise_underflow_pmiss_two_np", "noise_underflow_confusion"],
     )
     def test_cross_field_error_is_two(self, tmp_path, capsys, subcommand, text, line):
         cfg = tmp_path / "c.txt"

@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from risid import codes
 from risid.codes import (
     BinarySequence,
     _pair_peaks,
@@ -68,7 +69,7 @@ class TestHadamard:
 class TestCodebook:
     def test_all_usable_rows_orthogonal(self):
         book = build_codebook(16, list(range(1, 16)))
-        assert len(book) == 15
+        assert len(book.entries) == 15
         for a in book.entries:
             for b in book.entries:
                 expect = 16 if a is b else 0
@@ -304,7 +305,9 @@ class TestBatchedPeakSearch:
         (16, 16, 4, "subset_size"), (16, 1, 4, "subset_size"), (16, 0, 4, "subset_size"),
         (16, 5, 0, "v1_span"), (16, 5, 16, "v1_span"), (2, 2, 1, "subset_size"),
     ])
-    def test_ranking_rejects_out_of_range_arguments(self, m, size, span, arg):
+    def test_ranking_rejects_out_of_range_arguments(self, monkeypatch, m, size, span, arg):
+        """The range checks come before the order-m matrix is built."""
+        monkeypatch.setattr(codes, "hadamard_matrix", lambda m: pytest.fail("built the matrix"))
         with pytest.raises(ValueError, match=arg):
             rank_code_subsets(m, size, span)
 

@@ -5,10 +5,9 @@ import hashlib
 import numpy as np
 import pytest
 
-from risid.channel import LinkBudget, RisGeometry, identity_correlation
 from risid.codes import BinarySequence, build_codebook, hadamard_matrix
 from risid.detector import detect, run_ris_id
-from risid.signal import RisProfile, noise_variance_from_bandwidth, synthesize_frame
+from risid.signal import synthesize_frame
 
 from conftest import (
     brute_force_detect,
@@ -17,6 +16,7 @@ from conftest import (
     correlate,
     partial_cross_corr,
 )
+from grids import frame_grid
 from test_signal import make_profiles, identity_corrs
 
 
@@ -182,37 +182,6 @@ class TestGoldenFrame:
         r = 9.0 * noise_variance
         report = run_ris_id(y, [(book.entries[0], r), (book.entries[1], r)])
         assert report.decided_ids() == (1, 2)
-
-
-def frame_grid():
-    """One line per frame of a fixed grid: 1 and 3 surfaces, the three spacings, surfaces
-    reachable and silent, two seeds, three frames each. A line holds the frame's truth, every
-    candidate's decision (metric as float hex) and the sample bytes. CI's "Frames match the
-    base commit" step prints the same grid under the base and head trees."""
-    book = build_codebook(16, [3, 6, 13])
-    lam = 299792458.0 / 1.8e9
-    link = LinkBudget.from_distances(1.8e9, 10.0, 50.0)
-    sn2 = noise_variance_from_bandwidth(20e6)
-    for spacing, d in (("none", lam / 2), ("half-lambda", lam / 2), ("tenth-lambda", lam / 10)):
-        geom = RisGeometry(n=16, n_h=4, d_h=d, d_v=d, wavelength=lam)
-        profiles = [RisProfile(id=c.id, code=c, geometry=geom, link=link) for c in book.entries]
-        for count, patterns in ((1, ((True,), (False,))),
-                                (3, ((True,) * 3, (False,) * 3, (True, False, True)))):
-            profs = profiles[:count]
-            corrs = {p.id: identity_correlation(16) for p in profs} if spacing == "none" else None
-            for reach in patterns:
-                for seed in (5, 2**64 - 3):
-                    for index in range(3):
-                        fr = synthesize_frame(profs, 4, sn2, 1e-2, seed=seed, frame_index=index,
-                                              reachability=dict(zip((1, 2, 3), reach)),
-                                              correlations=corrs)
-                        rep = run_ris_id(fr, [(p.code, 9.0 * sn2) for p in profs])
-                        t = fr.truth
-                        gains = {i: (h.real.hex(), h.imag.hex()) for i, h in t.gains.items()}
-                        dec = [(i, r.metric.hex(), r.c_hat, r.k_hat, r.decided)
-                               for i, r in rep.per_ris.items()]
-                        yield (f"{spacing} {count} {reach} {seed} {index} v1={t.v1!r} v2={t.v2!r} "
-                               f"c={t.c_per_ris} g={gains} d={dec} s={fr.samples.tobytes().hex()}")
 
 
 class TestFrameGrid:

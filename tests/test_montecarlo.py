@@ -1,5 +1,6 @@
 """Trial runner: determinism, conditioning, confusion tallies, intervals."""
 
+import hashlib
 import multiprocessing
 import os
 import subprocess
@@ -32,6 +33,8 @@ from risid.montecarlo import (
     _run_blocks,
 )
 from risid.signal import TAG_FRAME, TAG_RIS, draw_noise, draw_pads
+
+from grids import escalation_grid
 
 
 def plan_for(scenario, trials=None, seed=None, threads=1, **kw):
@@ -145,15 +148,16 @@ class TestPrefixDraws:
 
     @staticmethod
     def rows_of(plan, law, spans):
-        """(metric, reach) over the trial ranges ``spans``, concatenated in order."""
-        got = []
+        """(metric, reach) over the consecutive trial ranges ``spans``, passed one ``held``
+        dict as an escalation passes it, concatenated in order."""
+        got, held = [], {}
 
         def consume(metric, reach):
             got.append((metric.copy(), reach.copy()))
             return (np.zeros(1, dtype=np.int64),)
 
         for t0, t1 in spans:
-            _run_blocks(plan, law, t0, t1, consume)
+            _run_blocks(plan, law, t0, t1, consume, held)
         return np.concatenate([g[0] for g in got]), np.concatenate([g[1] for g in got])
 
     @pytest.mark.parametrize("spacing", ["none", "tenth-lambda"])
@@ -205,23 +209,6 @@ class TestPrefixDraws:
                            ("standard_normal", (2000, 2))],
             (TAG_RIS, 2): [("integers", BLOCK), ("standard_gamma", BLOCK), ("standard_normal", (2000, 2))],
         }
-
-    def test_held_block_drawn_past_the_start_is_made_anew(self):
-        """Passes [0, 2000) then [1000, 3000) sharing one ``held`` dict: the second pass
-        cannot score on from the held block's row 2000, so it gets rows [1000, 3000) of
-        one pass over [0, 3000)."""
-        scn = Scenario(m=32, v_total=8, code_rows=(1, 2), n_elements=16, n_horizontal=4, seed=3)
-        plan, held, got = plan_for(scn), {}, []
-
-        def consume(metric, reach):
-            got.append((metric.copy(), reach.copy()))
-            return (np.zeros(1, dtype=np.int64),)
-
-        _run_blocks(plan, {}, 0, 2000, consume, held)
-        assert held[0].drawn == 2000
-        _run_blocks(plan, {}, 1000, 3000, consume, held)
-        metric, reach = self.rows_of(plan, {}, [(0, 3000)])
-        assert np.array_equal(got[1][0], metric[1000:]) and np.array_equal(got[1][1], reach[1000:])
 
 
 def no_events(metric, reach):
@@ -317,6 +304,18 @@ class TestResumedBlocks:
             per_worker = (montecarlo.pass_bytes(scn.m, scn.v_total, scn.code_rows, 2, n)
                           - montecarlo.pass_bytes(scn.m, scn.v_total, scn.code_rows, 1, n))
             assert peak <= per_worker, (kw, law, peak, per_worker)
+
+
+class TestEscalationGrid:
+    def test_escalations_are_pinned(self):
+        """``grids.escalation_grid``'s estimates, against a digest taken before a pass lost its
+        made-anew start, not against an oracle that runs the same code."""
+        lines = list(escalation_grid())
+        assert len(lines) == 64
+        assert any("low_confidence=False" in line for line in lines)
+        assert any("low_confidence=True" in line for line in lines)
+        digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+        assert digest == "7138ba8beb0803fa97bf3c13b369ef72603b8ca098d623ceca3623b5fe8dae28"
 
 
 class TestConditioning:
@@ -835,7 +834,7 @@ class TestTheoryConsistency:
 
         op = scn.operating_point(2.0)
         for r_bar, est in zip(grid, ests):
-            bound = pf_single_bound(op.at(r_bar=r_bar))
+            bound = pf_single_bound(replace(op, r_bar=r_bar))
             assert est.value <= bound + 3 * est.std_error
 
     def test_miss_theory_tracks_simulation_across_range(self):
