@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -25,6 +25,7 @@ __all__ = [
     "CorrelationMatrix",
     "path_gain",
     "correlation_matrix",
+    "correlation_weights",
     "identity_correlation",
     "sample_channel",
     "compound_scales",
@@ -118,21 +119,46 @@ def correlation_matrix(geom: RisGeometry) -> CorrelationMatrix:
     PSD but numerically rank deficient at dense spacing, so the factor comes
     from a symmetric eigendecomposition with tiny negative eigenvalues
     (>= ``EIG_FLOOR``) clipped to zero; anything below the floor indicates model
-    misuse and raises.
+    misuse and raises. R is built in place beside one N x N temporary, dropped
+    before ``np.linalg.eigh``, by the steps of ``np.linalg.norm``, ``np.sinc`` and
+    (R + R^T) / 2 in their own order, so its bits are those of that expression.
     """
     pos = geom.element_positions()
-    dist = np.linalg.norm(pos[:, None, :] - pos[None, :, :], axis=2)
-    r = np.sinc(2.0 * dist / geom.wavelength)  # np.sinc(x) = sin(pi x)/(pi x)
-    r = (r + r.T) / 2.0
+    r, tmp = np.zeros((geom.n, geom.n)), np.empty((geom.n, geom.n))
+    for u in pos.T:  # squared coordinate differences, summed x, y, z as np.linalg.norm does
+        np.subtract.outer(u, u, out=tmp)
+        tmp *= tmp
+        r += tmp
+    np.sqrt(r, out=r)
+    r *= 2.0
+    r /= geom.wavelength
+    r *= np.pi  # np.sinc(x) = sin(pi x)/(pi x): pi x, eps where it is 0, then sin(y)/y
+    np.copyto(r, np.finfo(float).eps, where=r == 0)
+    np.sin(r, out=tmp)
+    np.divide(tmp, r, out=r)
+    np.copyto(tmp, r.T)
+    r += tmp
+    r /= 2.0
+    del tmp
     np.fill_diagonal(r, 1.0)
-    eigval, eigvec = np.linalg.eigh(r)
+    eigval, factor = np.linalg.eigh(r)
     if eigval.min() < EIG_FLOOR:
         raise ValueError(
             f"correlation matrix has eigenvalue {eigval.min():.3e} below the "
             f"PSD tolerance {EIG_FLOOR:.1e}"
         )
-    factor = eigvec * np.sqrt(np.clip(eigval, 0.0, None))
+    factor *= np.sqrt(np.clip(eigval, 0.0, None))
     return CorrelationMatrix(r=r, factor=factor)
+
+
+@lru_cache(maxsize=32)
+def correlation_weights(geom: RisGeometry) -> np.ndarray | None:
+    """``correlation_matrix(geom).weights``, read-only and kept per geometry: frames and the
+    engine read only these, so neither keeps R or its factor."""
+    weights = correlation_matrix(geom).weights
+    if weights is not None:
+        weights.flags.writeable = False
+    return weights
 
 
 def identity_correlation(n: int) -> CorrelationMatrix:

@@ -26,7 +26,7 @@ import numpy as np
 
 from . import __version__, analysis, montecarlo
 from .analysis import OperatingPoint
-from .channel import SPEED_OF_LIGHT, RisGeometry, correlation_matrix, path_gain
+from .channel import SPEED_OF_LIGHT, RisGeometry, correlation_weights, path_gain
 from .codes import BinarySequence, build_codebook, cross_corr_pmf, distinct_shift_fraction
 from .signal import noise_variance_from_bandwidth
 
@@ -90,13 +90,11 @@ class SimRis:
     gain_weights: np.ndarray | None
 
 
-@lru_cache(maxsize=32)
 def _gain_weights(n: int, n_h: int, spacing: str, wavelength: float):
     if spacing == "none":
         return None
     d = wavelength / 2.0 if spacing == "half-lambda" else wavelength / 10.0
-    geom = RisGeometry(n=n, n_h=n_h, d_h=d, d_v=d, wavelength=wavelength)
-    return correlation_matrix(geom).weights
+    return correlation_weights(RisGeometry(n=n, n_h=n_h, d_h=d, d_v=d, wavelength=wavelength))
 
 
 def _check_value(key: str, val) -> None:

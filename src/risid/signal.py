@@ -12,7 +12,6 @@ import math
 import operator
 import threading
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -20,10 +19,9 @@ import numpy as np
 from .channel import (
     CorrelationMatrix,
     LinkBudget,
-    RisGeometry,
     compound_gains,
     compound_scales,
-    correlation_matrix,
+    correlation_weights,
 )
 from .codes import BinarySequence
 
@@ -137,11 +135,6 @@ def draw_noise(rng: np.random.Generator, out: np.ndarray, noise_variance: float)
     return out.view(np.complex128)[..., 0]
 
 
-@lru_cache(maxsize=16)
-def _correlation_for(geometry: RisGeometry) -> CorrelationMatrix:
-    return correlation_matrix(geometry)
-
-
 def synthesize_frame(
     profiles: Sequence[RisProfile],
     v_total: int,
@@ -167,7 +160,8 @@ def synthesize_frame(
     elements, drawn as Gamma(N)); neither may name an id no surface has. The
     pad split, code offset and h~ are drawn as in the Monte Carlo engine, h~
     by its compound law (``compound_scales``, then ``compound_gains``) with the
-    matrix's ``weights``; the noise is one row of all L samples (``draw_noise``),
+    override's ``weights`` or the geometry's ``correlation_weights``, and N from
+    the geometry; the noise is one row of all L samples (``draw_noise``),
     where the engine draws chunks of rows of subspace coordinates.
     """
     if not profiles:
@@ -202,10 +196,10 @@ def synthesize_frame(
         reach_map[p.id] = reachability is None or bool(reachability[p.id])
         if not reach_map[p.id]:
             continue
-        corr = correlations[p.id] if p.id in correlations else _correlation_for(p.geometry)
+        weights = correlations[p.id].weights if p.id in correlations else correlation_weights(p.geometry)
         rng = _frame_stream(seed, TAG_RIS, p.id, frame_index)
         c = c_per_ris[p.id] = int(rng.integers(1, m + 1))
-        s = compound_scales(rng, corr.n, corr.weights, 1)
+        s = compound_scales(rng, p.geometry.n, weights, 1)
         h = gains[p.id] = complex(compound_gains(rng, s, power_w, p.link.beta_ur, p.link.beta_rb)[0])
         sym = p.code.symbols
         y[0, v1 : v1 + m] += h * np.concatenate((sym[c:], sym[:c]))  # np.roll by -c

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from risid.channel import CorrelationMatrix
 from risid.cli import Scenario
 from risid.codes import BinarySequence, all_shifts, hadamard_matrix
 
@@ -78,6 +79,20 @@ def cascaded_gain(h_ur, h_rb, power_w):
     if h_ur.shape != h_rb.shape:
         raise ValueError("hop vectors must have equal length")
     return complex(np.sqrt(power_w) * (h_ur * h_rb).sum())
+
+
+def direct_correlation(geom):
+    """R and its factor by the direct expression: ``np.linalg.norm`` over the (N, N, 3)
+    differences, ``np.sinc``, (R + R^T) / 2, ``eigh`` and the clipped eigenvalues' square roots
+    times a new eigenvector array. The oracle ``correlation_matrix``'s in-place build is held to
+    bit for bit."""
+    pos = geom.element_positions()
+    dist = np.linalg.norm(pos[:, None, :] - pos[None, :, :], axis=2)
+    r = np.sinc(2.0 * dist / geom.wavelength)
+    r = (r + r.T) / 2.0
+    np.fill_diagonal(r, 1.0)
+    eigval, eigvec = np.linalg.eigh(r)
+    return CorrelationMatrix(r=r, factor=eigvec * np.sqrt(np.clip(eigval, 0.0, None)))
 
 
 def brute_force_detect(samples, code):

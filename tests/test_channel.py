@@ -1,6 +1,7 @@
 """Channel statistics: path gain, sinc correlation, sampling, cascaded gain."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -21,7 +22,7 @@ from risid.channel import (
 from risid.cli import SPACINGS, Scenario
 from risid.montecarlo import BLOCK
 
-from conftest import cascaded_gain
+from conftest import cascaded_gain, direct_correlation
 
 C0 = 299792458.0
 
@@ -109,6 +110,57 @@ class TestCorrelationMatrix:
     def test_geometry_validation(self):
         with pytest.raises(ValueError):
             RisGeometry(n=6, n_h=4, d_h=0.1, d_v=0.1, wavelength=0.2)
+
+
+class TestInPlaceBuild:
+    LAM = C0 / 1.8e9
+
+    @pytest.mark.parametrize("spacing", [0.5, 0.1, 0.37])
+    @pytest.mark.parametrize("rows", ["one", "two-wide", "square"])
+    @pytest.mark.parametrize("n", [1, 2, 16, 64, 256])
+    def test_bits_of_the_direct_expression(self, n, rows, spacing):
+        """R, its factor and the weights equal the direct expression's bit for bit, in the same
+        memory layout, over one-row, two-column and square grids."""
+        n_h = {"one": n, "two-wide": min(2, n), "square": int(math.isqrt(n))}[rows]
+        if n % n_h:
+            n_h = n
+        d = spacing * self.LAM
+        geom = RisGeometry(n=n, n_h=n_h, d_h=d, d_v=d, wavelength=self.LAM)
+        got, ref = correlation_matrix(geom), direct_correlation(geom)
+        for name in ("r", "factor"):
+            assert np.array_equal(getattr(got, name), getattr(ref, name))
+            assert getattr(got, name).strides == getattr(ref, name).strides
+        if ref.weights is None:
+            assert got.weights is None
+        else:
+            assert np.array_equal(got.weights, ref.weights)
+
+    @pytest.mark.parametrize("n", [256, 1024])
+    def test_traced_peak_is_at_most_three_n_squared_doubles(self, n):
+        """R and one N x N temporary while R is built, R and the eigenvectors after eigh:
+        the direct expression peaks near 8 N^2 doubles."""
+        d = self.LAM / 10
+        geom = RisGeometry(n=n, n_h=int(math.isqrt(n)), d_h=d, d_v=d, wavelength=self.LAM)
+        tracemalloc.start()
+        try:
+            correlation_matrix(geom)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3 * 8 * n * n
+
+
+class TestCorrelationWeights:
+    def test_are_the_matrix_weights_kept_read_only(self):
+        geom = RisGeometry(n=16, n_h=4, d_h=0.02, d_v=0.02, wavelength=0.1)
+        weights = channel.correlation_weights(geom)
+        assert np.array_equal(weights, correlation_matrix(geom).weights)
+        assert channel.correlation_weights(geom) is weights
+        assert not weights.flags.writeable
+
+    def test_none_for_a_one_element_surface(self):
+        geom = RisGeometry(n=1, n_h=1, d_h=0.05, d_v=0.05, wavelength=0.1)
+        assert channel.correlation_weights(geom) is None
 
 
 class TestWeights:

@@ -50,3 +50,11 @@ def test_import_risid_loads_no_module():
             "assert not loaded, loaded")
     env = dict(os.environ, PYTHONPATH=str(Path(risid.__file__).parents[1]))
     subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=120)
+
+
+def test_every_source_file_parses_as_python_3_10():
+    """``requires-python`` is >= 3.10: no file may use grammar a 3.10 interpreter rejects."""
+    files = [path for top in ("src", "scripts", "tests", "perfbench") for path in (ROOT / top).rglob("*.py")]
+    assert len(files) > 20
+    for path in files:
+        ast.parse(path.read_text(), filename=str(path), feature_version=(3, 10))

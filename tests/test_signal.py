@@ -3,12 +3,13 @@
 import sys
 import threading
 import time
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from risid import signal
+from risid import channel, signal
 from risid.channel import (
     LinkBudget,
     RisGeometry,
@@ -257,6 +258,21 @@ class TestSynthesizeFrame:
         profiles = make_profiles(n=16, rows=(7,))
         with pytest.raises(ValueError, match="surface id 1 has 4 elements, its geometry 16"):
             synthesize_frame(profiles, 2, 0.1, 1.0, seed=1, correlations={1: identity_correlation(4)})
+
+    def test_geometry_correlation_keeps_only_its_weights(self):
+        """A frame whose correlation comes from its geometry leaves the weights cached, not R
+        or its factor (2 N^2 doubles each)."""
+        n = 1024
+        profiles = make_profiles(n=n, rows=(7,))
+        channel.correlation_weights.cache_clear()
+        tracemalloc.start()
+        try:
+            synthesize_frame(profiles, 2, 0.1, 1.0, seed=1)
+            current = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert channel.correlation_weights.cache_info().currsize == 1
+        assert current < 8 * n * n
 
 
 def oracle(seed, tag, ris_id, block):
