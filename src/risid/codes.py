@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations
 from typing import Mapping, Sequence
 
@@ -23,6 +24,7 @@ __all__ = [
     "hadamard_matrix",
     "build_codebook",
     "all_shifts",
+    "shift_table",
     "sign_classes",
     "distinct_shift_fraction",
     "cross_corr_pmf",
@@ -85,6 +87,20 @@ def all_shifts(seq: BinarySequence) -> np.ndarray:
     """
     m = seq.length
     return np.lib.stride_tricks.sliding_window_view(np.tile(seq.symbols, 2), m)[1 : m + 1].copy()
+
+
+def shift_table(seq: BinarySequence) -> np.ndarray:
+    """Read-only complex (M, M) table whose column c-1 is the sequence shifted left by c: the
+    detector correlates with it and frames lay each code from its columns. Cached by the symbols'
+    int64 bytes, so equal codes share one table and a code edited in place never meets another's."""
+    return _shift_table(seq.symbols.tobytes())
+
+
+@lru_cache(maxsize=64)
+def _shift_table(symbols: bytes) -> np.ndarray:
+    table = all_shifts(BinarySequence(0, np.frombuffer(symbols, np.int64))).T.astype(np.complex128, order="C")
+    table.flags.writeable = False
+    return table
 
 
 def sign_classes(shifts: np.ndarray) -> np.ndarray:

@@ -15,35 +15,21 @@ from typing import Sequence, Tuple
 
 import numpy as np
 
-from .codes import BinarySequence, all_shifts
+from .codes import BinarySequence, shift_table
 
 __all__ = ["PerRisDecision", "DetectionReport", "detect", "run_ris_id"]
 
 
-def _samples_of(y) -> np.ndarray:
-    samples = getattr(y, "samples", y)
-    return np.asarray(samples, dtype=np.complex128)
-
-
 @lru_cache(maxsize=64)
-def _shift_matrix(symbols: bytes) -> np.ndarray:
-    """Read-only complex (M, M) matrix whose column c-1 is the code shifted left by c.
-
-    Keyed by the symbols' int64 bytes, so equal codes share one matrix and a
-    code rebuilt or edited in place never meets another code's matrix.
-    """
+def _plan(symbols: bytes, length: int) -> tuple:
+    """A code's search over frames of ``length`` samples: (length - m + 1, 1, m) sample indices,
+    one length-m window per offset k, read-only; the code's ``shift_table``; and sqrt(m).
+    Keyed by the symbols' int64 bytes, as ``shift_table`` is."""
     code = BinarySequence(0, np.frombuffer(symbols, dtype=np.int64))
-    s = np.ascontiguousarray(all_shifts(code).T, dtype=np.complex128)
-    s.flags.writeable = False
-    return s
-
-
-@lru_cache(maxsize=64)
-def _windows(length: int, m: int) -> np.ndarray:
-    """(length - m + 1, 1, m) sample indices, one length-m window per offset k."""
-    idx = np.arange(length - m + 1)[:, None, None] + np.arange(m)
-    idx.flags.writeable = False
-    return idx
+    m = code.length
+    windows = np.arange(length - m + 1)[:, None, None] + np.arange(m)
+    windows.flags.writeable = False
+    return windows, shift_table(code), math.sqrt(m)
 
 
 def detect(y, code: BinarySequence) -> Tuple[float, int, int]:
@@ -56,13 +42,15 @@ def detect(y, code: BinarySequence) -> Tuple[float, int, int]:
     stacked matmul, the product a loop over offsets would take; one 2-D
     (k, M) product may sum in another order and move the metric's last bit.
     """
-    samples = _samples_of(y)
+    samples = np.asarray(getattr(y, "samples", y), dtype=np.complex128)
     m = code.length
     if len(samples) < m:
         raise ValueError("frame shorter than the code")
-    d = samples[_windows(len(samples), m)] @ _shift_matrix(code.symbols.tobytes())
-    d /= math.sqrt(m)
-    metric = (d.real**2 + d.imag**2).reshape(-1, m)  # (k, c)
+    windows, table, root_m = _plan(code.symbols.tobytes(), len(samples))
+    d = samples[windows] @ table
+    d /= root_m
+    sq = np.square(d.view(np.float64))  # re^2 and im^2, interleaved
+    metric = (sq[..., 0::2] + sq[..., 1::2]).reshape(-1, m)  # (k, c)
     flat = int(metric.argmax())  # row-major: smallest k first, then smallest c
     k_hat, c_idx = divmod(flat, m)
     return float(metric[k_hat, c_idx]), c_idx + 1, k_hat
@@ -99,8 +87,6 @@ def run_ris_id(y, candidates: Sequence[Tuple[BinarySequence, float]]) -> Detecti
         if code.id in per_ris:
             raise ValueError(f"code id {code.id} is given twice")
         metric, c_hat, k_hat = detect(y, code)
-        per_ris[code.id] = PerRisDecision(
-            metric=metric, c_hat=c_hat, k_hat=k_hat, decided=bool(metric > r)
-        )
+        per_ris[code.id] = PerRisDecision(metric=metric, c_hat=c_hat, k_hat=k_hat, decided=bool(metric > r))
         thresholds[code.id] = float(r)
     return DetectionReport(per_ris=per_ris, threshold_used=thresholds)

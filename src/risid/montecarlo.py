@@ -138,12 +138,12 @@ def pass_bytes(m: int, v_total: int, rows: Sequence[int], threads: int = 1, n: i
     (metric, reachability, flat table rows, scales s and the scored rows' gains), and one
     chunk's noise, parts, gathered table rows, products (``_chunk_rows`` x (R + R + R + K),
     twice) and maxima. ``n`` is the element count of correlated surfaces (0: uncorrelated),
-    which adds ten N x N arrays for the gain weights (``channel.correlation_matrix``, whose
-    build peaks near five: R, eigh's copy of it, its eigenvectors and workspace) and per
-    worker one chunk of ``channel.chunk_rows(n, 4)`` x N exponential draws
+    which adds six N x N arrays for the gain weights (``channel.correlation_matrix``, whose
+    build raises peak RSS by 5.1-5.3 of them: R, eigh's copy of it, its eigenvectors and
+    workspace) and per worker one chunk of ``channel.chunk_rows(n, 4)`` x N exponential draws
     (``channel.compound_scales``)."""
     l, k = m + v_total, (v_total + 1) * sum(1 << (r.bit_length() - 1) for r in rows if r > 0)
-    shared = (2 + 2 * len(rows)) * m * m + 4 * l * k + len(rows) * v_total * m * min(l, k) + 10 * n * n
+    shared = (2 + 2 * len(rows)) * m * m + 4 * l * k + len(rows) * v_total * m * min(l, k) + 6 * n * n
     block = (BLOCK * (2 + 5 * len(rows)) + _chunk_rows(k) * (6 * min(l, k) + 2 * k + len(rows))
              + chunk_rows(n, 4) * n)
     return 8 * (shared + threads * block)

@@ -23,7 +23,7 @@ from .channel import (
     compound_scales,
     correlation_weights,
 )
-from .codes import BinarySequence
+from .codes import BinarySequence, shift_table
 
 __all__ = [
     "RisProfile",
@@ -45,23 +45,24 @@ TAG_FRAME = 0
 TAG_RIS = 1
 
 _MASK64 = (1 << 64) - 1
-_ZEROS = np.zeros(4, dtype=np.uint64)  # counter and buffer words of a new Philox
-_ZEROS.flags.writeable = False
+_ZEROS = (0, 0, 0, 0)  # counter and buffer words of a new Philox
 _frames = threading.local()  # .gen: the one generator this thread's single frames re-key
 
 
-def _key(seed: int, tag: int, ris_id: int, block: int) -> np.ndarray:
-    """Philox key of (seed, purpose, surface, block): the seed, then tag, id and block packed."""
+def _key(seed: int, tag: int, ris_id: int, block: int) -> tuple:
+    """Philox key words of (seed, purpose, surface, block) as ints: the seed, then tag, id and block packed."""
     if not (0 <= seed <= _MASK64 and 0 <= tag < 2**8 and 0 <= ris_id < 2**16 and 0 <= block < 2**40):
         raise ValueError("substream path component out of range")
-    return np.array([operator.index(seed), (tag << 56) | (ris_id << 40) | block], dtype=np.uint64)
+    return operator.index(seed), (tag << 56) | (ris_id << 40) | block
 
 
 def substream(seed: int, tag: int, ris_id: int, block: int) -> np.random.Generator:
     """Counter-style generator keyed by (seed, purpose, surface, block), new on every call.
     Streams for different key tuples are independent Philox streams, so draws for one surface
     never depend on how many other surfaces exist or in which order they are processed."""
-    return np.random.Generator(np.random.Philox(key=_key(seed, tag, ris_id, block)))
+    # Philox casts a Python tuple's words through int64, which warns on a word >= 2**63
+    key = np.array(_key(seed, tag, ris_id, block), dtype=np.uint64)
+    return np.random.Generator(np.random.Philox(key=key))
 
 
 def _frame_stream(seed: int, tag: int, ris_id: int, block: int) -> np.random.Generator:
@@ -183,7 +184,7 @@ def synthesize_frame(
                              f"elements, its geometry {p.geometry.n}")
         seen.add(p.id)
     for name, given in (("reachability", reachability or {}), ("correlations", correlations)):
-        if set(given) - seen:
+        if not seen.issuperset(given):
             raise ValueError(f"{name} names surface id {min(set(given) - seen)}, which no profile has")
     if not 1 <= v_total < m:
         raise ValueError("pad budget must satisfy 1 <= v_total < M")
@@ -201,10 +202,7 @@ def synthesize_frame(
         c = c_per_ris[p.id] = int(rng.integers(1, m + 1))
         s = compound_scales(rng, p.geometry.n, weights, 1)
         h = gains[p.id] = complex(compound_gains(rng, s, power_w, p.link.beta_ur, p.link.beta_rb)[0])
-        sym = p.code.symbols
-        y[0, v1 : v1 + m] += h * np.concatenate((sym[c:], sym[:c]))  # np.roll by -c
+        y[0, v1 : v1 + m] += h * shift_table(p.code)[:, c - 1]  # the code shifted left by c
 
-    truth = FrameTruth(
-        v1=v1, v2=v_total - v1, c_per_ris=c_per_ris, gains=gains, reachability=reach_map,
-    )
+    truth = FrameTruth(v1=v1, v2=v_total - v1, c_per_ris=c_per_ris, gains=gains, reachability=reach_map)
     return ReceivedFrame(samples=y[0], truth=truth, noise_variance=noise_variance)

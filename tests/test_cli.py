@@ -802,12 +802,21 @@ class TestExitCodes:
         assert not (tmp_path / "o").exists()
 
     def test_pass_memory_counts_one_chunk_of_draws_per_worker(self):
-        """64 workers at N = 256 hold one chunk of exponential draws each, about 0.68 GiB in all
-        (a block of draws each read 1.67 GiB); at N = 3600 they still exit 2 at n_elements."""
+        """64 workers at N = 256 hold one chunk of exponential draws each, about 0.1 GiB in all
+        (a block of draws each read 1.67 GiB); at N = 4800 they still exit 2 at n_elements."""
         cli._check_pass_memory(16, 4, (15,), threads=64, n=256)
         assert montecarlo.pass_bytes(16, 4, (15,), threads=64, n=256) < 0.7 * 2**30
-        with pytest.raises(ConfigError, match="with 3600 correlated elements need") as err:
-            cli._check_pass_memory(16, 4, (15,), threads=64, n=3600)
+        with pytest.raises(ConfigError, match="with 4800 correlated elements need") as err:
+            cli._check_pass_memory(16, 4, (15,), threads=64, n=4800)
+        assert err.value.key == "n_elements"
+
+    def test_pass_memory_counts_the_correlated_build_it_makes(self):
+        """The correlation build peaks near 5.2 N^2 doubles, 0.53 GiB at N = 3700, so one
+        worker there fits; counted as six N^2 doubles, one worker exits 2 from N = 4727."""
+        cli._check_pass_memory(16, 4, (15,), threads=1, n=3700)
+        cli._check_pass_memory(16, 4, (15,), threads=1, n=4726)
+        with pytest.raises(ConfigError, match="with 4727 correlated elements need 1.00 GiB") as err:
+            cli._check_pass_memory(16, 4, (15,), threads=1, n=4727)
         assert err.value.key == "n_elements"
 
     def test_empty_true_state_from_trial_flag_has_no_line(self, tmp_path, capsys):

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from risid import codes
+from risid import codes, detector, signal
 from risid.codes import (
     BinarySequence,
     _pair_peaks,
@@ -24,10 +24,12 @@ from risid.codes import (
     distinct_shift_fraction,
     hadamard_matrix,
     rank_code_subsets,
+    shift_table,
     sign_classes,
     uniform_offset_law,
 )
 from conftest import brute_force_pmf, circular_shift, partial_cross_corr
+from test_signal import make_profiles
 
 
 class TestHadamard:
@@ -362,6 +364,55 @@ class TestDistinctShiftFraction:
     @settings(max_examples=15, deadline=None)
     def test_bounded_by_half(self, row, seq16):
         assert 0 < distinct_shift_fraction(seq16[row]) <= 0.5
+
+
+class TestShiftTable:
+    """The one complex shift table that detection correlates with and frames are laid from."""
+
+    @pytest.mark.parametrize("m", [2, 16, 64, 256])
+    def test_column_is_the_code_shifted_left(self, m):
+        for row in sorted({1, m // 2, m - 1}):
+            seq = BinarySequence(1, hadamard_matrix(m)[row])
+            table = shift_table(seq)
+            assert table.shape == (m, m) and table.dtype == np.complex128
+            for c in range(1, m + 1):
+                assert np.array_equal(table[:, c - 1], np.roll(seq.symbols, -c).astype(complex))
+
+    def test_read_only(self):
+        table = shift_table(build_codebook(16, [5]).entries[0])
+        assert not table.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            table[0, 0] = 2
+
+    def test_laid_code_has_the_bytes_of_the_shifted_symbols(self):
+        """h times a column equals h times the int64 shifted symbols bit for bit: numpy makes
+        the symbols complex before the multiply in both forms."""
+        sym = hadamard_matrix(64)[37]
+        table = shift_table(BinarySequence(1, sym))
+        gains = [0j, complex(-0.0, 0.0), complex(0.0, -0.0), -0j, 1.5 - 2.25j, -3e-9 + 0j,
+                 complex(0.0, -7.1e-12), complex(-2.5e-300, 1e300), complex(-1.1, -0.0)]
+        gains += list(np.random.default_rng(7).standard_normal((20, 2)) @ [1, 1j])
+        for h in gains:
+            for c in range(1, 65):
+                want = h * np.concatenate((sym[c:], sym[:c]))
+                assert (h * table[:, c - 1]).tobytes() == want.tobytes()
+
+    def test_detect_and_frames_share_one_table(self, monkeypatch):
+        profiles = make_profiles(m=16, rows=(11,))
+        code = profiles[0].code
+        got = []
+
+        def recording(seq):
+            got.append(shift_table(seq))
+            return got[-1]
+
+        monkeypatch.setattr(signal, "shift_table", recording)
+        monkeypatch.setattr(detector, "shift_table", recording)
+        detector._plan.cache_clear()
+        fr = signal.synthesize_frame(profiles, 4, 0.1, 1.0, seed=3)
+        detector.detect(fr, code)
+        detector._plan.cache_clear()  # drop the plan that holds the recorded table
+        assert len(got) == 2 and got[0] is got[1] is shift_table(code)
 
 
 class TestSignClasses:

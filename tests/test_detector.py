@@ -16,7 +16,7 @@ from conftest import (
     correlate,
     partial_cross_corr,
 )
-from grids import frame_grid
+from grids import frame_grid, wide_frame_grid
 from test_signal import make_profiles, identity_corrs
 
 
@@ -194,6 +194,19 @@ class TestFrameGrid:
         assert any("True)" in d for d in decisions) and any("False)" in d for d in decisions)
         digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
         assert digest == "14384c243c06a92ba7cf55bd520ca02a12c942633f071c8c2cce8298edb8a3e0"
+
+
+class TestWideFrameGrid:
+    def test_frames_and_decisions_are_pinned(self):
+        """The edges of a frame's inputs (M = 2 and 64, v_total 1 and M - 1, frame index
+        2**40 - 1, seed 2**64 - 1, surface id 2**16 - 1), against a digest taken before frame
+        streams were re-keyed from Python ints and codes laid from the shared shift table."""
+        lines = list(wide_frame_grid())
+        assert len(lines) == 144
+        decisions = [line.split(" d=")[1].split(" s=")[0] for line in lines]
+        assert any("True)" in d for d in decisions) and any("False)" in d for d in decisions)
+        digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+        assert digest == "04c634942460e732a95f8edb3abe8747c31bac23bd3914122542af9cd940ab9b"
 
 
 class TestRunRisId:

@@ -293,6 +293,24 @@ class TestSubstream:
                 assert np.array_equal(draws(substream(seed, tag, ris_id, block)),
                                       draws(oracle(seed, tag, ris_id, block)))
 
+    def test_frame_rekey_is_a_new_philox(self):
+        """Right after a re-key, the thread's frame generator holds a new ``Philox(key=...)``'s
+        whole state and gives ``substream``'s draws, though the stream before it (a pad split
+        and its noise) stopped holding a 32-bit half in a part-used buffer."""
+        positions = []
+        for seed in (0, 5, 2**63, 2**64 - 1):
+            for tag, ris_id, block in ((TAG_FRAME, 0, 0), (TAG_RIS, 3, 9), (255, 2**16 - 1, 2**40 - 1)):
+                gen = signal._frame_stream(seed, TAG_FRAME, 0, 1)
+                draw_pads(gen, 4)
+                draw_noise(gen, np.empty((1, 20, 2)), 0.1)
+                left = gen.bit_generator.state
+                assert left["has_uint32"] == 1
+                positions.append(left["buffer_pos"])
+                gen = signal._frame_stream(seed, tag, ris_id, block)
+                assert stream_state(gen) == stream_state(oracle(seed, tag, ris_id, block))
+                assert np.array_equal(draws(gen), draws(substream(seed, tag, ris_id, block)))
+        assert any(pos != 4 for pos in positions)  # so a kept buffer position would show
+
     def test_two_surface_frames_build_one_philox(self, monkeypatch):
         """On a new thread, frames re-key one generator for the frame stream and every
         surface stream; ``substream`` is not asked for one."""
