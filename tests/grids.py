@@ -62,8 +62,8 @@ def frame_grid():
 def wide_frame_grid():
     """``frame_grid``'s line at the edges of a frame's inputs: M = 2 and 64, v_total 1 and
     M - 1, frame indices 0 and 2**40 - 1, seeds 0 and 2**64 - 1, the three spacings at N = 4,
-    one surface (id 2**16 - 1) and two (ids 1 and 2**16 - 1), all reachable or only the first.
-    At M = 2 both surfaces carry row 1, the one usable row."""
+    one surface (id 2**16 - 1) and two (ids 1 and 2**16 - 1), all reachable or the last one
+    silent. At M = 2 both surfaces carry row 1, the one usable row."""
     lam = 299792458.0 / 1.8e9
     link = LinkBudget.from_distances(1.8e9, 10.0, 50.0)
     sn2 = noise_variance_from_bandwidth(20e6)
@@ -76,7 +76,7 @@ def wide_frame_grid():
                           [RisProfile(id=c.id, code=c, geometry=geom, link=link) for c in codes]):
                 ids = [p.id for p in profs]
                 corrs = {i: identity_correlation(4) for i in ids} if spacing == "none" else None
-                for reach in ((True,) * len(ids), (True,) + (False,) * (len(ids) - 1)):
+                for reach in ((True,) * len(ids), (True,) * (len(ids) - 1) + (False,)):
                     for v_total in sorted({1, m - 1}):
                         for seed in (0, 2**64 - 1):
                             for index in (0, 2**40 - 1):

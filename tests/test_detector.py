@@ -206,7 +206,7 @@ class TestWideFrameGrid:
         decisions = [line.split(" d=")[1].split(" s=")[0] for line in lines]
         assert any("True)" in d for d in decisions) and any("False)" in d for d in decisions)
         digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
-        assert digest == "04c634942460e732a95f8edb3abe8747c31bac23bd3914122542af9cd940ab9b"
+        assert digest == "a37a5cec2926f0397627ae526969eedcb54a329d9973de2039ba1be008ecf78a"
 
 
 class TestRunRisId:
