@@ -162,7 +162,7 @@ def correlation_weights(geom: RisGeometry) -> np.ndarray | None:
 
 
 def identity_correlation(n: int) -> CorrelationMatrix:
-    """Uncorrelated elements; used by all closed-form analysis."""
+    """R = I, uncorrelated elements: the override for frames' ``correlations`` and ``sample_channel``."""
     eye = np.eye(n)
     return CorrelationMatrix(r=eye, factor=eye.copy())
 

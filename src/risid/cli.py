@@ -18,7 +18,7 @@ import re
 import sys
 from collections import namedtuple
 from dataclasses import dataclass, fields, replace
-from decimal import Decimal
+from decimal import ROUND_CEILING, Context, Decimal
 from functools import lru_cache, partial
 from pathlib import Path
 
@@ -117,8 +117,9 @@ def _check_pass_memory(m: int, v_total: int, rows, threads: int = 1, n: int = 0,
         key = (keys or {}).get(field, field)
         workers = f" with {threads} worker threads" if threads > 1 else ""
         elements = f" with {n} correlated elements" if n else ""
+        gib = Context(prec=3, rounding=ROUND_CEILING).divide(need, 2**30)  # up: over 1 GiB never reads 1.00
         raise ConfigError(f"m = {m}, v_total = {v_total} and code rows {tuple(rows)}{elements} need "
-                          f"{Decimal(need) / 2**30:.3g} GiB per simulation pass{workers}, over the "
+                          f"{gib:.3g} GiB per simulation pass{workers}, over the "
                           f"{montecarlo.MAX_PASS_BYTES >> 30} GiB limit", key=key)
 
 
@@ -696,10 +697,8 @@ def main(argv=None) -> int:
             raise ConfigError(f"threads must be in 1..{montecarlo.MAX_THREADS}, got {args.threads}")
         if args.config is not None:
             text = args.config.read_text()
-            raw = parse_config_text(text)
-            scenario = scenario_from_config(raw)
-        else:
-            raw, scenario = {}, scenario_from_config({})
+        raw = parse_config_text(text)
+        scenario = scenario_from_config(raw)
         # from here on an error keyed to a flag's field concerns the flag, not a config line
         flags = {k: v for k, v in (("seed", args.seed), ("trials", args.trials)) if v is not None}
         scenario = replace(scenario, **flags)

@@ -71,9 +71,6 @@ class DetectionReport:
     per_ris: dict
     threshold_used: dict
 
-    def decided_ids(self) -> tuple:
-        return tuple(sorted(i for i, d in self.per_ris.items() if d.decided))
-
 
 def run_ris_id(y, candidates: Sequence[Tuple[BinarySequence, float]]) -> DetectionReport:
     """Independent detection of every candidate (code, absolute threshold r).

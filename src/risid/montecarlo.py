@@ -29,7 +29,6 @@ __all__ = [
     "AveragedMetrics",
     "wilson_interval",
     "estimate_pf",
-    "estimate_pmiss",
     "decision_sweep",
     "confusion",
     "averaged_metrics",
@@ -343,12 +342,6 @@ def estimate_pf(plan: TrialPlan, target_ris: int, r_bar: float) -> Estimate:
     """
     consume = _threshold_counter(plan, target_ris, (r_bar,), False)
     return _escalated(plan, {target_ris: False}, consume)
-
-
-def estimate_pmiss(plan: TrialPlan, target_ris: int, r_bar: float) -> Estimate:
-    """Miss-detection probability of one surface forced reachable."""
-    consume = _threshold_counter(plan, target_ris, (r_bar,), True)
-    return _escalated(plan, {target_ris: True}, consume)
 
 
 def decision_sweep(

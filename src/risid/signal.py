@@ -114,10 +114,6 @@ class ReceivedFrame:
 
     samples: np.ndarray
     truth: FrameTruth
-    noise_variance: float
-
-    def __len__(self) -> int:
-        return len(self.samples)
 
 
 def draw_pads(rng: np.random.Generator, v_total: int, size: int | None = None):
@@ -205,4 +201,4 @@ def synthesize_frame(
         y[0, v1 : v1 + m] += h * shift_table(p.code)[:, c - 1]  # the code shifted left by c
 
     truth = FrameTruth(v1=v1, v2=v_total - v1, c_per_ris=c_per_ris, gains=gains, reachability=reach_map)
-    return ReceivedFrame(samples=y[0], truth=truth, noise_variance=noise_variance)
+    return ReceivedFrame(samples=y[0], truth=truth)

@@ -14,24 +14,23 @@ from risid.channel import LinkBudget, RisGeometry, identity_correlation
 from risid.cli import Scenario
 from risid.codes import BinarySequence, build_codebook, hadamard_matrix
 from risid.detector import run_ris_id
-from risid.montecarlo import BLOCK, TrialPlan, estimate_pf, estimate_pmiss
+from risid.montecarlo import BLOCK, TrialPlan, estimate_pf
 from risid.signal import RisProfile, noise_variance_from_bandwidth, synthesize_frame
 
 
 def escalation_grid():
-    """One line per escalating estimate. The CLI never escalates, so the bundled configs never
-    run [0, n) then [n, 10 n): this grid does, about a block's edge, with coin, forced-on and
-    forced-off surfaces, two spacings and one and two workers. A line holds the estimate's
-    repr."""
+    """One line per escalating false-detection estimate. The CLI never escalates, so the bundled
+    configs never run [0, n) then [n, 10 n): this grid does, about a block's edge, with surface 1
+    forced off beside a fair-coin surface 2, two spacings and one and two workers. A line holds
+    the estimate's repr."""
     for spacing in ("none", "tenth-lambda"):
         scn = Scenario(m=16, v_total=4, code_rows=(1, 2), n_elements=16, n_horizontal=4,
                        spacing=spacing, p_dbm=10.0)
         for n in (1, 700, BLOCK - 1, BLOCK + 1):
             for threads in (1, 2):
                 plan = TrialPlan(scenario=scn, trials=n, max_trials=10 * n, seed=5, threads=threads)
-                for estimate, r_bar in ((estimate_pf, 3.3), (estimate_pf, 4.5),
-                                        (estimate_pmiss, 0.5), (estimate_pmiss, 1.0)):
-                    yield f"{spacing} {n} {threads} {r_bar} {estimate(plan, 1, r_bar)!r}"
+                for r_bar in (3.3, 4.5):
+                    yield f"{spacing} {n} {threads} {r_bar} {estimate_pf(plan, 1, r_bar)!r}"
 
 
 def frame_grid():

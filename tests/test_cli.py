@@ -812,11 +812,18 @@ class TestExitCodes:
 
     def test_pass_memory_counts_the_correlated_build_it_makes(self):
         """The correlation build peaks near 5.2 N^2 doubles, 0.53 GiB at N = 3700, so one
-        worker there fits; counted as six N^2 doubles, one worker exits 2 from N = 4727."""
+        worker there fits; counted as six N^2 doubles, one worker exits 2 from N = 4727 and 64
+        workers from N = 4524. Their needs, 1.0002 and 1.00001 GiB, read 1.01 GiB: the message
+        rounds up, so a need over the limit never reads as the limit."""
         cli._check_pass_memory(16, 4, (15,), threads=1, n=3700)
         cli._check_pass_memory(16, 4, (15,), threads=1, n=4726)
-        with pytest.raises(ConfigError, match="with 4727 correlated elements need 1.00 GiB") as err:
+        with pytest.raises(ConfigError, match="with 4727 correlated elements need 1.01 GiB") as err:
             cli._check_pass_memory(16, 4, (15,), threads=1, n=4727)
+        assert err.value.key == "n_elements"
+        cli._check_pass_memory(16, 4, (15,), threads=64, n=4523)
+        with pytest.raises(ConfigError, match="with 4524 correlated elements need 1.01 GiB per "
+                                              "simulation pass with 64 worker threads") as err:
+            cli._check_pass_memory(16, 4, (15,), threads=64, n=4524)
         assert err.value.key == "n_elements"
 
     def test_empty_true_state_from_trial_flag_has_no_line(self, tmp_path, capsys):

@@ -75,6 +75,12 @@ class TestDetect:
         assert k_hat == t.v1
         assert metric == pytest.approx(16 * abs(h) ** 2, rel=1e-12)
 
+    def test_rejects_frame_shorter_than_the_code(self):
+        code = build_codebook(16, [15]).entries[0]
+        detect(np.zeros(16, dtype=complex), code)  # one window fits
+        with pytest.raises(ValueError, match="frame shorter than the code"):
+            detect(np.zeros(15, dtype=complex), code)
+
     def test_pure_noise_false_rate_bounded(self):
         # noise-only frames, M=16, v_total=4: threshold 9 sigma^2 exceeded
         # rarely; the union bound at rho=1/2 is 0.00494
@@ -181,7 +187,7 @@ class TestGoldenFrame:
         assert got2 == (4.191934779736066e-12, 1, 3)
         r = 9.0 * noise_variance
         report = run_ris_id(y, [(book.entries[0], r), (book.entries[1], r)])
-        assert report.decided_ids() == (1, 2)
+        assert {i for i, d in report.per_ris.items() if d.decided} == {1, 2}
 
 
 class TestFrameGrid:
@@ -212,7 +218,7 @@ class TestWideFrameGrid:
 class TestRunRisId:
     def test_empty_candidates(self):
         report = run_ris_id(np.zeros(10, dtype=complex), [])
-        assert report.per_ris == {} and report.decided_ids() == ()
+        assert report.per_ris == {} and report.threshold_used == {}
 
     def test_rejects_two_candidates_with_one_code_id(self):
         code = build_codebook(16, [15]).entries[0]
@@ -239,7 +245,7 @@ class TestRunRisId:
             )
             r = 9.0 * sn2
             report = run_ris_id(fr, [(profiles[0].code, r), (profiles[1].code, r)])
-            decided += report.decided_ids() == (1, 2)
+            decided += all(d.decided for d in report.per_ris.values())
         assert decided >= 0.95 * frames
 
     def test_decision_consistent_with_threshold(self):

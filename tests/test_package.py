@@ -17,8 +17,6 @@ MODULES = sorted(info.name for info in pkgutil.iter_modules(risid.__path__))
 UNCALLED = {
     "rayleigh_cf": "the characteristic function behind the Gil-Pelaez reference",
     "gil_pelaez_cdf": "the reference CDF that pmiss_two's closed form is checked against",
-    "estimate_pmiss": "estimate_pf's miss counterpart, the plain Monte Carlo reference for a "
-                      "variance-reduced miss estimator",
 }
 
 

@@ -48,11 +48,10 @@ def identity_corrs(profiles):
 
 def frame_bytes(frame):
     """A frame, exactly: its sample bytes, v1, v2, each surface's offset, reachability and
-    gain bytes, and the noise variance. Equal frames give equal values."""
+    gain bytes. Equal frames give equal values."""
     t = frame.truth
     gains = {rid: np.complex128(h).tobytes() for rid, h in t.gains.items()}
-    return (frame.samples.tobytes(), t.v1, t.v2, t.c_per_ris, t.reachability, gains,
-            frame.noise_variance)
+    return frame.samples.tobytes(), t.v1, t.v2, t.c_per_ris, t.reachability, gains
 
 
 class TestNoiseVariance:
@@ -221,13 +220,22 @@ class TestSynthesizeFrame:
         profiles = make_profiles(m=16, rows=(15,))
         fr = synthesize_frame(profiles, 4, 0.1, 1.0, seed=1,
                               correlations=identity_corrs(profiles))
-        assert len(fr) == 20
+        assert len(fr.samples) == 20
 
     def test_rejects_inconsistent_codes(self):
         p8 = make_profiles(m=8, rows=(7,))
         p16 = make_profiles(m=16, rows=(15,))
         with pytest.raises(ValueError):
             synthesize_frame([p8[0], p16[0]], 2, 0.1, 1.0, seed=1)
+
+    def test_rejects_no_profile(self):
+        with pytest.raises(ValueError, match="at least one surface profile is required"):
+            synthesize_frame([], 2, 0.1, 1.0, seed=1)
+
+    @pytest.mark.parametrize("v_total", [0, 8])
+    def test_rejects_pad_budget_outside_one_to_m(self, v_total):
+        with pytest.raises(ValueError, match="pad budget must satisfy 1 <= v_total < M"):
+            synthesize_frame(make_profiles(m=8), v_total, 0.1, 1.0, seed=1)
 
     def test_rejects_reachability_without_a_surface(self):
         profiles = make_profiles(rows=(1, 2))
