@@ -260,8 +260,6 @@ def pmiss_two(op: OperatingPoint, a_tilde: int) -> float:
         raise ValueError("the interferer peak bound must be positive")
     f1 = pmiss_single(op)
     t = math.sqrt(op.r)
-    if t == 0:
-        return 0.5 * f1
     npb = op.n * op.power_w * op.beta
     var1, var2 = op.m * npb / 2.0, a_tilde**2 * npb / (2.0 * op.m)
     s = var1 + var2

@@ -107,9 +107,14 @@ def sign_classes(shifts: np.ndarray) -> np.ndarray:
     """One row per class of ``shifts`` rows equal up to sign, signed to start at +1.
 
     Rows are +/-1 sequences such as ``all_shifts`` returns; the classes come
-    back in ascending lexicographic order, in the dtype of ``shifts``.
+    back in ascending lexicographic order, in the dtype of ``shifts``: one stable argsort of
+    each row's signs, signed to start at +1, as one ``np.void`` key of bytes, keeping the
+    first row of each run of equal keys.
     """
-    return np.unique(shifts * shifts[:, :1], axis=0)
+    keys = (shifts == shifts[:, :1]).view(f"V{shifts.shape[1]}").ravel()
+    order = np.argsort(keys, kind="stable")
+    rows = order[np.concatenate(([True], keys[order[1:]] != keys[order[:-1]]))]
+    return shifts[rows] * shifts[rows, :1]
 
 
 def distinct_shift_fraction(seq: BinarySequence) -> float:
@@ -245,8 +250,9 @@ def cross_corr_pmf(
 
     weights: dict[int, Fraction] = {}
     for v1, row in zip(v1s, best):
-        peaks, counts = np.unique(row, return_counts=True)
-        for b, n in zip(peaks.tolist(), counts.tolist()):
+        counts = np.bincount(row)
+        peaks = np.flatnonzero(counts)
+        for b, n in zip(peaks.tolist(), counts[peaks].tolist()):
             weights[b * b] = weights.get(b * b, Fraction(0)) + Fraction(n, m) * law[v1]
     support = tuple(sorted(weights))
     probs = tuple(weights[a] for a in support)

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
@@ -194,12 +193,22 @@ def _subspace(profs, m: int, v_total: int):
     return sub
 
 
-def _pool(threads: int) -> ThreadPoolExecutor:
+def __getattr__(name: str):
+    """``ThreadPoolExecutor``, imported when first read, so a process whose passes all run one
+    worker never imports ``concurrent.futures``."""
+    if name != "ThreadPoolExecutor":
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from concurrent.futures import ThreadPoolExecutor
+    return ThreadPoolExecutor
+
+
+def _pool(threads: int):
     """This process's pool of ``threads`` workers, remade when ``ThreadPoolExecutor`` names
     another class (a dropped pool's idle threads end once it is collected)."""
+    executor = globals().get("ThreadPoolExecutor") or __getattr__("ThreadPoolExecutor")
     pool = _pools.get(threads)
-    if type(pool) is not ThreadPoolExecutor:
-        pool = _pools[threads] = ThreadPoolExecutor(max_workers=threads)
+    if type(pool) is not executor:
+        pool = _pools[threads] = executor(max_workers=threads)
     return pool
 
 

@@ -1,11 +1,13 @@
 """Shared fixtures and reference oracles for the test suite."""
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
 from risid.channel import CorrelationMatrix
 from risid.cli import Scenario
-from risid.codes import BinarySequence, all_shifts, hadamard_matrix
+from risid.codes import BinarySequence, _best_peaks, all_shifts, hadamard_matrix
 
 
 def correlate(y, code, c, k):
@@ -126,6 +128,27 @@ def brute_force_detect_same_kernel(samples, code):
             if vals[c_idx] > best:
                 best, bc, bk = float(vals[c_idx]), c_idx + 1, k
     return best, bc, bk
+
+
+def unique_sign_classes(shifts):
+    """``np.unique`` of the rows signed to start at +1: the reference ``sign_classes``' sort is
+    held to in values, order and dtype."""
+    return np.unique(shifts * shifts[:, :1], axis=0)
+
+
+def unique_counts_pmf(code_l, code_d, law, v_total):
+    """(support, probs) of ``cross_corr_pmf``, with each pad length's peaks from
+    ``codes._best_peaks`` counted by ``np.unique(return_counts=True)``: the reference its
+    ``np.bincount`` count is held to."""
+    v1s = [v1 for v1, p in law.items() if p != 0]
+    best = _best_peaks(all_shifts(code_l), all_shifts(code_d), v1s, v_total)[:, 0]
+    weights = {}
+    for v1, row in zip(v1s, best):
+        peaks, counts = np.unique(row, return_counts=True)
+        for b, n in zip(peaks.tolist(), counts.tolist()):
+            weights[b * b] = weights.get(b * b, Fraction(0)) + Fraction(n, code_l.length) * Fraction(law[v1])
+    support = tuple(sorted(weights))
+    return support, tuple(weights[a] for a in support)
 
 
 def brute_force_pmf(code_l, code_d, v_total):

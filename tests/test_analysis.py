@@ -236,6 +236,15 @@ class TestPmissTwo:
                             want = _pmiss_two_quadrature(op, a_tilde)
                             assert pmiss_two(op, a_tilde) == pytest.approx(want, rel=1e-12, abs=0)
 
+    @pytest.mark.parametrize("m,n", [(32, 256), (16, 64), (2, 1)])
+    @pytest.mark.parametrize("a_tilde", [1, 2, 7])
+    @pytest.mark.parametrize("p_dbm", [-150.0, 15.0, 200.0])
+    def test_zero_threshold_is_half_the_silent_miss(self, m, n, a_tilde, p_dbm):
+        """At r_bar = 0 the general formula, with no branch of its own, gives the quadrature's
+        F1 / 2: both peaks' CDFs are 0 there."""
+        op = op_at(m=m, n=n, p_dbm=p_dbm, r_bar=0.0, v_total=1)
+        assert pmiss_two(op, a_tilde) == _pmiss_two_quadrature(op, a_tilde) == 0.5 * pmiss_single(op)
+
     @pytest.mark.parametrize("config", ["tradeoff.txt", "theory.txt"])
     def test_agrees_with_gil_pelaez_on_bundled_grids(self, config):
         text = (Path(__file__).parents[1] / "scripts" / "configs" / config).read_text()
@@ -268,7 +277,7 @@ def _pmiss_two_quadrature(op, a_tilde):
     t = mp.sqrt(r)
     f1 = -mp.expm1(-r / (2 * var1))
     if t == 0:
-        return f1 / 2
+        return float(f1 / 2)
 
     def integrand(x):
         return x / var1 * mp.exp(-x * x / (2 * var1)) * -mp.expm1(-(t - x) ** 2 / (2 * var2))

@@ -28,7 +28,13 @@ from risid.codes import (
     sign_classes,
     uniform_offset_law,
 )
-from conftest import brute_force_pmf, circular_shift, partial_cross_corr
+from conftest import (
+    brute_force_pmf,
+    circular_shift,
+    partial_cross_corr,
+    unique_counts_pmf,
+    unique_sign_classes,
+)
 from test_signal import make_profiles
 
 
@@ -211,6 +217,13 @@ class TestCrossCorrPmf:
         assert a_tilde == base.a_tilde
         assert tuple(sorted(weights)) == base.support
         assert tuple(weights[a] for a in base.support) == base.probs
+
+    @pytest.mark.parametrize("rows", [(3, 3), (1, 2), (8, 9), (4, 9), (10, 13), (3, 9)])
+    @pytest.mark.parametrize("law", [1, 4, 15, {1: Fraction(1, 3), 3: Fraction(2, 3)}])
+    def test_counts_match_the_unique_oracle(self, seq16, rows, law):
+        law = uniform_offset_law(law) if isinstance(law, int) else law
+        pmf = cross_corr_pmf(seq16[rows[0]], seq16[rows[1]], law)
+        assert (pmf.support, pmf.probs) == unique_counts_pmf(seq16[rows[0]], seq16[rows[1]], law, max(law))
 
     def test_support_values_are_perfect_squares(self, seq16):
         pmf = cross_corr_pmf(seq16[10], seq16[13], 4)
@@ -429,6 +442,29 @@ class TestSignClasses:
             assert np.array_equal(same, np.eye(len(classes), dtype=bool))
             assert len(classes) == distinct_shift_fraction(seq) * m
             assert len(classes) == 1 << max(row.bit_length() - 1, 0)  # as montecarlo.pass_bytes counts
+
+    @staticmethod
+    def _assert_unique_order(shifts):
+        got, want = sign_classes(shifts), unique_sign_classes(shifts)
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+
+    @pytest.mark.parametrize("m", [2, 4, 8, 16, 32, 64, 128])
+    def test_matches_unique_on_every_sylvester_row(self, m):
+        for symbols in hadamard_matrix(m):
+            self._assert_unique_order(all_shifts(BinarySequence(1, symbols)))
+
+    @pytest.mark.parametrize("row", [1, 2, 341, 682, 1023])
+    def test_matches_unique_at_m_1024(self, row):
+        self._assert_unique_order(all_shifts(build_codebook(1024, [row]).entries[0]))
+
+    @pytest.mark.parametrize("dtype", [np.int64, np.int8, np.float64])
+    @pytest.mark.parametrize("m", [1, 2, 3, 8, 64])
+    def test_matches_unique_on_repeated_random_rows(self, m, dtype):
+        rng = np.random.default_rng(m)
+        for _ in range(20):
+            base = rng.choice([-1, 1], size=(rng.integers(1, 8), m))
+            rows = base[rng.integers(0, len(base), size=rng.integers(1, 24))]
+            self._assert_unique_order((rows * rng.choice([-1, 1], size=(len(rows), 1))).astype(dtype))
 
 
 def test_uniform_offset_law_normalized():
