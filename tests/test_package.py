@@ -55,21 +55,21 @@ def test_import_risid_loads_no_module():
 def test_one_worker_runs_load_neither_numpy_ma_nor_the_pool(tmp_path):
     """One-worker ``estimate_pf`` and ``decision_sweep`` passes and ``risid theory`` leave
     ``numpy.ma`` and ``concurrent.futures`` unloaded; the first two-worker pass loads the pool."""
-    code = f"""if True:
+    code = """if True:
         import json, sys
         from risid import cli, montecarlo
+
         def loaded():
             return [m for m in ("numpy.ma", "concurrent.futures") if m in sys.modules]
+
         scn = cli.Scenario(m=16, v_total=4, code_rows=(1, 2), n_elements=8, n_horizontal=2,
                            trials=2048, seed=7, p_dbm=15.0)
         plan = montecarlo.TrialPlan(scn, trials=1000, seed=7, escalate=False)
-        seen = {{}}
         montecarlo.estimate_pf(plan, 1, 3.0)
-        seen["estimate_pf"] = loaded()
-        montecarlo.decision_sweep(plan, 1, (3.0,), {{1: True}}, count_missed=True)
+        seen = {"estimate_pf": loaded()}
+        montecarlo.decision_sweep(plan, 1, (3.0,), {1: True}, count_missed=True)
         seen["decision_sweep"] = loaded()
-        cli.main(["theory", "--config", {str(ROOT / "scripts" / "configs" / "theory.txt")!r},
-                  "--out", {str(tmp_path)!r}])
+        cli.main(["theory", "--config", sys.argv[1], "--out", sys.argv[2]])
         seen["theory"] = loaded()
         montecarlo.confusion(montecarlo.TrialPlan(scn, trials=1000, seed=7, threads=2), (3.0,))
         seen["two workers"] = loaded()
@@ -77,8 +77,9 @@ def test_one_worker_runs_load_neither_numpy_ma_nor_the_pool(tmp_path):
     """
     env = dict(os.environ, PYTHONPATH=str(Path(risid.__file__).parents[1]))
     env.update(dict.fromkeys(("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"), "1"))
-    out = subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=120,
-                         capture_output=True, text=True).stdout
+    config = ROOT / "scripts" / "configs" / "theory.txt"
+    out = subprocess.run([sys.executable, "-c", code, str(config), str(tmp_path)], env=env,
+                         check=True, timeout=120, capture_output=True, text=True).stdout
     assert json.loads(out.splitlines()[-1]) == {
         "estimate_pf": [], "decision_sweep": [], "theory": [], "two workers": ["concurrent.futures"]}
 
