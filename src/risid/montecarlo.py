@@ -12,6 +12,7 @@ import math
 import os
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -85,6 +86,11 @@ class TrialPlan:
         if not 1 <= self.threads <= MAX_THREADS:
             raise ValueError(f"worker threads must be in 1..{MAX_THREADS}, got {self.threads}")
 
+    @cached_property
+    def profiles(self) -> list:
+        """The scenario's ``sim_profiles()`` in ascending id order, resolved once per plan."""
+        return sorted(self.scenario.sim_profiles(), key=lambda p: p.id)
+
 
 @dataclass(frozen=True)
 class Estimate:
@@ -112,10 +118,6 @@ def _estimate(events, trials: int) -> Estimate:
     )
 
 
-def _profiles(plan: TrialPlan) -> list:
-    return sorted(plan.scenario.sim_profiles(), key=lambda p: p.id)
-
-
 def _thresholds_w(plan: TrialPlan, r_bars: Sequence[float]) -> np.ndarray:
     """Normalized thresholds r-bar as absolute metric thresholds in watts."""
     sn2 = plan.scenario.noise_variance_w
@@ -131,15 +133,15 @@ def _chunk_rows(k: int) -> int:
 def pass_bytes(m: int, v_total: int, rows: Sequence[int], threads: int = 1, n: int = 0) -> int:
     """Upper bound on the bytes of one pass with ``threads`` workers, for Sylvester-Hadamard
     ``rows`` (row r's shifts fall in 2**floor(log2 r) sign classes): m x m matrices, W, its SVD
-    and A (L x K), a v_total x m x R table per surface, and per worker the ``_Block`` it scores
-    or holds for the next pass: two BLOCK-long vectors for the pad splits and five per surface
-    (metric, reachability, flat table rows, scales s and the scored rows' gains), and one
-    chunk's noise, parts, gathered table rows, products (``_chunk_rows`` x (R + R + R + K),
-    twice) and maxima. ``n`` is the element count of correlated surfaces (0: uncorrelated),
-    which adds six N x N arrays for the gain weights (``channel.correlation_matrix``, whose
-    build raises peak RSS by 5.1-5.3 of them: R, eigh's copy of it, its eigenvectors and
-    workspace) and per worker one chunk of ``channel.chunk_rows(n, 4)`` x N exponential draws
-    (``channel.compound_scales``)."""
+    and A (L x K), a v_total x m x R table per surface, and per worker (the calling thread and
+    each pool thread, ``_run_blocks``) the ``_Block`` it scores or holds for the next pass: two
+    BLOCK-long vectors for the pad splits and five per surface (metric, reachability, flat
+    table rows, scales s and the scored rows' gains), and one chunk's noise, parts, gathered
+    table rows, products (``_chunk_rows`` x (R + R + R + K), twice) and maxima. ``n`` is the
+    element count of correlated surfaces (0: uncorrelated), which adds six N x N arrays for the
+    gain weights (``channel.correlation_matrix``, whose build raises peak RSS by 5.1-5.3 of
+    them: R, eigh's copy of it, its eigenvectors and workspace) and per worker one chunk of
+    ``channel.chunk_rows(n, 4)`` x N exponential draws (``channel.compound_scales``)."""
     l, k = m + v_total, (v_total + 1) * sum(1 << (r.bit_length() - 1) for r in rows if r > 0)
     shared = (2 + 2 * len(rows)) * m * m + 4 * l * k + len(rows) * v_total * m * min(l, k) + 6 * n * n
     block = (BLOCK * (2 + 5 * len(rows)) + _chunk_rows(k) * (6 * min(l, k) + 2 * k + len(rows))
@@ -289,10 +291,13 @@ def _run_blocks(plan: TrialPlan, law: Mapping, t0: int, t1: int, consume, held: 
     is split into passes. ``held`` keeps the block each pass stops in (by
     default this pass's own dict). A pass starts at trial 0, or at ``t1`` of
     the last pass over the same ``held``, and scores on from that block's
-    last drawn row. A block's own worker moves it in and out, so no more
-    blocks are live than workers.
+    last drawn row. A pass over n blocks runs min(T, n) of the plan's T
+    workers: the calling thread scores every min(T, n)-th block from the
+    first, and a pool of T - 1 threads (``_pool``) the rest, so a one-block
+    pass starts no pool. A block's own worker, the caller or a pool thread,
+    moves it in and out, so no more blocks are live than workers.
     """
-    profs = _profiles(plan)
+    profs = plan.profiles
     sub = _subspace(profs, plan.scenario.m, plan.scenario.v_total)
     held = {} if held is None else held
 
@@ -305,25 +310,26 @@ def _run_blocks(plan: TrialPlan, law: Mapping, t0: int, t1: int, consume, held: 
         return out
 
     blocks = range(t0 // BLOCK, (t1 - 1) // BLOCK + 1)
-    if plan.threads > 1:
-        partials = list(_pool(plan.threads).map(one_block, blocks))
-    else:
-        partials = [one_block(b) for b in blocks]
+    step = min(plan.threads, len(blocks))
+    rest = [b for i, b in enumerate(blocks) if i % step]
+    pooled = _pool(plan.threads - 1).map(one_block, rest) if rest else ()
+    partials = [one_block(b) for b in blocks[::step]] + list(pooled)
     return tuple(sum(parts[1:], parts[0]) for parts in zip(*partials))
 
 
 def _threshold_counter(plan: TrialPlan, target_ris: int, r_bars, count_missed: bool):
-    """``consume`` tallying the target's decided (or missed) trials per threshold."""
-    ids = [p.id for p in _profiles(plan)]
+    """``consume`` tallying the target's decided (or missed) trials per threshold: a trial is
+    decided where its metric exceeds the threshold, and missed elsewhere."""
+    ids = [p.id for p in plan.profiles]
     if target_ris not in ids:
         raise ValueError(f"no surface has id {target_ris}; the scenario's ids are {ids}")
     idx = ids.index(target_ris)
     r_w = _thresholds_w(plan, r_bars)
 
     def consume(metric, reach):
-        dec = metric[:, idx][:, None] > r_w[None, :]
-        hits = ~dec if count_missed else dec
-        return (hits.sum(axis=0).astype(np.int64),)
+        col = metric[:, idx]
+        decided = np.array([np.count_nonzero(col > rw) for rw in r_w], dtype=np.int64)
+        return (len(col) - decided if count_missed else decided,)
 
     return consume
 
@@ -367,7 +373,7 @@ def decision_sweep(
     not depend on the threshold, so a single run yields an estimate per
     grid point. No escalation is applied.
     """
-    ids = [p.id for p in _profiles(plan)]
+    ids = [p.id for p in plan.profiles]
     if set(forced) - set(ids):
         raise ValueError(f"forced: no surface has id {min(set(forced) - set(ids))}; "
                          f"the scenario's ids are {ids}")
@@ -376,17 +382,24 @@ def decision_sweep(
     return [_estimate(k, plan.trials) for k in events]
 
 
+def _states(bits: np.ndarray) -> np.ndarray:
+    """Each row's state code: bit l-1 set where column l-1 of the trials x L bools is."""
+    code = bits[:, 0].astype(np.int64)
+    for l in range(1, bits.shape[1]):
+        code += bits[:, l].astype(np.int64) << l
+    return code
+
+
 def _joint_counts(plan: TrialPlan, r_bars: Sequence[float]) -> tuple:
     """Joint (true state, decided state) counts of one fair-coin pass: a 2^L x 2^L array per
     threshold, in ``r_bars`` order. A state sets bit l-1 when surface l (1-based position in
     ascending id order) reflects, or is decided present."""
-    n_l = len(_profiles(plan))
-    n_states, weights = 1 << n_l, 1 << np.arange(n_l)
+    n_states = 1 << len(plan.profiles)
     r_w = _thresholds_w(plan, r_bars)
 
     def consume(metric, reach):
-        true_state = reach.astype(np.int64) @ weights
-        return tuple(np.bincount(true_state * n_states + (metric > rw).astype(np.int64) @ weights,
+        true_state = _states(reach) * n_states
+        return tuple(np.bincount(true_state + _states(metric > rw),
                                  minlength=n_states**2).reshape(n_states, n_states) for rw in r_w)
 
     return _run_blocks(plan, {}, 0, plan.trials, consume)
@@ -445,7 +458,7 @@ def confusion(plan: TrialPlan, r_bars: Sequence[float]):
     All surfaces follow independent fair-coin reachability. Returns a dict
     mapping each threshold to its ConfusionMatrix.
     """
-    profs = _profiles(plan)
+    profs = plan.profiles
     if len(profs) == 2:
         labels = ("NO RIS", "RIS 1", "RIS 2", "BOTH RISs")
     else:
@@ -480,7 +493,7 @@ def averaged_metrics(plan: TrialPlan, r_bars: Sequence[float]):
     the rest, then both are averaged across surfaces. A surface the trials
     never show reflecting, or never silent, raises ValueError.
     """
-    surfaces = range(1, len(_profiles(plan)) + 1)
+    surfaces = range(1, len(plan.profiles) + 1)
     out = []
     for rb, counts in zip(r_bars, _joint_counts(plan, r_bars)):
         rates = []

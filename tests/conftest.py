@@ -151,6 +151,26 @@ def unique_counts_pmf(code_l, code_d, law, v_total):
     return support, tuple(weights[a] for a in support)
 
 
+def matrix_threshold_counts(metric, idx, r_w, count_missed):
+    """Column ``idx``'s decided (or missed) trials per threshold in ``r_w``, as one trials x
+    thresholds bool matrix summed over trials: the reference ``_threshold_counter``'s
+    per-threshold counts are held to."""
+    dec = metric[:, idx][:, None] > r_w[None, :]
+    hits = ~dec if count_missed else dec
+    return hits.sum(axis=0).astype(np.int64)
+
+
+def matmul_joint_counts(metric, reach, r_w):
+    """(true state, decided state) counts per threshold in ``r_w``, with each row's state code
+    from an int64 product with the bit weights: the reference ``_joint_counts``' shift-and-add
+    codes are held to."""
+    n_l = reach.shape[1]
+    n_states, weights = 1 << n_l, 1 << np.arange(n_l)
+    true_state = reach.astype(np.int64) @ weights
+    return tuple(np.bincount(true_state * n_states + (metric > rw).astype(np.int64) @ weights,
+                             minlength=n_states**2).reshape(n_states, n_states) for rw in r_w)
+
+
 def brute_force_pmf(code_l, code_d, v_total):
     """Pure-loop enumeration of the interferer peak pmf (test oracle)."""
     m = code_l.length

@@ -5,6 +5,7 @@ import multiprocessing
 import os
 import subprocess
 import sys
+import threading
 import tracemalloc
 import weakref
 from dataclasses import replace
@@ -33,6 +34,7 @@ from risid.montecarlo import (
 )
 from risid.signal import TAG_FRAME, TAG_RIS, draw_noise, draw_pads
 
+from conftest import matmul_joint_counts, matrix_threshold_counts
 from grids import escalation_grid
 
 
@@ -696,6 +698,127 @@ class TestKeptPassSetup:
         finally:
             child.kill()
             child.join()
+
+
+class TestWorkerSchedule:
+    """A T-worker pass over n blocks scores every min(T, n)-th block, from the first, on the
+    calling thread and the rest on a pool of T - 1 threads, with the one-worker pass's counts."""
+
+    SCN = dict(m=16, v_total=4, code_rows=(1, 2), n_elements=8, n_horizontal=2, p_dbm=15.0, seed=13)
+
+    @pytest.fixture
+    def scored(self, monkeypatch):
+        """(block, rows drawn before the call) -> (thread, metric, reach) of every ``score``."""
+        score, got = montecarlo._Block.score, {}
+
+        def recording(block, stop):
+            key = block.blk, block.drawn
+            out = score(block, stop)
+            got[key] = (threading.get_ident(), *out)
+            return out
+
+        monkeypatch.setattr(montecarlo._Block, "score", recording)
+        return got
+
+    @pytest.mark.parametrize("threads", [2, 3, 5])
+    def test_caller_scores_every_step_th_block(self, scored, threads):
+        scn, caller = Scenario(**self.SCN), threading.get_ident()
+        for n in sorted({1, 2, threads, threads + 1, 3 * threads + 1}):
+            trials = (n - 1) * BLOCK + 700  # the last block partial
+            want = confusion(plan_for(scn, trials=trials), (2.0, 3.0))
+            scored.clear()
+            got = confusion(plan_for(scn, trials=trials, threads=threads), (2.0, 3.0))
+            for r_bar in (2.0, 3.0):
+                assert np.array_equal(got[r_bar].counts, want[r_bar].counts), (n, r_bar)
+            step = min(threads, n)
+            assert sorted(blk for blk, _ in scored) == list(range(n))
+            assert sorted(blk for (blk, _), (tid, *_) in scored.items() if tid == caller) \
+                == list(range(n))[::step], n
+            assert len({tid for tid, *_ in scored.values()}) <= step, n
+
+    @pytest.mark.parametrize("threads", [2, 3])
+    def test_one_block_pass_reaches_no_pool(self, monkeypatch, threads):
+        """One-block passes, escalating ones included, never call the pool's ``map``;
+        a two-block pass does."""
+
+        class Refusing(montecarlo.ThreadPoolExecutor):
+            def map(self, fn, *iterables, **kwargs):
+                raise AssertionError("a pass reached the pool")
+
+        scn = Scenario(**self.SCN)
+        want = confusion(plan_for(scn, trials=BLOCK), (3.0,))[3.0].counts
+        want_pf = estimate_pf(plan_for(scn, trials=1000, max_trials=BLOCK), 1, 3.0)
+        monkeypatch.setattr(montecarlo, "ThreadPoolExecutor", Refusing)
+        got = confusion(plan_for(scn, trials=BLOCK, threads=threads), (3.0,))[3.0].counts
+        assert np.array_equal(got, want)
+        assert estimate_pf(plan_for(scn, trials=1000, max_trials=BLOCK, threads=threads), 1, 3.0) \
+            == want_pf
+        with pytest.raises(AssertionError, match="a pass reached the pool"):
+            confusion(plan_for(scn, trials=BLOCK + 1, threads=threads), (3.0,))
+
+    def test_escalation_across_block_edges_matches_one_worker(self, scored):
+        """Passes [0, 1000), [1000, 10000) and [10000, 100000): each later pass resumes the
+        block the last one stopped in, and every row's metric and reachability, in trial order,
+        are the one-worker escalation's."""
+        scn = Scenario(**self.SCN)
+
+        def rows(threads):
+            scored.clear()
+            est = montecarlo._escalated(plan_for(scn, trials=1000, max_trials=100_000,
+                                                 threads=threads), {}, no_events)
+            assert est.trials == 100_000
+            assert (0, 1000) in scored and (1, 10_000 - BLOCK) in scored  # resumed blocks
+            parts = [scored[k] for k in sorted(scored)]
+            return (np.concatenate([p[1] for p in parts]), np.concatenate([p[2] for p in parts]),
+                    len({p[0] for p in parts}))
+
+        metric, reach, _ = rows(1)
+        assert metric.shape == (100_000, 2)
+        for threads in (2, 3):
+            got_metric, got_reach, n_threads = rows(threads)
+            assert np.array_equal(got_metric, metric) and np.array_equal(got_reach, reach)
+            assert n_threads > 1
+
+
+class TestTallies:
+    """The per-block tallies count exactly what the bool-matrix sums and the int64 state-code
+    products of ``conftest`` count, a metric equal to a threshold included."""
+
+    @staticmethod
+    def draws(plan, r_bars, n_l, trials=1000, seed=3):
+        """Metrics about the thresholds, each threshold exactly in some rows, and fair
+        reachability coins."""
+        rng = np.random.default_rng(seed)
+        r_w = montecarlo._thresholds_w(plan, r_bars)
+        metric = rng.exponential(r_w.mean(), size=(trials, n_l))
+        for j, rw in enumerate(r_w):
+            metric[j :: 2 * len(r_w), :] = rw
+        return metric, rng.random((trials, n_l)) < 0.5, r_w
+
+    @pytest.mark.parametrize("n_l", [1, 2, 3, 4, 5])
+    @pytest.mark.parametrize("count_missed", [False, True])
+    def test_threshold_counts_match_the_bool_matrix_sum(self, n_l, count_missed):
+        scn = Scenario(m=16, v_total=4, code_rows=tuple(range(1, n_l + 1)), n_elements=8, n_horizontal=2)
+        plan, r_bars = plan_for(scn, trials=1000), (1.5, 2.0, 3.0)
+        metric, reach, r_w = self.draws(plan, r_bars, n_l)
+        for target in range(1, n_l + 1):
+            (got,) = montecarlo._threshold_counter(plan, target, r_bars, count_missed)(metric, reach)
+            want = matrix_threshold_counts(metric, target - 1, r_w, count_missed)
+            assert got.dtype == want.dtype and np.array_equal(got, want), target
+            assert 0 < want.min() and want.max() < len(metric)
+
+    @pytest.mark.parametrize("n_l", [1, 2, 3, 4, 5])
+    def test_joint_counts_match_the_state_code_product(self, monkeypatch, n_l):
+        scn = Scenario(m=16, v_total=4, code_rows=tuple(range(1, n_l + 1)), n_elements=8, n_horizontal=2)
+        plan, r_bars = plan_for(scn, trials=1000), (1.5, 2.0, 3.0)
+        metric, reach, r_w = self.draws(plan, r_bars, n_l)
+        monkeypatch.setattr(montecarlo, "_run_blocks", lambda plan, law, t0, t1, consume: consume(metric, reach))
+        got = montecarlo._joint_counts(plan, r_bars)
+        want = matmul_joint_counts(metric, reach, r_w)
+        assert len(got) == len(want) == 3
+        for g, w in zip(got, want):
+            assert g.dtype == w.dtype and g.shape == (1 << n_l, 1 << n_l) and np.array_equal(g, w)
+            assert g.sum() == len(metric)
 
 
 class TestDecisionSweep:

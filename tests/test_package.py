@@ -53,8 +53,9 @@ def test_import_risid_loads_no_module():
 
 
 def test_one_worker_runs_load_neither_numpy_ma_nor_the_pool(tmp_path):
-    """One-worker ``estimate_pf`` and ``decision_sweep`` passes and ``risid theory`` leave
-    ``numpy.ma`` and ``concurrent.futures`` unloaded; the first two-worker pass loads the pool."""
+    """One-worker ``estimate_pf`` and ``decision_sweep`` passes, ``risid theory`` and a one-block
+    two-worker pass leave ``numpy.ma`` and ``concurrent.futures`` unloaded; the first two-worker
+    pass over two blocks loads the pool."""
     code = """if True:
         import json, sys
         from risid import cli, montecarlo
@@ -72,6 +73,9 @@ def test_one_worker_runs_load_neither_numpy_ma_nor_the_pool(tmp_path):
         cli.main(["theory", "--config", sys.argv[1], "--out", sys.argv[2]])
         seen["theory"] = loaded()
         montecarlo.confusion(montecarlo.TrialPlan(scn, trials=1000, seed=7, threads=2), (3.0,))
+        seen["two workers, one block"] = loaded()
+        montecarlo.confusion(montecarlo.TrialPlan(scn, trials=2 * montecarlo.BLOCK, seed=7,
+                                                  threads=2), (3.0,))
         seen["two workers"] = loaded()
         print(json.dumps(seen))
     """
@@ -81,7 +85,8 @@ def test_one_worker_runs_load_neither_numpy_ma_nor_the_pool(tmp_path):
     out = subprocess.run([sys.executable, "-c", code, str(config), str(tmp_path)], env=env,
                          check=True, timeout=120, capture_output=True, text=True).stdout
     assert json.loads(out.splitlines()[-1]) == {
-        "estimate_pf": [], "decision_sweep": [], "theory": [], "two workers": ["concurrent.futures"]}
+        "estimate_pf": [], "decision_sweep": [], "theory": [], "two workers, one block": [],
+        "two workers": ["concurrent.futures"]}
 
 
 def test_every_source_file_parses_as_python_3_10():
