@@ -150,7 +150,7 @@ def pass_bytes(m: int, v_total: int, rows: Sequence[int], threads: int = 1, n: i
 
 
 _memo: dict = {}  # "last": (key, subspace) of the last code set (``_subspace``)
-_pools: dict = {}  # worker count -> this process's pool of that many workers (``_pool``)
+_pools: dict = {}  # thread count -> this process's pool of that many threads (``_pool``)
 if hasattr(os, "register_at_fork"):
     os.register_at_fork(after_in_child=_pools.clear)  # a forked child has none of the threads
 
@@ -205,7 +205,7 @@ def __getattr__(name: str):
 
 
 def _pool(threads: int):
-    """This process's pool of ``threads`` workers, remade when ``ThreadPoolExecutor`` names
+    """This process's pool of ``threads`` threads, remade when ``ThreadPoolExecutor`` names
     another class (a dropped pool's idle threads end once it is collected)."""
     executor = globals().get("ThreadPoolExecutor") or __getattr__("ThreadPoolExecutor")
     pool = _pools.get(threads)
