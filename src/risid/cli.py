@@ -16,7 +16,7 @@ import math
 import os
 import re
 import sys
-from collections import namedtuple
+from collections import deque, namedtuple
 from dataclasses import dataclass, fields, replace
 from decimal import ROUND_CEILING, Context, Decimal
 from functools import lru_cache, partial
@@ -47,6 +47,8 @@ PEAK_POWER_CEILING = 1e280
 # Most values a list key may hold: each threshold adds a BLOCK-wide column
 # to every tally, and each sweep value a full simulation.
 MAX_LIST_VALUES = 10_000
+
+MAX_M = 4096  # the largest power of two whose smallest pass (one row, v_total = 1) fits MAX_PASS_BYTES
 
 
 class ConfigError(Exception):
@@ -106,21 +108,20 @@ def _check_value(key: str, val) -> None:
         raise ConfigError(f"{key} must be {bound[1]}, got {val!r}", key=key)
 
 
-def _check_pass_memory(m: int, v_total: int, rows, threads: int = 1, n: int = 0, keys=None) -> None:
-    """Reject a simulation pass that ``montecarlo.pass_bytes`` puts over ``MAX_PASS_BYTES``, keyed
-    to ``n_elements`` when it would fit without its ``n`` correlated elements (0: none), else to
-    ``m``; to the sweep key of that field when ``keys`` (``_sweep_keys``) holds one."""
+def _check_pass_memory(m: int, v_total: int, rows, threads: int, n: int) -> None:
+    """Reject a simulation pass with ``threads`` workers that ``montecarlo.pass_bytes`` puts over
+    ``MAX_PASS_BYTES``, keyed to ``n_elements`` when it would fit without its ``n`` correlated
+    elements (0: none), else to ``m``. Its one caller, ``_passes``, checks each pass a run makes."""
     need = montecarlo.pass_bytes(m, v_total, rows, threads, n)
     if need > montecarlo.MAX_PASS_BYTES:
         fits = montecarlo.pass_bytes(m, v_total, rows, threads) <= montecarlo.MAX_PASS_BYTES
         field = "n_elements" if n and fits else "m"
-        key = (keys or {}).get(field, field)
         workers = f" with {threads} worker threads" if threads > 1 else ""
         elements = f" with {n} correlated elements" if n else ""
         gib = Context(prec=3, rounding=ROUND_CEILING).divide(need, 2**30)  # up: over 1 GiB never reads 1.00
         raise ConfigError(f"m = {m}, v_total = {v_total} and code rows {tuple(rows)}{elements} need "
                           f"{gib:.3g} GiB per simulation pass{workers}, over the "
-                          f"{montecarlo.MAX_PASS_BYTES >> 30} GiB limit", key=key)
+                          f"{montecarlo.MAX_PASS_BYTES >> 30} GiB limit", key=field)
 
 
 def _echo_value(v):
@@ -166,7 +167,6 @@ class Scenario:
         for r in self.code_rows:
             if not 1 <= r < self.m:
                 raise ConfigError(f"code row {r} outside 1..{self.m - 1}", key="code_rows")
-        _check_pass_memory(self.m, self.v_total, self.code_rows)  # before any m x m array is built
         if self.spacing not in SPACINGS:
             raise ConfigError(f"spacing must be one of {SPACINGS}", key="spacing")
         values = [(f, v) for f, v in vars(self).items() if not isinstance(v, tuple)]
@@ -327,7 +327,7 @@ _THRESHOLD = (lambda v: v >= 0 and math.isfinite(v * v), "nonnegative with a fin
 _PROBABILITY = (lambda v: 0 < v < 1, "inside (0, 1)")
 
 _KEYS = {
-    "m": _Key(_parse_int),
+    "m": _Key(_parse_int, (lambda v: 2 <= v <= MAX_M, f"in 2..{MAX_M}")),
     "v_total": _Key(_parse_int, follows="m", rule=lambda m: max(1, -(-m // 4))),  # exact for any int m
     "code_rows": _Key(_parse_int_list, follows="m", rule=lambda m: (m - 1,)),  # row m-1: shifts differ most
     "n_elements": _Key(_parse_int, _POSITIVE),
@@ -473,22 +473,25 @@ def _plan(scn: Scenario, threads: int) -> montecarlo.TrialPlan:
     return montecarlo.TrialPlan(scenario=scn, trials=scn.trials, seed=scn.seed, threads=threads)
 
 
-def _passes(scenario: Scenario, raw: dict, labels: dict):
+def _passes(scenario: Scenario, raw: dict, labels: dict, threads: int):
     """Yield (label values, scenario) for each engine pass. ``labels`` maps each label column
     to the field it varies, which runs over its sweep key's values (``_sweep_keys``) if set,
     every spacing mode for ``spacing``, else the scenario's own value; the columns combine
     in product order, first column outermost, and no column gives one pass. Each pass is the
-    config with the values in place of their keys (``rescale``). A combination the scenario
-    rejects is keyed to a sweep key it varies, the failing field's if swept."""
+    config with the values in place of their keys (``rescale``), checked by the pass-memory
+    rule with ``threads`` workers. A combination the scenario rejects is keyed to a sweep key
+    it varies, the failing field's if swept; a pass too large, to that field if not swept."""
     varied = list(labels.values())
     keys = _sweep_keys(raw, varied)
     swept = {"spacing": SPACINGS} | {f: raw[key] for f, key in keys.items()}
     for combo in itertools.product(*(swept.get(f, (getattr(scenario, f),)) for f in varied)):
-        changes = dict(zip(varied, combo))
+        changes, scn = dict(zip(varied, combo)), None
         try:
             scn = rescale(scenario, raw, **changes)
+            _check_pass_memory(scn.m, scn.v_total, scn.code_rows, threads,
+                               scn.n_elements if scn.spacing != "none" else 0)
         except ConfigError as exc:
-            if not keys:
+            if exc.key not in keys and (scn is not None or not keys):
                 raise
             key = keys.get(exc.key, next(iter(keys.values())))
             at = f" at {', '.join(f'{f} = {changes[f]!r}' for f in keys)}" if len(keys) > 1 else ""
@@ -511,7 +514,7 @@ def _mc_sweep(scenario: Scenario, raw: dict, writer: RunWriter, threads: int, la
     interferer when the subcommand is ``paired``.
     """
     rows = []
-    for combo, scn in _passes(scenario, raw, labels):
+    for combo, scn in _passes(scenario, raw, labels, threads):
         r_bars = scn.r_bar_grid if over_grid else (scn.r_bar,)
         ests = montecarlo.decision_sweep(_plan(scn, threads), 1, r_bars, law, count_missed=law[1])
         pf_c, pm_c, _ = analysis.pf_pmiss_threshold_sweep(
@@ -696,7 +699,12 @@ def main(argv=None) -> int:
         if not 1 <= args.threads <= montecarlo.MAX_THREADS:  # before any worker starts
             raise ConfigError(f"threads must be in 1..{montecarlo.MAX_THREADS}, got {args.threads}")
         if args.config is not None:
-            text = args.config.read_text()
+            data = args.config.read_bytes()
+            try:  # UTF-8 whatever the locale
+                text = data.decode("utf-8")
+            except UnicodeDecodeError as exc:  # its line as parse_config_text counts lines
+                line = len((data[:exc.start].decode("utf-8") + "\0").splitlines())
+                raise ConfigError(f"not UTF-8: {exc.reason} at byte {exc.start}", line) from exc
         raw = parse_config_text(text)
         scenario = scenario_from_config(raw)
         # from here on an error keyed to a flag's field concerns the flag, not a config line
@@ -706,11 +714,8 @@ def main(argv=None) -> int:
         if not lo <= scenario.l_count <= hi:
             raise ConfigError(f"{args.subcommand} needs {wording}, got {scenario.l_count}",
                               key="code_rows")
-        if cmd.passes is not None:  # the pass-memory rule, before any m x m or N x N array exists
-            keys = _sweep_keys(raw, cmd.passes.values())
-            for _, scn in _passes(scenario, raw, cmd.passes):
-                n = scn.n_elements if scn.spacing != "none" else 0
-                _check_pass_memory(scn.m, scn.v_total, scn.code_rows, args.threads, n, keys)
+        if cmd.passes is not None:  # every pass's memory rule, before any m x m or N x N array exists
+            deque(_passes(scenario, raw, cmd.passes, args.threads), maxlen=0)
         echo = scenario.echo()
         echo.update((key, _echo_value(value)) for key, value in raw.items() if key not in echo)
         writer = RunWriter(args.out, args.subcommand, echo)

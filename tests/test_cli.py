@@ -357,7 +357,7 @@ class TestSubcommands:
         pass_bytes, run_blocks = montecarlo.pass_bytes, montecarlo._run_blocks
 
         def spy_bytes(m, v_total, rows, threads=1, n=0):
-            if threads == 2:  # a lone Scenario's load-time check counts one worker
+            if threads == 2:  # the passes' checks, not the retired one-worker check at load
                 checked.add((m, v_total, tuple(rows), n))
             return pass_bytes(m, v_total, rows, threads, n)
 
@@ -517,6 +517,7 @@ class TestSubcommands:
 
 FIVE_ROWS_2048 = (1, 2, 4, 8, 9)  # five surfaces at m = 2048, v_total = 16: 0.88 GiB at one worker
 FIVE_ROWS_2048_TEXT = ", ".join(map(str, FIVE_ROWS_2048))
+PASS_RULE = "GiB per simulation pass"  # in every message of the pass-memory rule
 
 
 class TestExitCodes:
@@ -529,9 +530,7 @@ class TestExitCodes:
         assert "c.txt:2" in err
 
     @pytest.mark.parametrize("subcommand, text, line, want", [
-        ("theory", f"m = {2**1100}\n", 1,
-         "m = 135829852904... (332 digits), v_total = 339574632262... (331 digits) and code rows "
-         "(135829852904... (332 digits),) need"),
+        ("theory", f"m = {2**1100}\n", 1, "m must be in 2..4096, got 135829852904... (332 digits)"),
         ("theory", "n_elements = 1e300\n", 1,
          "element count 100000000000... (301 digits) not divisible by row length 818347651974... "
          "(150 digits)"),
@@ -549,6 +548,26 @@ class TestExitCodes:
         (err,) = capsys.readouterr().err.splitlines()
         assert err.startswith(f"c.txt:{line}: config error: {want}") and len(err) < 300
         assert not Path("o").exists()
+
+    @pytest.mark.parametrize("data, line, offset", [
+        (b"\xff\xfem = 16\n", 1, 0),
+        (b"m = 16  # 5 \xc2\xb5s\r\n# caf\xe9\n", 2, 22),
+        (b"m = 16\rcode_rows = 15\xc2\n", 2, 21),
+    ], ids=["utf16_mark", "latin1_comment", "cut_sequence"])
+    def test_non_utf8_config_is_two(self, tmp_path, capsys, data, line, offset):
+        """A config is read as UTF-8 whatever the locale; an undecodable byte exits 2 at its line,
+        counted as the parser counts lines."""
+        cfg = tmp_path / "c.txt"
+        cfg.write_bytes(data)
+        assert main(["theory", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"{cfg}:{line}: config error: not UTF-8: ")
+        assert err.endswith(f" at byte {offset}\n")
+        assert not (tmp_path / "o").exists()
+
+    def test_utf8_comment_is_read(self, tmp_path):
+        code, _ = run_cli(tmp_path, "theory", "m = 16  # 5 µs\ncode_rows = 15  # café\n")
+        assert code == 0
 
     def test_missing_config_file_is_two(self, tmp_path):
         code = main(["theory", "--config", str(tmp_path / "nope.txt"),
@@ -742,26 +761,33 @@ class TestExitCodes:
         assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize(
-        "subcommand, text, line",
+        "subcommand, text, line, want",
         [
-            ("pf-single", "m = 1024\ncode_rows = 1023\n", 1),
-            ("theory", "m = 4096\ncode_rows = 1\n", 1),
-            ("confusion", "m = 1048576\ncode_rows = 1, 2\nv_total = 1\n", 1),
-            ("pmiss-m", "m = 16\nm_values = 16, 1024\n", 2),
-            ("pf-two-m", "code_rows = 1, 511\nm = 512\nm_values = 32\n", 2),
-            ("pf-two-m", "code_rows = 1, 2\nm = 32\nm_values = 32, 512, 1024\n", 3),
-            ("five-ris", "m = 512\ncode_rows = 255, 256, 300, 400, 511\n", 1),
-            ("pf-single", f"code_rows = 1\nm = {2**1100}\n", 2),
-            ("pf-single", "spacing = half-lambda\nn_elements = 8192\n", 2),
-            ("pmiss-corr", "n_elements = 8192\nspacing = none\n", 1),
-            ("pmiss-n", "spacing = tenth-lambda\nn_values = 64, 8192\n", 2),
+            ("pf-single", "m = 1024\ncode_rows = 1023\n", 1, PASS_RULE),
+            ("pf-single", "m = 4096\ncode_rows = 1\n", 1, PASS_RULE),
+            ("confusion", "m = 1048576\ncode_rows = 1, 2\nv_total = 1\n", 1,
+             "m must be in 2..4096, got 1048576"),
+            ("pmiss-m", "m = 16\nm_values = 16, 1024\n", 2, PASS_RULE),
+            ("pf-two-m", "code_rows = 1, 511\nm = 512\n", 2, PASS_RULE),
+            ("pf-two-m", "code_rows = 1, 2\nm = 32\nm_values = 32, 512, 1024\n", 3, PASS_RULE),
+            ("five-ris", "m = 512\ncode_rows = 255, 256, 300, 400, 511\n", 1, PASS_RULE),
+            ("pf-single", f"code_rows = 1\nm = {2**1100}\n", 2,
+             "m must be in 2..4096, got 135829852904... (332 digits)"),
+            ("pf-single", "spacing = half-lambda\nn_elements = 8192\n", 2, PASS_RULE),
+            ("pmiss-corr", "n_elements = 8192\nspacing = none\n", 1, PASS_RULE),
+            ("pmiss-n", "spacing = tenth-lambda\nn_values = 64, 8192\n", 2, PASS_RULE),
+            ("theory", "m = 8192\ncode_rows = 1\n", 1, "m must be in 2..4096, got 8192"),
+            ("tradeoff", "m = 8192\ncode_rows = 1, 2\n", 1, "m must be in 2..4096, got 8192"),
+            ("design", "m = 8192\ntarget_pmiss = 0.1\n", 1, "m must be in 2..4096, got 8192"),
         ],
         ids=["high_row", "low_row_table", "hadamard_order", "m_sweep", "two_rows",
              "two_rows_m_sweep", "codebook_length", "beyond_float_range",
-             "correlated_elements", "spacing_sweep_elements", "element_sweep"],
+             "correlated_elements", "spacing_sweep_elements", "element_sweep",
+             "closed_form_theory", "closed_form_tradeoff", "closed_form_design"],
     )
-    def test_pass_memory_over_limit_is_two(self, tmp_path, capsys, subcommand, text, line):
-        """Rejected at load from the config's sizes, allocating nothing large."""
+    def test_pass_memory_over_limit_is_two(self, tmp_path, capsys, subcommand, text, line, want):
+        """Rejected from the config's sizes before any pass starts, allocating nothing large. The
+        closed-form subcommands make no pass; ``MAX_M`` bounds them."""
         cfg = tmp_path / "c.txt"
         cfg.write_text(text)
         tracemalloc.start()
@@ -772,9 +798,48 @@ class TestExitCodes:
             tracemalloc.stop()
         assert code == 2
         err = capsys.readouterr().err
-        assert f"c.txt:{line}: config error" in err and "GiB per simulation pass" in err
+        assert f"c.txt:{line}: config error" in err and want in err
         assert peak < 16 * 2**20
         assert not (tmp_path / "o").exists()
+
+    def test_longest_sequence_is_the_largest_whose_smallest_pass_fits(self):
+        """``MAX_M`` is the largest power of two at which one row with v_total = 1 fits a pass."""
+        assert cli.MAX_M & (cli.MAX_M - 1) == 0
+        assert (montecarlo.pass_bytes(cli.MAX_M, 1, (1,)) <= montecarlo.MAX_PASS_BYTES
+                < montecarlo.pass_bytes(2 * cli.MAX_M, 1, (1,)))
+
+    @pytest.mark.parametrize("subcommand, text, artifact", [
+        ("theory", "m = 2048\ncode_rows = 1\n", "theory.csv"),
+        ("design", "m = 4096\ncode_rows = 4095\nv_total = 16\ntarget_pmiss = 0.1\n", "design.json"),
+        ("pf-single", "m = 1024\nm_values = 16\ntrials = 1000\n", "pf_single.csv"),
+    ], ids=["theory_no_pass_fits", "design_at_the_longest_sequence", "unrun_config_shape"])
+    def test_runs_a_shape_no_pass_of_it_fits(self, tmp_path, subcommand, text, artifact):
+        """The rule checks only the passes a run makes: theory and design make none (theory's
+        shape would need 4.18 GiB a pass, design's 6.78 GiB), and pf-single with m_values = 16
+        never runs the config's own m = 1024 shape (7.56 GiB)."""
+        code, out = run_cli(tmp_path, subcommand, text)
+        assert code == 0
+        assert (out / artifact).is_file()
+
+    @pytest.mark.parametrize("subcommand, text, extra, line, want", [
+        ("pf-two-m", "m = 64\nv_total = 32\ncode_rows = 1, 2\nm_values = 4096\n",
+         ("--threads", "64"), 4, "m_values: m = 4096, v_total = 32 and code rows (1, 2) need 1.10 GiB "
+                                 "per simulation pass with 64 worker threads"),
+        ("pmiss-corr", "n_elements = 8192\np_dbm_values = 10, 20\n", (), 1,
+         "m = 16, v_total = 4 and code rows (15,) with 8192 correlated elements need 3.01 GiB"),
+        ("pf-two-np", "m = 4096\nv_total = 32\ncode_rows = 1, 2\nn_values = 4, 16\n",
+         ("--threads", "64"), 1, "m = 4096, v_total = 32 and code rows (1, 2) need 1.10 GiB per "
+                                 "simulation pass with 64 worker threads"),
+    ], ids=["swept_length_at_its_threads", "unswept_elements", "unswept_length"])
+    def test_pass_over_limit_keyed_to_its_sweep_key_or_field(self, tmp_path, capsys, subcommand,
+                                                            text, extra, line, want):
+        """A swept field's pass carries its sweep key's prefix, also when it fits with one worker
+        (0.96 GiB at m = 4096) but not with the run's 64; a field no sweep key sets puts the pass
+        over on its own, so the error is at its line, unprefixed, beside other sweep keys."""
+        code, _ = run_cli(tmp_path, subcommand, text, extra)
+        assert code == 2
+        assert capsys.readouterr().err.startswith(
+            f"{tmp_path / 'config.txt'}:{line}: config error: {want}")
 
     def test_pass_memory_counts_every_worker(self, tmp_path, capsys, monkeypatch):
         """About 3 MiB of block arrays per worker beside 0.88 GiB of tables at m = 2048,
