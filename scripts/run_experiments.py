@@ -13,26 +13,15 @@ import sys
 import time
 from pathlib import Path
 
-from risid.cli import main as risid_main
+from risid.cli import COMMANDS, main as risid_main
 
 CONFIG_DIR = Path(__file__).parent / "configs"
 
-RUNS = [
-    ("pf-single", "pf_single.txt"),
-    ("pmiss-corr", "pmiss_corr.txt"),
-    ("pmiss-m", "pmiss_m.txt"),
-    ("pmiss-n", "pmiss_n.txt"),
-    ("pf-two-m", "pf_two_m.txt"),
-    ("pf-two-np", "pf_two_np.txt"),
-    ("pmiss-two-m", "pmiss_two_m.txt"),
-    ("pmiss-two-np", "pmiss_two_np.txt"),
-    ("tradeoff", "tradeoff.txt"),
-    ("confusion", "confusion.txt"),
-    ("five-ris", "five_ris_set1.txt"),
-    ("five-ris", "five_ris_set2.txt"),
-    ("theory", "theory.txt"),
-    ("design", "design.txt"),
-]
+# (subcommand, config file): each config runs under the subcommand whose name, dashes as
+# underscores, is its file stem or a prefix of the stem followed by "_" (five_ris_set1 runs
+# under five-ris), in COMMANDS order, then in file name order
+RUNS = [(sub, path.name) for sub in COMMANDS for path in sorted(CONFIG_DIR.glob("*.txt"))
+        if f"{path.stem}_".startswith(sub.replace("-", "_") + "_")]
 
 
 def main(argv=None) -> int:

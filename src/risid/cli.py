@@ -26,9 +26,9 @@ import numpy as np
 
 from . import __version__, analysis, montecarlo
 from .analysis import OperatingPoint
-from .channel import SPEED_OF_LIGHT, RisGeometry, correlation_weights, path_gain
+from .channel import SPEED_OF_LIGHT, LinkBudget, RisGeometry, correlation_weights, path_gain
 from .codes import BinarySequence, build_codebook, cross_corr_pmf, distinct_shift_fraction
-from .signal import noise_variance_from_bandwidth
+from .signal import dbm_to_watts, noise_variance_from_bandwidth
 
 SPACINGS = ("none", "half-lambda", "tenth-lambda")
 
@@ -63,10 +63,6 @@ class ConfigError(Exception):
                                 message))
         self.line = line
         self.key = key
-
-
-def dbm_to_watts(dbm: float) -> float:
-    return 10.0 ** (dbm / 10.0) / 1000.0
 
 
 def default_n_horizontal(n: int) -> int:
@@ -232,10 +228,10 @@ class Scenario:
         return build_codebook(self.m, list(self.code_rows))
 
     def sim_profiles(self) -> tuple:
-        hop = math.sqrt(self.beta)
+        link = LinkBudget.from_distances(self.f_c_hz, self.d_ur_m, self.d_rb_m)
         weights = _gain_weights(self.n_elements, self.n_horizontal, self.spacing, self.wavelength)
         return tuple(
-            SimRis(id=k, code=code, n=self.n_elements, beta_ur=hop, beta_rb=hop,
+            SimRis(id=k, code=code, n=self.n_elements, beta_ur=link.beta_ur, beta_rb=link.beta_rb,
                    gain_weights=weights)
             for k, code in enumerate(self.codebook().entries, start=1)
         )
@@ -564,12 +560,11 @@ def cmd_confusion(scenario: Scenario, raw: dict, writer: RunWriter, threads: int
         if names[low] == names[high]:
             raise ConfigError(f"r_bar_grid entries {low!r} and {high!r} both write {names[low]}",
                               key="r_bar_grid")
-    mats = montecarlo.confusion(_plan(scenario, threads), scenario.r_bar_grid)
-    mat = next(iter(mats.values()))  # every threshold tallies the same true states
-    empty = [repr(label) for label, drawn in zip(mat.labels, mat.counts.sum(axis=1)) if not drawn]
-    if empty:
-        raise ConfigError(f"none of the {scenario.trials} trials drew the true state "
-                          f"{' or '.join(empty)}", key="trials")
+    try:
+        mats = montecarlo.confusion(_plan(scenario, threads), scenario.r_bar_grid)
+    except ValueError as exc:  # a true state no trial drew
+        raise ConfigError(str(exc), key="trials") from exc
+    surfaces = range(1, scenario.l_count + 1)
     payload = {}
     for rb, mat in sorted(mats.items()):
         freq = mat.frequencies()
@@ -577,8 +572,8 @@ def cmd_confusion(scenario: Scenario, raw: dict, writer: RunWriter, threads: int
             "labels": list(mat.labels),
             "counts": mat.counts.tolist(),
             "frequencies": [[float(v) for v in row] for row in freq],
-            "pmiss": [float(mat.miss_probability(s)) for s in (1, 2)],
-            "pf": [float(mat.false_probability(s)) for s in (1, 2)],
+            "pmiss": [float(mat.miss_probability(s)) for s in surfaces],
+            "pf": [float(mat.false_probability(s)) for s in surfaces],
             "trials": mat.trials,
         }
         grid_rows = [[label] + [float(v) for v in row] for label, row in zip(mat.labels, freq)]
@@ -593,7 +588,8 @@ def cmd_five_ris(scenario: Scenario, raw: dict, writer: RunWriter, threads: int)
     except ValueError as exc:  # a surface the trials never show reflecting, or never silent
         raise ConfigError(str(exc), key="trials") from exc
     rows = [[m.r_bar, m.avg_pmiss, m.avg_pf, *m.per_ris_pmiss, *m.per_ris_pf] for m in metrics]
-    header = ["r_bar", "avg_pmiss", "avg_pf"] + [f"{k}_ris{i}" for k in ("pmiss", "pf") for i in range(1, 6)]
+    header = ["r_bar", "avg_pmiss", "avg_pf"] + [f"{k}_ris{i}" for k in ("pmiss", "pf")
+                                                 for i in range(1, scenario.l_count + 1)]
     writer.csv("five_ris.csv", header, rows)
 
 
@@ -700,8 +696,8 @@ def main(argv=None) -> int:
             raise ConfigError(f"threads must be in 1..{montecarlo.MAX_THREADS}, got {args.threads}")
         if args.config is not None:
             data = args.config.read_bytes()
-            try:  # UTF-8 whatever the locale
-                text = data.decode("utf-8")
+            try:  # UTF-8 whatever the locale, a leading byte-order mark dropped
+                text = data.decode("utf-8").removeprefix("\ufeff")
             except UnicodeDecodeError as exc:  # its line as parse_config_text counts lines
                 line = len((data[:exc.start].decode("utf-8") + "\0").splitlines())
                 raise ConfigError(f"not UTF-8: {exc.reason} at byte {exc.start}", line) from exc

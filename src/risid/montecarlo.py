@@ -407,10 +407,10 @@ def _joint_counts(plan: TrialPlan, r_bars: Sequence[float]) -> tuple:
 
 def _marginal(counts: np.ndarray, surface: int, present: bool):
     """Per true state of joint ``counts`` in which ``surface`` reflects (``present``) or is
-    silent, in state order: the state, its trials decided the opposite way, its trials."""
+    silent, in state order: its trials decided the opposite way, and its trials."""
     has = (np.arange(len(counts)) >> (surface - 1) & 1).astype(bool)
     states = np.flatnonzero(has == present)
-    return states, counts[np.ix_(states, has != present)].sum(axis=1), counts[states].sum(axis=1)
+    return counts[np.ix_(states, has != present)].sum(axis=1), counts[states].sum(axis=1)
 
 
 @dataclass(frozen=True)
@@ -419,7 +419,8 @@ class ConfusionMatrix:
 
     State index encodes surface l (1-based position in ascending id order)
     as bit l-1. For two surfaces the states are, in order:
-    NO RIS, RIS 1, RIS 2, BOTH RISs.
+    NO RIS, RIS 1, RIS 2, BOTH RISs. ``confusion`` makes none with a true
+    state that no trial drew.
     """
 
     counts: np.ndarray
@@ -427,16 +428,13 @@ class ConfusionMatrix:
     trials: int
 
     def frequencies(self) -> np.ndarray:
-        """Row-normalized frequencies; all-zero rows stay zero."""
+        """Row-normalized frequencies."""
         c = self.counts.astype(np.float64)
-        sums = c.sum(axis=1, keepdims=True)
-        return np.divide(c, sums, out=np.zeros_like(c), where=sums > 0)
+        return c / c.sum(axis=1, keepdims=True)
 
     def _error_rate(self, surface: int, present: bool) -> Fraction:
         """Mean over the true states with the surface ``present`` of the opposite-decision rate."""
-        states, wrong, n = _marginal(self.counts, surface, present)
-        if not n.all():
-            raise ValueError(f"no trials observed in state {self.labels[states[n == 0][0]]!r}")
+        wrong, n = _marginal(self.counts, surface, present)
         return sum(map(Fraction, wrong.tolist(), n.tolist()), Fraction(0)) / len(n)
 
     def miss_probability(self, surface: int) -> Fraction:
@@ -456,21 +454,20 @@ def confusion(plan: TrialPlan, r_bars: Sequence[float]):
     """Confusion matrices for every grid threshold from one simulation pass.
 
     All surfaces follow independent fair-coin reachability. Returns a dict
-    mapping each threshold to its ConfusionMatrix.
+    mapping each threshold to its ConfusionMatrix. A true state that none
+    of the trials drew raises ValueError.
     """
-    profs = plan.profiles
-    if len(profs) == 2:
-        labels = ("NO RIS", "RIS 1", "RIS 2", "BOTH RISs")
-    else:
-        labels = tuple(
-            "+".join(
-                [f"RIS {j + 1}" for j in range(len(profs)) if s & (1 << j)]
-            ) or "NO RIS"
-            for s in range(1 << len(profs))
-        )
+    l = len(plan.profiles)
+    labels = ("NO RIS", "RIS 1", "RIS 2", "BOTH RISs") if l == 2 else tuple(
+        "+".join(f"RIS {j + 1}" for j in range(l) if s >> j & 1) or "NO RIS" for s in range(1 << l))
+    joints = _joint_counts(plan, r_bars)
+    # every threshold tallies the same true states
+    empty = [repr(label) for joint in joints[:1] for label, n in zip(labels, joint.sum(axis=1)) if not n]
+    if empty:
+        raise ValueError(f"none of the {plan.trials} trials drew the true state {' or '.join(empty)}")
     return {
         float(rb): ConfusionMatrix(counts=joint, labels=labels, trials=plan.trials)
-        for rb, joint in zip(r_bars, _joint_counts(plan, r_bars))
+        for rb, joint in zip(r_bars, joints)
     }
 
 
@@ -498,7 +495,7 @@ def averaged_metrics(plan: TrialPlan, r_bars: Sequence[float]):
     for rb, counts in zip(r_bars, _joint_counts(plan, r_bars)):
         rates = []
         for present in (True, False):
-            wrong, n = np.array([_marginal(counts, s, present)[1:] for s in surfaces]).sum(axis=2).T
+            wrong, n = np.array([_marginal(counts, s, present) for s in surfaces]).sum(axis=2).T
             if not n.all():
                 raise ValueError(f"none of the {plan.trials} trials left RIS {np.argmin(n) + 1} "
                                  + ("reflecting" if present else "silent"))

@@ -29,6 +29,7 @@ __all__ = [
     "RisProfile",
     "FrameTruth",
     "ReceivedFrame",
+    "dbm_to_watts",
     "noise_variance_from_bandwidth",
     "synthesize_frame",
     "substream",
@@ -78,12 +79,15 @@ def _frame_stream(seed: int, tag: int, ris_id: int, block: int) -> np.random.Gen
     return _frames.gen
 
 
+def dbm_to_watts(dbm: float) -> float:
+    return 10.0 ** (dbm / 10.0) / 1000.0
+
+
 def noise_variance_from_bandwidth(bw_hz: float) -> float:
     """Thermal noise power in watts: -174 dBm/Hz plus 10 log10(BW)."""
     if bw_hz <= 0:
         raise ValueError("bandwidth must be positive")
-    dbm = -174.0 + 10.0 * math.log10(bw_hz)
-    return 10.0 ** (dbm / 10.0) / 1000.0
+    return dbm_to_watts(-174.0 + 10.0 * math.log10(bw_hz))
 
 
 @dataclass(frozen=True)

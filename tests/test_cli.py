@@ -474,6 +474,12 @@ class TestSubcommands:
                 got.append({p.name: p.read_bytes() for p in out.iterdir()})
             assert got[0] == got[1], config
 
+    def test_every_bundled_config_runs_under_exactly_one_subcommand(self):
+        """A config named after no subcommand, or after two, would drop out of ``RUNS`` or run
+        twice; each runs once, under the subcommand its stem names."""
+        configs = sorted(p.name for p in BUNDLED_CONFIG_DIR.iterdir())
+        assert sorted(config for _, config in BUNDLED_RUNS) == configs
+
     def test_run_experiments_only_runs_the_named_subcommands(self, tmp_path, capsys):
         assert EXPERIMENTS.main(["--out", str(tmp_path), "--only", "theory", "design"]) == 0
         assert sorted(p.name for p in tmp_path.iterdir()) == ["design", "theory"]
@@ -553,10 +559,12 @@ class TestExitCodes:
         (b"\xff\xfem = 16\n", 1, 0),
         (b"m = 16  # 5 \xc2\xb5s\r\n# caf\xe9\n", 2, 22),
         (b"m = 16\rcode_rows = 15\xc2\n", 2, 21),
-    ], ids=["utf16_mark", "latin1_comment", "cut_sequence"])
+        (b"\xef\xbb\xbfm = 16\n\xff", 2, 10),
+    ], ids=["utf16_mark", "latin1_comment", "cut_sequence", "after_utf8_mark"])
     def test_non_utf8_config_is_two(self, tmp_path, capsys, data, line, offset):
         """A config is read as UTF-8 whatever the locale; an undecodable byte exits 2 at its line,
-        counted as the parser counts lines."""
+        counted as the parser counts lines, and at its offset in the file, a leading UTF-8
+        byte-order mark included."""
         cfg = tmp_path / "c.txt"
         cfg.write_bytes(data)
         assert main(["theory", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
@@ -568,6 +576,17 @@ class TestExitCodes:
     def test_utf8_comment_is_read(self, tmp_path):
         code, _ = run_cli(tmp_path, "theory", "m = 16  # 5 µs\ncode_rows = 15  # café\n")
         assert code == 0
+
+    def test_leading_byte_order_mark_is_dropped(self, tmp_path):
+        """A UTF-8 byte-order mark before the first key is not part of it: the run writes the
+        artifacts of the same config without the mark."""
+        got = []
+        for name, mark in (("plain", b""), ("marked", b"\xef\xbb\xbf")):
+            cfg = tmp_path / f"{name}.txt"
+            cfg.write_bytes(mark + b"m = 16\n")
+            assert main(["theory", "--config", str(cfg), "--out", str(tmp_path / name)]) == 0
+            got.append({p.name: p.read_bytes() for p in (tmp_path / name).iterdir()})
+        assert got[0] == got[1]
 
     def test_missing_config_file_is_two(self, tmp_path):
         code = main(["theory", "--config", str(tmp_path / "nope.txt"),

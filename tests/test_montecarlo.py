@@ -852,6 +852,14 @@ class TestConfusion:
             if mat.counts[i].sum() > 0:
                 assert sums[i] == pytest.approx(1.0, abs=1e-12)
 
+    def test_rejects_a_true_state_no_trial_drew(self, two_ris_scenario):
+        """Three fair-coin trials cannot draw all four states: the matrices would hold an empty
+        row, whose frequencies and error rates have no value."""
+        scn = replace(two_ris_scenario, seed=1)
+        with pytest.raises(ValueError, match="^none of the 3 trials drew the true state "
+                                             "'RIS 2' or 'BOTH RISs'$"):
+            confusion(plan_for(scn, trials=3), (3.0,))
+
     def test_diagonal_dominates_at_extreme_separation(self):
         # long sequences push the aligned peak (M^2) far above the worst
         # cross peak, and high power silences the noise floor: with the
