@@ -16,7 +16,7 @@ import math
 import os
 import re
 import sys
-from collections import deque, namedtuple
+from collections import namedtuple
 from dataclasses import dataclass, fields, replace
 from decimal import ROUND_CEILING, Context, Decimal
 from functools import lru_cache, partial
@@ -44,8 +44,8 @@ SPACINGS = ("none", "half-lambda", "tenth-lambda")
 PEAK_POWER_FLOOR = sys.float_info.min
 PEAK_POWER_CEILING = 1e280
 
-# Most values a list key may hold: each threshold adds a BLOCK-wide column
-# to every tally, and each sweep value a full simulation.
+# Most values a list key may hold, and most passes a run may make: each threshold adds a
+# BLOCK-wide column to every tally, and each pass a full simulation.
 MAX_LIST_VALUES = 10_000
 
 MAX_M = 4096  # the largest power of two whose smallest pass (one row, v_total = 1) fits MAX_PASS_BYTES
@@ -412,25 +412,24 @@ class RunWriter:
         self.echo = echo
         self.outputs: list = []
 
-    def _write(self, name: str, text: str) -> None:
-        """Write one artifact, creating the directory on the first one."""
+    def _write(self, name: str, lines) -> None:
+        """Write one artifact line by line as ``lines`` yields them, creating the directory first."""
         self.outdir.mkdir(parents=True, exist_ok=True)
-        (self.outdir / name).write_text(text)
+        with open(self.outdir / name, "w") as f:
+            f.writelines(line + "\n" for line in lines)
         self.outputs.append(name)
 
-    def csv(self, name: str, header: list, rows: list) -> None:
-        """Echo lines, version, header, then rows (floats by repr)."""
+    def csv(self, name: str, header: list, rows) -> None:
+        """Echo lines, version, header, then rows (floats by repr), each as ``rows`` yields it."""
         lines = [f"# {k} = {self.echo[k]}" for k in sorted(self.echo)]
         lines += [f"# version = {__version__}", ",".join(header)]
-        for row in rows:
-            lines.append(",".join(
-                repr(float(v)) if isinstance(v, float) else str(v) for v in row
-            ))
-        self._write(name, "\n".join(lines) + "\n")
+        self._write(name, itertools.chain(lines, (",".join(
+            repr(float(v)) if isinstance(v, float) else str(v) for v in row
+        ) for row in rows)))
 
     def json(self, name: str, payload: dict) -> None:
         doc = {"config": self.echo, "version": __version__} | payload
-        self._write(name, json.dumps(doc, indent=2, sort_keys=True) + "\n")
+        self._write(name, [json.dumps(doc, indent=2, sort_keys=True)])
 
     def manifest(self) -> None:
         self.json("manifest.json", {"subcommand": self.subcommand, "outputs": sorted(self.outputs)})
@@ -470,17 +469,22 @@ def _plan(scn: Scenario, threads: int) -> montecarlo.TrialPlan:
 
 
 def _passes(scenario: Scenario, raw: dict, labels: dict, threads: int):
-    """Yield (label values, scenario) for each engine pass. ``labels`` maps each label column
-    to the field it varies, which runs over its sweep key's values (``_sweep_keys``) if set,
-    every spacing mode for ``spacing``, else the scenario's own value; the columns combine
-    in product order, first column outermost, and no column gives one pass. Each pass is the
-    config with the values in place of their keys (``rescale``), checked by the pass-memory
-    rule with ``threads`` workers. A combination the scenario rejects is keyed to a sweep key
-    it varies, the failing field's if swept; a pass too large, to that field if not swept."""
+    """Yield (label values, scenario) for each engine pass of the run plan. ``labels`` maps each
+    label column to the field it varies, which runs over its sweep key's values (``_sweep_keys``)
+    if set, every spacing mode for ``spacing``, else the scenario's own value; the columns combine
+    in product order, first column outermost, and no column gives one pass; over
+    ``MAX_LIST_VALUES`` passes are keyed to the innermost sweep key before the first is built.
+    Each pass is the config with the values in place of their keys (``rescale``), checked by the
+    pass-memory rule with ``threads`` workers. A combination the scenario rejects is keyed to a
+    sweep key it varies, the failing field's if swept; a pass too large, to that field if not swept."""
     varied = list(labels.values())
     keys = _sweep_keys(raw, varied)
     swept = {"spacing": SPACINGS} | {f: raw[key] for f, key in keys.items()}
-    for combo in itertools.product(*(swept.get(f, (getattr(scenario, f),)) for f in varied)):
+    values = [swept.get(f, (getattr(scenario, f),)) for f in varied]
+    if (count := math.prod(map(len, values))) > MAX_LIST_VALUES:
+        raise ConfigError(f"the sweep makes {count} passes, over the {MAX_LIST_VALUES} a run may make",
+                          key=[*keys.values()][-1])
+    for combo in itertools.product(*values):
         changes, scn = dict(zip(varied, combo)), None
         try:
             scn = rescale(scenario, raw, **changes)
@@ -496,31 +500,36 @@ def _passes(scenario: Scenario, raw: dict, labels: dict, threads: int):
 
 
 def _mc_sweep(scenario: Scenario, raw: dict, writer: RunWriter, threads: int, labels: dict,
-              law: dict, paired: bool, over_grid: bool = True,
-              theory_kind: str = "theory") -> None:
+              law: dict, paired: bool, over_grid: bool = True, theory_kind: str = "theory", *,
+              passes: list) -> None:
     """Shared body of the Monte Carlo subcommands: simulated rates beside their closed form.
 
-    Each of the ``_passes`` over ``labels`` runs one ``decision_sweep`` of surface 1 under
-    the reachability ``law``, counting misses when the law forces surface 1 on and false
-    detections otherwise, at every ``r_bar_grid`` threshold (an ``r_bar`` column) or at
-    ``r_bar`` alone (no such column). Its ``mc`` rows come first, then one ``theory_kind``
-    row per threshold with five empty estimate cells, in the subcommand's CSV (dashes as
-    underscores). The theory rows hold the matching curve of
-    ``analysis.pf_pmiss_threshold_sweep``, whose two-surface forms take surface 2 as the
-    interferer when the subcommand is ``paired``.
+    Each of the run's ``passes`` (``_passes`` over ``labels``) runs one ``decision_sweep`` of
+    surface 1 under the reachability ``law``, counting misses when the law forces surface 1
+    on and false detections otherwise, at every ``r_bar_grid`` threshold (an ``r_bar``
+    column) or at ``r_bar`` alone (no such column). Its ``mc`` rows come first, then one
+    ``theory_kind`` row per threshold with five empty estimate cells, in the subcommand's CSV
+    (dashes as underscores), written when the pass ends. The theory rows hold the matching
+    curve of ``analysis.pf_pmiss_threshold_sweep``, whose two-surface forms take surface 2 as
+    the interferer, with one pair pmf per code set in the run, when the subcommand is ``paired``.
     """
-    rows = []
-    for combo, scn in _passes(scenario, raw, labels, threads):
-        r_bars = scn.r_bar_grid if over_grid else (scn.r_bar,)
-        ests = montecarlo.decision_sweep(_plan(scn, threads), 1, r_bars, law, count_missed=law[1])
-        pf_c, pm_c, _ = analysis.pf_pmiss_threshold_sweep(
-            scn.operating_point(scn.r_bar), r_bars, scn.pair_pmf(1, 2) if paired else None)
-        cells = [list(combo) + ([rb] if over_grid else []) for rb in r_bars]
-        rows += [_estimate_row(["mc"] + c, est) for c, est in zip(cells, ests)]
-        rows += [[theory_kind] + c + [v] + [""] * 5
-                 for c, v in zip(cells, (pm_c if law[1] else pf_c).y)]
+    def rows():
+        pmfs = {}  # (m, v_total, code rows) -> the pair pmf
+        for combo, scn in passes:
+            r_bars = scn.r_bar_grid if over_grid else (scn.r_bar,)
+            ests = montecarlo.decision_sweep(_plan(scn, threads), 1, r_bars, law, count_missed=law[1])
+            key = (scn.m, scn.v_total, scn.code_rows)
+            if paired and key not in pmfs:
+                pmfs[key] = scn.pair_pmf(1, 2)
+            pf_c, pm_c, _ = analysis.pf_pmiss_threshold_sweep(
+                scn.operating_point(scn.r_bar), r_bars, pmfs.get(key))
+            cells = [list(combo) + ([rb] if over_grid else []) for rb in r_bars]
+            yield from (_estimate_row(["mc"] + c, est) for c, est in zip(cells, ests))
+            yield from ([theory_kind] + c + [v] + [""] * 5
+                        for c, v in zip(cells, (pm_c if law[1] else pf_c).y))
+
     header = ["kind", *labels] + (["r_bar"] if over_grid else []) + _EST_COLS
-    writer.csv(writer.subcommand.replace("-", "_") + ".csv", header, rows)
+    writer.csv(writer.subcommand.replace("-", "_") + ".csv", header, rows())
 
 
 def cmd_tradeoff(scenario: Scenario, raw: dict, writer: RunWriter, threads: int) -> None:
@@ -553,8 +562,9 @@ def cmd_tradeoff(scenario: Scenario, raw: dict, writer: RunWriter, threads: int)
     })
 
 
-def cmd_confusion(scenario: Scenario, raw: dict, writer: RunWriter, threads: int) -> None:
-    """Reachability confusion matrices at each grid threshold."""
+def cmd_confusion(scenario: Scenario, raw: dict, writer: RunWriter, threads: int, *, passes: list) -> None:
+    """Reachability confusion matrices at each grid threshold, from the run's one pass."""
+    [(_, scenario)] = passes
     names = {rb: f"confusion_rbar_{rb:g}.csv" for rb in scenario.r_bar_grid}  # equal entries: one file
     for low, high in itertools.pairwise(names):  # the grid ascends, so equal names are neighbours
         if names[low] == names[high]:
@@ -581,8 +591,9 @@ def cmd_confusion(scenario: Scenario, raw: dict, writer: RunWriter, threads: int
     writer.json("confusion.json", {"matrices": payload})
 
 
-def cmd_five_ris(scenario: Scenario, raw: dict, writer: RunWriter, threads: int) -> None:
-    """Averaged miss/false rates vs threshold for a five-surface code set."""
+def cmd_five_ris(scenario: Scenario, raw: dict, writer: RunWriter, threads: int, *, passes: list) -> None:
+    """Averaged miss/false rates vs threshold for a five-surface code set, from the run's one pass."""
+    [(_, scenario)] = passes
     try:
         metrics = montecarlo.averaged_metrics(_plan(scenario, threads), scenario.r_bar_grid)
     except ValueError as exc:  # a surface the trials never show reflecting, or never silent
@@ -615,8 +626,8 @@ def cmd_design(scenario: Scenario, raw: dict, writer: RunWriter, threads: int) -
 @dataclass(frozen=True)
 class _Command:
     """One subcommand: ``body(scenario, raw, writer, threads)``, its ``--help`` line, the code-row
-    counts it runs (fewest, most, wording) and its engine ``passes``: the ``labels`` of
-    ``_passes``, ``{}`` for one pass of the config's scenario, None for no engine."""
+    counts it runs (fewest, most, wording) and its engine ``passes``: the ``labels`` of ``_passes``,
+    whose list the body takes as ``passes=``, ``{}`` for the config's one pass, None for none."""
 
     body: object
     help: str
@@ -710,13 +721,13 @@ def main(argv=None) -> int:
         if not lo <= scenario.l_count <= hi:
             raise ConfigError(f"{args.subcommand} needs {wording}, got {scenario.l_count}",
                               key="code_rows")
-        if cmd.passes is not None:  # every pass's memory rule, before any m x m or N x N array exists
-            deque(_passes(scenario, raw, cmd.passes, args.threads), maxlen=0)
+        # every pass built and checked once, before any m x m or N x N array exists
+        plan = {} if cmd.passes is None else {"passes": list(_passes(scenario, raw, cmd.passes, args.threads))}
         echo = scenario.echo()
         echo.update((key, _echo_value(value)) for key, value in raw.items() if key not in echo)
         writer = RunWriter(args.out, args.subcommand, echo)
-        cmd.body(scenario, raw, writer, args.threads)
-        writer.manifest()
+        cmd.body(scenario, raw, writer, args.threads, **plan)
+        writer.manifest()  # last: a run without a manifest is incomplete
     except ConfigError as exc:
         if not exc.line and exc.key not in flags:  # a field error points at the field's line
             exc.line = _key_line(text, exc.key)

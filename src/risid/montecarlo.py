@@ -125,9 +125,9 @@ def _thresholds_w(plan: TrialPlan, r_bars: Sequence[float]) -> np.ndarray:
 
 
 def _chunk_rows(k: int) -> int:
-    """Block rows per correlator product with k columns: ``channel.chunk_rows``, at most BLOCK.
-    Chunks tile a block."""
-    return min(BLOCK, chunk_rows(k))
+    """Block rows per correlator product with k columns: ``channel.chunk_rows``, at least 64 (a
+    product of fewer rows runs slower per row) and at most BLOCK. Chunks tile a block."""
+    return min(BLOCK, chunk_rows(k, 64))
 
 
 def pass_bytes(m: int, v_total: int, rows: Sequence[int], threads: int = 1, n: int = 0) -> int:
@@ -171,7 +171,8 @@ def _build_subspace(shift_mats, m: int, v_total: int):
     u, sv, _ = np.linalg.svd(w, full_matrices=False)
     u = u[:, sv > sv[0] * max(w.shape) * np.finfo(float).eps]
     starts = np.cumsum([0] + [b.shape[1] for b in blocks[:-1]])
-    tables = [np.stack([s @ u[v : v + m] for v in range(1, v_total + 1)]) for s in shift_mats]
+    tables = [np.stack([f @ u[v : v + m] for v in range(1, v_total + 1)])
+              for f in (s.astype(np.float64) for s in shift_mats)]  # one cast per code, not per v
     sub = (u, u.T @ w, starts, tables)
     for arr in (*sub[:3], *tables):
         arr.flags.writeable = False

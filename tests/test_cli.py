@@ -1014,6 +1014,90 @@ class TestExitCodes:
         assert main(["theory", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
 
 
+PLAN_CONFIG = "m = 8\nn_elements = 4\nn_horizontal = 2\ntrials = 100\ncode_rows = {}\n"
+
+
+class TestRunPlan:
+    """``main`` builds the run's passes once, bounds their number before the first is built,
+    and the run holds one pass's rows at a time."""
+
+    def test_ten_thousand_squared_sweep_exits_at_load(self, tmp_path):
+        """10^4 sizes by 10^4 powers, every pass of them valid, exit 2 at the powers' line
+        without walking the passes."""
+        cfg = tmp_path / "c.txt"
+        cfg.write_text("code_rows = 1, 2\nn_horizontal = 1\n"
+                       f"n_values = {', '.join(map(str, range(1, 10_001)))}\n"
+                       "p_dbm_values = 0:99.99:0.01\n")
+        env = dict(os.environ, PYTHONPATH=str(Path(risid.__file__).parents[1]))
+        proc = subprocess.run([sys.executable, "-m", "risid.cli", "pf-two-np", "--config", str(cfg),
+                               "--out", str(tmp_path / "o")], env=env, capture_output=True,
+                              text=True, timeout=60)
+        assert proc.returncode == 2
+        assert proc.stderr == (f"{cfg}:4: config error: the sweep makes 100000000 passes, "
+                               "over the 10000 a run may make\n")
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("subcommand, text, line, count", [
+        ("pf-two-np", f"p_dbm_values = 0:99:1\nn_values = {', '.join(map(str, range(2, 203, 2)))}\n",
+         6, 10100),
+        ("pmiss-corr", "p_dbm_values = 0:33.33:0.01\n", 6, 10002),
+    ], ids=["sizes_by_powers", "spacings_by_powers"])
+    def test_over_long_sweep_starts_no_pass(self, tmp_path, capsys, monkeypatch, subcommand, text,
+                                            line, count):
+        """The product of the sweep lengths, ``spacing`` counting its 3 modes, over
+        ``MAX_LIST_VALUES`` exits 2 at the innermost sweep key's line before any pass starts,
+        though every pass is valid."""
+        def no_pass(*args):
+            raise AssertionError("a pass started")
+
+        monkeypatch.setattr(montecarlo, "_run_blocks", no_pass)
+        code, out = run_cli(tmp_path, subcommand, PLAN_CONFIG.format(_rows_text(subcommand)) + text)
+        assert code == 2
+        assert capsys.readouterr().err == (f"{tmp_path / 'config.txt'}:{line}: config error: the sweep "
+                                           f"makes {count} passes, over the 10000 a run may make\n")
+        assert not out.exists()
+
+    def test_each_pass_is_checked_once(self, tmp_path, monkeypatch):
+        """A 4-pass run applies the pass-memory rule 4 times."""
+        calls = []
+        check = cli._check_pass_memory
+        monkeypatch.setattr(cli, "_check_pass_memory", lambda *args: calls.append(args) or check(*args))
+        code, _ = run_cli(tmp_path, "pf-two-np",
+                          PLAN_CONFIG.format("1, 2") + "n_values = 4, 8\np_dbm_values = 10, 20\n")
+        assert code == 0
+        assert len(calls) == 4
+
+    @pytest.mark.parametrize("subcommand, sweep, calls", [
+        ("pf-two-np", "n_values = 4, 8\np_dbm_values = 10, 20\n", 1),
+        ("pmiss-two-m", "m_values = 8, 16, 8\n", 2),
+    ], ids=["sizes_by_powers", "lengths"])
+    def test_pair_pmf_once_per_code_set(self, tmp_path, monkeypatch, subcommand, sweep, calls):
+        """The theory rows' pair pmf is found once per code set in a run, not once per pass."""
+        seen = []
+        pmf = cli.cross_corr_pmf
+        monkeypatch.setattr(cli, "cross_corr_pmf", lambda *args: seen.append(args) or pmf(*args))
+        code, _ = run_cli(tmp_path, subcommand, PLAN_CONFIG.format("1, 2") + sweep)
+        assert code == 0
+        assert len(seen) == calls
+
+    def test_peak_stays_flat_as_passes_grow(self, tmp_path):
+        """With a 1001-threshold grid, 20 passes hold about what 2 do: each pass's rows are
+        written when it ends, not kept to the end of the run."""
+        def peak(powers, name):
+            text = (PLAN_CONFIG.format("1, 2") + "r_bar_grid = 0:10:0.01\nn_values = 4\n"
+                    f"p_dbm_values = {', '.join(str(10 + p) for p in range(powers))}\n")
+            tracemalloc.start()
+            try:
+                assert run_cli(tmp_path / name, "pf-two-np", text)[0] == 0
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak(2, "warm")  # the kept subspace and the parser are built outside the traced runs
+        two, twenty = peak(2, "two"), peak(20, "twenty")
+        assert twenty < two + 2**19, (two, twenty)
+
+
 def _fresh_python(tmp_path, code: str) -> str:
     """Stdout of ``code`` run in a new interpreter that imports risid from this tree."""
     env = dict(os.environ, PYTHONPATH=str(Path(risid.__file__).parents[1]))

@@ -178,6 +178,19 @@ class TestPrefixDraws:
             assert np.array_equal(split_metric, metric), n
             assert np.array_equal(split_reach, reach), n
 
+    def test_chunk_rows_leave_the_metric_bits(self, monkeypatch):
+        """256 rows of one M = 128, row 127 block (K = 2112, past the 512 columns where the
+        64-row floor of ``_chunk_rows`` starts) give the same metric bytes in chunks of 4 rows
+        and of 64."""
+        scn = Scenario(m=128, v_total=32, code_rows=(127,), seed=9)
+        k = montecarlo._subspace(scn.sim_profiles(), scn.m, scn.v_total)[1].shape[1]
+        assert k == 2112 and montecarlo._chunk_rows(k) == 64
+        got = []
+        for rows in (4, 64):
+            monkeypatch.setattr(montecarlo, "_chunk_rows", lambda k: rows)
+            got.append(self.rows_of(plan_for(scn, trials=256), {1: True}, [(0, 256)])[0].tobytes())
+        assert got[0] == got[1]
+
     def test_partial_pass_draws_only_its_rows(self, monkeypatch):
         """A pass over [0, 2000) asks for 2000 x R noise pairs, in chunks of at most
         ``_chunk_rows(K)`` rows, and 2000 gain pairs, in each stream's own order."""
@@ -533,7 +546,7 @@ class TestSubspaceEngine:
 
     def test_wide_block_holds_one_noise_chunk(self):
         """At M = 256, row 255 (R = 132) a block's frame of noise coordinates is 17 MiB; the
-        block holds one correlator chunk of them (32 rows) and stays within 2 MiB."""
+        block holds one correlator chunk of them (64 rows) and stays within 2 MiB."""
         _, peak = block_peak(dict(m=256, v_total=4, code_rows=(255,)), {1: True})
         assert peak <= 2 * 2**20, peak
 
