@@ -202,7 +202,7 @@ def _small_w(cf) -> float:
     return h
 
 
-def gil_pelaez_cdf(x: float, cf, clamp: bool = True) -> float:
+def gil_pelaez_cdf(x: float, cf) -> float:
     """CDF at x >= 0 recovered from a characteristic function.
 
         F(x) = 1/2 - (1/pi) * integral_0^inf Im(exp(-i w x) cf(w)) / w dw
@@ -237,8 +237,7 @@ def gil_pelaez_cdf(x: float, cf, clamp: bool = True) -> float:
             "inversion integral did not converge",
             abs_error=err, w_max=w_max, x=x,
         )
-    value = 0.5 - est / math.pi
-    return _clamp01(value) if clamp else value
+    return _clamp01(0.5 - est / math.pi)
 
 
 def pmiss_two(op: OperatingPoint, a_tilde: int) -> float:
@@ -349,13 +348,14 @@ def pf_pmiss_threshold_sweep(
     grid = tuple(float(r) for r in r_bar_grid)
     if any(b < a for a, b in zip(grid, grid[1:])):
         raise ValueError("threshold grid must be ascending")
+    ops = [replace(op, r_bar=r) for r in grid]  # one operating point per threshold, for both curves
     if pmf is None:
-        pf_vals = tuple(pf_single_bound(replace(op, r_bar=r)) for r in grid)
-        pm_vals = tuple(pmiss_single(replace(op, r_bar=r)) for r in grid)
+        pf_vals = tuple(map(pf_single_bound, ops))
+        pm_vals = tuple(map(pmiss_single, ops))
         pf_kind, pm_kind = "pf_single_bound", "pmiss_single"
     else:
-        pf_vals = tuple(pf_two(replace(op, r_bar=r), pmf) for r in grid)
-        pm_vals = tuple(pmiss_two(replace(op, r_bar=r), pmf.a_tilde) for r in grid)
+        pf_vals = tuple(pf_two(o, pmf) for o in ops)
+        pm_vals = tuple(pmiss_two(o, pmf.a_tilde) for o in ops)
         pf_kind, pm_kind = "pf_two", "pmiss_two_lower"
 
     r_pf = next((r for r, v in zip(grid, pf_vals) if v <= pf_cap), None)

@@ -626,13 +626,23 @@ def cmd_design(scenario: Scenario, raw: dict, writer: RunWriter, threads: int) -
 @dataclass(frozen=True)
 class _Command:
     """One subcommand: ``body(scenario, raw, writer, threads)``, its ``--help`` line, the code-row
-    counts it runs (fewest, most, wording) and its engine ``passes``: the ``labels`` of ``_passes``,
-    whose list the body takes as ``passes=``, ``{}`` for the config's one pass, None for none."""
+    counts it runs (fewest, most, wording), its engine ``passes``: the ``labels`` of ``_passes``,
+    whose list the body takes as ``passes=``, ``{}`` for the config's one pass, None for none, and
+    the ``targets`` keys its body reads."""
 
     body: object
     help: str
     surfaces: tuple
     passes: dict | None = None
+    targets: tuple = ()
+
+    @property
+    def reads(self) -> set:
+        """The config keys it reads: every ``Scenario`` field, ``trials`` only with passes, the
+        sweep keys of its pass labels' fields (``_KEYS``) and its ``targets``."""
+        swept = {key for key, row in _KEYS.items() if row.sweeps in (self.passes or {}).values()}
+        fields = set(Scenario.__dataclass_fields__) - ({"trials"} if self.passes is None else set())
+        return fields | swept | set(self.targets)
 
 
 def _sweep(help_text: str, labels: dict, law, surfaces, **layout):
@@ -663,14 +673,15 @@ COMMANDS = {
     "pmiss-two-np": _sweep("two-surface miss detection vs threshold per size/power (CSV: kind,n,p_dbm,r_bar,value,ci)",
                            {"n": "n_elements", "p_dbm": "p_dbm"}, {1: True}, _TWO),
     "tradeoff": _Command(cmd_tradeoff, "joint false/miss theory curves and threshold selection (CSV + JSON)",
-                         _TWO),
+                         _TWO, targets=("target_pf", "target_pmiss")),
     "confusion": _Command(cmd_confusion, "reachability confusion matrices per threshold (JSON + CSV grids)",
                           _TWO, {}),
     "five-ris": _Command(cmd_five_ris, "averaged miss/false rates for a five-surface code set (CSV)",
                          (5, 5, "exactly five code rows"), {}),
     "theory": _Command(cmd_theory, "closed-form curves only (CSV: r_bar,value,kind,M,N,P_dBm)",
                        (1, 2, "one or two code rows")),
-    "design": _Command(cmd_design, "required surface size for a miss target (JSON)", _ONE),
+    "design": _Command(cmd_design, "required surface size for a miss target (JSON)", _ONE,
+                       targets=("target_pmiss",)),
 }
 
 
@@ -713,6 +724,8 @@ def main(argv=None) -> int:
                 line = len((data[:exc.start].decode("utf-8") + "\0").splitlines())
                 raise ConfigError(f"not UTF-8: {exc.reason} at byte {exc.start}", line) from exc
         raw = parse_config_text(text)
+        if unread := [key for key in raw if key not in cmd.reads]:  # a key it would echo, unused
+            raise ConfigError(f"{args.subcommand} does not read {unread[0]}", key=unread[0])
         scenario = scenario_from_config(raw)
         # from here on an error keyed to a flag's field concerns the flag, not a config line
         flags = {k: v for k, v in (("seed", args.seed), ("trials", args.trials)) if v is not None}

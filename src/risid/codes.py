@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations
+from itertools import chain, combinations
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -259,34 +259,28 @@ def cross_corr_pmf(
     return CrossCorrPmf(support=support, probs=probs, a_tilde=int(best.max()))
 
 
-def _pair_peaks(codes: Sequence[BinarySequence], v1_span: int) -> np.ndarray:
-    """(n, n) matrix of a_tilde for every (detector code, interferer code) pair."""
-    if len({c.length for c in codes}) != 1:
-        raise ValueError("codes must share one sequence length")
-    shifts = np.vstack([all_shifts(c) for c in codes])
-    best = _best_peaks(shifts, shifts, list(uniform_offset_law(v1_span)), v1_span)
-    return best.reshape(-1, len(codes), len(codes), codes[0].length).max(axis=(0, 3))
-
-
 def rank_code_subsets(m: int, subset_size: int, v1_span: int):
     """All usable-row subsets of the given size ranked by set quality.
 
     Returns a list of (quality, rows) sorted ascending by quality then rows;
     element 0 is the canonical best set, element -1 the canonical worst.
-    The pair peaks of all m-1 usable rows come from one batched search.
+    The pair peaks of all m-1 usable rows come from one batched search: the
+    ``all_shifts`` matrices of every row, each row also laid at every offset.
     """
     if not 2 <= subset_size <= m - 1:
         raise ValueError(f"subset_size must be in 2..{m - 1}, got {subset_size}")
     if not 1 <= v1_span <= m - 1:
         raise ValueError(f"v1_span must be in 1..{m - 1}, got {v1_span}")
-    h = hadamard_matrix(m)
-    peaks = _pair_peaks([BinarySequence(id=r, symbols=h[r]) for r in range(1, m)], v1_span)
+    rows = np.tile(hadamard_matrix(m)[1:], 2)
+    shifts = np.lib.stride_tricks.sliding_window_view(rows, m, axis=1)[:, 1:].reshape(-1, m)
+    best = _best_peaks(shifts, shifts, range(1, v1_span + 1), v1_span)
+    peaks = best.reshape(v1_span, m - 1, m - 1, m).max(axis=(0, 3))
     peaks = np.maximum(peaks, peaks.T)
     subsets = list(combinations(range(1, m), subset_size))
-    idx = np.array(subsets) - 1
+    idx = np.fromiter(chain.from_iterable(subsets), np.intp).reshape(-1, subset_size) - 1
     quality = np.zeros(len(subsets), dtype=np.int64)
     for i, j in combinations(range(subset_size), 2):
         np.maximum(quality, peaks[idx[:, i], idx[:, j]], out=quality)
     # combinations come in lexicographic order, so a stable sort keeps ties by rows
-    return [(int(quality[s]), subsets[s]) for s in np.argsort(quality, kind="stable")]
-
+    order = np.argsort(quality, kind="stable")
+    return list(zip(quality[order].tolist(), map(subsets.__getitem__, order.tolist())))

@@ -1,6 +1,7 @@
 """Shared fixtures and reference oracles for the test suite."""
 
 from fractions import Fraction
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -149,6 +150,30 @@ def unique_counts_pmf(code_l, code_d, law, v_total):
             weights[b * b] = weights.get(b * b, Fraction(0)) + Fraction(n, code_l.length) * Fraction(law[v1])
     support = tuple(sorted(weights))
     return support, tuple(weights[a] for a in support)
+
+
+def stacked_pair_peaks(codes, v1_span):
+    """(n, n) matrix of a_tilde for every (detector code, interferer code) pair: every code's
+    ``all_shifts`` matrix stacked through one ``codes._best_peaks`` search, over a uniform pad law
+    on 1..``v1_span``. The reference ``rank_code_subsets``' strided shifts of the rows are held to."""
+    shifts = np.vstack([all_shifts(c) for c in codes])
+    best = _best_peaks(shifts, shifts, list(range(1, v1_span + 1)), v1_span)
+    return best.reshape(-1, len(codes), len(codes), codes[0].length).max(axis=(0, 3))
+
+
+def stacked_rank_code_subsets(m, subset_size, v1_span):
+    """``rank_code_subsets`` with its pair peaks from ``stacked_pair_peaks`` of one
+    ``BinarySequence`` per Hadamard row, and its subsets as a list of row tuples: the reference
+    the ranking is held to in values, order and types."""
+    h = hadamard_matrix(m)
+    peaks = stacked_pair_peaks([BinarySequence(id=r, symbols=h[r]) for r in range(1, m)], v1_span)
+    peaks = np.maximum(peaks, peaks.T)
+    subsets = list(combinations(range(1, m), subset_size))
+    idx = np.array(subsets) - 1
+    quality = np.zeros(len(subsets), dtype=np.int64)
+    for i, j in combinations(range(subset_size), 2):
+        np.maximum(quality, peaks[idx[:, i], idx[:, j]], out=quality)
+    return [(int(quality[s]), subsets[s]) for s in np.argsort(quality, kind="stable")]
 
 
 def matrix_threshold_counts(metric, idx, r_w, count_missed):

@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
+from risid import analysis
 from risid.analysis import (
     NumericalFailure,
     OperatingPoint,
@@ -174,7 +175,9 @@ class TestGilPelaez:
     def test_nondecreasing_and_raw_in_band(self):
         cf = rayleigh_sum_cf((1.0, 0.4))
         xs = np.linspace(0.05, 12, 40)
-        vals = [gil_pelaez_cdf(float(x), cf, clamp=False) for x in xs]
+        with pytest.MonkeyPatch.context() as mp:  # the raw quadrature value, before the clamp
+            mp.setattr(analysis, "_clamp01", lambda value: value)
+            vals = [gil_pelaez_cdf(float(x), cf) for x in xs]
         assert all(-1e-6 <= v <= 1 + 1e-6 for v in vals)
         assert all(b >= a - 1e-9 for a, b in zip(vals, vals[1:]))
 
@@ -349,6 +352,20 @@ class TestThresholdSweep:
     def test_rejects_unsorted_grid(self):
         with pytest.raises(ValueError):
             pf_pmiss_threshold_sweep(op_at(), [3.0, 1.0])
+
+    @pytest.mark.parametrize("two", [False, True])
+    def test_curves_equal_one_replace_per_threshold_and_curve(self, two):
+        book = build_codebook(32, [1, 2])
+        pmf = cross_corr_pmf(book.entries[0], book.entries[1], 8) if two else None
+        op = op_at(m=32, n=128, p_dbm=10.0, v_total=8, rho=0.25)
+        grid = [0.0, 0.5, *np.linspace(1, 60, 60)]
+        if two:
+            pf, pm = (lambda o: pf_two(o, pmf)), (lambda o: pmiss_two(o, pmf.a_tilde))
+        else:
+            pf, pm = pf_single_bound, pmiss_single
+        pf_c, pm_c, _ = pf_pmiss_threshold_sweep(op, grid, pmf=pmf)
+        assert pf_c.y == tuple(pf(replace(op, r_bar=float(r))) for r in grid)
+        assert pm_c.y == tuple(pm(replace(op, r_bar=float(r))) for r in grid)
 
 
 @given(st.floats(min_value=0.05, max_value=6.0), st.floats(min_value=0.05, max_value=6.0))

@@ -194,6 +194,19 @@ def test_shipped_config_loads(path):
     assert isinstance(scenario_from_config(parse_config_text(path.read_text())), Scenario)
 
 
+# Each shipped config -> the subcommand it runs under: the bundled ones by run_experiments.py's
+# rule, the benchmark's copies by their file stem.
+SHIPPED_SUBCOMMANDS = {BUNDLED_CONFIG_DIR / name: sub for sub, name in BUNDLED_RUNS} \
+    | {path: path.stem for path in sorted(PERFBENCH_CONFIG_DIR.glob("*.txt"))}
+
+
+@pytest.mark.parametrize("path", SHIPPED_CONFIGS,
+                         ids=[f"{path.parent.parent.name}/{path.name}" for path in SHIPPED_CONFIGS])
+def test_shipped_config_sets_only_keys_its_subcommand_reads(path):
+    keys = set(parse_config_text(path.read_text()))
+    assert keys <= cli.COMMANDS[SHIPPED_SUBCOMMANDS[path]].reads
+
+
 # Label column -> (sweep key, two values); spacing has no key and runs over SPACINGS.
 _M, _N, _P = ("m_values", (8, 16)), ("n_values", (4, 8)), ("p_dbm_values", (10.0, 20.0))
 _SPACING = (None, SPACINGS)
@@ -352,7 +365,7 @@ class TestSubcommands:
     @pytest.mark.parametrize("subcommand", SIMULATING)
     def test_memory_rule_checks_the_passes_run(self, tmp_path, monkeypatch, subcommand):
         """The pass-memory rule sees exactly the (m, v_total, code rows, correlated
-        elements) of the passes the run starts, whichever sweep keys the config sets."""
+        elements) of the passes the run starts, with every sweep key the subcommand reads set."""
         checked, run = set(), set()
         pass_bytes, run_blocks = montecarlo.pass_bytes, montecarlo._run_blocks
 
@@ -368,11 +381,12 @@ class TestSubcommands:
 
         monkeypatch.setattr(montecarlo, "pass_bytes", spy_bytes)
         monkeypatch.setattr(montecarlo, "_run_blocks", spy_run)
+        sweeps = {"m_values": "8, 16", "n_values": "4, 16", "p_dbm_values": "10, 20"}
         code, _ = run_cli(
             tmp_path, subcommand,
             f"m = 8\ncode_rows = {_rows_text(subcommand)}\nn_elements = 4\nn_horizontal = 2\nspacing = half-lambda\n"
-            "r_bar = 2\nr_bar_grid = 2, 3\ntrials = 200\nm_values = 8, 16\nn_values = 4, 16\n"
-            "p_dbm_values = 10, 20\n",
+            "r_bar = 2\nr_bar_grid = 2, 3\ntrials = 200\n"
+            + "".join(f"{key} = {v}\n" for key, v in sweeps.items() if key in cli.COMMANDS[subcommand].reads),
             ("--threads", "2"),
         )
         assert code == 0
@@ -527,6 +541,40 @@ PASS_RULE = "GiB per simulation pass"  # in every message of the pass-memory rul
 
 
 class TestExitCodes:
+    def test_each_subcommand_reads_the_scenario_fields_and_its_own_keys(self):
+        fields = set(Scenario.__dataclass_fields__) - {"trials"}
+        assert {name: cmd.reads - fields for name, cmd in cli.COMMANDS.items()} == {
+            "pf-single": {"trials", "m_values"},
+            "pmiss-corr": {"trials", "p_dbm_values"},
+            "pmiss-m": {"trials", "m_values", "p_dbm_values"},
+            "pmiss-n": {"trials", "n_values", "p_dbm_values"},
+            "pf-two-m": {"trials", "m_values"},
+            "pf-two-np": {"trials", "n_values", "p_dbm_values"},
+            "pmiss-two-m": {"trials", "m_values"},
+            "pmiss-two-np": {"trials", "n_values", "p_dbm_values"},
+            "tradeoff": {"target_pf", "target_pmiss"},
+            "confusion": {"trials"},
+            "five-ris": {"trials"},
+            "theory": set(),
+            "design": {"target_pmiss"},
+        }
+        assert {"seed", "r_bar", "r_bar_grid"} <= fields
+
+    @pytest.mark.parametrize("subcommand, text, line, key", [
+        ("pmiss-m", "m = 16\nn_values = 16, 64\n", 2, "n_values"),
+        ("theory", "code_rows = 1, 2\ntrials = 500\n", 2, "trials"),
+        ("design", "target_pmiss = 0.01\ntarget_pf = 0.1\n", 2, "target_pf"),
+        ("pf-single", "p_dbm_values = 10, 20\nr_bar_grid = 1, 2\nm_values = 8\n", 1, "p_dbm_values"),
+    ], ids=["pmiss_m_n_values", "theory_trials", "design_target_pf", "pf_single_p_dbm_values"])
+    def test_key_the_subcommand_does_not_read_exits_2(self, tmp_path, capsys, monkeypatch,
+                                                      subcommand, text, line, key):
+        monkeypatch.chdir(tmp_path)
+        Path("c.txt").write_text(text)
+        assert main([subcommand, "--config", "c.txt", "--out", "o", "--trials", "10"]) == 2
+        (err,) = capsys.readouterr().err.splitlines()
+        assert err == f"c.txt:{line}: config error: {subcommand} does not read {key}"
+        assert not Path("o").exists()
+
     def test_config_error_is_two(self, tmp_path, capsys):
         cfg = tmp_path / "c.txt"
         cfg.write_text("m = 16\nbogus = 2\n")
@@ -921,19 +969,24 @@ class TestExitCodes:
         assert "c.txt:" not in err
         assert not (tmp_path / "o").exists()
 
-    def test_unread_sweep_key_is_not_checked(self, tmp_path):
-        """pf-single never reads n_values, so an element count it never runs cannot reject it."""
+    def test_unread_sweep_key_is_not_checked(self, tmp_path, capsys):
+        """pf-single never reads n_values, so the key exits 2 as unread, not by the memory rule
+        on an element count it never runs."""
         code, out = run_cli(tmp_path, "pf-single",
                             "spacing = half-lambda\nn_elements = 64\nn_values = 8192\ntrials = 1000\n")
-        assert code == 0
-        assert (out / "pf_single.csv").is_file()
+        assert code == 2
+        (err,) = capsys.readouterr().err.splitlines()
+        assert err.endswith("config.txt:3: config error: pf-single does not read n_values")
+        assert not out.exists()
 
     def test_sweep_values_checked_only_where_read(self, tmp_path, capsys):
-        """m_values = 1024 would need 8 GiB a pass: pmiss-n never runs it, pf-single does."""
+        """m_values = 1024 would need 8 GiB a pass: pmiss-n never reads the key, pf-single runs
+        it."""
         text = "m = 16\nm_values = 1024\n"
         code, out = run_cli(tmp_path / "pmiss", "pmiss-n", text, ("--trials", "2000"))
-        assert code == 0
-        assert (out / "pmiss_n.csv").is_file()
+        assert code == 2
+        assert "config.txt:2: config error: pmiss-n does not read m_values\n" in capsys.readouterr().err
+        assert not out.exists()
         code, out = run_cli(tmp_path / "pf", "pf-single", text, ("--trials", "2000"))
         assert code == 2
         err = capsys.readouterr().err
@@ -950,11 +1003,10 @@ class TestExitCodes:
                 "p_dbm = 2830.0: p_dbm puts the mean received peak") in capsys.readouterr().err
 
     def test_pass_memory_checks_the_m_run_not_an_unread_sweep(self, tmp_path, capsys):
-        """five-ris never reads m_values, so it runs, and the rule checks, m = 2048 with five
+        """five-ris has no sweep key, so it runs, and the rule checks, m = 2048 with five
         surfaces at 64 workers."""
         cfg = tmp_path / "c.txt"
-        cfg.write_text(f"trials = 1000\nm = 2048\nv_total = 16\ncode_rows = {FIVE_ROWS_2048_TEXT}\n"
-                       "m_values = 16\n")
+        cfg.write_text(f"trials = 1000\nm = 2048\nv_total = 16\ncode_rows = {FIVE_ROWS_2048_TEXT}\n")
         tracemalloc.start()
         try:
             code = main(["five-ris", "--config", str(cfg), "--out", str(tmp_path / "o"),
@@ -991,7 +1043,7 @@ class TestExitCodes:
         code, _ = run_cli(
             tmp_path, subcommand,
             "m = 8\ncode_rows = 1, 2\nn_elements = 4\nn_horizontal = 2\n"
-            "r_bar_grid = 2, 3\ntrials = 1000\n",
+            "r_bar_grid = 2, 3\n", ("--trials", "1000"),
         )
         assert code == 0
 

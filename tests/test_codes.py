@@ -17,7 +17,6 @@ from hypothesis import strategies as st
 from risid import codes, detector, signal
 from risid.codes import (
     BinarySequence,
-    _pair_peaks,
     all_shifts,
     build_codebook,
     cross_corr_pmf,
@@ -32,6 +31,8 @@ from conftest import (
     brute_force_pmf,
     circular_shift,
     partial_cross_corr,
+    stacked_pair_peaks,
+    stacked_rank_code_subsets,
     unique_counts_pmf,
     unique_sign_classes,
 )
@@ -312,9 +313,21 @@ class TestBatchedPeakSearch:
         assert np.all(np.abs(h @ shifted.symbols) < 16)
         twin = BinarySequence(id=99, symbols=seq16[6].symbols)
         for codes in ([seq16[1], seq16[6], twin], [seq16[3], seq16[8], shifted], [seq16[2], shifted, seq16[9]]):
-            peaks = _pair_peaks(codes, 4)
+            peaks = stacked_pair_peaks(codes, 4)
             assert {pair: peaks[pair] for pair in _pair_peak_oracle(codes, 4)} == _pair_peak_oracle(codes, 4)
-        assert _pair_peaks([seq16[5], shifted], 4)[0, 1] == 16
+        assert stacked_pair_peaks([seq16[5], shifted], 4)[0, 1] == 16
+
+    @pytest.mark.parametrize("m,size,span", [
+        (4, 2, 1), (4, 2, 3), (4, 3, 2),
+        (8, 2, 7), (8, 3, 2), (8, 4, 1), (8, 7, 5),
+        (16, 2, 15), (16, 3, 8), (16, 5, 4), (16, 8, 1),
+        (32, 2, 31), (32, 3, 4), (32, 5, 8),
+    ])
+    def test_ranking_matches_the_stacked_search(self, m, size, span):
+        ranked = rank_code_subsets(m, size, span)
+        assert ranked == stacked_rank_code_subsets(m, size, span)
+        assert all(type(q) is int and type(rows) is tuple and all(type(r) is int for r in rows)
+                   for q, rows in ranked)
 
     @pytest.mark.parametrize("m,size,span,arg", [
         (16, 16, 4, "subset_size"), (16, 1, 4, "subset_size"), (16, 0, 4, "subset_size"),

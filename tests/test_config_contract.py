@@ -59,12 +59,14 @@ _EDGE = {
 def runs(draw):
     """A subcommand and config text setting a few keys of ``cli._KEYS`` to plausible values and
     at most one to an edge value, with comment and blank lines between. Unless drawn,
-    ``code_rows`` is the fewest rows the subcommand runs and ``target_pmiss`` the one
-    ``design`` needs."""
+    ``code_rows`` is the fewest rows the subcommand runs and, for the two subcommands that read
+    it, ``target_pmiss`` the one ``design`` needs."""
     subcommand = draw(st.sampled_from(sorted(cli.COMMANDS)))
     keys = sorted(cli._KEYS)
     rows = range(1, cli.COMMANDS[subcommand].surfaces[0] + 1)
-    config = {"code_rows": ", ".join(map(str, rows)), "target_pmiss": "0.01"}
+    config = {"code_rows": ", ".join(map(str, rows))}
+    if "target_pmiss" in cli.COMMANDS[subcommand].reads:
+        config["target_pmiss"] = "0.01"
     config |= {key: draw(_GOOD[_syntax(key)])
                for key in draw(st.lists(st.sampled_from(keys), max_size=4, unique=True))}
     if draw(st.booleans()):
