@@ -366,14 +366,15 @@ def parse_config_text(text: str) -> dict:
 
 
 def scenario_from_config(raw: dict) -> Scenario:
-    """Resolve a parsed config into a validated Scenario, dropping the keys that are not its
-    fields; the sweep keys' values are checked by ``_passes``, for the subcommands that read them."""
-    raw = dict(raw)
-    run = {key: raw.pop(key) for key in _KEYS
-           if key in raw and key not in Scenario.__dataclass_fields__}
-    scenario = rescale(Scenario(), raw, **raw)
-    for key, value in run.items():
-        if not _KEYS[key].sweeps:
+    """Resolve a parsed config into a validated Scenario: its field entries, and each field it
+    leaves out that follows a key it sets, by its ``rule`` (``_KEYS``). Its other keys are checked,
+    the sweep keys' values by ``_passes``, for the subcommands that read them."""
+    given = {key: value for key, value in raw.items() if key in Scenario.__dataclass_fields__}
+    implied = {f: row.rule(raw[row.follows]) for f, row in _KEYS.items()
+               if row.follows in raw and f not in raw}
+    scenario = Scenario(**implied | given)
+    for key, value in raw.items():
+        if key not in given and not _KEYS[key].sweeps:
             _check_value(key, value)
     return scenario
 
@@ -385,14 +386,6 @@ def _key_line(text: str, key: str | None) -> int:
     if key in keys:
         return keys.index(key) + 1
     return _key_line(text, _KEYS[key].follows) if key in _KEYS else 0
-
-
-def rescale(scenario: Scenario, config: dict | None = None, **changes) -> Scenario:
-    """``scenario`` with ``changes`` in place; each field that ``config`` does not set follows
-    the changed key it comes from by its ``rule`` (``_KEYS``)."""
-    implied = {f: row.rule(changes[row.follows]) for f, row in _KEYS.items()
-               if row.follows in changes and f not in (config or {})}
-    return replace(scenario, **implied | changes)
 
 
 def _sweep_keys(raw: dict, varied) -> dict:
@@ -474,8 +467,8 @@ def _passes(scenario: Scenario, raw: dict, labels: dict, threads: int):
     if set, every spacing mode for ``spacing``, else the scenario's own value; the columns combine
     in product order, first column outermost, and no column gives one pass; over
     ``MAX_LIST_VALUES`` passes are keyed to the innermost sweep key before the first is built.
-    Each pass is the config with the values in place of their keys (``rescale``), checked by the
-    pass-memory rule with ``threads`` workers. A combination the scenario rejects is keyed to a
+    Each pass is ``scenario_from_config`` of ``raw`` with the values in place of their keys, checked
+    by the pass-memory rule with ``threads`` workers. A combination the scenario rejects is keyed to a
     sweep key it varies, the failing field's if swept; a pass too large, to that field if not swept."""
     varied = list(labels.values())
     keys = _sweep_keys(raw, varied)
@@ -487,7 +480,7 @@ def _passes(scenario: Scenario, raw: dict, labels: dict, threads: int):
     for combo in itertools.product(*values):
         changes, scn = dict(zip(varied, combo)), None
         try:
-            scn = rescale(scenario, raw, **changes)
+            scn = scenario_from_config(raw | changes)
             _check_pass_memory(scn.m, scn.v_total, scn.code_rows, threads,
                                scn.n_elements if scn.spacing != "none" else 0)
         except ConfigError as exc:
@@ -726,10 +719,10 @@ def main(argv=None) -> int:
         raw = parse_config_text(text)
         if unread := [key for key in raw if key not in cmd.reads]:  # a key it would echo, unused
             raise ConfigError(f"{args.subcommand} does not read {unread[0]}", key=unread[0])
-        scenario = scenario_from_config(raw)
+        scenario_from_config(raw)  # the config as written, first
         # from here on an error keyed to a flag's field concerns the flag, not a config line
         flags = {k: v for k, v in (("seed", args.seed), ("trials", args.trials)) if v is not None}
-        scenario = replace(scenario, **flags)
+        scenario = scenario_from_config(raw := raw | flags)  # every pass takes the flags too
         lo, hi, wording = cmd.surfaces
         if not lo <= scenario.l_count <= hi:
             raise ConfigError(f"{args.subcommand} needs {wording}, got {scenario.l_count}",

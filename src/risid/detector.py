@@ -21,15 +21,12 @@ __all__ = ["PerRisDecision", "DetectionReport", "detect", "run_ris_id"]
 
 
 @lru_cache(maxsize=64)
-def _plan(symbols: bytes, length: int) -> tuple:
-    """A code's search over frames of ``length`` samples: (length - m + 1, 1, m) sample indices,
-    one length-m window per offset k, read-only; the code's ``shift_table``; and sqrt(m).
-    Keyed by the symbols' int64 bytes, as ``shift_table`` is."""
-    code = BinarySequence(0, np.frombuffer(symbols, dtype=np.int64))
-    m = code.length
+def _plan(m: int, length: int) -> tuple:
+    """The search of a length-``m`` code over frames of ``length`` samples: (length - m + 1, 1, m)
+    sample indices, one length-m window per offset k, read-only; and sqrt(m)."""
     windows = np.arange(length - m + 1)[:, None, None] + np.arange(m)
     windows.flags.writeable = False
-    return windows, shift_table(code), math.sqrt(m)
+    return windows, math.sqrt(m)
 
 
 def detect(y, code: BinarySequence) -> Tuple[float, int, int]:
@@ -46,8 +43,8 @@ def detect(y, code: BinarySequence) -> Tuple[float, int, int]:
     m = code.length
     if len(samples) < m:
         raise ValueError("frame shorter than the code")
-    windows, table, root_m = _plan(code.symbols.tobytes(), len(samples))
-    d = samples[windows] @ table
+    windows, root_m = _plan(m, len(samples))
+    d = samples[windows] @ shift_table(code)
     d /= root_m
     sq = np.square(d.view(np.float64))  # re^2 and im^2, interleaved
     metric = (sq[..., 0::2] + sq[..., 1::2]).reshape(-1, m)  # (k, c)

@@ -8,12 +8,13 @@ number here is reproducible bit for bit.
 import math
 import sys
 import time
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
 
 from risid import analysis
-from risid.cli import Scenario, main, rescale
+from risid.cli import Scenario, main
 from risid.codes import (
     build_codebook,
     cross_corr_pmf,
@@ -91,7 +92,7 @@ def _mc_crossing_power(scn_base: Scenario, target: float, p_guess: float) -> flo
     grid = [p_guess - 2.0, p_guess - 1.0, p_guess, p_guess + 1.0, p_guess + 2.0]
     logs = []
     for p in grid:
-        scn = rescale(scn_base, p_dbm=p)
+        scn = replace(scn_base, p_dbm=p)
         plan = TrialPlan(scenario=scn, trials=10**5, seed=SEED, escalate=False)
         est = decision_sweep(plan, 1, (scn.r_bar,), {1: True}, count_missed=True)[0]
         logs.append(math.log10(max(est.value, 1e-9)))
@@ -130,7 +131,7 @@ def test_criterion_04_spatial_correlation_robustness():
     rates = {}
     for spacing in ("none", "half-lambda", "tenth-lambda"):
         for p in powers:
-            scn = rescale(scenario_single(16, n=64), spacing=spacing, p_dbm=p)
+            scn = replace(scenario_single(16, n=64), spacing=spacing, p_dbm=p)
             plan = TrialPlan(scenario=scn, trials=10**5, seed=SEED, escalate=False)
             est = decision_sweep(plan, 1, (3.0,), {1: True}, count_missed=True)[0]
             rates[(spacing, p)] = est.value

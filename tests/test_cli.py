@@ -29,7 +29,6 @@ from risid.cli import (
     default_n_horizontal,
     main,
     parse_config_text,
-    rescale,
     scenario_from_config,
 )
 
@@ -140,10 +139,9 @@ class TestConfigParsing:
 
 class TestDefaults:
     def test_single_surface_row(self):
-        """Without code rows, one surface takes row m-1, at load and after a rescale."""
+        """Without code rows, one surface takes row m-1."""
         assert scenario_from_config({}).code_rows == (15,)
         assert scenario_from_config({"m": 32}).code_rows == (31,)
-        assert rescale(scenario_from_config({"m": 16}), m=32).code_rows == (31,)
 
     def test_field_defaults_are_the_implied_values(self):
         """Scenario's own v_total, code_rows and n_horizontal are those its m and n_elements imply."""
@@ -159,16 +157,13 @@ class TestDefaults:
         assert scn.operating_point(3.0).rho == 0.5
 
     def test_dependents_follow_their_key_unless_the_config_sets_them(self):
-        """A rescale with the config is the config with the new values in place of their keys."""
+        """The config with new values in place of their keys (a pass) keeps what the config sets;
+        each field it leaves out follows its key's new value."""
         bare = {"m": 16, "code_rows": (1, 2), "n_elements": 64}
         full = bare | {"v_total": 2, "n_horizontal": 4}
-        for config in (bare, full):
-            scn = scenario_from_config(config)
-            for changes in ({"m": 16}, {"m": 32}, {"n_elements": 256}, {"m": 32, "n_elements": 256}):
-                assert rescale(scn, config, **changes) == scenario_from_config(config | changes)
-        assert rescale(scenario_from_config(bare), bare, m=32, n_elements=256).v_total == 8
-        assert rescale(scenario_from_config(bare), bare, n_elements=256).n_horizontal == 16
-        scn = rescale(scenario_from_config(full), full, m=32, n_elements=256)
+        assert scenario_from_config(bare | {"m": 32, "n_elements": 256}).v_total == 8
+        assert scenario_from_config(bare | {"n_elements": 256}).n_horizontal == 16
+        scn = scenario_from_config(full | {"m": 32, "n_elements": 256})
         assert (scn.v_total, scn.code_rows, scn.n_horizontal) == (2, (1, 2), 4)
 
 
@@ -1118,6 +1113,23 @@ class TestRunPlan:
                           PLAN_CONFIG.format("1, 2") + "n_values = 4, 8\np_dbm_values = 10, 20\n")
         assert code == 0
         assert len(calls) == 4
+
+    @pytest.mark.parametrize("subcommand, sweep, built", [
+        ("theory", "", 2),
+        ("pf-two-np", "trials = 100\nn_values = 4, 8\np_dbm_values = 10, 20\n", 4 + 2),
+    ], ids=["theory", "four_passes"])
+    def test_one_scenario_per_pass_beside_the_configs_two(self, tmp_path, monkeypatch, subcommand,
+                                                          sweep, built):
+        """A run builds the config's scenario as written, then with its flags, then each pass
+        from the config with the pass's values in place of their keys: one ``Scenario`` each."""
+        scenarios = []
+        post_init = Scenario.__post_init__
+        monkeypatch.setattr(Scenario, "__post_init__", lambda scn: scenarios.append(scn) or post_init(scn))
+        code, _ = run_cli(tmp_path, subcommand, "m = 8\nn_elements = 4\nn_horizontal = 2\ncode_rows = 1, 2\n"
+                          + sweep, ("--seed", "3"))
+        assert code == 0
+        assert len(scenarios) == built
+        assert {scn.seed for scn in scenarios[1:]} == {3}
 
     @pytest.mark.parametrize("subcommand, sweep, calls", [
         ("pf-two-np", "n_values = 4, 8\np_dbm_values = 10, 20\n", 1),

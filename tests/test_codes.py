@@ -434,10 +434,8 @@ class TestShiftTable:
 
         monkeypatch.setattr(signal, "shift_table", recording)
         monkeypatch.setattr(detector, "shift_table", recording)
-        detector._plan.cache_clear()
         fr = signal.synthesize_frame(profiles, 4, 0.1, 1.0, seed=3)
         detector.detect(fr, code)
-        detector._plan.cache_clear()  # drop the plan that holds the recorded table
         assert len(got) == 2 and got[0] is got[1] is shift_table(code)
 
 

@@ -57,20 +57,23 @@ _EDGE = {
 
 @st.composite
 def runs(draw):
-    """A subcommand and config text setting a few keys of ``cli._KEYS`` to plausible values and
-    at most one to an edge value, with comment and blank lines between. Unless drawn,
-    ``code_rows`` is the fewest rows the subcommand runs and, for the two subcommands that read
-    it, ``target_pmiss`` the one ``design`` needs."""
+    """A subcommand and config text setting a few of the keys it reads to plausible values, now
+    and then a key of ``cli._KEYS`` it does not read, and at most one key it reads to an edge
+    value, with comment and blank lines between. Unless drawn, ``code_rows`` is the fewest rows
+    the subcommand runs and, for the two subcommands that read it, ``target_pmiss`` the one
+    ``design`` needs."""
     subcommand = draw(st.sampled_from(sorted(cli.COMMANDS)))
-    keys = sorted(cli._KEYS)
+    reads = sorted(cli.COMMANDS[subcommand].reads)
     rows = range(1, cli.COMMANDS[subcommand].surfaces[0] + 1)
     config = {"code_rows": ", ".join(map(str, rows))}
-    if "target_pmiss" in cli.COMMANDS[subcommand].reads:
+    if "target_pmiss" in reads:
         config["target_pmiss"] = "0.01"
-    config |= {key: draw(_GOOD[_syntax(key)])
-               for key in draw(st.lists(st.sampled_from(keys), max_size=4, unique=True))}
+    keys = draw(st.lists(st.sampled_from(reads), max_size=4, unique=True))
+    if draw(st.integers(0, 9)) == 0:
+        keys.append(draw(st.sampled_from(sorted(cli._KEYS.keys() - set(reads)))))
+    config |= {key: draw(_GOOD[_syntax(key)]) for key in keys}
     if draw(st.booleans()):
-        edge = draw(st.sampled_from(keys))
+        edge = draw(st.sampled_from(reads))
         config[edge] = draw(_EDGE[_syntax(edge)])
     lines = [f"{key} = {value}" for key, value in config.items()]
     for _ in range(draw(st.integers(0, 2))):
