@@ -7,14 +7,14 @@ import argparse
 from risid.codes import rank_code_subsets
 
 
-def main() -> None:
+def main(argv=None) -> None:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--length", type=int, default=16)
     parser.add_argument("--subset-size", type=int, default=5)
     parser.add_argument("--pad", type=int, default=None,
                         help="window budget (default length // 4)")
     parser.add_argument("--top", type=int, default=5)
-    args = parser.parse_args()
+    args = parser.parse_args(argv)
     if args.top < 0:
         parser.error(f"--top must be nonnegative, got {args.top}")
 

@@ -268,9 +268,9 @@ def _parse_int(tok: str, line: int) -> int:
     except ValueError:
         pass
     try:  # finite and integral as a float first, which bounds the size of the exact value
-        if _parse_float(tok, line).is_integer() and (exact := Decimal(tok)) == int(exact):
+        if float(tok).is_integer() and (exact := Decimal(tok)) == int(exact):
             return int(exact)
-    except ArithmeticError:  # Decimal rejects an exponent past 1e18
+    except (ValueError, ArithmeticError):  # not a number; Decimal rejects an exponent past 1e18
         pass
     raise ConfigError(f"expected an integer, got {tok!r}", line)
 

@@ -5,9 +5,10 @@
 pins each by its sha256 (``TestEscalationGrid``, ``TestFrameGrid``, ``TestWideFrameGrid``). All
 use only public risid names, so the same file runs under another tree's ``src``:
 
-    PYTHONPATH=path/to/src python tests/grids.py > grids.txt
+    PYTHONPATH=path/to/src python tests/outputs.py OUTDIR
 
-prints the escalation lines, then the frame lines, then the wide frame lines.
+writes the escalation lines, then the frame lines, then the wide frame lines to
+``OUTDIR/grids.txt``, among the other outputs it compares across trees.
 """
 
 from risid.channel import LinkBudget, RisGeometry, identity_correlation
@@ -95,9 +96,3 @@ def _frame_line(fr, rep):
     dec = [(i, r.metric.hex(), r.c_hat, r.k_hat, r.decided) for i, r in rep.per_ris.items()]
     return (f"v1={t.v1!r} v2={t.v2!r} c={t.c_per_ris} g={gains} d={dec} "
             f"s={fr.samples.tobytes().hex()}")
-
-
-if __name__ == "__main__":
-    for grid in (escalation_grid, frame_grid, wide_frame_grid):
-        for line in grid():
-            print(line)

@@ -32,6 +32,8 @@ from risid.cli import (
     scenario_from_config,
 )
 
+import outputs
+
 
 @st.composite
 def scenarios(draw):
@@ -106,7 +108,7 @@ class TestConfigParsing:
     def test_integral_float_form_read_exactly(self, token, value):
         assert parse_config_text(f"seed = {token}\n") == {"seed": value}
 
-    @pytest.mark.parametrize("token", ["9999999.0000000001", "1e-400", "1e400"])
+    @pytest.mark.parametrize("token", ["9999999.0000000001", "1e-400", "1e400", "abc", ""])
     def test_integer_with_a_fraction_or_no_finite_value_rejected(self, token):
         with pytest.raises(ConfigError, match=re.escape(f"expected an integer, got '{token}'")) as err:
             parse_config_text(f"m = 16\ntrials = {token}\n")
@@ -200,6 +202,18 @@ SHIPPED_SUBCOMMANDS = {BUNDLED_CONFIG_DIR / name: sub for sub, name in BUNDLED_R
 def test_shipped_config_sets_only_keys_its_subcommand_reads(path):
     keys = set(parse_config_text(path.read_text()))
     assert keys <= cli.COMMANDS[SHIPPED_SUBCOMMANDS[path]].reads
+
+
+@pytest.mark.parametrize("name", outputs.CLI_RUNS)
+def test_output_gate_run_loads(name):
+    """Each of the output gate's CLI runs parses, sets only keys its subcommand reads, builds
+    with its flags, and has a row count its subcommand runs; no pass is run."""
+    subcommand, text, flags = outputs.CLI_RUNS[name]
+    cmd = cli.COMMANDS[subcommand]
+    raw = parse_config_text(text)
+    assert set(raw) <= cmd.reads
+    scenario = scenario_from_config(raw | flags)
+    assert cmd.surfaces[0] <= scenario.l_count <= cmd.surfaces[1]
 
 
 # Label column -> (sweep key, two values); spacing has no key and runs over SPACINGS.
