@@ -51,13 +51,10 @@ class RisGeometry:
             raise ValueError("spacings and wavelength must be positive")
 
     def element_positions(self) -> np.ndarray:
-        """(N, 3) positions: x fixed at 0, columns along y, rows along z."""
+        """(N, 2) in-plane positions (y, z): columns along y, rows along z. The surface lies in
+        the plane x = 0, so x adds nothing to any distance and is left out."""
         w = np.arange(self.n)
-        i_h = w % self.n_h
-        i_v = w // self.n_h
-        return np.stack(
-            [np.zeros(self.n), i_h * self.d_h, i_v * self.d_v], axis=1
-        )
+        return np.stack([w % self.n_h * self.d_h, w // self.n_h * self.d_v], axis=1)
 
 
 @dataclass(frozen=True)
@@ -119,16 +116,19 @@ def correlation_matrix(geom: RisGeometry) -> CorrelationMatrix:
     PSD but numerically rank deficient at dense spacing, so the factor comes
     from a symmetric eigendecomposition with tiny negative eigenvalues
     (>= ``EIG_FLOOR``) clipped to zero; anything below the floor indicates model
-    misuse and raises. R is built in place beside one N x N temporary, dropped
-    before ``np.linalg.eigh``, by the steps of ``np.linalg.norm``, ``np.sinc`` and
-    (R + R^T) / 2 in their own order, so its bits are those of that expression.
+    misuse and raises. R is built in place beside one N x N temporary, dropped before
+    ``np.linalg.eigh``, by the steps of ``np.linalg.norm`` over (x, y, z), ``np.sinc``,
+    (R + R^T) / 2 and a unit diagonal in their own order, so its bits are those of that
+    expression. Three of its steps hand back the bits they are given and are left out: the
+    x term (x = 0 for every element, and 0 + d^2 is d^2), (R + R^T) / 2 (u_i - u_j and
+    u_j - u_i are exact negations, so R is already bitwise symmetric) and the unit diagonal
+    (sin(eps) / eps is exactly 1.0).
     """
-    pos = geom.element_positions()
-    r, tmp = np.zeros((geom.n, geom.n)), np.empty((geom.n, geom.n))
-    for u in pos.T:  # squared coordinate differences, summed x, y, z as np.linalg.norm does
-        np.subtract.outer(u, u, out=tmp)
-        tmp *= tmp
-        r += tmp
+    y, z = geom.element_positions().T
+    r, tmp = np.subtract.outer(y, y), np.subtract.outer(z, z)
+    r *= r
+    tmp *= tmp
+    r += tmp
     np.sqrt(r, out=r)
     r *= 2.0
     r /= geom.wavelength
@@ -136,11 +136,7 @@ def correlation_matrix(geom: RisGeometry) -> CorrelationMatrix:
     np.copyto(r, np.finfo(float).eps, where=r == 0)
     np.sin(r, out=tmp)
     np.divide(tmp, r, out=r)
-    np.copyto(tmp, r.T)
-    r += tmp
-    r /= 2.0
     del tmp
-    np.fill_diagonal(r, 1.0)
     eigval, factor = np.linalg.eigh(r)
     if eigval.min() < EIG_FLOOR:
         raise ValueError(

@@ -86,10 +86,11 @@ def cascaded_gain(h_ur, h_rb, power_w):
 
 def direct_correlation(geom):
     """R and its factor by the direct expression: ``np.linalg.norm`` over the (N, N, 3)
-    differences, ``np.sinc``, (R + R^T) / 2, ``eigh`` and the clipped eigenvalues' square roots
-    times a new eigenvector array. The oracle ``correlation_matrix``'s in-place build is held to
-    bit for bit."""
-    pos = geom.element_positions()
+    differences, ``np.sinc``, (R + R^T) / 2, a unit diagonal, ``eigh`` and the clipped
+    eigenvalues' square roots times a new eigenvector array. The positions are padded with the
+    surface plane's x = 0 here, so the oracle keeps every step ``correlation_matrix``'s in-place
+    build leaves out, and holds that build to bit for bit."""
+    pos = np.column_stack([np.zeros(geom.n), geom.element_positions()])
     dist = np.linalg.norm(pos[:, None, :] - pos[None, :, :], axis=2)
     r = np.sinc(2.0 * dist / geom.wavelength)
     r = (r + r.T) / 2.0

@@ -56,6 +56,9 @@ CLI_RUNS = {
                       "p_dbm_values = 5, 10\n", {"trials": 300, "seed": 7}),
     # n_horizontal, which the config leaves out, follows each n_elements
     "sweep-pf-two-np-n": ("pf-two-np", "code_rows = 1, 2\nn_values = 16, 256\n", {"trials": 300}),
+    # R, its weights and the compound-law draws at N = 1024, at both correlated spacings
+    "large-pmiss-corr": ("pmiss-corr", "m = 16\nn_elements = 1024\nn_horizontal = 32\n"
+                         "p_dbm_values = 10\n", {"trials": 300}),
 }
 
 

@@ -1,5 +1,6 @@
 """Channel statistics: path gain, sinc correlation, sampling, cascaded gain."""
 
+import itertools
 import math
 import tracemalloc
 
@@ -76,11 +77,19 @@ class TestCorrelationMatrix:
         assert abs(corr.r[0, 2]) < 1e-12  # adjacent in a column
 
     def test_unit_diagonal_and_symmetry_exact(self):
-        lam = 0.2
-        geom = RisGeometry(n=16, n_h=4, d_h=lam / 3, d_v=lam / 5, wavelength=lam)
-        corr = correlation_matrix(geom)
-        assert np.all(np.diag(corr.r) == 1.0)
-        assert np.array_equal(corr.r, corr.r.T)
+        """R == R^T bit for bit and a diagonal of exactly 1.0, though no step of the build forces
+        either: one-row, two-wide and square grids of 1-1024 elements at three spacings and two
+        carriers, and one grid of unequal spacings."""
+        geoms = [RisGeometry(n=16, n_h=4, d_h=0.2 / 3, d_v=0.2 / 5, wavelength=0.2)]
+        for n, f_c, spacing in itertools.product([1, 2, 16, 64, 256, 1024], [1.8e9, 28e9],
+                                                 [0.5, 0.1, 0.37]):
+            d = spacing * C0 / f_c
+            geoms += [RisGeometry(n=n, n_h=n_h, d_h=d, d_v=d, wavelength=C0 / f_c)
+                      for n_h in sorted({n, min(2, n), math.isqrt(n)})]
+        for geom in geoms:
+            r = correlation_matrix(geom).r
+            assert np.all(np.diag(r) == 1.0), geom
+            assert np.array_equal(r, r.T), geom
 
     def test_small_matrix_against_direct_formula(self):
         lam = 0.1665
