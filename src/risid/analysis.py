@@ -112,15 +112,15 @@ def pf_two(op: OperatingPoint, pmf: CrossCorrPmf) -> float:
     Conditional on the interferer's squared correlation peak a_w, the metric
     is exponential with mean N*P*beta*a_w/M; averaging the tail over the peak
     pmf and over the interferer being active half the time gives
-    (1/2) * sum_w exp(-r M / (N P beta a_w)) * P(a_w). Zero-peak support
-    contributes nothing (the exponential mean collapses to zero).
+    (1/2) * sum_w exp(-r M / (N P beta a_w)) * P(a_w), within [0, 1/2]. Zero-peak
+    support contributes nothing (its exponential mean collapses to zero).
     """
     scale = op.n * op.power_w * op.beta / op.m
     total = 0.0
     for a, p in zip(pmf.support, pmf.probs):
         if a > 0:
             total += math.exp(-op.r / (scale * a)) * float(p)
-    return _clamp01(0.5 * total)
+    return 0.5 * total
 
 
 def rayleigh_cf(sigma: float, w) -> complex | np.ndarray:
@@ -309,13 +309,7 @@ class TheoryCurve:
     y: tuple
     kind: str
 
-    _KINDS = ("pf_single_bound", "pf_two", "pmiss_single", "pmiss_two_lower")
-
     def __post_init__(self):
-        if self.kind not in self._KINDS:
-            raise ValueError(f"unknown curve kind {self.kind!r}")
-        if len(self.x) != len(self.y):
-            raise ValueError("x and y must have equal length")
         if any(not 0 <= v <= 1 for v in self.y):
             raise ValueError("curve values must be probabilities")
 

@@ -180,18 +180,6 @@ class CrossCorrPmf:
     probs: tuple
     a_tilde: int
 
-    def __post_init__(self):
-        if abs(sum(self.probs) - 1) > Fraction(1, 10**12):
-            raise ValueError("probabilities must sum to 1")
-        if any(p < 0 for p in self.probs):
-            raise ValueError("probabilities must be nonnegative")
-        for a in self.support:
-            root = int(round(a**0.5))
-            if a < 0 or root * root != a:
-                raise ValueError(f"support value {a} is not a perfect square")
-        if self.support and self.a_tilde**2 < max(self.support):
-            raise ValueError("a_tilde cannot be below the largest support peak")
-
 
 def _best_peaks(sl: np.ndarray, sd: np.ndarray, v1s: Sequence[int], v_total: int) -> np.ndarray:
     """Largest |A| per (v1, reference code, interferer row), over every c and k.
@@ -228,9 +216,10 @@ def cross_corr_pmf(
     with every pad length v1 from ``v1_law`` (an int means uniform on
     {1..v1_law}). For each combination the detector's search maximises |A|
     over all shift hypotheses c in {1..M} and window offsets k in
-    {0..v_total}; the squared maximum is one support sample. ``v_total``
-    (the total pad budget bounding the window search) defaults to the
-    largest value in the law's support. No closed-form shortcut: this
+    {0..v_total}; the squared maximum is one support sample. ``v_total``, the
+    pad budget, defaults to the law's largest key. The law's mass must be
+    nonnegative, sum to 1 and lie on 1..min(v_total, M-1): the interferer's M
+    samples end inside the frame's M + v_total. No closed-form shortcut: this
     enumeration is the reference for everything downstream.
     """
     if isinstance(v1_law, int):
@@ -238,6 +227,8 @@ def cross_corr_pmf(
     law = {int(v): Fraction(p) for v, p in v1_law.items()}
     if abs(sum(law.values()) - 1) > Fraction(1, 10**12):
         raise ValueError("v1 law must sum to 1")
+    if any(p < 0 for p in law.values()):
+        raise ValueError("v1 law probabilities must be nonnegative")
     m = code_l.length
     if code_d.length != m:
         raise ValueError("codes must share one sequence length")
@@ -246,6 +237,8 @@ def cross_corr_pmf(
     v1s = [v1 for v1, pv in law.items() if pv != 0]
     if not all(1 <= v1 < m for v1 in v1s):
         raise ValueError(f"v1 law support must lie in 1..{m - 1}, got {sorted(v1s)}")
+    if max(v1s) > v_total:
+        raise ValueError(f"v1 law support must lie in 1..v_total = {v_total}, got {sorted(v1s)}")
     best = _best_peaks(all_shifts(code_l), all_shifts(code_d), v1s, v_total)[:, 0]
 
     weights: dict[int, Fraction] = {}

@@ -1,14 +1,45 @@
 """Shared fixtures and reference oracles for the test suite."""
 
+import os
+import subprocess
+import sys
 from fractions import Fraction
 from itertools import combinations
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import risid
 from risid.channel import CorrelationMatrix
 from risid.cli import Scenario
 from risid.codes import BinarySequence, _best_peaks, all_shifts, hadamard_matrix
+
+# Where the pinned bytes and digests were taken (TestFrameGrid, TestWideFrameGrid, TestGoldenFrame,
+# TestEscalationGrid, test_stream_canary): numpy's version fixes every Generator draw, and the
+# OpenBLAS kernel the last bits of the products built from them.
+PINNED_UNDER = "numpy 2.4.6, OpenBLAS SkylakeX kernel"
+
+
+def pin_environment() -> str:
+    """A pin's failure note: ``PINNED_UNDER`` beside this run's numpy version and, if set,
+    ``OPENBLAS_CORETYPE``."""
+    here = f"numpy {np.__version__}"
+    if "OPENBLAS_CORETYPE" in os.environ:
+        here += f", OPENBLAS_CORETYPE={os.environ['OPENBLAS_CORETYPE']}"
+    return f"pinned under {PINNED_UNDER}; this run: {here}"
+
+
+def fresh_python(*args, env=None, cwd=None, timeout=120, check=True):
+    """``python *args`` in a new interpreter whose ``PYTHONPATH`` is the tree of the ``risid`` on
+    this import path, with ``env`` over this process's environment, stdout and stderr captured as
+    text. With ``check``, a non-zero exit fails the test and shows its stderr."""
+    env = {**os.environ, "PYTHONPATH": str(Path(risid.__file__).parents[1]), **(env or {})}
+    proc = subprocess.run([sys.executable, *args], env=env, cwd=cwd, timeout=timeout,
+                          capture_output=True, text=True)
+    if check and proc.returncode:
+        pytest.fail(f"python {args[0]} exited {proc.returncode}:\n{proc.stderr}")
+    return proc
 
 
 def correlate(y, code, c, k):

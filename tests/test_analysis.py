@@ -366,6 +366,11 @@ class TestThresholdSweep:
         pf_c, pm_c, _ = pf_pmiss_threshold_sweep(op, grid, pmf=pmf)
         assert pf_c.y == tuple(pf(replace(op, r_bar=float(r))) for r in grid)
         assert pm_c.y == tuple(pm(replace(op, r_bar=float(r))) for r in grid)
+        assert pf_c.x == pm_c.x == tuple(map(float, grid))
+        assert (pf_c.kind, pm_c.kind) == (("pf_two", "pmiss_two_lower") if two
+                                          else ("pf_single_bound", "pmiss_single"))
+        if two:
+            assert all(0 <= v <= 0.5 for v in pf_c.y)
 
 
 @given(st.floats(min_value=0.05, max_value=6.0), st.floats(min_value=0.05, max_value=6.0))

@@ -5,10 +5,7 @@ import importlib.util
 import itertools
 import json
 import math
-import os
 import re
-import subprocess
-import sys
 import tracemalloc
 from pathlib import Path
 
@@ -33,6 +30,7 @@ from risid.cli import (
 )
 
 import outputs
+from conftest import fresh_python
 
 
 @st.composite
@@ -526,15 +524,8 @@ class TestSubcommands:
         for threads in ("1", "2"):
             for blas in ("1", "2"):
                 out = tmp_path / f"threads{threads}_blas{blas}"
-                env = dict(
-                    os.environ, OPENBLAS_NUM_THREADS=blas,
-                    PYTHONPATH=str(Path(risid.__file__).parents[1]),
-                )
-                subprocess.run(
-                    [sys.executable, "-m", "risid.cli", "confusion", "--config", str(cfg),
-                     "--out", str(out), "--threads", threads],
-                    env=env, check=True, timeout=600,
-                )
+                fresh_python("-m", "risid.cli", "confusion", "--config", str(cfg), "--out", str(out),
+                             "--threads", threads, env={"OPENBLAS_NUM_THREADS": blas}, timeout=600)
                 outs.append(out)
         names = sorted(p.name for p in outs[0].iterdir())
         assert "confusion.json" in names
@@ -1089,10 +1080,8 @@ class TestRunPlan:
         cfg.write_text("code_rows = 1, 2\nn_horizontal = 1\n"
                        f"n_values = {', '.join(map(str, range(1, 10_001)))}\n"
                        "p_dbm_values = 0:99.99:0.01\n")
-        env = dict(os.environ, PYTHONPATH=str(Path(risid.__file__).parents[1]))
-        proc = subprocess.run([sys.executable, "-m", "risid.cli", "pf-two-np", "--config", str(cfg),
-                               "--out", str(tmp_path / "o")], env=env, capture_output=True,
-                              text=True, timeout=60)
+        proc = fresh_python("-m", "risid.cli", "pf-two-np", "--config", str(cfg),
+                            "--out", str(tmp_path / "o"), timeout=60, check=False)
         assert proc.returncode == 2
         assert proc.stderr == (f"{cfg}:4: config error: the sweep makes 100000000 passes, "
                                "over the 10000 a run may make\n")
@@ -1176,14 +1165,6 @@ class TestRunPlan:
         assert twenty < two + 2**19, (two, twenty)
 
 
-def _fresh_python(tmp_path, code: str) -> str:
-    """Stdout of ``code`` run in a new interpreter that imports risid from this tree."""
-    env = dict(os.environ, PYTHONPATH=str(Path(risid.__file__).parents[1]))
-    proc = subprocess.run([sys.executable, "-c", code], cwd=tmp_path, env=env, check=True,
-                          capture_output=True, text=True, timeout=600)
-    return proc.stdout
-
-
 class TestReusedParser:
     """``main`` builds its argparse tree once per process and reads RISID_THREADS on every call."""
 
@@ -1216,7 +1197,7 @@ class TestReusedParser:
         assert exit_info.value.code == 2
         err = capsys.readouterr().err
         assert err.endswith("risid theory: error: argument --threads: invalid int value: 'two'\n")
-        fresh = _fresh_python(tmp_path, f"""
+        fresh = fresh_python("-c", f"""
 import contextlib, io
 from risid.cli import main
 err = io.StringIO()
@@ -1226,7 +1207,7 @@ with contextlib.redirect_stderr(err):
     except SystemExit as exc:
         print(exc.code)
 print(repr(err.getvalue()))
-""")
+""", cwd=tmp_path, timeout=600).stdout
         assert fresh.splitlines() == ["2", repr(err)]
 
     def test_help_equals_a_new_trees(self, tmp_path, capsys, monkeypatch):
@@ -1255,7 +1236,7 @@ class TestScipyOnDemand:
         runs = [[sub, "--config", config[sub], "--out", sub] for sub in ("theory", "tradeoff", "design")]
         runs.append(["pf-single", "--config", config["pf-single"], "--out", "pf-single",
                      "--trials", "2000"])
-        out = _fresh_python(tmp_path, f"""
+        out = fresh_python("-c", f"""
 import sys
 import risid, risid.cli
 try:
@@ -1264,18 +1245,18 @@ except SystemExit:
     pass
 codes = [risid.cli.main(argv) for argv in {runs!r}]
 print(codes, "scipy" in sys.modules)
-""")
+""", cwd=tmp_path, timeout=600).stdout
         assert out.splitlines()[-1] == "[0, 0, 0, 0] False"
 
     def test_reference_loads_scipy_and_keeps_its_values(self, tmp_path):
         """Each reference function loads what it needs and returns the values it gave when
         risid loaded scipy at import."""
-        out = _fresh_python(tmp_path, """
+        out = fresh_python("-c", """
 import sys
 from risid.analysis import gil_pelaez_cdf, rayleigh_cf, rayleigh_sum_cf
 print("scipy" in sys.modules)
 print(repr(rayleigh_cf(0.7, 1.3)), "scipy.integrate" in sys.modules)
 print(repr(gil_pelaez_cdf(2.5, rayleigh_sum_cf([1.0, 2.0]))), "scipy.integrate" in sys.modules)
-""")
+""", cwd=tmp_path, timeout=600).stdout
         assert out.split() == ["False", "(0.3667209182137767+0.7538443785092648j)", "False",
                                "0.2053761916301271", "True"]

@@ -1,8 +1,6 @@
 """Identity sequences: construction, shifts, and exact correlation structure."""
 
-import os
-import subprocess
-import sys
+import math
 import tracemalloc
 from fractions import Fraction
 from functools import reduce
@@ -30,6 +28,7 @@ from risid.codes import (
 from conftest import (
     brute_force_pmf,
     circular_shift,
+    fresh_python,
     partial_cross_corr,
     stacked_pair_peaks,
     stacked_rank_code_subsets,
@@ -269,6 +268,13 @@ def _pmf_oracle(code_l, code_d, law, v_total):
     return support, tuple(weights[a] for a in support), a_tilde
 
 
+def _assert_pmf_invariants(pmf):
+    """Nonnegative probabilities summing to exactly 1 on perfect squares, none above a_tilde**2."""
+    assert all(p >= 0 for p in pmf.probs) and sum(pmf.probs) == 1
+    assert all(math.isqrt(a) ** 2 == a for a in pmf.support)
+    assert pmf.a_tilde**2 >= max(pmf.support)
+
+
 def _pm1(bits):
     return np.array([1 if b else -1 for b in bits], dtype=np.int64)
 
@@ -305,6 +311,7 @@ class TestBatchedPeakSearch:
         pmf = cross_corr_pmf(code_l, code_d, law, v_total)
         support, probs, a_tilde = _pmf_oracle(code_l, code_d, law, v_total or max(v1s))
         assert (pmf.support, pmf.probs, pmf.a_tilde) == (support, probs, a_tilde)
+        _assert_pmf_invariants(pmf)
 
     def test_pair_peaks_with_twin_and_foreign_shift(self, seq16):
         h = hadamard_matrix(16)
@@ -344,11 +351,7 @@ ROOT = Path(__file__).resolve().parents[1]
 
 
 def _rank_script(*args, cwd):
-    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    return subprocess.run(
-        [sys.executable, str(ROOT / "scripts" / "rank_codebooks.py"), *args],
-        env=env, cwd=cwd, capture_output=True, text=True,
-    )
+    return fresh_python(str(ROOT / "scripts" / "rank_codebooks.py"), *args, cwd=cwd, check=False)
 
 
 def _code_rows_lines(text):
@@ -495,6 +498,14 @@ class TestPmfLawSupport:
         with pytest.raises(ValueError, match="1..15"):
             cross_corr_pmf(seq16[1], seq16[2], law, v_total)
 
+    @pytest.mark.parametrize("law,v_total", [
+        ({5: 1}, 4), ({1: Fraction(1, 2), 4: Fraction(1, 2)}, 3),  # mass past v_total
+        ({1: 2, 2: -1}, 4), ({1: Fraction(3, 2), 3: Fraction(-1, 2)}, 4),  # negative mass netting to 1
+    ], ids=["5-past-4", "4-past-3", "minus-1-at-2", "minus-half-at-3"])
+    def test_law_past_the_pad_or_with_negative_mass_raises(self, seq16, law, v_total):
+        with pytest.raises(ValueError, match="v1 law"):
+            cross_corr_pmf(seq16[4], seq16[9], law, v_total)
+
     def test_zero_probability_keys_outside_the_frame_are_ignored(self, seq16):
         law = {20: Fraction(0), 2: Fraction(1)}
         assert cross_corr_pmf(seq16[1], seq16[2], law, 4) == cross_corr_pmf(seq16[1], seq16[2], {2: 1}, 4)
@@ -506,6 +517,7 @@ class TestPmfLawSupport:
         law = uniform_offset_law(v_total)
         assert pmf == cross_corr_pmf(seq16[3], seq16[9], law, v_total)
         assert (pmf.support, pmf.probs, pmf.a_tilde) == _pmf_oracle(seq16[3], seq16[9], law, v_total)
+        _assert_pmf_invariants(pmf)
 
 
 class TestRankCodebooksTop:

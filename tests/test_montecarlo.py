@@ -3,20 +3,16 @@
 import hashlib
 import multiprocessing
 import os
-import subprocess
-import sys
 import threading
 import tracemalloc
 import weakref
 from dataclasses import replace
 from fractions import Fraction
-from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.stats import ks_2samp
 
-import risid
 from risid import montecarlo
 from risid.channel import compound_gains, compound_scales
 from risid.cli import Scenario
@@ -34,7 +30,7 @@ from risid.montecarlo import (
 )
 from risid.signal import TAG_FRAME, TAG_RIS, draw_noise, draw_pads
 
-from conftest import matmul_joint_counts, matrix_threshold_counts
+from conftest import fresh_python, matmul_joint_counts, matrix_threshold_counts, pin_environment
 from grids import escalation_grid
 
 
@@ -329,7 +325,40 @@ class TestEscalationGrid:
         assert any("low_confidence=False" in line for line in lines)
         assert any("low_confidence=True" in line for line in lines)
         digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
-        assert digest == "45e94b11412e410198bd9b19673700915f2346cb39b609c9e253c87a38fed374"
+        assert digest == "45e94b11412e410198bd9b19673700915f2346cb39b609c9e253c87a38fed374", pin_environment()
+
+
+# Each of the engine's draw helpers and call forms, on a new stream of one fixed substream key:
+# (name, numpy Generator method behind it, draw, pinned bytes as hex).
+CANARY = [
+    ("draw_pads", "integers", lambda rng: draw_pads(rng, 4, 4),
+     "0400000000000000020000000000000003000000000000000300000000000000"),
+    ("draw_pads, one scalar split", "integers", lambda rng: np.int64(draw_pads(rng, 4)),
+     "0400000000000000"),
+    ("code offsets", "integers", lambda rng: rng.integers(1, 17, size=4),
+     "0d0000000000000005000000000000000c000000000000000900000000000000"),
+    ("coin", "random", lambda rng: rng.random(3),
+     "d27630adae1dd23fa46876f5b8d4e13f33a993aa8be4e93f"),
+    ("draw_noise", "standard_normal", lambda rng: draw_noise(rng, np.empty((1, 2, 2)), 2.0),
+     "29561eed3e11dd3f8b73f1e5349eec3fc35d8005c39bfd3f07a90e712a48a53f"),
+    ("compound_scales, R = I", "standard_gamma", lambda rng: compound_scales(rng, 8, None, 3),
+     "9ddc9cfe0cfd2140e19d8b7e99082c4046c29fe72b542640"),
+    # two power-of-two weights: the product's bits do not depend on the BLAS kernel
+    ("compound_scales, weights", "standard_exponential",
+     lambda rng: compound_scales(rng, 2, np.array([0.5, 0.25]), 3),
+     "4f4c8e28171fcd3f8d9b0d65a672d93ff7f9fcc4bdaffa3f"),
+    ("compound_gains", "standard_normal",
+     lambda rng: compound_gains(rng, np.array([1.0, 0.5]), 4.0, 0.25, 1.0),
+     "08b1e75fc18dd43f03f8620f693ce43fc35d8005c39bed3f07a90e712a48953f"),
+]
+
+
+@pytest.mark.parametrize("name,method,draw,pinned", CANARY, ids=[case[0] for case in CANARY])
+def test_stream_canary(name, method, draw, pinned):
+    """A few values through each draw helper, byte for byte: a numpy release that changes one
+    ``Generator`` stream fails here by name, not as scattered digest failures."""
+    got = draw(montecarlo.substream(11, TAG_RIS, 3, 5)).tobytes().hex()
+    assert got == pinned, f"{name} (Generator.{method}) drew other bytes; {pin_environment()}"
 
 
 class TestConditioning:
@@ -574,8 +603,7 @@ class TestSubspaceEngine:
 
     def test_engine_does_not_import_the_cli(self):
         code = "import sys, risid.montecarlo; assert 'risid.cli' not in sys.modules"
-        env = dict(os.environ, PYTHONPATH=str(Path(risid.__file__).parents[1]))
-        subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=120)
+        fresh_python("-c", code)
 
 
 class TestTraceContract:

@@ -4,13 +4,11 @@ run loads no module it does not use."""
 import ast
 import importlib
 import json
-import os
 import pkgutil
-import subprocess
-import sys
 from pathlib import Path
 
 import risid
+from conftest import fresh_python
 
 ROOT = Path(__file__).resolve().parents[1]
 MODULES = sorted(info.name for info in pkgutil.iter_modules(risid.__path__))
@@ -48,8 +46,7 @@ def test_every_exported_name_has_a_caller():
 def test_import_risid_loads_no_module():
     code = ("import sys, risid; loaded = sorted(m for m in sys.modules if m.startswith('risid.')); "
             "assert not loaded, loaded")
-    env = dict(os.environ, PYTHONPATH=str(Path(risid.__file__).parents[1]))
-    subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=120)
+    fresh_python("-c", code)
 
 
 def test_one_worker_runs_load_neither_numpy_ma_nor_the_pool(tmp_path):
@@ -79,11 +76,9 @@ def test_one_worker_runs_load_neither_numpy_ma_nor_the_pool(tmp_path):
         seen["two workers"] = loaded()
         print(json.dumps(seen))
     """
-    env = dict(os.environ, PYTHONPATH=str(Path(risid.__file__).parents[1]))
-    env.update(dict.fromkeys(("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"), "1"))
+    env = dict.fromkeys(("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"), "1")
     config = ROOT / "scripts" / "configs" / "theory.txt"
-    out = subprocess.run([sys.executable, "-c", code, str(config), str(tmp_path)], env=env,
-                         check=True, timeout=120, capture_output=True, text=True).stdout
+    out = fresh_python("-c", code, str(config), str(tmp_path), env=env).stdout
     assert json.loads(out.splitlines()[-1]) == {
         "estimate_pf": [], "decision_sweep": [], "theory": [], "two workers, one block": [],
         "two workers": ["concurrent.futures"]}
