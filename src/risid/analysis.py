@@ -2,8 +2,8 @@
 
 Covers the single-surface false-detection bound, the single-surface miss
 probability, the two-surface variants driven by the interferer's correlation
-peak distribution, and the threshold / sizing design helpers built on top of
-them. Characteristic-function inversion stays as the reference the
+peak distribution, and the per-threshold curves and the surface size built
+on them. Characteristic-function inversion stays as the reference the
 two-surface miss bound's closed form is tested against; its three functions
 alone load scipy, on first use, so the closed forms start without it.
 """
@@ -21,8 +21,6 @@ from .codes import CrossCorrPmf
 __all__ = [
     "NumericalFailure",
     "OperatingPoint",
-    "TheoryCurve",
-    "ThresholdSelection",
     "pf_single_bound",
     "pmiss_single",
     "pf_two",
@@ -31,7 +29,7 @@ __all__ = [
     "rayleigh_sum_cf",
     "gil_pelaez_cdf",
     "required_ris_size",
-    "pf_pmiss_threshold_sweep",
+    "threshold_curves",
 ]
 
 
@@ -277,20 +275,12 @@ def pmiss_two(op: OperatingPoint, a_tilde: int) -> float:
     return 0.5 * (f1 + cdf_both)
 
 
-@dataclass(frozen=True)
-class RequiredSize:
-    """Surface size solving the miss target; raw real value plus ceiling."""
-
-    n_required: int
-    raw: float
-
-
-def required_ris_size(op: OperatingPoint, target_pmiss: float) -> RequiredSize:
+def required_ris_size(op: OperatingPoint, target_pmiss: float) -> float:
     """Elements needed so the single-surface miss probability hits the target.
 
-    Inverts the miss CDF: N = -r / (P beta M ln(1 - target)). The operating
-    point's own ``n`` is ignored. A size that is not a finite positive number
-    (a zero threshold, or a quotient past the float range) raises ValueError.
+    Inverts the miss CDF to the real size N = -r / (P beta M ln(1 - target)).
+    The operating point's own ``n`` is ignored. A size that is not a finite positive
+    number (a zero threshold, or a quotient past the float range) raises ValueError.
     """
     if not 0 < target_pmiss < 1:
         raise ValueError("target miss probability must be inside (0, 1)")
@@ -298,71 +288,25 @@ def required_ris_size(op: OperatingPoint, target_pmiss: float) -> RequiredSize:
     raw = -op.r / denom if denom else math.inf
     if not 0 < raw < math.inf:
         raise ValueError(f"the required size {raw!r} is not a finite positive number")
-    return RequiredSize(n_required=int(math.ceil(raw)), raw=raw)
+    return raw
 
 
-@dataclass(frozen=True)
-class TheoryCurve:
-    """One probability-vs-threshold curve with its formula kind tag."""
+def threshold_curves(op: OperatingPoint, r_bar_grid: Sequence[float],
+                     pmf: CrossCorrPmf | None = None) -> tuple[tuple, tuple]:
+    """False and miss probabilities, one tuple each, over an ascending threshold grid.
 
-    x: tuple
-    y: tuple
-    kind: str
-
-    def __post_init__(self):
-        if any(not 0 <= v <= 1 for v in self.y):
-            raise ValueError("curve values must be probabilities")
-
-
-@dataclass(frozen=True)
-class ThresholdSelection:
-    """Joint threshold choice against false/miss caps on one grid."""
-
-    r_bar_for_pf_cap: float | None
-    r_bar_for_pmiss_cap: float | None
-    feasible: bool
-
-
-def pf_pmiss_threshold_sweep(
-    op: OperatingPoint,
-    r_bar_grid: Sequence[float],
-    pmf: CrossCorrPmf | None = None,
-    pf_cap: float = 1.0,
-    pmiss_cap: float = 1.0,
-):
-    """Evaluate both probability curves over a threshold grid and pick caps.
-
-    Without ``pmf`` the single-surface formulas are used; with it, the
-    two-surface ones, with the pmf's own peak bound ``a_tilde``.
-    Returns (pf_curve, pmiss_curve, selection) where the selection holds the
-    smallest threshold meeting the false cap, the largest meeting the miss
-    cap, and whether any grid point satisfies both. Infeasibility is an
-    answer, not an error.
+    The single-surface formulas without ``pmf``, the two-surface ones with it (peak
+    bound ``a_tilde``). A value outside [0, 1], a formula gone non-finite, raises ValueError.
     """
-    grid = tuple(float(r) for r in r_bar_grid)
-    if any(b < a for a, b in zip(grid, grid[1:])):
+    if any(b < a for a, b in zip(r_bar_grid, r_bar_grid[1:])):
         raise ValueError("threshold grid must be ascending")
-    ops = [replace(op, r_bar=r) for r in grid]  # one operating point per threshold, for both curves
+    ops = [replace(op, r_bar=float(r)) for r in r_bar_grid]  # one per threshold, for both curves
     if pmf is None:
         pf_vals = tuple(map(pf_single_bound, ops))
         pm_vals = tuple(map(pmiss_single, ops))
-        pf_kind, pm_kind = "pf_single_bound", "pmiss_single"
     else:
         pf_vals = tuple(pf_two(o, pmf) for o in ops)
         pm_vals = tuple(pmiss_two(o, pmf.a_tilde) for o in ops)
-        pf_kind, pm_kind = "pf_two", "pmiss_two_lower"
-
-    r_pf = next((r for r, v in zip(grid, pf_vals) if v <= pf_cap), None)
-    r_pm = next(
-        (r for r, v in reversed(list(zip(grid, pm_vals))) if v <= pmiss_cap), None
-    )
-    feasible = any(
-        vf <= pf_cap and vm <= pmiss_cap for vf, vm in zip(pf_vals, pm_vals)
-    )
-    return (
-        TheoryCurve(x=grid, y=pf_vals, kind=pf_kind),
-        TheoryCurve(x=grid, y=pm_vals, kind=pm_kind),
-        ThresholdSelection(
-            r_bar_for_pf_cap=r_pf, r_bar_for_pmiss_cap=r_pm, feasible=feasible
-        ),
-    )
+    if any(not 0 <= v <= 1 for v in pf_vals + pm_vals):
+        raise ValueError("curve values must be probabilities")
+    return pf_vals, pm_vals

@@ -443,17 +443,15 @@ _EST_COLS = ["value", "ci_low", "ci_high", "events", "trials", "low_confidence"]
 def cmd_theory(scenario: Scenario, raw: dict, writer: RunWriter, threads: int) -> None:
     """Closed-form curves over the threshold grid (no simulation)."""
     op = scenario.operating_point(scenario.r_bar)
-    pf_c, pm_c, _ = analysis.pf_pmiss_threshold_sweep(op, scenario.r_bar_grid)
-    curves = [pf_c, pm_c]
+    pf, pm = analysis.threshold_curves(op, scenario.r_bar_grid)
+    curves = {"pf_single_bound": pf, "pmiss_single": pm}
     if scenario.l_count >= 2:
-        pf2, pm2, _ = analysis.pf_pmiss_threshold_sweep(
-            op, scenario.r_bar_grid, pmf=scenario.pair_pmf(1, 2)
-        )
-        curves += [pf2, pm2]
+        pf, pm = analysis.threshold_curves(op, scenario.r_bar_grid, pmf=scenario.pair_pmf(1, 2))
+        curves |= {"pf_two": pf, "pmiss_two_lower": pm}
     rows = []
-    for curve in curves:
-        for xv, yv in zip(curve.x, curve.y):
-            rows.append([xv, yv, curve.kind, op.m, op.n, scenario.p_dbm])
+    for kind, values in curves.items():
+        for xv, yv in zip(scenario.r_bar_grid, values):
+            rows.append([xv, yv, kind, op.m, op.n, scenario.p_dbm])
     writer.csv("theory.csv", ["r_bar", "value", "kind", "M", "N", "P_dBm"], rows)
 
 
@@ -503,7 +501,7 @@ def _mc_sweep(scenario: Scenario, raw: dict, writer: RunWriter, threads: int, la
     column) or at ``r_bar`` alone (no such column). Its ``mc`` rows come first, then one
     ``theory_kind`` row per threshold with five empty estimate cells, in the subcommand's CSV
     (dashes as underscores), written when the pass ends. The theory rows hold the matching
-    curve of ``analysis.pf_pmiss_threshold_sweep``, whose two-surface forms take surface 2 as
+    curve of ``analysis.threshold_curves``, whose two-surface forms take surface 2 as
     the interferer, with one pair pmf per code set in the run, when the subcommand is ``paired``.
     """
     def rows():
@@ -514,43 +512,46 @@ def _mc_sweep(scenario: Scenario, raw: dict, writer: RunWriter, threads: int, la
             key = (scn.m, scn.v_total, scn.code_rows)
             if paired and key not in pmfs:
                 pmfs[key] = scn.pair_pmf(1, 2)
-            pf_c, pm_c, _ = analysis.pf_pmiss_threshold_sweep(
-                scn.operating_point(scn.r_bar), r_bars, pmfs.get(key))
+            pf, pm = analysis.threshold_curves(scn.operating_point(scn.r_bar), r_bars, pmfs.get(key))
             cells = [list(combo) + ([rb] if over_grid else []) for rb in r_bars]
             yield from (_estimate_row(["mc"] + c, est) for c, est in zip(cells, ests))
             yield from ([theory_kind] + c + [v] + [""] * 5
-                        for c, v in zip(cells, (pm_c if law[1] else pf_c).y))
+                        for c, v in zip(cells, pm if law[1] else pf))
 
     header = ["kind", *labels] + (["r_bar"] if over_grid else []) + _EST_COLS
     writer.csv(writer.subcommand.replace("-", "_") + ".csv", header, rows())
 
 
 def cmd_tradeoff(scenario: Scenario, raw: dict, writer: RunWriter, threads: int) -> None:
-    """Theory false/miss curves for both surfaces plus a joint threshold pick."""
+    """Theory false/miss curves for both surfaces plus a joint threshold pick.
+
+    Per surface: the smallest grid threshold whose pf is within ``target_pf``, the largest whose
+    pmiss is within ``target_pmiss`` (null for none), and whether one threshold meets both caps;
+    the run is feasible when both surfaces are. Infeasibility is an answer, not an error.
+    """
     pf_cap = raw.get("target_pf", 1.0)
     pmiss_cap = raw.get("target_pmiss", 1.0)
+    grid = scenario.r_bar_grid
     rows = []
-    feasible = True
     picks = {}
     for surf, other in ((1, 2), (2, 1)):
         op = scenario.operating_point(scenario.r_bar, surface=surf)
-        pmf = scenario.pair_pmf(surf, other)
-        pf_c, pm_c, sel = analysis.pf_pmiss_threshold_sweep(
-            op, scenario.r_bar_grid, pmf=pmf, pf_cap=pf_cap, pmiss_cap=pmiss_cap
-        )
-        for rb, v in zip(pf_c.x, pf_c.y):
+        pf, pm = analysis.threshold_curves(op, grid, pmf=scenario.pair_pmf(surf, other))
+        for rb, v in zip(grid, pf):
             rows.append([f"pf_two_ris{surf}", rb, v])
-        for rb, v in zip(pm_c.x, pm_c.y):
+        for rb, v in zip(grid, pm):
             rows.append([f"pmiss_two_ris{surf}", rb, v])
-        feasible = feasible and sel.feasible
+        pf_met = [rb for rb, v in zip(grid, pf) if v <= pf_cap]
+        pm_met = [rb for rb, v in zip(grid, pm) if v <= pmiss_cap]
         picks[f"ris{surf}"] = {
-            "r_bar_for_pf_cap": sel.r_bar_for_pf_cap,
-            "r_bar_for_pmiss_cap": sel.r_bar_for_pmiss_cap,
-            "feasible": sel.feasible,
+            "r_bar_for_pf_cap": pf_met[0] if pf_met else None,
+            "r_bar_for_pmiss_cap": pm_met[-1] if pm_met else None,
+            "feasible": any(vf <= pf_cap and vm <= pmiss_cap for vf, vm in zip(pf, pm)),
         }
     writer.csv("tradeoff.csv", ["kind", "r_bar", "value"], rows)
     writer.json("tradeoff_selection.json", {
-        "pf_cap": pf_cap, "pmiss_cap": pmiss_cap, "feasible": feasible,
+        "pf_cap": pf_cap, "pmiss_cap": pmiss_cap,
+        "feasible": all(pick["feasible"] for pick in picks.values()),
         "per_surface": picks,
     })
 
@@ -604,15 +605,16 @@ def cmd_design(scenario: Scenario, raw: dict, writer: RunWriter, threads: int) -
         raise ConfigError("the design solver needs target_pmiss in the config")
     op = scenario.operating_point(scenario.r_bar)
     try:
-        req = analysis.required_ris_size(op, target)
+        n_raw = analysis.required_ris_size(op, target)
     except ValueError as exc:
         raise ConfigError(f"target_pmiss = {target!r}: {exc}", key="target_pmiss") from exc
+    n_required = math.ceil(n_raw)
     writer.json("design.json", {
         "target_pmiss": target,
         "r_bar": scenario.r_bar,
-        "n_required": req.n_required,
-        "n_raw": req.raw,
-        "pmiss_at_raw": analysis.pmiss_single(replace(op, n=max(1, req.n_required))),
+        "n_required": n_required,
+        "n_raw": n_raw,
+        "pmiss_at_raw": analysis.pmiss_single(replace(op, n=n_required)),
     })
 
 

@@ -217,10 +217,10 @@ def cross_corr_pmf(
     {1..v1_law}). For each combination the detector's search maximises |A|
     over all shift hypotheses c in {1..M} and window offsets k in
     {0..v_total}; the squared maximum is one support sample. ``v_total``, the
-    pad budget, defaults to the law's largest key. The law's mass must be
-    nonnegative, sum to 1 and lie on 1..min(v_total, M-1): the interferer's M
-    samples end inside the frame's M + v_total. No closed-form shortcut: this
-    enumeration is the reference for everything downstream.
+    pad budget, defaults to the law's largest key with mass. The law's mass
+    must be nonnegative, sum to 1 and lie on 1..min(v_total, M-1): the
+    interferer's M samples end inside the frame's M + v_total. No closed-form
+    shortcut: this enumeration is the reference for everything downstream.
     """
     if isinstance(v1_law, int):
         v1_law = uniform_offset_law(v1_law)
@@ -232,9 +232,9 @@ def cross_corr_pmf(
     m = code_l.length
     if code_d.length != m:
         raise ValueError("codes must share one sequence length")
-    if v_total is None:
-        v_total = max(law)
     v1s = [v1 for v1, pv in law.items() if pv != 0]
+    if v_total is None:
+        v_total = max(v1s)
     if not all(1 <= v1 < m for v1 in v1s):
         raise ValueError(f"v1 law support must lie in 1..{m - 1}, got {sorted(v1s)}")
     if max(v1s) > v_total:

@@ -59,6 +59,10 @@ CLI_RUNS = {
     # R, its weights and the compound-law draws at N = 1024, at both correlated spacings
     "large-pmiss-corr": ("pmiss-corr", "m = 16\nn_elements = 1024\nn_horizontal = 32\n"
                          "p_dbm_values = 10\n", {"trials": 300}),
+    # caps no threshold meets: both surfaces infeasible, pf picks 1.0 and pmiss picks null
+    "tradeoff-infeasible": ("tradeoff", "m = 16\ncode_rows = 1, 2\nn_elements = 32\nn_horizontal = 4\n"
+                            "p_dbm = -30\nr_bar_grid = 1:6:1\ntarget_pf = 1e-9\ntarget_pmiss = 1e-9\n",
+                            {}),
 }
 
 

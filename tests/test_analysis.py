@@ -17,7 +17,6 @@ from risid.analysis import (
     NumericalFailure,
     OperatingPoint,
     gil_pelaez_cdf,
-    pf_pmiss_threshold_sweep,
     pf_single_bound,
     pf_two,
     pmiss_single,
@@ -25,6 +24,7 @@ from risid.analysis import (
     rayleigh_cf,
     rayleigh_sum_cf,
     required_ris_size,
+    threshold_curves,
 )
 from risid.cli import parse_config_text, scenario_from_config
 from risid.codes import CrossCorrPmf, build_codebook, cross_corr_pmf
@@ -294,22 +294,19 @@ def _pmiss_two_quadrature(op, a_tilde):
 class TestRequiredSize:
     def test_algebraic_inverse(self):
         op = op_at(m=32, p_dbm=10.0, r_bar=3.0)
-        req = required_ris_size(op, 1e-2)
-        mean = req.raw * op.power_w * op.beta * op.m
+        mean = required_ris_size(op, 1e-2) * op.power_w * op.beta * op.m
         assert 1 - math.exp(-op.r / mean) == pytest.approx(1e-2, rel=1e-12)
-        assert req.n_required == math.ceil(req.raw)
 
     def test_divergence_for_tiny_targets(self):
         op = op_at()
-        sizes = [required_ris_size(op, t).raw for t in (1e-1, 1e-2, 1e-4, 1e-6)]
+        sizes = [required_ris_size(op, t) for t in (1e-1, 1e-2, 1e-4, 1e-6)]
         assert all(b > a for a, b in zip(sizes, sizes[1:]))
 
     def test_crossing_consistency(self):
         # the power where the n=64 curve hits 1e-2 must invert back to 64
         op = op_at(n=64, m=16, r_bar=3.0)
         p_star = -op.r / (64 * op.beta * op.m * math.log1p(-1e-2))
-        req = required_ris_size(replace(op, power_w=p_star), 1e-2)
-        assert req.raw == pytest.approx(64.0, rel=1e-9)
+        assert required_ris_size(replace(op, power_w=p_star), 1e-2) == pytest.approx(64.0, rel=1e-9)
 
     def test_rejects_bad_target(self):
         with pytest.raises(ValueError):
@@ -317,41 +314,29 @@ class TestRequiredSize:
 
 
 class TestThresholdSweep:
-    def test_trivial_caps_always_feasible(self):
-        _, _, sel = pf_pmiss_threshold_sweep(op_at(), np.linspace(1, 6, 11))
-        assert sel.feasible
-
     def test_single_surface_dependencies(self):
         # the false bound ignores n and power; the miss curve does not
         grid = np.linspace(1, 6, 6)
-        pf_a, pm_a, _ = pf_pmiss_threshold_sweep(op_at(n=64, p_dbm=10.0), grid)
-        pf_b, pm_b, _ = pf_pmiss_threshold_sweep(op_at(n=256, p_dbm=20.0), grid)
-        assert pf_a.y == pf_b.y
-        assert pm_a.y != pm_b.y
+        pf_a, pm_a = threshold_curves(op_at(n=64, p_dbm=10.0), grid)
+        pf_b, pm_b = threshold_curves(op_at(n=256, p_dbm=20.0), grid)
+        assert pf_a == pf_b
+        assert pm_a != pm_b
 
     def test_crossing_region_two_surface(self):
         book = build_codebook(32, [1, 2])
         pmf = cross_corr_pmf(book.entries[0], book.entries[1], 8)
         op = op_at(m=32, n=128, p_dbm=10.0, v_total=8)
         grid = np.linspace(1, 60, 60)
-        pf_c, pm_c, sel = pf_pmiss_threshold_sweep(op, grid, pmf=pmf)
-        assert all(b <= a for a, b in zip(pf_c.y, pf_c.y[1:]))
-        assert all(b >= a - 1e-12 for a, b in zip(pm_c.y, pm_c.y[1:]))
+        pf_c, pm_c = threshold_curves(op, grid, pmf=pmf)
+        assert all(b <= a for a, b in zip(pf_c, pf_c[1:]))
+        assert all(b >= a - 1e-12 for a, b in zip(pm_c, pm_c[1:]))
         # the curves cross inside the grid: the false curve starts above the
         # miss curve and ends below it
-        assert pf_c.y[0] > pm_c.y[0] and pf_c.y[-1] < pm_c.y[-1]
-        assert sel.feasible
-
-    def test_infeasible_is_flagged_not_raised(self):
-        _, _, sel = pf_pmiss_threshold_sweep(
-            op_at(p_dbm=-30.0), np.linspace(1, 6, 6),
-            pf_cap=1e-9, pmiss_cap=1e-9,
-        )
-        assert not sel.feasible
+        assert pf_c[0] > pm_c[0] and pf_c[-1] < pm_c[-1]
 
     def test_rejects_unsorted_grid(self):
         with pytest.raises(ValueError):
-            pf_pmiss_threshold_sweep(op_at(), [3.0, 1.0])
+            threshold_curves(op_at(), [3.0, 1.0])
 
     @pytest.mark.parametrize("two", [False, True])
     def test_curves_equal_one_replace_per_threshold_and_curve(self, two):
@@ -363,14 +348,11 @@ class TestThresholdSweep:
             pf, pm = (lambda o: pf_two(o, pmf)), (lambda o: pmiss_two(o, pmf.a_tilde))
         else:
             pf, pm = pf_single_bound, pmiss_single
-        pf_c, pm_c, _ = pf_pmiss_threshold_sweep(op, grid, pmf=pmf)
-        assert pf_c.y == tuple(pf(replace(op, r_bar=float(r))) for r in grid)
-        assert pm_c.y == tuple(pm(replace(op, r_bar=float(r))) for r in grid)
-        assert pf_c.x == pm_c.x == tuple(map(float, grid))
-        assert (pf_c.kind, pm_c.kind) == (("pf_two", "pmiss_two_lower") if two
-                                          else ("pf_single_bound", "pmiss_single"))
+        pf_c, pm_c = threshold_curves(op, grid, pmf=pmf)
+        assert pf_c == tuple(pf(replace(op, r_bar=float(r))) for r in grid)
+        assert pm_c == tuple(pm(replace(op, r_bar=float(r))) for r in grid)
         if two:
-            assert all(0 <= v <= 0.5 for v in pf_c.y)
+            assert all(0 <= v <= 0.5 for v in pf_c)
 
 
 @given(st.floats(min_value=0.05, max_value=6.0), st.floats(min_value=0.05, max_value=6.0))

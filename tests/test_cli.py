@@ -291,6 +291,18 @@ class TestSubcommands:
         assert manifest["subcommand"] == "theory"
         assert "theory.csv" in manifest["outputs"]
 
+    def test_theory_kinds_in_order_over_the_grid(self, tmp_path):
+        """A two-row run writes each curve once over the whole grid: the single-surface pair,
+        then the two-surface pair."""
+        code, out = run_cli(tmp_path, "theory", "m = 16\ncode_rows = 1, 2\nr_bar_grid = 1, 2.5, 4\n")
+        assert code == 0
+        lines = [l for l in (out / "theory.csv").read_text().splitlines() if not l.startswith("#")]
+        header, *rows = list(csv.reader(lines))
+        kinds = ["pf_single_bound", "pmiss_single", "pf_two", "pmiss_two_lower"]
+        assert header == ["r_bar", "value", "kind", "M", "N", "P_dBm"]
+        assert [row[2] for row in rows] == [kind for kind in kinds for _ in range(3)]
+        assert [row[0] for row in rows] == ["1.0", "2.5", "4.0"] * 4
+
     def test_design_inversion(self, tmp_path):
         code, out = run_cli(
             tmp_path, "design",
@@ -299,7 +311,7 @@ class TestSubcommands:
         assert code == 0
         doc = json.loads((out / "design.json").read_text())
         assert doc["pmiss_at_raw"] == pytest.approx(1e-2, rel=0.05)
-        assert doc["n_required"] >= doc["n_raw"]
+        assert doc["n_required"] == math.ceil(doc["n_raw"])
 
     def test_confusion_rerun_byte_identical(self, tmp_path):
         cfg = (
@@ -448,6 +460,60 @@ class TestSubcommands:
         assert code == 0
         doc = json.loads((out / "tradeoff_selection.json").read_text())
         assert doc["feasible"] is True  # caps default to 1
+
+    def test_trivial_caps_always_feasible(self, tmp_path):
+        """With no caps set, every threshold meets both: the picks are the grid's two ends."""
+        code, out = run_cli(tmp_path, "tradeoff", "m = 16\ncode_rows = 1, 2\nr_bar_grid = 1:6:0.5\n")
+        assert code == 0
+        doc = json.loads((out / "tradeoff_selection.json").read_text())
+        assert (doc["pf_cap"], doc["pmiss_cap"], doc["feasible"]) == (1.0, 1.0, True)
+        pick = {"r_bar_for_pf_cap": 1.0, "r_bar_for_pmiss_cap": 6.0, "feasible": True}
+        assert doc["per_surface"] == {"ris1": pick, "ris2": pick}
+
+    def test_infeasible_is_flagged_not_raised(self, tmp_path):
+        """Caps no threshold meets exit 0 with every flag false and no miss pick."""
+        _, text, _ = outputs.CLI_RUNS["tradeoff-infeasible"]
+        code, out = run_cli(tmp_path, "tradeoff", text)
+        assert code == 0
+        doc = json.loads((out / "tradeoff_selection.json").read_text())
+        assert doc["feasible"] is False
+        pick = {"r_bar_for_pf_cap": 1.0, "r_bar_for_pmiss_cap": None, "feasible": False}
+        assert doc["per_surface"] == {"ris1": pick, "ris2": pick}
+
+    @pytest.mark.parametrize("config", ["bundled", "infeasible"])
+    def test_tradeoff_picks_follow_the_curves(self, tmp_path, config):
+        """Each surface's picks and flag, and the run's flag, recomputed from ``tradeoff.csv``
+        and the caps: the smallest threshold within the false cap, the largest within the miss
+        cap, and whether one threshold meets both."""
+        if config == "bundled":
+            text = (BUNDLED_CONFIG_DIR / "tradeoff.txt").read_text()
+        else:
+            text = outputs.CLI_RUNS["tradeoff-infeasible"][1]
+        code, out = run_cli(tmp_path, "tradeoff", text)
+        assert code == 0
+        doc = json.loads((out / "tradeoff_selection.json").read_text())
+        raw = parse_config_text(text)
+        assert (doc["pf_cap"], doc["pmiss_cap"]) == (raw["target_pf"], raw["target_pmiss"])
+        lines = [l for l in (out / "tradeoff.csv").read_text().splitlines() if not l.startswith("#")]
+        curves = {}
+        for kind, rb, value in list(csv.reader(lines))[1:]:
+            curves.setdefault(kind, []).append((float(rb), float(value)))
+        picks = {}
+        for surf in ("ris1", "ris2"):
+            pf, pm = curves[f"pf_two_{surf}"], curves[f"pmiss_two_{surf}"]
+            assert [rb for rb, _ in pf] == [rb for rb, _ in pm] == list(raw["r_bar_grid"])
+            pf_met = [rb for rb, v in pf if v <= doc["pf_cap"]]
+            pm_met = [rb for rb, v in pm if v <= doc["pmiss_cap"]]
+            picks[surf] = {
+                "r_bar_for_pf_cap": min(pf_met, default=None),
+                "r_bar_for_pmiss_cap": max(pm_met, default=None),
+                "feasible": any(f <= doc["pf_cap"] and m <= doc["pmiss_cap"]
+                                for (_, f), (_, m) in zip(pf, pm)),
+            }
+        assert doc["per_surface"] == picks
+        assert doc["feasible"] is all(pick["feasible"] for pick in picks.values())
+        if config == "infeasible":
+            assert doc["feasible"] is False and picks["ris1"]["r_bar_for_pmiss_cap"] is None
 
     def test_seed_and_trials_overrides(self, tmp_path):
         cfg = (

@@ -309,7 +309,8 @@ class TestBatchedPeakSearch:
         law = {v1: Fraction(wi, sum(w)) for v1, wi in zip(v1s, w)}
         v_total = None if default_total else max(v1s) + extra
         pmf = cross_corr_pmf(code_l, code_d, law, v_total)
-        support, probs, a_tilde = _pmf_oracle(code_l, code_d, law, v_total or max(v1s))
+        default = max(v1 for v1, p in law.items() if p)  # the largest key with mass
+        support, probs, a_tilde = _pmf_oracle(code_l, code_d, law, v_total or default)
         assert (pmf.support, pmf.probs, pmf.a_tilde) == (support, probs, a_tilde)
         _assert_pmf_invariants(pmf)
 
@@ -509,6 +510,12 @@ class TestPmfLawSupport:
     def test_zero_probability_keys_outside_the_frame_are_ignored(self, seq16):
         law = {20: Fraction(0), 2: Fraction(1)}
         assert cross_corr_pmf(seq16[1], seq16[2], law, 4) == cross_corr_pmf(seq16[1], seq16[2], {2: 1}, 4)
+
+    def test_pad_budget_defaults_to_the_largest_key_with_mass(self, seq16):
+        # a zero-mass key past the frame sets no pad budget: v_total is 2, not 20
+        pmf = cross_corr_pmf(seq16[4], seq16[9], {20: Fraction(0), 2: Fraction(1)})
+        assert pmf == cross_corr_pmf(seq16[4], seq16[9], {2: 1})
+        assert (pmf.support, pmf.a_tilde) == ((4,), 2)
 
     @pytest.mark.parametrize("v_total", [1, 4, 15])
     def test_cli_uniform_laws_match_the_oracle(self, seq16, v_total):
