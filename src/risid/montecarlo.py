@@ -225,8 +225,8 @@ class _Block:
     not yet drawn: each surface's gain pairs (``channel.compound_gains``), then the noise as R
     coordinates in the basis U (``_subspace``), one correlator chunk at a time. So rows scored
     over several calls see the draws of one call. D is the largest |(U^T y) A|^2 over each
-    code's columns, taken over block-aligned chunks of ``_chunk_rows`` rows, zero-padded so
-    that every product has one shape and a row's bits never depend on which rows a call scores.
+    code's columns, over block-aligned chunks of ``_chunk_rows`` rows, each product one shape. A
+    short chunk's other rows hold zeros or earlier rows; a product row's bits never depend on them.
     Each chunk draws its noise rows into one reused buffer, then adds every drawn surface's gain
     (0 where silent) times its table row, in id order, so a block holds one chunk of
     coordinates and a few block-long vectors per surface.
@@ -265,8 +265,6 @@ class _Block:
         for lo in range(r0 - r0 % step, stop, step):  # every chunk from the first row not drawn
             i0, i1 = max(lo, r0), min(lo + step, stop)
             z = draw_noise(self.frame, noise[i0 - lo : i1 - lo], sn2)
-            if i1 - i0 < step:
-                parts.fill(0.0)
             re, im = parts[0, i0 - lo : i1 - lo], parts[1, i0 - lo : i1 - lo]
             re[:], im[:] = z.real, z.imag
             for g, at, table in adds:
@@ -430,8 +428,7 @@ class ConfusionMatrix:
 
     def frequencies(self) -> np.ndarray:
         """Row-normalized frequencies."""
-        c = self.counts.astype(np.float64)
-        return c / c.sum(axis=1, keepdims=True)
+        return self.counts / self.counts.sum(axis=1, keepdims=True)
 
     def _error_rate(self, surface: int, present: bool) -> Fraction:
         """Mean over the true states with the surface ``present`` of the opposite-decision rate."""

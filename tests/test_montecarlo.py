@@ -221,6 +221,37 @@ class TestPrefixDraws:
         }
 
 
+class TestProductRows:
+    """A row of a correlator chunk's product has the same bytes whatever the chunk's other rows
+    hold and wherever in the chunk it sits. A short chunk leaves its other rows as they were, and
+    the prefix and worker bits rest on this BLAS property."""
+
+    @pytest.mark.parametrize("m, v_total, rows, shape", [
+        (32, 8, (1, 2), (11, 27, 1024)),  # confusion-2ris
+        (32, 8, (31,), (24, 144, 128)),  # false-escalate
+        (16, 4, (15,), (12, 40, 512)),  # miss-spacing-n256
+        (128, 32, (127,), (96, 2112, 64)),  # the 64-row chunk floor
+    ])
+    def test_row_bytes_ignore_the_other_rows(self, m, v_total, rows, shape):
+        """Rows 0, 1, step // 2 and step - 1 of one (2, step, R) chunk times A, against the
+        same row with every other row zeroed, with every other row redrawn, and rolled."""
+        scn = Scenario(m=m, v_total=v_total, code_rows=rows)
+        a = montecarlo._subspace(scn.sim_profiles(), m, v_total)[1]
+        step = montecarlo._chunk_rows(a.shape[1])
+        assert (*a.shape, step) == shape
+        rng = np.random.default_rng(17)
+        chunk = rng.standard_normal((2, step, a.shape[0]))
+        want, shift = np.matmul(chunk, a), step // 2 + 1
+        for i in (0, 1, step // 2, step - 1):
+            zeroed = np.zeros_like(chunk)
+            redrawn = rng.standard_normal(chunk.shape)
+            zeroed[:, i] = redrawn[:, i] = chunk[:, i]
+            for name, other, j in [("zeroed", zeroed, i), ("redrawn", redrawn, i),
+                                   ("rolled", np.roll(chunk, shift, axis=1), (i + shift) % step)]:
+                got = np.matmul(other, a)[:, j]
+                assert got.tobytes() == want[:, i].tobytes(), f"row {i}, {name}; {pin_environment()}"
+
+
 def no_events(metric, reach):
     """``consume`` that counts no event, so every escalating call runs to its cap."""
     return (np.zeros(1, dtype=np.int64),)
