@@ -126,7 +126,7 @@ def _thresholds_w(plan: TrialPlan, r_bars: Sequence[float]) -> np.ndarray:
 
 def _chunk_rows(k: int) -> int:
     """Block rows per correlator product with k columns: ``channel.chunk_rows``, at least 64 (a
-    product of fewer rows runs slower per row) and at most BLOCK. Chunks tile a block."""
+    product of fewer rows runs slower per row) and at most BLOCK. Chunks start at a call's first row."""
     return min(BLOCK, chunk_rows(k, 64))
 
 
@@ -225,8 +225,8 @@ class _Block:
     not yet drawn: each surface's gain pairs (``channel.compound_gains``), then the noise as R
     coordinates in the basis U (``_subspace``), one correlator chunk at a time. So rows scored
     over several calls see the draws of one call. D is the largest |(U^T y) A|^2 over each
-    code's columns, over block-aligned chunks of ``_chunk_rows`` rows, each product one shape. A
-    short chunk's other rows hold zeros or earlier rows; a product row's bits never depend on them.
+    code's columns, over chunks of ``_chunk_rows`` rows from the call's first row, each product one
+    shape. A product row's bits depend neither on the chunk's other rows nor on its place in it.
     Each chunk draws its noise rows into one reused buffer, then adds every drawn surface's gain
     (0 where silent) times its table row, in id order, so a block holds one chunk of
     coordinates and a few block-long vectors per surface.
@@ -262,18 +262,18 @@ class _Block:
         parts = np.zeros((2, step, a.shape[0]))  # real products need contiguous real and imaginary parts
         prods = np.empty((2, step, a.shape[1]))
         metric = np.empty((stop - r0, self.reach.shape[1]))
-        for lo in range(r0 - r0 % step, stop, step):  # every chunk from the first row not drawn
-            i0, i1 = max(lo, r0), min(lo + step, stop)
-            z = draw_noise(self.frame, noise[i0 - lo : i1 - lo], sn2)
-            re, im = parts[0, i0 - lo : i1 - lo], parts[1, i0 - lo : i1 - lo]
+        for i0 in range(0, stop - r0, step):  # call rows [i0, i1) in chunk rows [0, i1 - i0)
+            i1 = min(i0 + step, stop - r0)
+            z = draw_noise(self.frame, noise[: i1 - i0], sn2)
+            re, im = parts[0, : i1 - i0], parts[1, : i1 - i0]
             re[:], im[:] = z.real, z.imag
             for g, at, table in adds:
-                row = table.take(at[i0 - r0 : i1 - r0], axis=0)
-                re += g.real[i0 - r0 : i1 - r0, None] * row
-                im += g.imag[i0 - r0 : i1 - r0, None] * row
+                row = table.take(at[i0:i1], axis=0)
+                re += g.real[i0:i1, None] * row
+                im += g.imag[i0:i1, None] * row
             np.square(np.matmul(parts, a, out=prods), out=prods)
             prods[0] += prods[1]
-            metric[i0 - r0 : i1 - r0] = np.maximum.reduceat(prods[0, i0 - lo : i1 - lo], starts, axis=1)
+            metric[i0:i1] = np.maximum.reduceat(prods[0, : i1 - i0], starts, axis=1)
         return metric, self.reach[r0:stop]
 
 

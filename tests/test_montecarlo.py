@@ -282,21 +282,25 @@ class TestResumedBlocks:
 
         return scored
 
-    @pytest.mark.parametrize("threads", [1, 2])
+    @pytest.mark.parametrize("threads, rows", [(1, (1, 2)), (2, (1, 2)), (1, (31,)), (2, (31,))],
+                             ids=["1", "2", "1-row31", "2-row31"])
     @pytest.mark.parametrize("spacing", ["none", "tenth-lambda"])
     @pytest.mark.parametrize("law", [{}, {1: True}, {1: False}], ids=["coin", "forced_on", "forced_off"])
-    def test_escalated_passes_match_one_pass(self, scored, threads, spacing, law):
+    def test_escalated_passes_match_one_pass(self, scored, threads, rows, spacing, law):
         """``_escalated``'s passes [0, n) and [n, 10 n) against one pass over [0, 10 n): equal
         metric bits and reachability, where the held block reuses its scales s and continues
-        its gain pairs and noise."""
+        its gain pairs and noise, and the second pass's chunks start at its own first row, not at
+        the one pass's chunk edges. Rows (1, 2) make 1024-row chunks (K = 27); row 31 is
+        ``false-escalate``'s correlator (R = 24, K = 144), whose second passes start mid-chunk
+        at a second chunk size (700 mod 128 = 60)."""
         scn = Scenario(
-            m=32, v_total=8, code_rows=(1, 2), n_elements=16, n_horizontal=4,
+            m=32, v_total=8, code_rows=rows, n_elements=16, n_horizontal=4,
             spacing=spacing, p_dbm=0.0, seed=71,
         )
         for n in (1, 700, BLOCK - 1, BLOCK + 1):
             plan = plan_for(scn, trials=n, max_trials=10 * n, threads=threads)
             metric, reach = scored(lambda: _run_blocks(plan, law, 0, 10 * n, no_events))
-            assert metric.shape == (10 * n, 2)
+            assert metric.shape == (10 * n, len(rows))
             est = []
             split_metric, split_reach = scored(lambda: est.append(montecarlo._escalated(plan, law, no_events)))
             assert est[0].trials == 10 * n
