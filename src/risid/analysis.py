@@ -68,6 +68,8 @@ class OperatingPoint:
             raise ValueError("m, n and v_total must be positive")
         if min(self.power_w, self.beta, self.noise_var_w) <= 0:
             raise ValueError("power, path gain and noise variance must be positive")
+        if not all(map(math.isfinite, (self.power_w, self.beta, self.noise_var_w, self.r_bar))):
+            raise ValueError("power, path gain, noise variance and r_bar must be finite")
         if self.r_bar < 0 or not 0 < self.rho <= 1:
             raise ValueError("r_bar must be nonnegative and rho in (0, 1]")
 

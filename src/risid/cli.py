@@ -32,15 +32,15 @@ from .signal import dbm_to_watts, noise_variance_from_bandwidth
 
 SPACINGS = ("none", "half-lambda", "tenth-lambda")
 
-# Bounds on the mean aligned peak N*P*beta*M, in watts. The floor is the
-# smallest normal float, so the closed forms' quotients of the peak (by M^2,
-# by N) stay nonzero. The ceiling keeps the engine's squared correlator
-# outputs finite: (U^T y) A is still W^T y, the unnormalized sum over M
-# samples. Each of L surfaces adds a gain h with E|h|^2 = N*P*beta, so its
-# signal part has |d|^2 <= M * L^2 * X * peak, with X the largest |h|^2 over
-# its mean, and overflows (above 1.8e308) only if M * L^2 * X > 1.8e28: even
-# M = L = 2^16 needs X > 6e13, which a unit-mean Gamma or product-of-
-# exponentials draw exceeds with probability below e^-(10^7).
+# Bounds on the mean aligned peak N*P*beta*M, in watts. The floor is the smallest normal
+# float, so the closed forms' quotients of the peak (by M^2, by N) stay nonzero; the noise
+# variance, which every threshold is r_bar^2 times, has the same floor (bandwidth_hz's
+# bound). The ceiling keeps the engine's squared correlator outputs finite: (U^T y) A is
+# still W^T y, the unnormalized sum over M samples. Each of L surfaces adds a gain h with
+# E|h|^2 = N*P*beta, so its signal part has |d|^2 <= M * L^2 * X * peak, with X the
+# largest |h|^2 over its mean, and overflows (above 1.8e308) only if M * L^2 * X > 1.8e28:
+# even M = L = 2^16 needs X > 6e13, which a unit-mean Gamma or product-of-exponentials
+# draw exceeds with probability below e^-(10^7).
 PEAK_POWER_FLOOR = sys.float_info.min
 PEAK_POWER_CEILING = 1e280
 
@@ -154,20 +154,16 @@ class Scenario:
     seed: int = 1
 
     def __post_init__(self):
-        if self.m < 2 or (self.m & (self.m - 1)) != 0:
+        if self.m < 2 or (self.m & (self.m - 1)) != 0:  # before m's bound: m = 1e300 is named no power of two
             raise ConfigError(f"sequence length must be a power of two, got {self.m}", key="m")
+        values = [(f, v) for f, v in vars(self).items() if f != "r_bar_grid"]
+        for key, val in values + [("r_bar_grid", r) for r in self.r_bar_grid]:
+            _check_value(key, val)
         if not 1 <= self.v_total < self.m:
             raise ConfigError("pad budget must satisfy 1 <= v_total < m", key="v_total")
-        if len(set(self.code_rows)) != len(self.code_rows):
-            raise ConfigError("code rows must be distinct across surfaces", key="code_rows")
         for r in self.code_rows:
             if not 1 <= r < self.m:
                 raise ConfigError(f"code row {r} outside 1..{self.m - 1}", key="code_rows")
-        if self.spacing not in SPACINGS:
-            raise ConfigError(f"spacing must be one of {SPACINGS}", key="spacing")
-        values = [(f, v) for f, v in vars(self).items() if not isinstance(v, tuple)]
-        for key, val in values + [("r_bar_grid", r) for r in self.r_bar_grid]:
-            _check_value(key, val)
         if list(self.r_bar_grid) != sorted(self.r_bar_grid):
             raise ConfigError("r_bar_grid must be ascending", key="r_bar_grid")
         if self.n_elements % self.n_horizontal != 0:
@@ -175,9 +171,6 @@ class Scenario:
                 f"element count {self.n_elements} not divisible by row length {self.n_horizontal}",
                 key="n_horizontal",
             )
-        if self.noise_variance_w < PEAK_POWER_FLOOR:  # every threshold is r_bar^2 times it
-            raise ConfigError(f"bandwidth_hz puts the noise variance below {PEAK_POWER_FLOOR:.3g} W",
-                              key="bandwidth_hz")
         self._check_peak_power()
 
     def _check_peak_power(self) -> None:
@@ -325,12 +318,14 @@ _PROBABILITY = (lambda v: 0 < v < 1, "inside (0, 1)")
 _KEYS = {
     "m": _Key(_parse_int, (lambda v: 2 <= v <= MAX_M, f"in 2..{MAX_M}")),
     "v_total": _Key(_parse_int, follows="m", rule=lambda m: max(1, -(-m // 4))),  # exact for any int m
-    "code_rows": _Key(_parse_int_list, follows="m", rule=lambda m: (m - 1,)),  # row m-1: shifts differ most
+    "code_rows": _Key(_parse_int_list, (lambda v: len(set(v)) == len(v), "distinct"), follows="m",
+                      rule=lambda m: (m - 1,)),  # row m-1: shifts differ most
     "n_elements": _Key(_parse_int, _POSITIVE),
     "n_horizontal": _Key(_parse_int, _POSITIVE, follows="n_elements", rule=default_n_horizontal),
-    "spacing": _Key(lambda tok, line: tok),
+    "spacing": _Key(lambda tok, line: tok, (lambda v: v in SPACINGS, f"one of {SPACINGS}")),
     "f_c_hz": _Key(_parse_float, _POSITIVE),
-    "bandwidth_hz": _Key(_parse_float, _POSITIVE),
+    "bandwidth_hz": _Key(_parse_float, (lambda v: v > 0 and noise_variance_from_bandwidth(v) >= PEAK_POWER_FLOOR,
+                                        f"positive with a noise variance of at least {PEAK_POWER_FLOOR:.3g} W")),
     "p_dbm": _Key(_parse_float),
     "d_ur_m": _Key(_parse_float, _POSITIVE),
     "d_rb_m": _Key(_parse_float, _POSITIVE),

@@ -144,7 +144,6 @@ def build_codebook(m: int, assigned_rows: Sequence[int]) -> CodeBook:
     rows = list(assigned_rows)
     if len(set(rows)) != len(rows):
         raise ValueError(f"assigned rows must be distinct, got {rows}")
-    codes = _sylvester_rows(m, rows)
     for r in rows:
         if r == 0:
             raise ValueError(
@@ -153,6 +152,7 @@ def build_codebook(m: int, assigned_rows: Sequence[int]) -> CodeBook:
             )
         if not 0 < r < m:
             raise ValueError(f"row index {r} out of range 1..{m - 1}")
+    codes = _sylvester_rows(m, rows)
     entries = (BinarySequence(id=l, symbols=s) for l, s in enumerate(codes, 1))
     return CodeBook(entries=tuple(entries))
 

@@ -42,6 +42,15 @@ def op_at(m=16, n=64, p_dbm=15.0, r_bar=3.0, v_total=None, rho=0.5):
     )
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf], ids=["nan", "inf"])
+@pytest.mark.parametrize("field", ["power_w", "beta", "noise_var_w", "r_bar"])
+def test_operating_point_rejects_non_finite(field, value):
+    """A NaN or infinite input is an error, not a probability of 0 (pf_single_bound at r_bar = nan,
+    pmiss_single at power_w = inf)."""
+    with pytest.raises(ValueError, match="finite"):
+        replace(op_at(), **{field: value})
+
+
 class TestPfSingleBound:
     def test_reference_point(self):
         assert pf_single_bound(op_at()) == pytest.approx(40 * math.exp(-9), rel=1e-12)

@@ -669,6 +669,25 @@ class TestExitCodes:
         assert err.startswith(f"c.txt:{line}: config error: {want}") and len(err) < 300
         assert not Path("o").exists()
 
+    @pytest.mark.parametrize("text, line, want", [
+        ("spacing = bogus\n", 1,
+         "spacing must be one of ('none', 'half-lambda', 'tenth-lambda'), got 'bogus'"),
+        ("code_rows = 3, 3\n", 1, "code_rows must be distinct, got (3, 3)"),
+        ("bandwidth_hz = 1e-300\n", 1,
+         "bandwidth_hz must be positive with a noise variance of at least 2.23e-308 W, got 1e-300"),
+        ("m = 16\nv_total = 20\nspacing = bogus\n", 3,
+         "spacing must be one of ('none', 'half-lambda', 'tenth-lambda'), got 'bogus'"),
+    ], ids=["spacing", "code_rows", "bandwidth", "single_key_before_cross_field"])
+    def test_single_key_rule_names_the_value(self, tmp_path, capsys, monkeypatch, text, line, want):
+        """A rule one key's value decides prints the bound table's form, ``<key> must be <rule>,
+        got <value>``, and is reported before any rule that combines keys."""
+        monkeypatch.chdir(tmp_path)
+        Path("c.txt").write_text(text)
+        assert main(["theory", "--config", "c.txt", "--out", "o"]) == 2
+        (err,) = capsys.readouterr().err.splitlines()
+        assert err == f"c.txt:{line}: config error: {want}"
+        assert not Path("o").exists()
+
     @pytest.mark.parametrize("data, line, offset", [
         (b"\xff\xfem = 16\n", 1, 0),
         (b"m = 16  # 5 \xc2\xb5s\r\n# caf\xe9\n", 2, 22),

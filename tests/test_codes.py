@@ -94,6 +94,8 @@ class TestCodebook:
     def test_rejects_out_of_range(self):
         with pytest.raises(ValueError, match="range"):
             build_codebook(16, [16])
+        with pytest.raises(ValueError, match="range"):  # checked before an int64 row array is built
+            build_codebook(16, [2**70])
 
     def test_builds_only_its_rows(self):
         """One code at m = 1024 traces under 1 MiB: no 1024 x 1024 matrix (8 MiB) behind it."""
