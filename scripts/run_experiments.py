@@ -3,9 +3,9 @@
 
 Each subcommand writes CSV/JSON artifacts plus a manifest into its own
 subdirectory of --out. The bundled trial counts are sized for a coffee-break
-run; pass --trials to override them (e.g. 10000000 for headline-grade
-confusion matrices). One line per config, then a total line: runs, failures
-and wall seconds.
+run; pass --trials to override them where a subcommand simulates (e.g.
+10000000 for headline-grade confusion matrices). One line per config, then a
+total line: runs, failures and wall seconds.
 """
 
 import argparse
@@ -41,7 +41,7 @@ def main(argv=None) -> int:
         label = config.removesuffix(".txt")
         out = args.out / label
         argv = [sub, "--config", str(CONFIG_DIR / config), "--out", str(out)]
-        if args.trials is not None:
+        if args.trials is not None and COMMANDS[sub].passes is not None:  # where a pass runs
             argv += ["--trials", str(args.trials)]
         if args.seed is not None:
             argv += ["--seed", str(args.seed)]

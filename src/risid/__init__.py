@@ -8,4 +8,4 @@ Import each name from its module; ``import risid`` loads none of them.
 """
 
 # the one version string: cli embeds it in artifacts, pyproject.toml reads it
-__version__ = "0.3.0"
+__version__ = "0.4.0"

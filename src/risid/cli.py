@@ -585,7 +585,7 @@ def cmd_five_ris(scenario: Scenario, raw: dict, writer: RunWriter, threads: int,
     [(_, scenario)] = passes
     try:
         metrics = montecarlo.averaged_metrics(_plan(scenario, threads), scenario.r_bar_grid)
-    except ValueError as exc:  # a surface the trials never show reflecting, or never silent
+    except ValueError as exc:  # a true state no trial drew
         raise ConfigError(str(exc), key="trials") from exc
     rows = [[m.r_bar, m.avg_pmiss, m.avg_pf, *m.per_ris_pmiss, *m.per_ris_pf] for m in metrics]
     header = ["r_bar", "avg_pmiss", "avg_pf"] + [f"{k}_ris{i}" for k in ("pmiss", "pf")
@@ -688,7 +688,8 @@ def _parser() -> tuple:
         p.add_argument("--config", type=Path, default=None, help="flat key = value config file")
         p.add_argument("--out", type=Path, default=Path("out"), help="artifact directory")
         p.add_argument("--seed", type=int, default=None, help="override the config seed")
-        p.add_argument("--trials", type=int, default=None, help="override the config trial count")
+        if cmd.passes is not None:  # no other subcommand reads trials
+            p.add_argument("--trials", type=int, default=None, help="override the config trial count")
         p.add_argument(
             "--threads", type=int,
             help="worker threads for simulation blocks (default RISID_THREADS or 1)",
@@ -718,7 +719,7 @@ def main(argv=None) -> int:
             raise ConfigError(f"{args.subcommand} does not read {unread[0]}", key=unread[0])
         scenario_from_config(raw)  # the config as written, first
         # from here on an error keyed to a flag's field concerns the flag, not a config line
-        flags = {k: v for k, v in (("seed", args.seed), ("trials", args.trials)) if v is not None}
+        flags = {k: v for k in ("seed", "trials") if (v := getattr(args, k, None)) is not None}
         scenario = scenario_from_config(raw := raw | flags)  # every pass takes the flags too
         lo, hi, wording = cmd.surfaces
         if not lo <= scenario.l_count <= hi:
@@ -726,7 +727,7 @@ def main(argv=None) -> int:
                               key="code_rows")
         # every pass built and checked once, before any m x m or N x N array exists
         plan = {} if cmd.passes is None else {"passes": list(_passes(scenario, raw, cmd.passes, args.threads))}
-        echo = scenario.echo()
+        echo = {key: value for key, value in scenario.echo().items() if key in cmd.reads}
         echo.update((key, _echo_value(value)) for key, value in raw.items() if key not in echo)
         writer = RunWriter(args.out, args.subcommand, echo)
         cmd.body(scenario, raw, writer, args.threads, **plan)

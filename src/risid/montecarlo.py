@@ -404,14 +404,6 @@ def _joint_counts(plan: TrialPlan, r_bars: Sequence[float]) -> tuple:
     return _run_blocks(plan, {}, 0, plan.trials, consume)
 
 
-def _marginal(counts: np.ndarray, surface: int, present: bool):
-    """Per true state of joint ``counts`` in which ``surface`` reflects (``present``) or is
-    silent, in state order: its trials decided the opposite way, and its trials."""
-    has = (np.arange(len(counts)) >> (surface - 1) & 1).astype(bool)
-    states = np.flatnonzero(has == present)
-    return counts[np.ix_(states, has != present)].sum(axis=1), counts[states].sum(axis=1)
-
-
 @dataclass(frozen=True)
 class ConfusionMatrix:
     """Joint true-state vs decided-state counts over 2^L reachability states.
@@ -431,9 +423,12 @@ class ConfusionMatrix:
         return self.counts / self.counts.sum(axis=1, keepdims=True)
 
     def _error_rate(self, surface: int, present: bool) -> Fraction:
-        """Mean over the true states with the surface ``present`` of the opposite-decision rate."""
-        wrong, n = _marginal(self.counts, surface, present)
-        return sum(map(Fraction, wrong.tolist(), n.tolist()), Fraction(0)) / len(n)
+        """Mean over the true states with the surface ``present`` (or silent) of the share of
+        their trials decided the opposite way."""
+        has = (np.arange(len(self.counts)) >> (surface - 1) & 1) == present
+        rows = self.counts[has]
+        return sum(map(Fraction, rows[:, ~has].sum(axis=1).tolist(), rows.sum(axis=1).tolist()),
+                   Fraction(0)) / len(rows)
 
     def miss_probability(self, surface: int) -> Fraction:
         """Exact tally of deciding the surface absent while it reflects.
@@ -448,13 +443,9 @@ class ConfusionMatrix:
         return self._error_rate(surface, present=False)
 
 
-def confusion(plan: TrialPlan, r_bars: Sequence[float]):
-    """Confusion matrices for every grid threshold from one simulation pass.
-
-    All surfaces follow independent fair-coin reachability. Returns a dict
-    mapping each threshold to its ConfusionMatrix. A true state that none
-    of the trials drew raises ValueError.
-    """
+def _matrices(plan: TrialPlan, r_bars: Sequence[float]) -> list:
+    """One ConfusionMatrix per ``r_bars`` entry, repeated entries included, in grid order, from
+    one fair-coin pass. A true state that none of the trials drew raises ValueError."""
     l = len(plan.profiles)
     labels = ("NO RIS", "RIS 1", "RIS 2", "BOTH RISs") if l == 2 else tuple(
         "+".join(f"RIS {j + 1}" for j in range(l) if s >> j & 1) or "NO RIS" for s in range(1 << l))
@@ -463,10 +454,17 @@ def confusion(plan: TrialPlan, r_bars: Sequence[float]):
     empty = [repr(label) for joint in joints[:1] for label, n in zip(labels, joint.sum(axis=1)) if not n]
     if empty:
         raise ValueError(f"none of the {plan.trials} trials drew the true state {' or '.join(empty)}")
-    return {
-        float(rb): ConfusionMatrix(counts=joint, labels=labels, trials=plan.trials)
-        for rb, joint in zip(r_bars, joints)
-    }
+    return [ConfusionMatrix(counts=joint, labels=labels, trials=plan.trials) for joint in joints]
+
+
+def confusion(plan: TrialPlan, r_bars: Sequence[float]):
+    """Confusion matrices for every grid threshold from one simulation pass.
+
+    All surfaces follow independent fair-coin reachability. Returns a dict
+    mapping each threshold to its ConfusionMatrix. A true state that none
+    of the trials drew raises ValueError.
+    """
+    return dict(zip(map(float, r_bars), _matrices(plan, r_bars)))
 
 
 @dataclass(frozen=True)
@@ -483,27 +481,20 @@ class AveragedMetrics:
 def averaged_metrics(plan: TrialPlan, r_bars: Sequence[float]):
     """Average miss/false rates across surfaces for each grid threshold.
 
-    Surfaces follow fair-coin reachability; each surface's miss rate is
-    tallied over the trials where it truly reflects, the false rate over
-    the rest, then both are averaged across surfaces. A surface the trials
-    never show reflecting, or never silent, raises ValueError.
+    Surfaces follow fair-coin reachability. Each surface's rates are its
+    ConfusionMatrix's ``miss_probability`` and ``false_probability``; each
+    average is the exact mean of the surfaces' rates, rounded once. A true
+    state that none of the trials drew raises ValueError, as in ``confusion``.
     """
     surfaces = range(1, len(plan.profiles) + 1)
     out = []
-    for rb, counts in zip(r_bars, _joint_counts(plan, r_bars)):
-        rates = []
-        for present in (True, False):
-            wrong, n = np.array([_marginal(counts, s, present) for s in surfaces]).sum(axis=2).T
-            if not n.all():
-                raise ValueError(f"none of the {plan.trials} trials left RIS {np.argmin(n) + 1} "
-                                 + ("reflecting" if present else "silent"))
-            rates.append(wrong / n)
-        pmiss, pf = rates
+    for rb, mat in zip(r_bars, _matrices(plan, r_bars)):
+        pmiss, pf = ([rate(s) for s in surfaces] for rate in (mat.miss_probability, mat.false_probability))
         out.append(AveragedMetrics(
             r_bar=float(rb),
-            avg_pmiss=float(pmiss.mean()),
-            avg_pf=float(pf.mean()),
-            per_ris_pmiss=tuple(float(x) for x in pmiss),
-            per_ris_pf=tuple(float(x) for x in pf),
+            avg_pmiss=float(sum(pmiss) / len(pmiss)),
+            avg_pf=float(sum(pf) / len(pf)),
+            per_ris_pmiss=tuple(map(float, pmiss)),
+            per_ris_pf=tuple(map(float, pf)),
         ))
     return out

@@ -33,6 +33,11 @@ import outputs
 from conftest import fresh_python
 
 
+def trials_flag(subcommand: str, trials: int) -> list:
+    """``--trials`` for a subcommand that runs a pass; the others do not accept it."""
+    return ["--trials", str(trials)] if cli.COMMANDS[subcommand].passes is not None else []
+
+
 @st.composite
 def scenarios(draw):
     """A valid Scenario."""
@@ -427,14 +432,14 @@ class TestSubcommands:
         assert code == 0
         assert run == {(16, 4, (5,)), (32, 8, (5,))}
 
-    # five_ris.csv of the config below, from the per-surface tally the joint counts replaced
+    # five_ris.csv of the config below: each surface's confusion-matrix rates, then their means
     FIVE_RIS_ROWS = {
-        3.0: [0.09886126035965649, 0.17990680964401048, 0.12855740922473013, 0.10208126858275521,
-              0.12133072407045009, 0.07244995233555768, 0.0698869475847893, 0.0509683995922528,
-              0.07467204843592332, 0.11860940695296524, 0.2891692954784437, 0.3661148977604674],
-        4.0: [0.19892767805689657, 0.05673423642888775, 0.2198233562315996, 0.20614469772051536,
-              0.22015655577299412, 0.16968541468064824, 0.17882836587872558, 0.009174311926605505,
-              0.004036326942482341, 0.02147239263803681, 0.11461619348054679, 0.13437195715676728],
+        3.0: [0.09939599428868316, 0.17731063845404266, 0.12786771289942755, 0.10194812746063968,
+              0.12281554981826406, 0.07231090861710464, 0.07203767264797983, 0.05120110691384943,
+              0.07294742206202688, 0.11337566348549187, 0.295906441658523, 0.3531225581503222],
+        4.0: [0.20027911042270607, 0.056210237330389254, 0.2192917317733335, 0.20744705425229318,
+              0.22319963073555918, 0.17031132725223722, 0.1811458081001073, 0.009097208485467887,
+              0.003938307802228336, 0.020626713161911146, 0.11912696907842137, 0.12826198812391754],
     }
 
     def test_five_ris_artifact(self, tmp_path):
@@ -534,7 +539,7 @@ class TestSubcommands:
         and writes the files its manifest lists, with finite numbers only."""
         out = tmp_path / "out"
         argv = [subcommand, "--config", str(BUNDLED_CONFIG_DIR / config), "--out", str(out)]
-        assert main(argv + ["--trials", "2000"]) == 0
+        assert main(argv + trials_flag(subcommand, 2000)) == 0
         outputs = json.loads((out / "manifest.json").read_text())["outputs"]
         assert outputs
         for name in outputs:
@@ -556,7 +561,7 @@ class TestSubcommands:
             for threads in ("1", "2"):
                 out = tmp_path / config.removesuffix(".txt") / threads
                 argv = [subcommand, "--config", str(BUNDLED_CONFIG_DIR / config), "--out", str(out),
-                        "--trials", "2000", "--threads", threads]
+                        *trials_flag(subcommand, 2000), "--threads", threads]
                 assert main(argv) == 0
                 got.append({p.name: p.read_bytes() for p in out.iterdir()})
             assert got[0] == got[1], config
@@ -636,7 +641,7 @@ class TestExitCodes:
                                                       subcommand, text, line, key):
         monkeypatch.chdir(tmp_path)
         Path("c.txt").write_text(text)
-        assert main([subcommand, "--config", "c.txt", "--out", "o", "--trials", "10"]) == 2
+        assert main([subcommand, "--config", "c.txt", "--out", "o", *trials_flag(subcommand, 10)]) == 2
         (err,) = capsys.readouterr().err.splitlines()
         assert err == f"c.txt:{line}: config error: {subcommand} does not read {key}"
         assert not Path("o").exists()
@@ -1054,6 +1059,40 @@ class TestExitCodes:
         assert "c.txt:" not in err
         assert not (tmp_path / "o").exists()
 
+    def test_five_ris_empty_true_state_exits_2_at_trials(self, tmp_path, capsys):
+        """20 trials leave some of five surfaces' 32 true states empty, though every surface
+        both reflects and stays silent in them: the empty states' rates have no value."""
+        text = ("m = 16\ncode_rows = 1, 2, 4, 8, 9\nn_elements = 8\nn_horizontal = 2\n"
+                "r_bar_grid = 3\ntrials = 20\n")
+        scn = scenario_from_config(parse_config_text(text))
+        (joint,) = montecarlo._joint_counts(montecarlo.TrialPlan(scn, scn.trials, scn.seed), (3.0,))
+        drawn = [state for state, n in enumerate(joint.sum(axis=1).tolist()) if n]
+        assert len(drawn) < 32
+        for bit in (1, 2, 4, 8, 16):
+            assert any(s & bit for s in drawn) and not all(s & bit for s in drawn)
+        code, out = run_cli(tmp_path, "five-ris", text)
+        assert code == 2
+        (err,) = capsys.readouterr().err.splitlines()
+        assert re.fullmatch(r".*config\.txt:6: config error: none of the 20 trials drew the true "
+                            r"state 'NO RIS' or '.+'", err), err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("subcommand", ["theory", "tradeoff", "design"])
+    def test_trials_flag_only_where_a_pass_runs(self, tmp_path, capsys, subcommand):
+        """A subcommand that runs no pass refuses ``--trials`` and echoes no ``trials``."""
+        config = str(BUNDLED_CONFIG_DIR / f"{subcommand}.txt")
+        with pytest.raises(SystemExit) as exc:
+            main([subcommand, "--config", config, "--out", str(tmp_path / "o"), "--trials", "5"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --trials 5" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+        assert main([subcommand, "--config", config, "--out", str(tmp_path / "p")]) == 0
+        for path in (tmp_path / "p").iterdir():
+            if path.suffix == ".json":
+                assert "trials" not in json.loads(path.read_text())["config"], path.name
+            else:
+                assert "\n# trials = " not in path.read_text(), path.name
+
     def test_unread_sweep_key_is_not_checked(self, tmp_path, capsys):
         """pf-single never reads n_values, so the key exits 2 as unread, not by the memory rule
         on an element count it never runs."""
@@ -1128,7 +1167,7 @@ class TestExitCodes:
         code, _ = run_cli(
             tmp_path, subcommand,
             "m = 8\ncode_rows = 1, 2\nn_elements = 4\nn_horizontal = 2\n"
-            "r_bar_grid = 2, 3\n", ("--trials", "1000"),
+            "r_bar_grid = 2, 3\n", trials_flag(subcommand, 1000),
         )
         assert code == 0
 

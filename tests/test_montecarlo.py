@@ -1025,6 +1025,23 @@ class TestAveragedMetrics:
         assert all(b <= a for a, b in zip(pf, pf[1:]))
         assert all(b >= a for a, b in zip(pm, pm[1:]))
 
+    def test_rates_are_the_confusion_matrices(self):
+        """Each surface's rates are its ConfusionMatrix's, as ``confusion.json`` writes them, and
+        each average is the exact mean of the surfaces' rates, rounded once; a repeated grid
+        entry gets its own row."""
+        scn = Scenario(m=16, v_total=4, code_rows=(1, 2, 3), n_elements=16, n_horizontal=4,
+                       p_dbm=12.0, trials=4096, seed=29)
+        grid = (2.5, 2.5, 3.5)
+        mats = confusion(plan_for(scn), grid)
+        out = averaged_metrics(plan_for(scn), grid)
+        assert [o.r_bar for o in out] == list(grid)
+        for o in out:
+            pmiss = [mats[o.r_bar].miss_probability(s) for s in (1, 2, 3)]
+            pf = [mats[o.r_bar].false_probability(s) for s in (1, 2, 3)]
+            assert o.per_ris_pmiss == tuple(map(float, pmiss))
+            assert o.per_ris_pf == tuple(map(float, pf))
+            assert (o.avg_pmiss, o.avg_pf) == (float(sum(pmiss) / 3), float(sum(pf) / 3))
+
 
 class TestTheoryConsistency:
     @pytest.mark.parametrize("m", [16, 32])
